@@ -319,27 +319,11 @@ class RunObserver:
         drv = self.driver
         ann = drv._exchanger.access_annotations()
         fields = list(drv._exchanger.registered_fields())
-        kinds_map = drv._exchanger.field_kinds()
         read_fields = fields + ["phi_surface"]
         nranks = drv.nparts
         ops: list[PlanOp] = []
         edges: list[tuple] = []
         counts = {"round": 0, "save": 0, "apply": 0}
-        ov_ann = (
-            drv.overlap_annotations()
-            if getattr(drv, "overlap", False) else {}
-        )
-        ov_sensitive, ov_tol = False, None
-        if ov_ann:
-            from repro.parallel.overlap import contract_for
-
-            ov_sensitive = drv.stencil_backend != "reference"
-            if ov_sensitive:
-                contract = contract_for(drv.stencil_backend)
-                ov_tol = max(
-                    v for v in contract.values() if v is not None
-                )
-
         for rec in self._records:
             tag = rec[0]
             if tag == "pack":
@@ -376,54 +360,6 @@ class RunObserver:
                 _, kind, slot = rec
                 counts["round"] += 1
                 label = f"round{counts['round']}.{kind}"
-                if kind in ("interior", "boundary") and slot is not None:
-                    # Overlapped split round: index-restricted accesses
-                    # from the driver's declared split.  The interior
-                    # round gets NO end barrier — the pack/unpack ops
-                    # that follow it in the span stream really do run
-                    # concurrently, and the next round's begin barrier
-                    # is the observed join (finish_interior).
-                    ops.append(PlanOp(
-                        name=f"{label}.begin", kind=OpKind.BARRIER,
-                    ))
-                    for r in range(nranks):
-                        a = ov_ann[r]
-                        if kind == "interior":
-                            owned = {
-                                "cell": tuple(range(a["n_owned_cells"])),
-                                "edge": tuple(range(a["n_owned_edges"])),
-                            }
-                            reads = [
-                                Access(f"rank{r}.{f}", mode="r",
-                                       indices=owned[kinds_map.get(f, "cell")])
-                                for f in read_fields
-                            ]
-                            t_cells = a["interior_cells"]
-                            t_edges = a["interior_edges"]
-                        else:
-                            reads = [
-                                Access(f"rank{r}.{f}", mode="r")
-                                for f in read_fields
-                            ]
-                            t_cells = a["boundary_cells"]
-                            t_edges = a["boundary_edges"]
-                        writes = [
-                            Access(f"rank{r}.slot{slot}.{c}", mode="w",
-                                   indices=(t_cells
-                                            if c in ("ps", "theta_mass")
-                                            else t_edges))
-                            for c in SLOT_COMPONENTS
-                        ]
-                        ops.append(PlanOp(
-                            name=f"{label}.rank{r}", kind=OpKind.COMPUTE,
-                            lane=r, accesses=reads + writes,
-                            order_sensitive=ov_sensitive, tolerance=ov_tol,
-                        ))
-                    if kind == "boundary":
-                        ops.append(PlanOp(
-                            name=f"{label}.end", kind=OpKind.BARRIER,
-                        ))
-                    continue
                 ops.append(PlanOp(name=f"{label}.begin", kind=OpKind.BARRIER))
                 for r in range(nranks):
                     accesses = [

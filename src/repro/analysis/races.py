@@ -25,8 +25,7 @@ shared-arena slots and barriers.  The rules:
 :func:`build_step_plan` derives the plan for one RK step of a real
 :class:`~repro.parallel.driver.DistributedDycore` from the components'
 own declarative annotations (exchange plans, arena layout, executor
-rounds); the current lockstep implementation must — and does — analyze
-clean, which is exactly the gate the comm/compute-overlap work needs.
+rounds); the lockstep implementation must — and does — analyze clean.
 """
 
 from __future__ import annotations
@@ -315,8 +314,7 @@ class StaticRaceAnalyzer:
     def _check_reductions(self, plan) -> list:
         """Any op *declared* order-sensitive — a collective reduction, or
         a compute pass whose scatter-accumulate order changes under
-        renumbering (the fused stencil backend on restricted overlap
-        sub-meshes) — must carry an explicit tolerance contract."""
+        renumbering — must carry an explicit tolerance contract."""
         diags = []
         for op in plan.ops:
             if op.kind not in (OpKind.REDUCE, OpKind.COMPUTE):
@@ -364,48 +362,22 @@ def _prognostic_resources(rank: int, fields) -> list:
 def build_step_plan(driver, name: str = "rk_step") -> ParallelPlan:
     """Derive the :class:`ParallelPlan` of one RK step of ``driver``.
 
-    Faithful to the implementation the driver is configured for.
-    Lockstep: saves, exchange pack/unpack loops and RK applies run on
-    the :data:`DRIVER` lane; tendency (and sponge) evaluations run on
-    rank lanes bracketed by the executor's broadcast/reply barriers.
-
-    Overlap mode encodes the pipelined schedule instead: per stage an
-    ``interior`` round (index-restricted to owned reads and interior
-    target writes) runs *concurrently* with the exchange's pack/unpack
-    ops — no barrier between them, which is exactly what the analyzer
-    must prove safe from the disjoint index sets — then a join barrier,
-    the ``boundary`` round (whole-array reads, fresh halos), and the
-    apply.  Under the fused stencil backend the split compute ops are
-    declared order-sensitive and carry the overlap tolerance contract
-    (RD005 would fire without it).
+    Saves, exchange pack/unpack loops and RK applies run on the
+    :data:`DRIVER` lane; tendency (and sponge) evaluations run on rank
+    lanes bracketed by the executor's broadcast/reply barriers.
 
     Index sets come from the compiled
-    :class:`~repro.parallel.exchange.ExchangePlan`\\ s and the driver's
-    :meth:`~repro.parallel.driver.DistributedDycore.overlap_annotations`;
-    arena byte extents from :meth:`DistributedDycore.arena_layout`.
+    :class:`~repro.parallel.exchange.ExchangePlan`\\ s; arena byte
+    extents from :meth:`DistributedDycore.arena_layout`.
     """
     if driver._exchanger is None:
         raise RuntimeError("scatter a state first (no exchanger compiled)")
     ann = driver._exchanger.access_annotations()
     fields = list(driver._exchanger.registered_fields())
-    kinds = driver._exchanger.field_kinds()
     read_fields = fields + ["phi_surface"]
     nranks = driver.nparts
     stages = driver.config.rk_stages
     n_slots = 3
-    overlap = bool(getattr(driver, "overlap", False))
-    ov_ann = driver.overlap_annotations() if overlap else {}
-    if overlap:
-        from repro.parallel.overlap import contract_for
-
-        backend = driver.stencil_backend
-        order_sensitive = backend != "reference"
-        contract = contract_for(backend)
-        tolerance = (
-            max(v for v in contract.values() if v is not None)
-            if order_sensitive else None
-        )
-
     ops: list[PlanOp] = []
     edges: list[tuple] = []
 
@@ -474,63 +446,6 @@ def build_step_plan(driver, name: str = "rk_step") -> ParallelPlan:
             accesses=accesses, stage=stage,
         ))
 
-    def add_overlap_stage(stage: int, slot: int) -> None:
-        # begin_interior(): the driver's post gives happens-before from
-        # the previous apply to every rank's interior work.
-        ops.append(PlanOp(
-            name=f"interior.s{stage}.begin", kind=OpKind.BARRIER,
-        ))
-        for r in range(nranks):
-            a = ov_ann[r]
-            owned = {
-                "cell": tuple(range(a["n_owned_cells"])),
-                "edge": tuple(range(a["n_owned_edges"])),
-            }
-            accesses = [
-                Access(f"rank{r}.{f}", mode="r",
-                       indices=owned[kinds.get(f, "cell")])
-                for f in read_fields
-            ]
-            accesses += [
-                Access(f"rank{r}.slot{slot}.{c}", mode="w",
-                       indices=(a["interior_cells"]
-                                if c in ("ps", "theta_mass")
-                                else a["interior_edges"]))
-                for c in SLOT_COMPONENTS
-            ]
-            ops.append(PlanOp(
-                name=f"interior.s{stage}.rank{r}", kind=OpKind.COMPUTE,
-                lane=r, accesses=accesses, stage=stage,
-                order_sensitive=order_sensitive, tolerance=tolerance,
-            ))
-        # The exchange runs *concurrently* with the interior ops — no
-        # barrier between them.  Safety rests on disjoint index sets:
-        # interior reads/writes touch owned entries only, the unpacks
-        # write recv (halo) entries only, the packs merely read.
-        add_exchange(epoch=stage)
-        # finish_interior(): reply collection joins every lane with the
-        # completed exchange before any halo-reading boundary work.
-        ops.append(PlanOp(name=f"join.s{stage}", kind=OpKind.BARRIER))
-        for r in range(nranks):
-            a = ov_ann[r]
-            accesses = [
-                Access(res, mode="r")
-                for res in _prognostic_resources(r, read_fields)
-            ]
-            accesses += [
-                Access(f"rank{r}.slot{slot}.{c}", mode="w",
-                       indices=(a["boundary_cells"]
-                                if c in ("ps", "theta_mass")
-                                else a["boundary_edges"]))
-                for c in SLOT_COMPONENTS
-            ]
-            ops.append(PlanOp(
-                name=f"boundary.s{stage}.rank{r}", kind=OpKind.COMPUTE,
-                lane=r, accesses=accesses, stage=stage,
-                order_sensitive=order_sensitive, tolerance=tolerance,
-            ))
-        ops.append(PlanOp(name=f"boundary.s{stage}.end", kind=OpKind.BARRIER))
-
     # Save the step's base state (the RK increments build on it).
     ops.append(PlanOp(
         name="save", kind=OpKind.APPLY, lane=DRIVER,
@@ -545,11 +460,8 @@ def build_step_plan(driver, name: str = "rk_step") -> ParallelPlan:
     for stage in range(1, stages + 1):
         slot = (stage - 1) % n_slots
         slots_used.append(slot)
-        if overlap:
-            add_overlap_stage(stage, slot)
-        else:
-            add_exchange(epoch=stage)
-            add_round(f"tend.s{stage}", stage, slot)
+        add_exchange(epoch=stage)
+        add_round(f"tend.s{stage}", stage, slot)
         if stages >= 3:
             applied = slots_used if stage > 1 else [slot]
         else:
@@ -569,6 +481,6 @@ def build_step_plan(driver, name: str = "rk_step") -> ParallelPlan:
         name=name,
         ops=ops,
         edges=edges,
-        arena=driver.arena_layout() if (driver.workers > 1 or overlap) else {},
+        arena=driver.arena_layout(),
         halo_recv={r: tuple(sorted(s)) for r, s in halo_recv.items()},
     )

@@ -35,9 +35,7 @@ from repro.sunway.allocator import PoolAllocator
 
 #: Version of the ``repro lint --json`` document layout.  Bump on any
 #: structural change so CI consumers can reject unknown layouts.
-#: v3 added the ``parallel.overlap`` sub-report (the overlapped
-#: interior/boundary step plan analyzed statically and dynamically).
-LINT_SCHEMA_VERSION = 3
+LINT_SCHEMA_VERSION = 4
 
 
 def partition_halo_width(level: int = 2, nparts: int = 4) -> int:
@@ -165,11 +163,9 @@ def lint_race_corpus(sanitize: bool = True) -> list:
 def lint_parallel(sanitize: bool = True, workers: int = 2) -> dict:
     """The RD race & determinism pass over a real tiny G3 driver.
 
-    Runs twice: the lockstep step plan (``nparts=4``) and the
-    overlapped interior/boundary step plan (``nparts=2``, where the
-    split is non-trivial at this mesh size) — both must analyze clean
-    statically, and when ``sanitize`` both one-step runs must replay
-    clean through the observed span stream.
+    The lockstep step plan (``nparts=4``) must analyze clean
+    statically, and when ``sanitize`` a one-step run must replay clean
+    through the observed span stream.
     """
     from repro.analysis.race_sanitizer import sanitize_run
     from repro.analysis.races import analyze_parallel_plan
@@ -195,30 +191,10 @@ def lint_parallel(sanitize: bool = True, workers: int = 2) -> dict:
             run_report = None
     finally:
         driver.close()
-    ov_driver = DistributedDycore(
-        mesh, vc, DycoreConfig(dt=600.0, sponge_levels=2),
-        nparts=2, workers=workers, overlap=True,
-    )
-    try:
-        ov_driver.scatter(baroclinic_wave_state(mesh, vc))
-        ov_plan = ov_driver.step_plan()
-        ov_diags = rank(analyze_parallel_plan(ov_plan))
-        interior_cells = sum(
-            len(a["interior_cells"])
-            for a in ov_driver.overlap_annotations().values()
-        )
-        if sanitize:
-            ov_run = sanitize_run(ov_driver, steps=1).to_dict()
-        else:
-            ov_run = None
-    finally:
-        ov_driver.close()
     corpus = lint_race_corpus(sanitize=sanitize)
     corpus_ok = all(c["ok"] for c in corpus)
     plan_errors = [d for d in plan_diags if d.severity is Severity.ERROR]
-    ov_errors = [d for d in ov_diags if d.severity is Severity.ERROR]
     run_clean = run_report is None or run_report["clean"]
-    ov_clean = ov_run is None or ov_run["clean"]
     return {
         "step_plan": {
             "name": plan.name,
@@ -227,23 +203,9 @@ def lint_parallel(sanitize: bool = True, workers: int = 2) -> dict:
             "diagnostics": plan_diags,
             "n_error": len(plan_errors),
         },
-        "overlap": {
-            "step_plan": {
-                "name": ov_plan.name,
-                "ops": len(ov_plan.ops),
-                "workers": workers,
-                "backend": ov_driver.stencil_backend,
-                "interior_cells": interior_cells,
-                "diagnostics": ov_diags,
-                "n_error": len(ov_errors),
-            },
-            "dynamic_run": ov_run,
-            "ok": not ov_errors and ov_clean and interior_cells > 0,
-        },
         "race_corpus": {"cases": corpus, "all_expected_found": corpus_ok},
         "dynamic_run": run_report,
-        "ok": (not plan_errors and not ov_errors and corpus_ok
-               and run_clean and ov_clean and interior_cells > 0),
+        "ok": not plan_errors and corpus_ok and run_clean,
     }
 
 
@@ -254,8 +216,7 @@ def lint_all(sanitize: bool = True, parallel: bool = False) -> dict:
     all_diags = kernel_diags + [d for c in corpus for d in c["diagnostics"]]
     par = lint_parallel(sanitize=sanitize) if parallel else None
     if par is not None:
-        all_diags = all_diags + par["step_plan"]["diagnostics"] + \
-            par["overlap"]["step_plan"]["diagnostics"] + [
+        all_diags = all_diags + par["step_plan"]["diagnostics"] + [
             d for c in par["race_corpus"]["cases"] for d in c["diagnostics"]
         ]
     confirmed = sum(1 for d in all_diags if d.verdict == CONFIRMED)
@@ -314,17 +275,6 @@ def to_json(result: dict) -> dict:
                     d.to_dict() for d in par["step_plan"]["diagnostics"]
                 ],
             },
-            "overlap": {
-                "step_plan": {
-                    **par["overlap"]["step_plan"],
-                    "diagnostics": [
-                        d.to_dict()
-                        for d in par["overlap"]["step_plan"]["diagnostics"]
-                    ],
-                },
-                "dynamic_run": par["overlap"]["dynamic_run"],
-                "ok": par["overlap"]["ok"],
-            },
             "race_corpus": {
                 "cases": [
                     {**c, "diagnostics": [d.to_dict() for d in c["diagnostics"]]}
@@ -372,23 +322,6 @@ def render_human(result: dict) -> str:
         if not sp["diagnostics"]:
             lines.append("  clean: no RD diagnostics")
         lines.extend(_fmt_diag(d) for d in sp["diagnostics"])
-        ov = par["overlap"]
-        osp = ov["step_plan"]
-        lines.append("")
-        lines.append(
-            f"== overlapped step plan ({osp['backend']} backend, "
-            f"{osp['ops']} ops, {osp['interior_cells']} interior cell(s), "
-            f"{osp['n_error']} error(s)) =="
-        )
-        if not osp["diagnostics"]:
-            lines.append("  clean: no RD diagnostics")
-        lines.extend(_fmt_diag(d) for d in osp["diagnostics"])
-        orun = ov["dynamic_run"]
-        if orun is not None:
-            lines.append(
-                f" overlapped dynamic run: {orun['ops']} observed ops — "
-                f"{'clean' if orun['clean'] else str(len(orun['events'])) + ' race event(s)'}"
-            )
         lines.append("")
         lines.append("== known-racy corpus ==")
         for c in par["race_corpus"]["cases"]:

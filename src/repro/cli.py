@@ -20,9 +20,7 @@ without writing any Python:
   cache and batching accounting (optionally poisoning some requests to
   demonstrate per-request fault isolation);
 * ``ensemble``  — run N perturbed members of a registered scenario
-  (per-member loop or member-vectorized batch), print spread and
-  probability products, optionally check the batch against the
-  per-member bitwise oracle.
+  and print spread and probability products.
 """
 
 from __future__ import annotations
@@ -328,20 +326,12 @@ def _cmd_ensemble(args) -> int:
         physics_perturbation=args.physics_perturbation,
         workers=args.workers,
     )
-    bitwise = None
-    if args.check_oracle:
-        out = runner.check_equivalence()
-        result, oracle = out["batch"], out["loop"]
-        bitwise = out["bitwise_equal"]
-    else:
-        result = runner.run(vectorized=args.vectorized)
-        oracle = None
+    result = runner.run()
 
     if args.json:
         pr = result.products["mean_precip"]
         payload = {
             "scenario": result.scenario,
-            "mode": result.mode,
             "members": result.n_members,
             "steps": result.steps,
             "scheme": result.scheme,
@@ -357,14 +347,10 @@ def _cmd_ensemble(args) -> int:
             "precip_spread_mm_day": float(pr["spread"].mean() * 86400.0),
             "precip_exceedance_frac": float(pr["exceedance"].mean()),
         }
-        if bitwise is not None:
-            payload["bitwise_equal_to_oracle"] = bitwise
-            payload["oracle_wall_seconds"] = oracle.wall_seconds
         print(_json.dumps(payload, indent=2))
     else:
         print(f"ensemble: {result.scenario} x{result.n_members} members, "
-              f"{result.steps} steps, {result.scheme}, seed {result.seed} "
-              f"[{result.mode}]")
+              f"{result.steps} steps, {result.scheme}, seed {result.seed}")
         print(f"  wall {result.wall_seconds:.2f} s, "
               f"stencil plan compiles {result.plan_compiles}")
         print(f"  {'member':>6s} {'max wind m/s':>13s} "
@@ -386,13 +372,6 @@ def _cmd_ensemble(args) -> int:
               f"P(|wind| > 15 m/s): {wind['exceedance'].mean():.3f}")
         spread_ratio = np.median(pr["spread_ratio"])
         print(f"  median precip spread/signal: {spread_ratio:.3f}")
-        if bitwise is not None:
-            verdict = "bitwise-identical" if bitwise else "MISMATCH"
-            print(f"  batch vs per-member oracle: {verdict} "
-                  f"(oracle {oracle.wall_seconds:.2f} s, "
-                  f"batch {result.wall_seconds:.2f} s)")
-    if bitwise is False:
-        return 1
     return 0
 
 
@@ -405,7 +384,7 @@ def _cmd_profile(args) -> int:
     result = run_profile(
         level=args.level, nlev=args.nlev, steps=args.steps, seed=args.seed,
         compare_model=args.compare_model, ranks=args.ranks,
-        workers=args.workers, overlap=args.overlap,
+        workers=args.workers,
     )
     tracer = result.pop("tracer")
     if args.trace_out:
@@ -440,16 +419,6 @@ def _cmd_profile(args) -> int:
                 line += (f" (serial {d['serial_wall_seconds']:.3f}s, "
                          f"bitwise equal: {d['bitwise_vs_serial']})")
             print(line)
-            if "overlap" in d:
-                o = d["overlap"]
-                proj = o["projection"]
-                print(f"overlapped: {o['backend']} backend, "
-                      f"{o['wall_seconds']:.3f}s, "
-                      f"{o['stats']['overlap_fraction'] * 100:.0f}% of "
-                      f"exchange hidden, contract ok: {o['contract_ok']}; "
-                      f"projected G12 "
-                      f"{proj['baseline']['G12_sdpd']:.1f} -> "
-                      f"{proj['overlapped']['G12_sdpd']:.1f} SDPD")
         if args.compare_model:
             print(f"\n{'kernel':38s} {'elems':>9s} {'predicted us':>13s} "
                   f"{'traced us':>11s} {'rel err':>8s}")
@@ -595,8 +564,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser(
         "ensemble",
         help="run N perturbed members of a registered scenario with "
-             "spread/probability products; --check-oracle pins the "
-             "vectorized batch against the per-member bitwise oracle",
+             "spread/probability products",
     )
     sp.add_argument("--list", action="store_true",
                     help="list the registered scenarios and exit")
@@ -615,13 +583,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--physics-perturbation", type=float, default=0.0,
                     help="SPPT-style tendency perturbation amplitude")
     sp.add_argument("--workers", type=int, default=1,
-                    help="fork this many member-sharded processes for the "
-                         "loop mode (digest-identical to the serial loop)")
-    sp.add_argument("--vectorized", action="store_true",
-                    help="member-vectorized batch instead of the loop")
-    sp.add_argument("--check-oracle", action="store_true",
-                    help="run both modes and verify bitwise equality "
-                         "(exit 1 on mismatch)")
+                    help="fork this many member-sharded processes "
+                         "(digest-identical to the serial loop)")
     sp.add_argument("--json", action="store_true",
                     help="machine-readable JSON instead of the summary")
     sp.set_defaults(func=_cmd_ensemble)
@@ -650,12 +613,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--workers", type=int, default=1,
                     help="rank-stepping worker processes for --ranks; >1 "
                          "adds a bitwise serial-vs-parallel check")
-    sp.add_argument("--overlap", action="store_true",
-                    help="with --ranks: also run the overlapped interior/"
-                         "boundary executor, check its equality contract "
-                         "against the serial oracle, and project the "
-                         "measured overlap fraction through the scaling "
-                         "model")
     sp.set_defaults(func=_cmd_profile)
     return p
 

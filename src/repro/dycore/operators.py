@@ -19,7 +19,7 @@ backend (see :mod:`repro.dycore.stencil`):
   pre-stencil operators; the default.
 * ``fused`` — preallocated ``out=``/scratch buffers, pad-zeroing folded
   into weights, folded normalisations + single-``einsum`` reductions,
-  ``np.bincount`` scatter-accumulates, optional numexpr/numba.
+  ``np.bincount`` scatter-accumulates.
 
 Backend selection, most specific wins::
 

@@ -23,9 +23,7 @@ with Python", PAPERS.md).  Two backends exist:
     gather weights, weighted reductions run as a single ``einsum``, and
     the 1-D flux divergence is rewritten from a padded gather into a
     ``np.bincount`` scatter-accumulate over precompiled flat index
-    tables.  ``numexpr``/``numba`` are used when importable and degrade
-    *silently* to pure NumPy when not (nothing here may ever require an
-    install).
+    tables.
 
 Backend contract
 ----------------
@@ -57,26 +55,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.grid.mesh import Mesh, PAD
-
-# -- optional accelerators (never required, never installed here) ---------
-try:  # pragma: no cover - exercised only where numexpr is installed
-    import numexpr as _numexpr
-except Exception:  # pragma: no cover
-    _numexpr = None
-
-try:  # pragma: no cover - exercised only where numba is installed
-    import numba as _numba
-except Exception:  # pragma: no cover
-    _numba = None
-
-NUMEXPR_AVAILABLE = _numexpr is not None
-NUMBA_AVAILABLE = _numba is not None
-
-
-def _jit_enabled() -> bool:
-    """Optional-accelerator master switch (``REPRO_STENCIL_JIT=0`` off)."""
-    return os.environ.get("REPRO_STENCIL_JIT", "1") != "0"
-
 
 #: Contract value meaning "fused must equal reference bitwise".
 BITWISE = 0.0
@@ -345,8 +323,8 @@ def plan_compile_count() -> int:
     """Total stencil kernel-plan compilations in this process.
 
     The ensemble layer's sharing gate: a per-member loop on one warm
-    model and an M-member vectorized batch must each cost exactly one
-    plan compilation (delta == 1), never one per member.
+    model must cost exactly one plan compilation (delta == 1), never
+    one per member.
     """
     return _plan_compiles
 
@@ -516,10 +494,6 @@ class FusedKernels(ReferenceKernels):
         self._flat_idx: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         self._scratch: dict[tuple, np.ndarray] = {}
         self._lock = threading.Lock()
-        self._use_numexpr = NUMEXPR_AVAILABLE and _jit_enabled()
-        self._div1d_jit = self._compile_div1d() if (
-            NUMBA_AVAILABLE and _jit_enabled()
-        ) else None
 
     # -- compiled resources ------------------------------------------------
     def _buf(self, name: str, shape: tuple, dtype=np.float64) -> np.ndarray:
@@ -547,22 +521,6 @@ class FusedKernels(ReferenceKernels):
                     )
                     self._flat_idx[L] = got
         return got
-
-    def _compile_div1d(self):  # pragma: no cover - needs numba installed
-        """JIT the 1-D edge->cell scatter-accumulate when numba exists."""
-        c1, c2 = self.cache.edge_c1, self.cache.edge_c2
-        le, inv_area, nc = self.mesh.le, self.inv_cell_area, self.mesh.nc
-
-        @_numba.njit(cache=False)
-        def div1d(flux):
-            acc = np.zeros(nc)
-            for e in range(flux.shape[0]):
-                f = flux[e] * le[e]
-                acc[c1[e]] += f
-                acc[c2[e]] -= f
-            return acc * inv_area
-
-        return div1d
 
     @staticmethod
     def _fast(*fields) -> bool:
@@ -593,8 +551,6 @@ class FusedKernels(ReferenceKernels):
         if flux_edge.ndim == 1:
             # Scatter-accumulate form: each edge pushes +-F*le to its two
             # cells; np.bincount replaces the padded gather entirely.
-            if self._div1d_jit is not None:  # pragma: no cover
-                return self._div1d_jit(flux_edge)
             nc = self.mesh.nc
             ebuf = self._buf("div_ebuf", flux_edge.shape)
             np.multiply(flux_edge, self.mesh.le, out=ebuf)
@@ -700,15 +656,6 @@ class FusedKernels(ReferenceKernels):
         za = self._take(zeta, c.edge_v2, "lape_a")
         zb = self._take(zeta, c.edge_v1, "lape_b")
         le = self.mesh.le if u_edge.ndim == 1 else self.le_col
-        if self._use_numexpr:  # pragma: no cover - needs numexpr
-            out = np.empty_like(grad_div)
-            _numexpr.evaluate(
-                "grad_div - (za - zb) / le",
-                local_dict={"grad_div": grad_div, "za": za, "zb": zb,
-                            "le": np.broadcast_to(le, za.shape)},
-                out=out,
-            )
-            return out
         cz = np.empty_like(grad_div)
         np.subtract(za, zb, out=cz)
         np.divide(cz, le, out=cz)

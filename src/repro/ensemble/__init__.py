@@ -1,17 +1,11 @@
 """Ensemble & scenario engine (see :mod:`repro.ensemble.runner`).
 
-``scenarios``/``products``/``batch`` are imported eagerly (the serving
+``scenarios``/``products`` are imported eagerly (the serving
 layer reads the scenario registry at import time); the runner — which
 reaches back into :mod:`repro.serve` — is loaded lazily to keep the
 package cycle-free.
 """
 
-from repro.ensemble.batch import (
-    member_state,
-    replicate_mesh,
-    replicate_surface,
-    stack_states,
-)
 from repro.ensemble.products import (
     ensemble_mean,
     ensemble_percentiles,
@@ -35,7 +29,6 @@ __all__ = [
     "Scenario", "register_scenario", "get_scenario", "scenario_names",
     "all_scenarios", "build_scenario_model",
     "perturbation_noise", "physics_perturbation_factors",
-    "replicate_mesh", "replicate_surface", "stack_states", "member_state",
     "ensemble_mean", "ensemble_spread", "ensemble_percentiles",
     "exceedance_probability", "spread_to_signal", "ensemble_products",
     "EnsembleRunner", "EnsembleResult", "PerturbedPhysics",

@@ -1,4 +1,4 @@
-"""The ensemble engine: N perturbed members, loop oracle + batched fast path.
+"""The ensemble engine: N perturbed members on one shared warm model.
 
 :class:`EnsembleRunner` executes N ensemble members of a registered
 scenario — perturbed initial conditions (seeded ``[seed, member]``
@@ -6,22 +6,12 @@ theta noise) and optionally perturbed physics (SPPT-style multiplicative
 tendency factors, seeded ``[seed, member, SPPT_STREAM]``) — and derives
 spread/probability products from the member results.
 
-Two execution modes, one bitwise contract:
-
-* ``run()`` — the **per-member loop**, the bitwise oracle: one shared
-  warm model (or a model acquired from a serving
-  :class:`~repro.serve.pool.ModelPool` when the configs match), reset
-  bit-exactly between members, exactly the serving scheduler's member
-  execution.  Stencil plans compile once for the shared mesh, not once
-  per member.
-* ``run(vectorized=True)`` — the **member-vectorized batch**: all M
-  members advance through one model on a block-diagonal replicated mesh
-  (see :mod:`repro.ensemble.batch`), M-times-larger vectorised
-  operations, still exactly one stencil plan compilation.  Bit-identical
-  to the loop, member by member — pinned per scenario by
-  ``tests/test_ensemble.py`` and live-checked by
-  ``benchmarks/bench_ensemble.py --check``.  ML physics schemes are
-  refused here (BLAS row-count nondeterminism); the loop serves them.
+``run()`` is the **per-member loop**: one shared warm model (or a model
+acquired from a serving :class:`~repro.serve.pool.ModelPool` when the
+configs match), reset bit-exactly between members, exactly the serving
+scheduler's member execution.  Stencil plans compile once for the
+shared mesh, not once per member.  ``workers=N`` shards the same loop
+over forked processes, digest-identical to the serial loop.
 """
 
 from __future__ import annotations
@@ -32,12 +22,6 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from repro.ensemble.batch import (
-    member_state as _member_block,
-    replicate_mesh,
-    replicate_surface,
-    stack_states,
-)
 from repro.ensemble.products import ensemble_products
 from repro.ensemble.scenarios import (
     Scenario,
@@ -96,7 +80,6 @@ class EnsembleResult:
     scheme: str
     seed: int
     n_members: int
-    mode: str                  # "loop" | "batch"
     members: tuple             # MemberResult per member
     products: dict             # field -> product dict (see ensemble_products)
     plan_compiles: int         # stencil plan compilations this run caused
@@ -170,8 +153,7 @@ class EnsembleRunner:
 
     # -- internals -------------------------------------------------------
     def _member_result(self, member: int, state, precip_steps: list):
-        """Uniform member-result construction for both execution modes:
-        final prognostics plus the member's time-mean precipitation."""
+        """Final prognostics plus the member's time-mean precipitation."""
         from repro.serve.request import MemberResult, state_digest
 
         fields = {
@@ -221,31 +203,25 @@ class EnsembleRunner:
             },
         )
 
-    def _build_model(self, mesh=None, surface=None):
+    def _build_model(self):
         return build_scenario_model(
             self.scenario, self.level, self.nlev, self.scheme,
-            mesh=mesh, surface=surface,
             stencil_backend=self.stencil_backend,
         )
 
-    def _result(self, mode, members, compiles, t0):
+    def _result(self, members, compiles, t0):
         return EnsembleResult(
             scenario=self.scenario.name, level=self.level, nlev=self.nlev,
             steps=self.steps, scheme=self.scheme, seed=self.seed,
-            n_members=self.n_members, mode=mode, members=tuple(members),
+            n_members=self.n_members, members=tuple(members),
             products=self._products(tuple(members)),
             plan_compiles=compiles,
             wall_seconds=time.perf_counter() - t0,
         )
 
     # -- execution -------------------------------------------------------
-    def run(self, vectorized: bool = False) -> EnsembleResult:
-        if vectorized:
-            return self._run_batch()
-        return self._run_loop()
-
-    def _run_loop(self) -> EnsembleResult:
-        """The per-member loop on one shared warm model — the oracle."""
+    def run(self) -> EnsembleResult:
+        """The per-member loop on one shared warm model."""
         from repro.dycore.stencil import plan_compile_count
 
         if self.workers > 1:
@@ -267,9 +243,7 @@ class EnsembleRunner:
         finally:
             if self.pool is not None:
                 self.pool.release(request, model)
-        return self._result(
-            "loop", members, plan_compile_count() - c0, t0
-        )
+        return self._result(members, plan_compile_count() - c0, t0)
 
     def _run_loop_forked(self) -> EnsembleResult:
         """Member-sharded fork of the oracle loop (``workers > 1``).
@@ -326,60 +300,7 @@ class EnsembleRunner:
             raise RuntimeError(
                 "ensemble worker failed: " + "; ".join(errors)
             )
-        return self._result("loop", members, compiles, t0)
-
-    def _run_batch(self) -> EnsembleResult:
-        """The member-vectorized batch on a replicated mesh."""
-        from repro.dycore.stencil import plan_compile_count
-        from repro.dycore.vertical import VerticalCoordinate
-        from repro.grid import build_mesh
-        from repro.model.config import TABLE3_SCHEMES
-
-        if TABLE3_SCHEMES[self.scheme].ml_physics:
-            raise ValueError(
-                "the vectorized fast path covers conventional-physics "
-                "schemes only (ML inference is not bitwise under row-count "
-                "changes); run the per-member loop for ML schemes"
-            )
-        t0 = time.perf_counter()
-        c0 = plan_compile_count()
-        n = self.n_members
-        base_mesh = build_mesh(self.level)
-        vc = VerticalCoordinate.stretched(self.nlev)
-        rmesh = replicate_mesh(base_mesh, n)
-        surface = replicate_surface(
-            self.scenario.build_surface(base_mesh), n
-        )
-        model = self._build_model(mesh=rmesh, surface=surface)
-        # Member ICs are built on the *base* mesh — the identical arrays
-        # the oracle starts from — then concatenated.
-        states = [
-            self.scenario.member_state(
-                base_mesh, vc, m, self.seed, self.perturbation
-            )
-            for m in range(n)
-        ]
-        state = stack_states(rmesh, states)
-        if self.physics_perturbation > 0.0:
-            self._wrap_physics(model, np.concatenate([
-                physics_perturbation_factors(
-                    base_mesh.nc, self.seed, m, self.physics_perturbation
-                )
-                for m in range(n)
-            ]))
-        try:
-            state = model.run(state, self.steps)
-        finally:
-            self._unwrap_physics(model)
-        nc = base_mesh.nc
-        members = []
-        for m in range(n):
-            block = _member_block(state, base_mesh, m)
-            precip = [p[m * nc:(m + 1) * nc] for p in model.history.precip]
-            members.append(self._member_result(m, block, precip))
-        return self._result(
-            "batch", members, plan_compile_count() - c0, t0
-        )
+        return self._result(members, compiles, t0)
 
     def _run_member_shard(self, model, member: int):
         """One member of the loop, on an already-warm ``model``."""
@@ -395,18 +316,6 @@ class EnsembleRunner:
         finally:
             self._unwrap_physics(model)
         return self._member_result(member, state, list(model.history.precip))
-
-    def check_equivalence(self) -> dict:
-        """Run both modes and compare member digests — the live bitwise
-        check behind ``repro ensemble --check-oracle`` and the
-        benchmark's correctness gate."""
-        loop = self.run(vectorized=False)
-        batch = self.run(vectorized=True)
-        return {
-            "bitwise_equal": loop.member_digests() == batch.member_digests(),
-            "loop": loop,
-            "batch": batch,
-        }
 
 
 def _loop_shard_worker(conn, runner: EnsembleRunner, shard: int, stride: int):

@@ -280,8 +280,6 @@ def build_scenario_model(
     level: int,
     nlev: int,
     scheme_label: str,
-    mesh=None,
-    surface=None,
     shared_nets: dict | None = None,
     stencil_backend: str | None = None,
 ):
@@ -289,13 +287,7 @@ def build_scenario_model(
 
     This is the single model-construction path shared by the serving
     layer (:func:`repro.serve.pool.build_forecast_model` delegates here)
-    and the ensemble runner — including its member-vectorized fast path,
-    which passes the replicated ``mesh``/``surface`` while everything
-    else (grid config, physics cadence, resilience wrapper, validation)
-    stays identical to the per-member build.
-
-    ``mesh``/``surface`` default to ``build_mesh(level)`` and the
-    scenario's surface on it.  The physics is wrapped in
+    and the ensemble runner.  The physics is wrapped in
     :class:`~repro.resilience.recovery.ResilientPhysics` with no
     fallback and per-step validation on, exactly as the serving layer
     has always built models.
@@ -314,12 +306,10 @@ def build_scenario_model(
     if stencil_backend is None:
         stencil_backend = default_backend()
     scheme = TABLE3_SCHEMES[scheme_label]
-    if mesh is None:
-        mesh = build_mesh(level)
+    mesh = build_mesh(level)
     vc = VerticalCoordinate.stretched(nlev)
     gc = scaled_grid_config(level, nlev)
-    if surface is None:
-        surface = scenario.build_surface(mesh)
+    surface = scenario.build_surface(mesh)
     if scheme.ml_physics:
         from repro.ml.suite import MLPhysicsSuite
 

@@ -46,7 +46,6 @@ class SpanKind(Enum):
     HALO_PACK = "halo_pack"
     HALO_EXCHANGE = "halo_exchange"
     HALO_UNPACK = "halo_unpack"
-    HALO_OVERLAP = "halo_overlap"  # exchange window hidden behind interior compute
     # parallel layer (rank executors)
     EXEC_ROUND = "exec_round"     # one broadcast/reply barrier round
     # model timestep hierarchy
@@ -77,7 +76,6 @@ _CATEGORY = {
     SpanKind.HALO_PACK: "comm",
     SpanKind.HALO_EXCHANGE: "comm",
     SpanKind.HALO_UNPACK: "comm",
-    SpanKind.HALO_OVERLAP: "comm",
     SpanKind.EXEC_ROUND: "parallel",
     SpanKind.DYN_STEP: "model",
     SpanKind.RK_STAGE: "model",

@@ -12,7 +12,6 @@ serial runs as the same computation.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,16 +26,10 @@ from repro.parallel.exchange import EdgeCellExchanger
 from repro.parallel.executor import (
     ProcessRankExecutor,
     SerialRankExecutor,
-    StealingRankExecutor,
     _ShmArena,
     _TendencySlot,
 )
 from repro.parallel.localmesh import LocalMesh, build_local_meshes
-from repro.parallel.overlap import (
-    OverlapSplit,
-    build_overlap_splits,
-    build_pass_runners,
-)
 from repro.partition.decomposition import decompose
 from repro.partition.graph import mesh_cell_graph
 from repro.partition.metis import partition_graph
@@ -71,7 +64,6 @@ class DistributedDycore:
         seed: int = 0,
         retry: RetryPolicy | None = None,
         workers: int = 1,
-        overlap: bool = False,
     ):
         if workers < 1:
             raise ValueError("workers must be >= 1")
@@ -83,13 +75,6 @@ class DistributedDycore:
         #: reference), >1 = that many forked workers over shared-memory
         #: field buffers.  Results are bitwise identical either way.
         self.workers = min(workers, nparts)
-        #: Overlapped execution: split every rank's tendency evaluation
-        #: into an interior pass (owned entries only, runs while the
-        #: halo exchange is in flight) and a boundary pass, scheduled by
-        #: the work-stealing executor.  Bitwise vs the serial oracle
-        #: under the reference stencil backend; per-field tolerance
-        #: contract under fused (see :mod:`repro.parallel.overlap`).
-        self.overlap = bool(overlap)
         #: Retransmission policy handed to the halo exchanger (only
         #: consulted when a fault injector is active).
         self.retry = retry or RetryPolicy()
@@ -101,23 +86,13 @@ class DistributedDycore:
         self.cores = [
             DynamicalCore(lm.mesh, vcoord, config) for lm in self.locals
         ]
-        self.splits: list[OverlapSplit] | None = None
-        self._interior = self._boundary = None
-        if self.overlap:
-            self.splits = build_overlap_splits(self.locals)
-            self._interior, self._boundary = build_pass_runners(
-                self.splits, vcoord, config
-            )
-        #: Overlap window accounting (see :meth:`comm_stats`).
-        self._ov = {
-            "windows": 0,
-            "overlapped_seconds": 0.0,
-            "interior_wait_seconds": 0.0,
-        }
         self._states: list[RankState] | None = None
         self._exchanger: EdgeCellExchanger | None = None
         self._scratch: list[ModelState] | None = None
         self._executor = None
+        #: The shared mmap arena (forked execution only), kept alive
+        #: alongside the field views carved from it.
+        self._arena: _ShmArena | None = None
 
     # -- state distribution ------------------------------------------------
     def scatter(self, state: ModelState) -> None:
@@ -142,7 +117,7 @@ class DistributedDycore:
             for lm in self.locals
         ]
         slots: list[list[_TendencySlot]] | None = None
-        if self.workers > 1 or self.overlap:
+        if self.workers > 1:
             self._states, slots = self._to_shared(self._states)
         ex = EdgeCellExchanger(self.locals, self.comm, retry=self.retry)
         ex.register_cell("ps", [s.ps for s in self._states])
@@ -168,15 +143,7 @@ class DistributedDycore:
             )
             for lm, st in zip(self.locals, self._states)
         ]
-        if self.overlap:
-            # Overlap always forks (even workers=1): the whole point is
-            # that the driver process runs the exchange while a worker
-            # evaluates interior tendencies.
-            self._executor = StealingRankExecutor(
-                self.cores, self._scratch, slots, self.workers,
-                interior=self._interior, boundary=self._boundary,
-            )
-        elif self.workers > 1:
+        if self.workers > 1:
             self._executor = ProcessRankExecutor(
                 self.cores, self._scratch, slots, self.workers
             )
@@ -199,7 +166,7 @@ class DistributedDycore:
                 * ProcessRankExecutor.N_SLOTS
             )
         arena = _ShmArena(_ShmArena.nbytes(shapes))
-        self._arena = arena  # keep the mapping alive alongside the views
+        self._arena = arena
         shared: list[RankState] = []
         slots: list[list[_TendencySlot]] = [
             [] for _ in range(ProcessRankExecutor.N_SLOTS)
@@ -232,8 +199,7 @@ class DistributedDycore:
         :class:`~repro.analysis.parallel_plan.ParallelPlan`.  Empty for
         serial execution (no shared arena exists).
         """
-        arena = getattr(self, "_arena", None)
-        return dict(arena.layout) if arena is not None else {}
+        return dict(self._arena.layout) if self._arena is not None else {}
 
     def step_plan(self):
         """The declared :class:`ParallelPlan` of one RK step.
@@ -274,62 +240,14 @@ class DistributedDycore:
         return ps, u, theta
 
     # -- stepping ------------------------------------------------------------
-    def _local_model_state(self, lm: LocalMesh, st: RankState) -> ModelState:
-        # The cached scratch state aliases st's arrays (written in place
-        # by _apply), so no per-call allocation is needed.
-        return self._scratch[lm.rank]
-
     def _tendencies_all(self) -> list[Tendencies]:
         """Halo exchange, then per-rank tendency evaluation.
 
         The evaluation itself is delegated to the rank executor (serial
-        loop or forked workers) — identical results either way.  In
-        overlap mode the exchange runs *while* the workers evaluate the
-        interior pass; only the boundary pass waits for fresh halos.
+        loop or forked workers) — identical results either way.
         """
-        if self.overlap:
-            return self._tendencies_overlapped()
         self._exchanger.exchange()
         return self._executor.compute_tendencies()
-
-    def _tendencies_overlapped(self) -> list[Tendencies]:
-        """One overlapped stage: interior ∥ exchange, then boundary.
-
-        Safe because the interior pass reads owned entries only while
-        the exchange's unpack writes halo entries only (disjoint), and
-        packs read owned entries (read/read).  The ``exchange.overlap``
-        span records how much exchange wall time the window hid.
-        """
-        tracer = get_tracer()
-        with tracer.span(
-            "exchange.overlap", SpanKind.HALO_OVERLAP, workers=self.workers,
-        ) as sp:
-            slot = self._executor.begin_interior()
-            try:
-                sec0 = self._exchanger.seconds_total
-                self._exchanger.exchange()
-                tx1 = time.perf_counter()
-            except BaseException:
-                # Don't leave the interior round in flight (the
-                # executor's close() would otherwise have to drain it).
-                try:
-                    self._executor.finish_interior()
-                except Exception:
-                    pass
-                raise
-            self._executor.finish_interior()
-            t_join = time.perf_counter()
-            # Account the exchanger's own measured seconds (not the
-            # enclosing window, which includes tracer overhead) so
-            # overlapped_seconds stays <= exchange_seconds_total.
-            exchange_dt = self._exchanger.seconds_total - sec0
-            wait_dt = t_join - tx1
-            sp.set(exchange_seconds=exchange_dt, wait_seconds=wait_dt)
-        self._ov["windows"] += 1
-        self._ov["overlapped_seconds"] += exchange_dt
-        self._ov["interior_wait_seconds"] += wait_dt
-        self._executor.run_boundary(slot)
-        return self._executor.tendencies(slot)
 
     @staticmethod
     def _combine(per_rank: list[list[Tendencies]], weights: list[float]) -> list[Tendencies]:
@@ -424,77 +342,15 @@ class DistributedDycore:
         """Declared halo depth of the decomposition (for SW007 lint)."""
         return min((lm.halo_rings for lm in self.locals), default=0)
 
-    # -- overlap/race introspection ------------------------------------------
-    @property
-    def stencil_backend(self) -> str:
-        """The stencil backend every rank core dispatches to — decides
-        whether the overlap equality contract is bitwise (reference) or
-        per-field tolerance (fused reordering)."""
-        from repro.dycore.stencil import bound_backend
-
-        if self.config.stencil_backend is not None:
-            return self.config.stencil_backend
-        return bound_backend(self.locals[0].mesh)
-
-    def overlap_annotations(self) -> dict[int, dict]:
-        """Per-rank index sets of the interior/boundary split.
-
-        Owned prefixes plus each pass's target indices (parent-local),
-        in the exact shape :func:`repro.analysis.races.build_step_plan`
-        and the run observer turn into index-restricted plan accesses.
-        Empty when the driver is not in overlap mode.
-        """
-        if not self.overlap:
-            return {}
-        empty = np.empty(0, dtype=np.int64)
-        out: dict[int, dict] = {}
-        for lm, split in zip(self.locals, self.splits):
-            i, b = split.interior, split.boundary
-            out[lm.rank] = {
-                "n_owned_cells": lm.n_owned_cells,
-                "n_owned_edges": lm.n_owned_edges,
-                "interior_cells": i.target_cells if i else empty,
-                "interior_edges": i.target_edges if i else empty,
-                "boundary_cells": b.target_cells if b else empty,
-                "boundary_edges": b.target_edges if b else empty,
-            }
-        return out
-
     # -- statistics ----------------------------------------------------------
-    def overlap_stats(self) -> dict:
-        """Measured overlap accounting of this driver's stepping so far.
-
-        ``overlap_fraction`` is the share of total exchange wall time
-        that ran inside an interior-compute window — the measured input
-        to the perf model's ``overlap_efficiency`` term.
-        """
-        ex = self._exchanger
-        total = ex.seconds_total if ex is not None else 0.0
-        hidden = self._ov["overlapped_seconds"]
-        return {
-            "enabled": self.overlap,
-            "windows": self._ov["windows"],
-            "exchange_seconds_total": total,
-            "overlapped_seconds": hidden,
-            "exposed_wait_seconds": max(total - hidden, 0.0),
-            "interior_wait_seconds": self._ov["interior_wait_seconds"],
-            "overlap_fraction": (hidden / total) if total > 0.0 else 0.0,
-        }
-
     def comm_stats(self) -> dict:
-        """Communication statistics, overlap-aware.
-
-        ``exposed_wait_seconds`` is the exchange wall time the step
-        actually blocked on (total minus the portion hidden behind
-        interior compute); the pack/wire/unpack split replaces the old
-        single conflated number.  Message/byte counters are unchanged.
-        """
+        """Message/byte counters plus the exchange wall time, split
+        into pack, unpack and the remaining wire seconds."""
         s = self.comm.stats
         ex = self._exchanger
         total = ex.seconds_total if ex is not None else 0.0
         pack = ex.seconds_pack if ex is not None else 0.0
         unpack = ex.seconds_unpack if ex is not None else 0.0
-        ov = self.overlap_stats()
         return {
             "messages": s.messages,
             "bytes": s.bytes_sent,
@@ -503,7 +359,4 @@ class DistributedDycore:
             "pack_seconds": pack,
             "unpack_seconds": unpack,
             "wire_seconds": max(total - pack - unpack, 0.0),
-            "overlapped_seconds": ov["overlapped_seconds"],
-            "exposed_wait_seconds": ov["exposed_wait_seconds"],
-            "overlap_fraction": ov["overlap_fraction"],
         }

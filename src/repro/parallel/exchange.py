@@ -292,10 +292,6 @@ class EdgeCellExchanger:
         """Registered field names in wire order."""
         return self._field_order()
 
-    def field_kinds(self) -> dict[str, str]:
-        """``{name: "cell" | "edge"}`` of every registered field."""
-        return {name: kind for name, (kind, _) in self._registry.items()}
-
     def access_annotations(self) -> dict:
         """Declared accesses of one exchange, per (rank, neighbour) pair.
 

@@ -48,7 +48,7 @@ from repro.obs import SpanKind, get_tracer
 
 
 class _ShmArena:
-    """One anonymous shared mapping carved into typed NumPy views.
+    """One anonymous shared mapping carved into float64 NumPy views.
 
     ``mmap.mmap(-1, n)`` is ``MAP_SHARED | MAP_ANONYMOUS`` on Unix, so
     views taken before a fork are coherent between parent and children
@@ -58,10 +58,6 @@ class _ShmArena:
     Named takes record their byte extent in :attr:`layout`, which is the
     arena half of the race analyzer's plan: two resources whose extents
     overlap alias the same memory (RD001 even under different names).
-
-    Fields default to float64; the work-stealing deques carve int64
-    views from the same arena (every supported itemsize is 8, so all
-    offsets stay naturally aligned).
     """
 
     def __init__(self, nbytes: int):
@@ -71,16 +67,12 @@ class _ShmArena:
         self.layout: dict[str, tuple[int, int]] = {}
 
     def take(
-        self,
-        shape: tuple[int, ...],
-        name: str | None = None,
-        dtype=np.float64,
+        self, shape: tuple[int, ...], name: str | None = None
     ) -> np.ndarray:
-        dtype = np.dtype(dtype)
         count = int(np.prod(shape, dtype=np.int64))
-        nbytes = count * dtype.itemsize
+        nbytes = count * 8
         view = np.frombuffer(
-            self._mm, dtype=dtype, count=count, offset=self._offset
+            self._mm, dtype=np.float64, count=count, offset=self._offset
         ).reshape(shape)
         if name is not None:
             self.layout[name] = (self._offset, nbytes)
@@ -273,17 +265,17 @@ class ProcessRankExecutor:
         for w, conn in enumerate(self._conns):
             try:
                 conn.send(msg)
-                posted.append(conn)
+                posted.append((w, conn))
             except (BrokenPipeError, OSError):
                 # A worker that died mid-step (earlier error, or killed
                 # outright) must not wedge the round: record and move on
                 # so close() still has a consistent pipe set to reap.
                 errors.append(f"worker {w} is dead (send failed)")
-        for conn in posted:
+        for w, conn in posted:
             try:
                 status, detail = conn.recv()
             except (EOFError, ConnectionResetError, OSError):
-                errors.append("worker died mid-round (pipe closed)")
+                errors.append(f"worker {w} died mid-round (pipe closed)")
                 continue
             if status != "ok":
                 errors.append(detail)
@@ -313,313 +305,4 @@ class ProcessRankExecutor:
 
     def close(self) -> None:
         """Reap the workers.  Idempotent: later calls are no-ops."""
-        self._finalizer()
-
-
-class _StealDeques:
-    """Per-worker task deques in shared memory with a steal protocol.
-
-    The SWGOMP job server's chunk scheduler, rank-sized: each worker
-    owns a deque of rank ids; the owner pops from the *head*, an idle
-    thief locks a victim's deque and takes from the *tail*.  Both ends
-    mutate under the victim's lock (the deques are tiny — at most
-    ``nranks`` entries — so a lock-free protocol would buy nothing), and
-    task bodies always run outside any lock.
-
-    Storage is one shared int64 arena (task slots plus a (workers, 2)
-    head/tail table) carved before the fork, so parent-side ``reset``
-    writes are visible to all workers.  ``reset`` is only ever called
-    between rounds, when every worker is blocked on its command pipe.
-    """
-
-    def __init__(self, workers: int, capacity: int, ctx):
-        arena = _ShmArena((workers * capacity + workers * 2) * 8)
-        self._arena = arena
-        self.workers = workers
-        self.tasks = [
-            arena.take((max(capacity, 1),), dtype=np.int64)
-            for _ in range(workers)
-        ]
-        self.bounds = arena.take((workers, 2), dtype=np.int64)
-        self.bounds[:] = 0
-        self.locks = [ctx.Lock() for _ in range(workers)]
-
-    def reset(self, per_worker: list[list[int]]) -> None:
-        """Refill every deque (driver side, between rounds only)."""
-        for w, ts in enumerate(per_worker):
-            if ts:
-                self.tasks[w][: len(ts)] = ts
-            self.bounds[w, 0] = 0
-            self.bounds[w, 1] = len(ts)
-
-    def pop_own(self, w: int) -> int:
-        """Owner pop from the head; -1 when this deque is empty."""
-        with self.locks[w]:
-            head, tail = self.bounds[w]
-            if head >= tail:
-                return -1
-            self.bounds[w, 0] = head + 1
-            return int(self.tasks[w][head])
-
-    def steal(self, w: int) -> int:
-        """Steal from the tail of the first non-empty victim; -1 when
-        every deque is drained.  Victim locks are taken with a timeout
-        so a worker killed while holding its lock cannot wedge the
-        thieves (its remaining tasks are simply skipped and the round
-        surfaces the dead worker as an error)."""
-        for off in range(1, self.workers):
-            v = (w + off) % self.workers
-            lock = self.locks[v]
-            if not lock.acquire(timeout=1.0):
-                continue
-            try:
-                head, tail = self.bounds[v]
-                if head < tail:
-                    self.bounds[v, 1] = tail - 1
-                    return int(self.tasks[v][tail - 1])
-            finally:
-                lock.release()
-        return -1
-
-
-def _run_steal_task(
-    kind, arg, r, cores, scratch, slots, interior, boundary
-) -> None:
-    """One stolen-or-owned task body (shared by all stealing workers)."""
-    if kind == "interior":
-        runner = interior[r]
-        if runner is not None:
-            runner.run(scratch[r], slots[arg][r])
-    elif kind == "boundary":
-        runner = boundary[r]
-        if runner is not None:
-            runner.run(scratch[r], slots[arg][r])
-    elif kind == "tend":
-        slots[arg][r].store(cores[r].compute_tendencies(scratch[r]))
-    elif kind == "sponge":
-        cores[r]._apply_sponge(scratch[r], arg)
-    else:  # pragma: no cover - protocol error
-        raise ValueError(f"unknown round kind {kind!r}")
-
-
-def _steal_worker_loop(
-    conn, w, deques, cores, scratch, slots, interior, boundary
-) -> None:
-    """Body of one stealing worker: drain deques per round command."""
-    try:
-        while True:
-            msg = conn.recv()
-            op = msg[0]
-            if op == "round":
-                kind, arg = msg[1], msg[2]
-                ran = stolen = 0
-                while True:
-                    r = deques.pop_own(w)
-                    if r < 0:
-                        r = deques.steal(w)
-                        if r < 0:
-                            break
-                        stolen += 1
-                    _run_steal_task(
-                        kind, arg, r, cores, scratch, slots,
-                        interior, boundary,
-                    )
-                    ran += 1
-                conn.send(("ok", (ran, stolen)))
-            elif op == "stop":
-                conn.send(("ok", None))
-                return
-    except (EOFError, KeyboardInterrupt):
-        return
-    except Exception as exc:  # surface worker failures to the driver
-        try:
-            conn.send(("error", f"{type(exc).__name__}: {exc}"))
-        except Exception:
-            pass
-
-
-class StealingRankExecutor:
-    """Work-stealing rank executor with split interior/boundary rounds.
-
-    Two departures from :class:`ProcessRankExecutor`'s lockstep rounds:
-
-    * **Work stealing** — ranks are dealt round-robin as a starting
-      assignment, but any worker that drains its own deque steals from
-      a neighbour's tail, so an uneven decomposition (or a slow core)
-      no longer stretches every barrier to the slowest worker.
-    * **Asynchronous rounds** — :meth:`begin_interior` posts the round
-      command and returns immediately; the driver runs the halo
-      exchange *while* the workers evaluate interior tendencies, then
-      calls :meth:`finish_interior` and a synchronous
-      :meth:`run_boundary`.  The interior pass touches owned entries
-      only (see :mod:`repro.parallel.overlap`), which is what makes the
-      concurrent halo unpack race-free.
-
-    Also serves plain full-mesh ``tend``/``sponge`` rounds, so it is a
-    drop-in for the lockstep executor where no split is wanted.
-    """
-
-    #: RK3 holds t1/t2/t3 simultaneously; slots cycle per tendency round.
-    N_SLOTS = 3
-
-    def __init__(
-        self,
-        cores: list,
-        scratch: list,
-        slots: list,
-        workers: int,
-        interior: list | None = None,
-        boundary: list | None = None,
-    ):
-        import multiprocessing as mp
-
-        if os.name != "posix":  # pragma: no cover - Linux container only
-            raise RuntimeError("StealingRankExecutor requires fork (POSIX)")
-        self.workers = workers
-        self._slots = slots
-        self._nranks = len(cores)
-        self._next_slot = 0
-        self._interior = interior or [None] * self._nranks
-        self._boundary = boundary or [None] * self._nranks
-        #: Cumulative scheduler counters (rounds, tasks run, steals).
-        self.stats = {"rounds": 0, "tasks": 0, "stolen": 0}
-        ctx = mp.get_context("fork")
-        self._deques = _StealDeques(workers, self._nranks, ctx)
-        self._deal = [
-            list(range(w, self._nranks, workers)) for w in range(workers)
-        ]
-        self._open_span = None
-        self._conns = []
-        self._procs = []
-        for w in range(workers):
-            parent, child = ctx.Pipe()
-            proc = ctx.Process(
-                target=_steal_worker_loop,
-                args=(
-                    child, w, self._deques, cores, scratch, slots,
-                    self._interior, self._boundary,
-                ),
-                daemon=True,
-            )
-            proc.start()
-            child.close()
-            self._conns.append(parent)
-            self._procs.append(proc)
-        self._finalizer = weakref.finalize(
-            self, _reap_workers, self._conns, self._procs
-        )
-
-    # -- round protocol ---------------------------------------------------
-    def _post(self, kind: str, arg) -> None:
-        """Deal the deques and post one round command to every worker."""
-        if not self._finalizer.alive:
-            raise RuntimeError("executor is closed")
-        if self._open_span is not None:
-            raise RuntimeError("a round is already in flight")
-        self._deques.reset(self._deal)
-        self._dead_at_post = {}
-        for w, conn in enumerate(self._conns):
-            try:
-                conn.send(("round", kind, arg))
-            except (BrokenPipeError, OSError):
-                self._dead_at_post[w] = f"worker {w} is dead (send failed)"
-
-    def _collect(self) -> None:
-        """Collect one reply per worker; aggregate scheduler counters."""
-        errors = list(self._dead_at_post.values())
-        ran = stolen = 0
-        for w, conn in enumerate(self._conns):
-            if w in self._dead_at_post:
-                continue
-            try:
-                status, detail = conn.recv()
-            except (EOFError, ConnectionResetError, OSError):
-                errors.append(f"worker {w} died mid-round (pipe closed)")
-                continue
-            if status != "ok":
-                errors.append(detail)
-            else:
-                ran += detail[0]
-                stolen += detail[1]
-        self.stats["rounds"] += 1
-        self.stats["tasks"] += ran
-        self.stats["stolen"] += stolen
-        if errors:
-            raise RuntimeError(f"rank worker failed: {'; '.join(errors)}")
-
-    def _round(self, kind: str, arg, slot_meta) -> None:
-        with get_tracer().span(
-            "executor.round", SpanKind.EXEC_ROUND,
-            op=kind, slot=slot_meta, workers=self.workers,
-        ):
-            self._post(kind, arg)
-            self._collect()
-
-    # -- overlapped interior/boundary API ---------------------------------
-    def begin_interior(self) -> int:
-        """Start the interior pass on the workers; returns the tendency
-        slot this RK stage writes.  The caller runs the halo exchange
-        while the pass is in flight, then :meth:`finish_interior`."""
-        slot = self._next_slot
-        self._next_slot = (self._next_slot + 1) % self.N_SLOTS
-        span = get_tracer().span(
-            "executor.round", SpanKind.EXEC_ROUND,
-            op="interior", slot=slot, workers=self.workers,
-        )
-        span.__enter__()
-        try:
-            self._post("interior", slot)
-        except BaseException:
-            span.__exit__(None, None, None)
-            raise
-        self._open_span = span
-        return slot
-
-    def finish_interior(self) -> None:
-        """Barrier for the in-flight interior round."""
-        if self._open_span is None:
-            raise RuntimeError("no interior round in flight")
-        span, self._open_span = self._open_span, None
-        try:
-            self._collect()
-        finally:
-            span.__exit__(None, None, None)
-
-    def run_boundary(self, slot: int) -> None:
-        """Synchronous boundary pass into the same slot (fresh halos)."""
-        self._round("boundary", slot, slot)
-
-    def tendencies(self, slot: int) -> list[Tendencies]:
-        """Full-size tendency views of ``slot`` (halo rows are zero —
-        only owned entries are written by the split passes)."""
-        return [self._slots[slot][r].view() for r in range(self._nranks)]
-
-    # -- lockstep-compatible API ------------------------------------------
-    def compute_tendencies(self) -> list[Tendencies]:
-        slot = self._next_slot
-        self._next_slot = (self._next_slot + 1) % self.N_SLOTS
-        self._round("tend", slot, slot)
-        return [self._slots[slot][r].view() for r in range(self._nranks)]
-
-    def sponge(self, dt: float) -> None:
-        self._round("sponge", dt, None)
-
-    @property
-    def closed(self) -> bool:
-        return not self._finalizer.alive
-
-    def close(self) -> None:
-        """Reap the workers.  Idempotent: later calls are no-ops."""
-        if self._open_span is not None:
-            # Abandoned mid-round (e.g. an exchange raised between
-            # begin_interior and finish_interior): drain what we can so
-            # the stop handshake below isn't confused by stale replies.
-            span, self._open_span = self._open_span, None
-            for conn in self._conns:
-                try:
-                    if conn.poll(1.0):
-                        conn.recv()
-                except (EOFError, ConnectionResetError, OSError):
-                    pass
-            span.__exit__(None, None, None)
         self._finalizer()

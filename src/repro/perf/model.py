@@ -80,25 +80,11 @@ class PerfParams:
     #: "clear drop of scalability at the scale of 32,768 CGs".
     tier3_penalty: float = 260.0e-6
     tier3_supernodes: int = 20
-    #: Fraction of the halo-exchange time hidden behind interior
-    #: compute (the overlapped interior/boundary split).  0 = lockstep,
-    #: every exchange fully exposed.  Calibrated from a measured
-    #: overlapped run (``DistributedDycore.overlap_stats()
-    #: ["overlap_fraction"]``); the hideable amount is capped by the
-    #: interior compute window, ``min(T_comm, T_kernels)``.
-    overlap_efficiency: float = 0.0
 
 
 @dataclass
 class StepCost:
-    """Breakdown of one dynamics step's wall time on the slowest rank.
-
-    ``comm`` is the full communication cost; ``comm_hidden`` is the
-    portion of it the overlapped interior/boundary execution hides
-    behind compute (already subtracted from ``total``).  With the
-    default lockstep parameters ``comm_hidden`` is zero and the
-    breakdown is unchanged.
-    """
+    """Breakdown of one dynamics step's wall time on the slowest rank."""
 
     total: float
     kernels: float
@@ -106,14 +92,13 @@ class StepCost:
     comm: float
     tracer: float
     physics: float
-    comm_hidden: float = 0.0
 
     @property
     def comm_fraction(self) -> float:
-        """*Exposed* communication share of the step."""
+        """Communication share of the step."""
         if self.total <= 0:
             return 0.0
-        return (self.comm - self.comm_hidden) / self.total
+        return self.comm / self.total
 
 
 class PerformanceModel:
@@ -252,11 +237,7 @@ class PerformanceModel:
             t_comm
             + 0.6 * self._comm_time(grid, nprocs, precision, nlev) / grid.tracer_ratio
         )
-        # Overlapped execution hides part of the exchange behind the
-        # interior compute window; the window caps what is hideable.
-        eps = min(max(p.overlap_efficiency, 0.0), 1.0)
-        hidden = eps * min(comm_all, t_kern)
-        total = t_kern + t_launch + t_comm + t_tracer + t_phys - hidden
+        total = t_kern + t_launch + t_comm + t_tracer + t_phys
         return StepCost(
             total=total,
             kernels=t_kern,
@@ -264,7 +245,6 @@ class PerformanceModel:
             comm=comm_all,
             tracer=t_tracer,
             physics=t_phys,
-            comm_hidden=hidden,
         )
 
     def sdpd(self, grid: GridConfig, scheme: SchemeConfig, nprocs: int) -> float:

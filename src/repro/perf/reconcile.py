@@ -118,7 +118,6 @@ def run_profile(
     precision: Precision = Precision.MIXED,
     ranks: int = 1,
     workers: int = 1,
-    overlap: bool = False,
 ) -> dict:
     """Instrumented dycore run + optional model reconciliation.
 
@@ -136,13 +135,7 @@ def run_profile(
                         ``ranks``-way :class:`DistributedDycore` with
                         ``workers`` rank-stepping processes, plus a
                         bitwise serial-vs-parallel check (only when
-                        ``ranks > 1``).  With ``overlap`` an overlapped
-                        interior/boundary run is added on top: its
-                        equality-contract check against the serial
-                        oracle, its measured ``overlap_stats()``, and a
-                        scaling projection that feeds the measured
-                        overlap fraction into the perf model's
-                        ``overlap_efficiency`` term.
+                        ``ranks > 1``).
     """
     import numpy as np
 
@@ -196,27 +189,20 @@ def run_profile(
         )
     if ranks > 1:
         result["distributed"] = _profile_distributed(
-            mesh, vc, gc, seed, steps, ranks, workers, overlap
+            mesh, vc, gc, seed, steps, ranks, workers
         )
     return result
 
 
 def _profile_distributed(
     mesh, vc, gc, seed: int, steps: int, ranks: int, workers: int,
-    overlap: bool = False,
 ) -> dict:
     """Wall-clock a DistributedDycore over the profile state.
 
     Steps the same perturbed tropical state through a ``ranks``-way
     decomposition with ``workers`` rank-stepping processes; when
     ``workers > 1`` a serial-executor twin runs the same steps and the
-    gathered prognostic fields must match bitwise.  When ``overlap``,
-    an overlapped interior/boundary run is checked against the serial
-    oracle under the backend's equality contract (bitwise for the
-    reference backend, per-field relative tolerance for fused), its
-    measured overlap fraction is reported, and the fraction is fed into
-    :func:`repro.perf.scaling.headline_numbers` as the model's
-    ``overlap_efficiency``.
+    gathered prognostic fields must match bitwise.
     """
     import time
 
@@ -234,63 +220,29 @@ def _profile_distributed(
 
     cfg = DycoreConfig(dt=gc.dt_dyn, tracer_ratio=gc.tracer_ratio)
 
-    def _run(n_workers: int, use_overlap: bool = False):
+    def _run(n_workers: int):
         d = DistributedDycore(
             mesh, vc, cfg, nparts=ranks, seed=seed, workers=n_workers,
-            overlap=use_overlap,
         )
         d.scatter(_initial_state())
         t0 = time.perf_counter()
         d.run(steps)
         wall = time.perf_counter() - t0
         fields = d.gather()
-        stats = d.overlap_stats() if use_overlap else None
-        backend = d.stencil_backend
         d.close()
-        return fields, wall, stats, backend
+        return fields, wall
 
-    fields, wall, _, _ = _run(workers)
+    fields, wall = _run(workers)
     out = {
         "ranks": ranks,
         "workers": workers,
         "steps": steps,
         "wall_seconds": wall,
     }
-    serial_fields = fields
     if workers > 1:
-        serial_fields, ref_wall, _, _ = _run(1)
+        serial_fields, ref_wall = _run(1)
         out["serial_wall_seconds"] = ref_wall
         out["bitwise_vs_serial"] = bool(
             all(np.array_equal(a, b) for a, b in zip(fields, serial_fields))
         )
-    if overlap:
-        from repro.parallel.overlap import contract_for
-        from repro.perf.scaling import headline_numbers
-
-        ov_fields, ov_wall, ov_stats, backend = _run(workers, use_overlap=True)
-        contract = contract_for(backend)
-        contract_ok = True
-        for name, got, want in zip(
-            ("ps", "u", "theta"), ov_fields, serial_fields
-        ):
-            tol = contract.get(name)
-            if tol is None:
-                contract_ok &= bool(np.array_equal(got, want))
-            else:
-                scale = np.max(np.abs(want)) or 1.0
-                contract_ok &= bool(
-                    np.max(np.abs(got - want)) <= tol * scale
-                )
-        frac = ov_stats["overlap_fraction"]
-        out["overlap"] = {
-            "backend": backend,
-            "wall_seconds": ov_wall,
-            "stats": ov_stats,
-            "contract_ok": contract_ok,
-            "projection": {
-                "overlap_efficiency": frac,
-                "baseline": headline_numbers(),
-                "overlapped": headline_numbers(overlap_efficiency=frac),
-            },
-        }
     return out

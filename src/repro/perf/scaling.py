@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 from repro.model.config import TABLE2_GRIDS, TABLE3_SCHEMES, GridConfig, SchemeConfig
-from repro.perf.model import PerformanceModel, PerfParams
+from repro.perf.model import PerformanceModel
 
 
 @dataclass
@@ -25,21 +25,7 @@ class ScalingPoint:
     scheme_label: str
     sdpd: float
     efficiency: float
-    comm_fraction: float          # exposed comm share of the step
-    comm_hidden_fraction: float = 0.0   # comm share hidden by overlap
-
-
-def _model_for(
-    model: PerformanceModel | None, overlap_efficiency: float
-) -> PerformanceModel:
-    """Default model, optionally carrying a measured overlap term."""
-    if model is not None:
-        return model
-    if overlap_efficiency:
-        return PerformanceModel(
-            PerfParams(overlap_efficiency=overlap_efficiency)
-        )
-    return PerformanceModel()
+    comm_fraction: float
 
 
 #: Fig. 10's ladder: grid level -> CG count with constant per-CG load.
@@ -73,16 +59,9 @@ def _g12_timestep(grid: GridConfig) -> GridConfig:
 def weak_scaling_experiment(
     schemes: tuple[str, ...] = ("MIX-PHY", "MIX-ML"),
     model: PerformanceModel | None = None,
-    overlap_efficiency: float = 0.0,
 ) -> dict[str, list[ScalingPoint]]:
-    """SDPD and efficiency along the Fig. 10 ladder, per scheme.
-
-    ``overlap_efficiency`` (ignored when ``model`` is given) projects
-    the ladder with that fraction of each exchange hidden behind
-    interior compute — the measured input comes from an overlapped
-    :class:`~repro.parallel.driver.DistributedDycore` run.
-    """
-    model = _model_for(model, overlap_efficiency)
+    """SDPD and efficiency along the Fig. 10 ladder, per scheme."""
+    model = model or PerformanceModel()
     out: dict[str, list[ScalingPoint]] = {}
     for scheme_label in schemes:
         scheme = TABLE3_SCHEMES[scheme_label]
@@ -103,9 +82,6 @@ def weak_scaling_experiment(
                     sdpd=sdpd,
                     efficiency=sdpd / base_sdpd,
                     comm_fraction=cost.comm_fraction,
-                    comm_hidden_fraction=(
-                        cost.comm_hidden / cost.total if cost.total > 0 else 0.0
-                    ),
                 )
             )
         out[scheme_label] = points
@@ -122,13 +98,9 @@ def strong_scaling_experiment(
     ),
     procs: tuple[int, ...] = STRONG_SCALING_PROCS,
     model: PerformanceModel | None = None,
-    overlap_efficiency: float = 0.0,
 ) -> dict[tuple[str, str], list[ScalingPoint]]:
-    """SDPD and strong-scaling efficiency for the Fig. 11 cases.
-
-    ``overlap_efficiency`` as in :func:`weak_scaling_experiment`.
-    """
-    model = _model_for(model, overlap_efficiency)
+    """SDPD and strong-scaling efficiency for the Fig. 11 cases."""
+    model = model or PerformanceModel()
     out: dict[tuple[str, str], list[ScalingPoint]] = {}
     for grid_label, scheme_label in cases:
         grid = TABLE2_GRIDS[grid_label]
@@ -150,9 +122,6 @@ def strong_scaling_experiment(
                     sdpd=sdpd,
                     efficiency=per_proc / base,
                     comm_fraction=cost.comm_fraction,
-                    comm_hidden_fraction=(
-                        cost.comm_hidden / cost.total if cost.total > 0 else 0.0
-                    ),
                 )
             )
         out[(grid_label, scheme_label)] = points
@@ -161,10 +130,9 @@ def strong_scaling_experiment(
 
 def headline_numbers(
     model: PerformanceModel | None = None,
-    overlap_efficiency: float = 0.0,
 ) -> dict[str, float]:
     """The abstract's headline speeds at 524,288 CGs (34M cores)."""
-    model = _model_for(model, overlap_efficiency)
+    model = model or PerformanceModel()
     mix_ml = TABLE3_SCHEMES["MIX-ML"]
     return {
         "G11S_sdpd": model.sdpd(TABLE2_GRIDS["G11S"], mix_ml, 524288),

@@ -82,16 +82,10 @@ class TestParallelLint:
         assert par_result["parallel"]["ok"]
         assert par_result["summary"]["strict_ok"]
 
-    def test_overlap_plan_and_dynamic_run_clean(self, par_result):
-        ov = par_result["parallel"]["overlap"]
-        assert ov["ok"]
-        assert ov["step_plan"]["n_error"] == 0
-        assert ov["step_plan"]["interior_cells"] > 0
-        assert ov["dynamic_run"]["clean"] is True
-
     def test_json_has_schema_version_and_parallel_section(self, par_result):
         blob = to_json(par_result)
-        assert blob["schema_version"] == 3
+        assert blob["schema_version"] == 4
+        assert "overlap" not in blob["parallel"]
         assert list(blob)[0] == "schema_version"
         rules = {d["rule"] for c in blob["parallel"]["race_corpus"]["cases"]
                  for d in c["diagnostics"]}
@@ -126,10 +120,9 @@ class TestCliLint:
     def test_lint_parallel_strict(self, capsys):
         assert main(["lint", "--strict", "--parallel", "--json"]) == 0
         payload = json.loads(capsys.readouterr().out)
-        assert payload["schema_version"] == 3
+        assert payload["schema_version"] == 4
         assert payload["parallel"]["ok"] is True
         assert payload["parallel"]["dynamic_run"]["clean"] is True
-        assert payload["parallel"]["overlap"]["ok"] is True
 
     def test_lint_no_sanitize(self, capsys):
         assert main(["lint", "--no-sanitize", "--json"]) == 0

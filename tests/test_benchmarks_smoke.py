@@ -193,124 +193,6 @@ class TestSubstrateBench:
         assert set(baseline["profiles"]) >= {"tiny", "full"}
 
 
-class TestParallelBench:
-    """The lockstep-vs-overlap driver: JSON shape, equality contracts,
-    and the cpu-gated speedup logic of the regression gate."""
-
-    def test_tiny_run_and_check(self, tmp_path):
-        import json
-
-        from benchmarks import bench_parallel_layer as m
-
-        out = tmp_path / "bench.json"
-        rc = m.main(["--tiny", "--out", str(out)])
-        assert rc == 0
-        res = json.loads(out.read_text())
-        assert res["schema"] == m.SCHEMA
-        assert set(res["profiles"]) == {"tiny"}
-        p = res["profiles"]["tiny"]
-        ov = p["overlap"]
-        # Correctness contracts are unconditional.
-        assert ov["lockstep_bitwise_vs_serial"]
-        assert all(ov["overlap_contract"].values()), ov["overlap_contract"]
-        assert 0.0 <= ov["overlap_fraction"] <= 1.0
-        assert ov["overlap_windows"] > 0
-        assert ov["steal_stats"]["tasks"] > 0
-        assert p["halo_fraction"]["monotone_in_ranks"]
-
-        # The gate passes against its own numbers...
-        assert m.check_regression(res, str(out)) == []
-        # ...a broken equality contract trips it regardless of cores...
-        bad = json.loads(out.read_text())
-        bad["profiles"]["tiny"]["overlap"]["overlap_contract"]["u"] = False
-        assert m.check_regression(bad, str(out))
-        # ...the speedup gate only arms on hosts with spare cores...
-        fast = json.loads(out.read_text())
-        fast["profiles"]["tiny"]["overlap"]["overlap_vs_lockstep_speedup"] = 1e9
-        fast["profiles"]["tiny"]["host_cpus"] = 64
-        fast_path = tmp_path / "fast.json"
-        fast_path.write_text(json.dumps(fast))
-        gated = json.loads(out.read_text())
-        gated["profiles"]["tiny"]["host_cpus"] = 64
-        assert m.check_regression(gated, str(fast_path))
-        # ...and stands down when either host lacks them.
-        assert m.check_regression(res, str(fast_path)) == []
-        # No baseline twin at all fails loudly.
-        orphan = {"schema": m.SCHEMA,
-                  "profiles": {"full": res["profiles"]["tiny"]}}
-        orphan_path = tmp_path / "orphan.json"
-        orphan_path.write_text(json.dumps(orphan))
-        assert m.check_regression(res, str(orphan_path))
-
-    def test_committed_baseline_has_both_profiles(self):
-        import json
-        from pathlib import Path
-
-        baseline = json.loads(
-            (Path(__file__).parent.parent / "BENCH_parallel.json").read_text()
-        )
-        assert set(baseline["profiles"]) >= {"tiny", "full"}
-        full = baseline["profiles"]["full"]["overlap"]
-        # The acceptance configuration is pinned: G4, workers=2.
-        assert full["level"] == 4
-        assert full["workers"] == 2
-        assert full["lockstep_bitwise_vs_serial"]
-        assert all(full["overlap_contract"].values())
-
-
-class TestEnsembleBench:
-    """The ensemble-engine driver: JSON shape, the per-scenario bitwise
-    booleans, and the profile-matched regression gate."""
-
-    def test_tiny_run_and_check(self, tmp_path):
-        import json
-
-        from benchmarks import bench_ensemble as m
-        from repro.ensemble import scenario_names
-
-        out = tmp_path / "bench.json"
-        rc = m.main(["--tiny", "--out", str(out)])
-        assert rc == 0
-        res = json.loads(out.read_text())
-        assert res["schema"] == m.SCHEMA
-        assert set(res["profiles"]) == {"tiny"}
-        p = res["profiles"]["tiny"]
-        # Every registered scenario was swept, and each honoured the
-        # bitwise oracle + shared-plan contract.
-        assert set(p["points"]) == set(scenario_names())
-        for name, point in p["points"].items():
-            assert all(point["correct"].values()), (name, point["correct"])
-            assert point["loop"]["wall_seconds"] > 0
-            assert point["batch"]["wall_seconds"] > 0
-
-        # The gate passes against its own numbers...
-        assert m.check_regression(res, str(out)) == []
-        # ...trips on a baseline claiming a much larger speedup...
-        fake = json.loads(out.read_text())
-        fake["profiles"]["tiny"]["points"]["tropical"]["batch_speedup"] = 1e9
-        fake_path = tmp_path / "fake.json"
-        fake_path.write_text(json.dumps(fake))
-        assert m.check_regression(res, str(fake_path))
-        # ...and fails loudly when no profile has a baseline twin.
-        orphan = {"schema": m.SCHEMA,
-                  "profiles": {"full": res["profiles"]["tiny"]}}
-        orphan_path = tmp_path / "orphan.json"
-        orphan_path.write_text(json.dumps(orphan))
-        assert m.check_regression(res, str(orphan_path))
-
-    def test_committed_baseline_has_both_profiles(self):
-        import json
-        from pathlib import Path
-
-        baseline = json.loads(
-            (Path(__file__).parent.parent / "BENCH_ensemble.json").read_text()
-        )
-        assert set(baseline["profiles"]) >= {"tiny", "full"}
-        for profile in baseline["profiles"].values():
-            for point in profile["points"].values():
-                assert all(point["correct"].values())
-
-
 class TestFigureDriversTinySize:
     """fig7/fig8 take minutes full-size; smoke their drivers tiny."""
 

@@ -1,13 +1,12 @@
 """Tests of the ensemble & scenario engine (:mod:`repro.ensemble`).
 
-The headline contract: the member-vectorized batch (block-diagonal
-replicated mesh) is **bitwise identical** to the per-member serial loop
-— the oracle — for every registered scenario, while compiling exactly
-one stencil plan per shared mesh.  Around it: the scenario registry and
-its serving-layer integration, seeded perturbation determinism (in- and
-cross-process), the statistical contracts of the spread/probability
-products, and regression pins of the example scripts against the
-registry.
+The headline contract: the per-member loop gives every registered
+scenario distinct members from one stencil plan per shared mesh, and
+the forked loop (``workers=N``) is digest-identical to the serial one.
+Around it: the scenario registry and its serving-layer integration,
+seeded perturbation determinism (in- and cross-process), the
+statistical contracts of the spread/probability products, and
+regression pins of the example scripts against the registry.
 """
 
 from __future__ import annotations
@@ -33,21 +32,16 @@ from repro.ensemble import (
     perturbation_noise,
     physics_perturbation_factors,
     register_scenario,
-    replicate_mesh,
-    replicate_surface,
     scenario_names,
     spread_to_signal,
-    stack_states,
 )
-from repro.ensemble.batch import member_state as member_block
 from repro.ensemble.scenarios import Scenario
-from repro.grid.mesh import PAD
 from repro.serve.request import ForecastRequest, state_digest
 
 #: The tiny-but-real run every integration test uses: G3, 6 levels, 13
 #: dynamics steps — crosses the tracer (ratio 6) and physics (ratio 12)
-#: sub-step boundaries, so the batch/loop comparison exercises dynamics,
-#: tracer transport, physics and the surface slab.
+#: sub-step boundaries, so a run exercises dynamics, tracer transport,
+#: physics and the surface slab.
 LEVEL, NLEV, STEPS = 3, 6, 13
 
 
@@ -288,65 +282,20 @@ class TestProductContracts:
         assert stats["threshold"] == 5.0
 
 
-# -- replicated-mesh batching ----------------------------------------------
-
-class TestReplicatedMesh:
-    def test_replication_tiles_geometry_and_offsets_topology(self, mesh_g2):
-        n = 3
-        rmesh = replicate_mesh(mesh_g2, n)
-        assert (rmesh.nc, rmesh.ne, rmesh.nv) == (
-            n * mesh_g2.nc, n * mesh_g2.ne, n * mesh_g2.nv
-        )
-        np.testing.assert_array_equal(
-            rmesh.cell_area, np.tile(mesh_g2.cell_area, n)
-        )
-        # Block m's connectivity points only into block m.
-        for m in range(n):
-            ec = rmesh.edge_cells[m * mesh_g2.ne:(m + 1) * mesh_g2.ne]
-            np.testing.assert_array_equal(ec, mesh_g2.edge_cells + m * mesh_g2.nc)
-        # PAD entries stay PAD (never offset into a valid index).
-        assert np.count_nonzero(rmesh.cell_edges == PAD) == \
-            n * np.count_nonzero(mesh_g2.cell_edges == PAD)
-
-    def test_stack_split_roundtrip_is_bitwise(self, mesh_g2):
-        vc = VerticalCoordinate.stretched(4)
-        scen = get_scenario("tropical")
-        states = [scen.member_state(mesh_g2, vc, m, seed=4) for m in range(3)]
-        rmesh = replicate_mesh(mesh_g2, 3)
-        batched = stack_states(rmesh, states)
-        for m, orig in enumerate(states):
-            back = member_block(batched, mesh_g2, m)
-            assert state_digest(back) == state_digest(orig)
-
-    def test_replicated_surface_tiles_fields(self, mesh_g2):
-        surf = get_scenario("doksuri").build_surface(mesh_g2)
-        rsurf = replicate_surface(surf, 2)
-        np.testing.assert_array_equal(rsurf.sst, np.tile(surf.sst, 2))
-        np.testing.assert_array_equal(
-            rsurf.land_mask, np.tile(surf.land_mask, 2)
-        )
-
-
-# -- the headline bitwise contract -----------------------------------------
+# -- the per-member loop ---------------------------------------------------
 
 class TestMemberEquivalence:
     @pytest.mark.parametrize("name", [
         "tropical", "baroclinic", "doksuri", "typhoon_family",
         "heatwave", "aquaplanet", "seasonal",
     ])
-    def test_batch_bitwise_equals_loop_oracle(self, name):
-        """The tentpole acceptance: vectorized batch == per-member
-        serial oracle, bitwise, for every registered scenario — with
-        exactly one stencil plan compilation per shared mesh."""
-        eq = tiny_runner(name).check_equivalence()
-        assert eq["bitwise_equal"], name
-        loop, batch = eq["loop"], eq["batch"]
-        assert loop.member_digests() == batch.member_digests()
+    def test_loop_members_distinct_one_plan(self, name):
+        """Every registered scenario runs through the loop with
+        distinct members and at most one stencil plan compilation per
+        shared mesh (0 when an earlier test already compiled it)."""
+        loop = tiny_runner(name).run()
         assert len(set(loop.member_digests())) == loop.n_members
-        # One shared mesh -> at most one plan compilation per mode (0
-        # when an earlier test already compiled this mesh's plan).
         assert loop.plan_compiles <= 1
-        assert batch.plan_compiles <= 1
 
     def test_all_registered_scenarios_covered(self):
         """The parametrization above must never silently lag the
@@ -359,20 +308,12 @@ class TestMemberEquivalence:
 
     def test_perturbed_physics_stays_bitwise_and_changes_the_answer(self):
         base = tiny_runner("tropical").run()
-        eq = tiny_runner(
-            "tropical", physics_perturbation=0.2
-        ).check_equivalence()
-        assert eq["bitwise_equal"]
+        perturbed = tiny_runner("tropical", physics_perturbation=0.2).run()
         # SPPT actually perturbed the run (it is not a no-op wrapper)...
-        assert eq["loop"].digest() != base.digest()
+        assert perturbed.digest() != base.digest()
         # ...and left the wrapped model reusable: the runner unwraps on
         # exit, so an unperturbed rerun still matches the baseline.
         assert tiny_runner("tropical").run().digest() == base.digest()
-
-    def test_vectorized_refuses_ml_schemes(self):
-        runner = tiny_runner("tropical", scheme="DP-ML")
-        with pytest.raises(ValueError, match="vectorized"):
-            runner.run(vectorized=True)
 
     def test_loop_through_serving_pool_matches_standalone(self):
         """An EnsembleRunner handed a warm ModelPool produces the same
@@ -595,7 +536,7 @@ class TestEnsembleCLI:
         for name in scenario_names():
             assert name in out
 
-    def test_run_json_with_oracle_check(self, capsys):
+    def test_run_json(self, capsys):
         import json
 
         from repro.cli import main
@@ -603,12 +544,10 @@ class TestEnsembleCLI:
         rc = main([
             "ensemble", "--scenario", "tropical", "--members", "2",
             "--level", str(LEVEL), "--nlev", str(NLEV),
-            "--steps", str(STEPS), "--check-oracle", "--json",
+            "--steps", str(STEPS), "--json",
         ])
         assert rc == 0
         payload = json.loads(capsys.readouterr().out)
-        assert payload["bitwise_equal_to_oracle"] is True
-        assert payload["mode"] == "batch"
         assert payload["members"] == 2
         assert payload["plan_compiles"] <= 1
         assert len(payload["max_wind"]) == 2

@@ -409,3 +409,21 @@ class TestSerialEquivalence:
         # 3 RK stages + 1 pre-sponge exchange per step, x 2 steps.
         assert stats["messages"] == 8 * stats["messages_per_exchange"]
         assert stats["bytes"] > 0
+
+    def test_comm_stats_split_timings(self, mesh):
+        """The benchmark reads exactly these keys; the exchange wall
+        time splits into pack + unpack + the remaining wire seconds."""
+        vc = VerticalCoordinate.uniform(5)
+        dist = DistributedDycore(mesh, vc, DycoreConfig(dt=600.0), nparts=4)
+        dist.scatter(solid_body_rotation_state(mesh, vc))
+        dist.run(1)
+        cs = dist.comm_stats()
+        assert set(cs) == {
+            "messages", "bytes", "messages_per_exchange",
+            "exchange_seconds_total", "pack_seconds", "unpack_seconds",
+            "wire_seconds",
+        }
+        assert cs["exchange_seconds_total"] > 0.0
+        assert cs["pack_seconds"] + cs["unpack_seconds"] <= (
+            cs["exchange_seconds_total"] + 1e-9
+        )

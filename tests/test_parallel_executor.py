@@ -8,7 +8,10 @@ matches bit for bit.  These tests fork real worker processes; they are
 skipped on platforms without ``fork``.
 """
 
+import contextlib
 import os
+import signal
+import threading
 
 import numpy as np
 import pytest
@@ -47,6 +50,21 @@ def _run(mesh, vc, workers: int, steps: int = 3, sponge: int = 0):
     fields = d.gather()
     d.close()
     return fields
+
+
+@contextlib.contextmanager
+def _deadline(seconds):
+    """Turn a hang into a test failure instead of a stuck suite."""
+    def _alarm(signum, frame):
+        raise TimeoutError(f"operation exceeded {seconds}s deadline")
+
+    old = signal.signal(signal.SIGALRM, _alarm)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, old)
 
 
 class TestBitwiseEquality:
@@ -157,6 +175,66 @@ class TestExecutorLifecycle:
         d.close()
 
 
+class TestMidStepWorkerDeath:
+    """A worker that dies must fail the next round with a RuntimeError
+    naming it — never hang — and leave a driver that still closes."""
+
+    def _driver(self, mesh, vc):
+        d = DistributedDycore(
+            mesh, vc, DycoreConfig(dt=600.0, sponge_levels=2),
+            nparts=4, workers=2,
+        )
+        d.scatter(baroclinic_wave_state(mesh, vc))
+        d.run(1)                      # healthy first
+        return d
+
+    def _assert_closes_clean(self, d):
+        ex = d._executor
+        d.close()
+        assert ex.closed
+        assert not any(p.is_alive() for p in ex._procs)
+        d.close()                     # second close: no-op
+        assert ex.closed
+
+    def test_sigkilled_worker_fails_next_step(self, mesh, vc):
+        """Dead before the round is posted: the send fails."""
+        d = self._driver(mesh, vc)
+        ex = d._executor
+        ex._procs[0].kill()
+        ex._procs[0].join(10)
+        with _deadline(60):
+            with pytest.raises(
+                RuntimeError, match=r"worker 0 is dead \(send failed\)"
+            ):
+                d.step()
+            self._assert_closes_clean(d)
+        # Prognostic state is still readable after the failed step.
+        assert all(np.all(np.isfinite(f)) for f in d.gather())
+
+    def test_worker_killed_mid_round_fails_step(self, mesh, vc):
+        """Dead after the round is posted: the reply pipe closes.  The
+        worker is stopped first so the command is accepted but never
+        served, then killed while the driver waits on the reply."""
+        d = self._driver(mesh, vc)
+        ex = d._executor
+        victim = ex._procs[1]
+        os.kill(victim.pid, signal.SIGSTOP)
+        killer = threading.Timer(0.5, victim.kill)
+        killer.start()
+        try:
+            with _deadline(60):
+                with pytest.raises(
+                    RuntimeError,
+                    match=r"worker 1 died mid-round \(pipe closed\)",
+                ):
+                    d.step()
+                self._assert_closes_clean(d)
+        finally:
+            killer.cancel()
+            killer.join(10)
+            victim.kill()             # never leave it stopped
+
+
 class TestShmArena:
     def test_views_are_shared_across_fork(self):
         """A child write to an arena view must be visible to the parent —
@@ -191,10 +269,6 @@ class TestShmArena:
             mesh, vc, DycoreConfig(dt=600.0), nparts=4, workers=2
         )
         d.scatter(baroclinic_wave_state(mesh, vc))
-        ex = d._executor
-        ex._conns[0].send(("tend", 99))  # out-of-range slot index
-        with pytest.raises((RuntimeError, EOFError, IndexError)):
-            status, detail = ex._conns[0].recv()
-            if status != "ok":
-                raise RuntimeError(detail)
+        with pytest.raises(RuntimeError, match="rank worker failed.*IndexError"):
+            d._executor._broadcast(("tend", 99))  # out-of-range slot index
         d.close()
