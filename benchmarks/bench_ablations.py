@@ -13,33 +13,47 @@ import numpy as np
 import pytest
 
 from benchmarks._util import print_header
-from repro.comm.halo import HaloExchanger
+from repro.comm.message import Communicator
 from repro.dycore.solver import DycoreConfig, DynamicalCore
 from repro.dycore.state import solid_body_rotation_state
 from repro.dycore.vertical import VerticalCoordinate
 from repro.grid import build_mesh
 from repro.grid.reorder import bandwidth, reorder_mesh
+from repro.parallel.exchange import EdgeCellExchanger
+from repro.parallel.localmesh import build_local_meshes
 from repro.partition.decomposition import decompose
+from repro.partition.graph import mesh_cell_graph
+from repro.partition.metis import partition_graph
 from repro.precision.analysis import DeviationTracker, relative_l2
 from repro.precision.policy import GRIST_SENSITIVITY, PrecisionPolicy, TermSensitivity
 
 
 def test_ablation_halo_aggregation(benchmark, mesh_g3):
-    """One message per neighbour vs one per variable (section 3.1.3)."""
-    subs = decompose(mesh_g3, 8, seed=0)
-    hx = HaloExchanger(subs)
+    """One message per neighbour vs one per variable (section 3.1.3):
+    one exchanger with every variable registered against one single-
+    variable exchanger per variable on a shared communicator."""
+    part = partition_graph(mesh_cell_graph(mesh_g3), 8, seed=0)
+    locals_ = build_local_meshes(mesh_g3, decompose(mesh_g3, 8, part=part), part)
     rng = np.random.default_rng(0)
     n_vars = 8
+    fields = {}
     for i in range(n_vars):
-        hx.scatter_global(f"v{i}", rng.normal(size=(mesh_g3.nc, 8)))
+        g = rng.normal(size=(mesh_g3.nc, 8))
+        fields[f"v{i}"] = [lm.scatter_cell_field(g) for lm in locals_]
 
-    hx.comm.stats.reset()
-    hx.exchange()
-    agg_msgs = hx.comm.stats.messages
-    agg_bytes = hx.comm.stats.bytes_sent
-    hx.comm.stats.reset()
-    hx.exchange_unaggregated()
-    unagg_msgs = hx.comm.stats.messages
+    ex = EdgeCellExchanger(locals_)
+    for name, per_rank in fields.items():
+        ex.register_cell(name, per_rank)
+    ex.exchange()
+    agg_msgs = ex.comm.stats.messages
+    agg_bytes = ex.comm.stats.bytes_sent
+
+    comm = Communicator(len(locals_))
+    for name, per_rank in fields.items():
+        single = EdgeCellExchanger(locals_, comm)
+        single.register_cell(name, per_rank)
+        single.exchange()
+    unagg_msgs = comm.stats.messages
 
     print_header("ABLATION — halo-exchange aggregation (section 3.1.3)")
     print(f"{n_vars} variables x 8 levels over 8 ranks:")
@@ -47,7 +61,7 @@ def test_ablation_halo_aggregation(benchmark, mesh_g3):
     print(f"  unaggregated: {unagg_msgs:4d} messages (x{unagg_msgs // agg_msgs})")
     assert unagg_msgs == n_vars * agg_msgs
 
-    benchmark(hx.exchange)
+    benchmark(ex.exchange)
 
 
 def test_ablation_bfs_reorder(benchmark, mesh_g3):

@@ -8,8 +8,8 @@ wall-clock in, each against its bitwise reference path:
   G4-scale loop stream and on the Fig. 6 five-array thrashing stream,
   asserting identical `CacheStats` and final tag/age arrays;
 * **SWGOMP launches** — per-launch cost of the chunk-granular fast path
-  vs the per-chunk reference (``server.vectorized`` off), asserting
-  identical lane accounting;
+  vs the per-chunk reference (a no-op chunk observer attached),
+  asserting identical lane accounting;
 * **rank stepping** — `DistributedDycore` wall time at 1/2/4 workers,
   asserting the gathered prognostic fields match the serial run bitwise
   (true multiprocess speedup needs a multi-core host; `host_cpus` is
@@ -120,9 +120,20 @@ def bench_ldcache(n_iters: int, repeats: int) -> dict:
 
 # -- SWGOMP launches -------------------------------------------------------
 
-def _launch_time(vectorized: bool, n: int, iters: int) -> tuple[float, dict]:
+class _NoopChunkObserver:
+    """Any chunk observer makes a launch take the per-chunk path."""
+
+    def begin_chunk(self, cpe: int, start: int, end: int) -> None:
+        pass
+
+    def end_chunk(self, cpe: int, start: int, end: int) -> None:
+        pass
+
+
+def _launch_time(fast: bool, n: int, iters: int) -> tuple[float, dict]:
     srv = JobServer()
-    srv.vectorized = vectorized
+    if not fast:
+        srv.chunk_observers.append(_NoopChunkObserver())
     srv.init_from_mpe()
     region = TargetRegion(srv)
     buf = np.zeros(n)

@@ -4,15 +4,15 @@ A simulated message-passing runtime standing in for MPI:
 
 * :mod:`repro.comm.message` — ranked processes exchanging NumPy buffers,
   with message/byte accounting;
-* :mod:`repro.comm.halo` — aggregated halo exchange: many variables are
-  gathered (the paper uses a linked list) and shipped with a *single*
-  communication call per neighbour;
 * :mod:`repro.comm.topology` — the next-generation Sunway fat-tree
   (256-node supernodes, 16:3 oversubscription) as an alpha-beta model;
 * :mod:`repro.comm.parallel_io` — grouped parallel I/O.
+
+The aggregated halo exchange that runs on this runtime (every registered
+variable of a neighbour pair in a *single* message) is
+:class:`repro.parallel.exchange.EdgeCellExchanger`.
 """
 
-from repro.comm.halo import HaloExchanger
 from repro.comm.message import CommStats, Communicator
 from repro.comm.parallel_io import GroupedIOWriter
 from repro.comm.topology import SUNWAY_TOPOLOGY, FatTreeTopology
@@ -20,7 +20,6 @@ from repro.comm.topology import SUNWAY_TOPOLOGY, FatTreeTopology
 __all__ = [
     "Communicator",
     "CommStats",
-    "HaloExchanger",
     "FatTreeTopology",
     "SUNWAY_TOPOLOGY",
     "GroupedIOWriter",

@@ -98,6 +98,71 @@ class Mesh:
         """V - E + F of the primal triangulation; 2 on the sphere."""
         return self.nc - self.ne + self.nv
 
+    def take(
+        self, cells: np.ndarray, edges: np.ndarray, vertices: np.ndarray
+    ) -> Mesh:
+        """The mesh renumbered or restricted to the given entities.
+
+        Entity ``k`` of the result is this mesh's ``cells[k]`` /
+        ``edges[k]`` / ``vertices[k]`` (unique valid ids): a permutation
+        of all ids renumbers the mesh, a subset restricts it.  Geometry
+        is row-sliced.  Connectivity is remapped to the new numbering; an
+        id that was not taken becomes ``PAD`` in the padded tables
+        (``cell_edges``, ``cell_neighbors``, ``cell_vertices``,
+        ``vertex_edges``) and ``0`` in the fixed-arity ones
+        (``edge_cells``, ``edge_vertices``, ``vertex_cells``), which have
+        no pad slot and stay safely indexable.  Incidence signs are
+        zeroed wherever the remapped edge slot is ``PAD``, so a dropped
+        edge contributes nothing to any stencil sum.
+        """
+        def new_ids(ids: np.ndarray, n: int) -> np.ndarray:
+            # One spare trailing slot: indexing with PAD (-1) reads PAD.
+            new = np.full(n + 1, PAD, dtype=np.int64)
+            new[ids] = np.arange(len(ids))
+            return new
+
+        new_c = new_ids(cells, self.nc)
+        new_e = new_ids(edges, self.ne)
+        new_v = new_ids(vertices, self.nv)
+        cell_edges = new_e[self.cell_edges[cells]]
+        vertex_edges = new_e[self.vertex_edges[vertices]]
+        return Mesh(
+            level=self.level,
+            radius=self.radius,
+            nc=len(cells),
+            ne=len(edges),
+            nv=len(vertices),
+            cell_xyz=self.cell_xyz[cells],
+            vertex_xyz=self.vertex_xyz[vertices],
+            edge_xyz=self.edge_xyz[edges],
+            cell_lat=self.cell_lat[cells],
+            cell_lon=self.cell_lon[cells],
+            edge_normal=self.edge_normal[edges],
+            edge_tangent=self.edge_tangent[edges],
+            de=self.de[edges],
+            le=self.le[edges],
+            cell_area=self.cell_area[cells],
+            vertex_area=self.vertex_area[vertices],
+            edge_cells=np.maximum(new_c[self.edge_cells[edges]], 0),
+            edge_vertices=np.maximum(new_v[self.edge_vertices[edges]], 0),
+            cell_ne=self.cell_ne[cells],
+            cell_edges=cell_edges,
+            cell_edge_sign=np.where(
+                cell_edges == PAD, 0.0, self.cell_edge_sign[cells]
+            ),
+            cell_neighbors=new_c[self.cell_neighbors[cells]],
+            cell_vertices=new_v[self.cell_vertices[cells]],
+            vertex_cells=np.maximum(new_c[self.vertex_cells[vertices]], 0),
+            vertex_edges=vertex_edges,
+            vertex_edge_sign=np.where(
+                vertex_edges == PAD, 0.0, self.vertex_edge_sign[vertices]
+            ),
+            cell_recon=self.cell_recon[cells],
+            f_cell=self.f_cell[cells],
+            f_edge=self.f_edge[edges],
+            f_vertex=self.f_vertex[vertices],
+        )
+
 
 def _arc_length(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Great-circle arc length between unit vectors (unit-sphere radians)."""

@@ -43,12 +43,6 @@ def bfs_cell_order(mesh: Mesh, start: int = 0) -> np.ndarray:
     return order
 
 
-def _inverse_permutation(order: np.ndarray) -> np.ndarray:
-    inv = np.empty_like(order)
-    inv[order] = np.arange(order.size)
-    return inv
-
-
 def reorder_mesh(mesh: Mesh, cell_order: np.ndarray | None = None) -> tuple[Mesh, dict]:
     """Renumber the mesh so cells follow ``cell_order`` (default: BFS).
 
@@ -64,60 +58,19 @@ def reorder_mesh(mesh: Mesh, cell_order: np.ndarray | None = None) -> tuple[Mesh
     cell_order = np.asarray(cell_order, dtype=np.int64)
     if sorted(cell_order.tolist()) != list(range(mesh.nc)):
         raise ValueError("cell_order must be a permutation of all cells")
-    new_of_cell = _inverse_permutation(cell_order)
+    new_of_cell = np.empty_like(cell_order)
+    new_of_cell[cell_order] = np.arange(mesh.nc)
 
     # Edge order: sort by (min new cell, max new cell).
-    ec_new = new_of_cell[mesh.edge_cells]
-    key = np.sort(ec_new, axis=1)
+    key = np.sort(new_of_cell[mesh.edge_cells], axis=1)
     edge_order = np.lexsort((key[:, 1], key[:, 0]))
-    new_of_edge = _inverse_permutation(edge_order)
 
     # Vertex order: sort by the minimum new cell index of the triangle.
-    vc_new = new_of_cell[mesh.vertex_cells]
-    vkey = np.sort(vc_new, axis=1)
+    vkey = np.sort(new_of_cell[mesh.vertex_cells], axis=1)
     vertex_order = np.lexsort((vkey[:, 2], vkey[:, 1], vkey[:, 0]))
-    new_of_vertex = _inverse_permutation(vertex_order)
 
-    def remap_ids(arr: np.ndarray, table: np.ndarray) -> np.ndarray:
-        out = arr.copy()
-        valid = out != PAD
-        out[valid] = table[out[valid]]
-        return out
-
-    new = Mesh(
-        level=mesh.level,
-        radius=mesh.radius,
-        nc=mesh.nc,
-        ne=mesh.ne,
-        nv=mesh.nv,
-        cell_xyz=mesh.cell_xyz[cell_order],
-        vertex_xyz=mesh.vertex_xyz[vertex_order],
-        edge_xyz=mesh.edge_xyz[edge_order],
-        cell_lat=mesh.cell_lat[cell_order],
-        cell_lon=mesh.cell_lon[cell_order],
-        edge_normal=mesh.edge_normal[edge_order],
-        edge_tangent=mesh.edge_tangent[edge_order],
-        de=mesh.de[edge_order],
-        le=mesh.le[edge_order],
-        cell_area=mesh.cell_area[cell_order],
-        vertex_area=mesh.vertex_area[vertex_order],
-        edge_cells=remap_ids(mesh.edge_cells[edge_order], new_of_cell),
-        edge_vertices=remap_ids(mesh.edge_vertices[edge_order], new_of_vertex),
-        cell_ne=mesh.cell_ne[cell_order],
-        cell_edges=remap_ids(mesh.cell_edges[cell_order], new_of_edge),
-        cell_edge_sign=mesh.cell_edge_sign[cell_order],
-        cell_neighbors=remap_ids(mesh.cell_neighbors[cell_order], new_of_cell),
-        cell_vertices=remap_ids(mesh.cell_vertices[cell_order], new_of_vertex),
-        vertex_cells=remap_ids(mesh.vertex_cells[vertex_order], new_of_cell),
-        vertex_edges=remap_ids(mesh.vertex_edges[vertex_order], new_of_edge),
-        vertex_edge_sign=mesh.vertex_edge_sign[vertex_order],
-        cell_recon=mesh.cell_recon[cell_order],
-        f_cell=mesh.f_cell[cell_order],
-        f_edge=mesh.f_edge[edge_order],
-        f_vertex=mesh.f_vertex[vertex_order],
-    )
     perms = {"cell": cell_order, "edge": edge_order, "vertex": vertex_order}
-    return new, perms
+    return mesh.take(cell_order, edge_order, vertex_order), perms
 
 
 def bandwidth(mesh: Mesh) -> float:

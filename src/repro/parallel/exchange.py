@@ -96,24 +96,21 @@ class ExchangePlan:
 
 
 class EdgeCellExchanger:
-    """One aggregated halo exchange across all ranks' local meshes.
-
-    ``use_plans=False`` selects the legacy per-step concatenation path
-    (recomputes neighbour sets and allocates fresh payloads each call,
-    and upcasts mixed payloads to float64); it is kept as the
-    before/after reference for ``benchmarks/bench_hotpath.py``.
-    """
+    """One aggregated halo exchange across all ranks' local meshes."""
 
     def __init__(
         self,
         locals_: list[LocalMesh],
         comm: Communicator | None = None,
-        use_plans: bool = True,
         retry: RetryPolicy | None = None,
     ):
         self.locals = locals_
         self.comm = comm or Communicator(len(locals_))
-        self.use_plans = use_plans
+        if self.comm.size != len(locals_):
+            raise ValueError(
+                f"communicator size {self.comm.size} must match the "
+                f"{len(locals_)} local meshes"
+            )
         #: Retransmission policy when a fault injector is active: lost
         #: or CRC-failed payloads are re-sent from the (persistent,
         #: still-packed) plan buffer up to ``retry.max_attempts`` times.
@@ -329,9 +326,6 @@ class EdgeCellExchanger:
         """One aggregated exchange: a single message per neighbour pair."""
         if not self._registry:
             return
-        if not self.use_plans:
-            self._exchange_legacy()
-            return
         if self._plans is None:
             self._compile_plans()
         registry = self._registry
@@ -465,63 +459,6 @@ class EdgeCellExchanger:
             f"({self.crc_failures} CRC failures, {self.retransmits} "
             "retransmits this run)"
         )
-
-    def _exchange_legacy(self) -> None:
-        """The pre-plan path: per-step neighbour discovery, fancy-index
-        selection and payload concatenation (upcasting mixed payloads to
-        float64).  Benchmark reference only."""
-        names = list(self._registry)
-        tracer = get_tracer()
-        self.exchange_epochs += 1
-        t_start = time.perf_counter()
-        msgs0, bytes0 = self.comm.stats.messages, self.comm.stats.bytes_sent
-        with tracer.span(
-            "exchange.edge_cell", SpanKind.HALO_EXCHANGE, n_vars=len(names)
-        ) as ex_span:
-            # Pack & post.
-            with tracer.span("exchange.pack", SpanKind.HALO_PACK, n_vars=len(names)):
-                for lm in self.locals:
-                    for nbr in self._neighbors(lm):
-                        chunks = []
-                        for name in names:
-                            kind, arrays = self._registry[name]
-                            idx = (
-                                lm.cell_send if kind == "cell" else lm.edge_send
-                            ).get(nbr)
-                            if idx is None or idx.size == 0:
-                                continue
-                            chunks.append(
-                                arrays[lm.rank][idx].reshape(idx.size, -1).ravel()
-                            )
-                        payload = np.concatenate(chunks) if chunks else np.empty(0)
-                        self.comm.send(lm.rank, nbr, payload, tag=7)
-            # Drain & unpack.
-            with tracer.span(
-                "exchange.unpack", SpanKind.HALO_UNPACK, n_vars=len(names)
-            ):
-                for lm in self.locals:
-                    for nbr in self._neighbors(lm):
-                        payload = self.comm.recv(nbr, lm.rank, tag=7)
-                        pos = 0
-                        for name in names:
-                            kind, arrays = self._registry[name]
-                            idx = (
-                                lm.cell_recv if kind == "cell" else lm.edge_recv
-                            ).get(nbr)
-                            if idx is None or idx.size == 0:
-                                continue
-                            arr = arrays[lm.rank]
-                            width = int(np.prod(arr.shape[1:], dtype=np.int64)) or 1
-                            block = payload[pos: pos + idx.size * width]
-                            arr[idx] = block.reshape((idx.size,) + arr.shape[1:])
-                            pos += idx.size * width
-                        if pos != payload.size:
-                            raise RuntimeError("exchange payload size mismatch")
-            self.seconds_total += time.perf_counter() - t_start
-            ex_span.set(
-                messages=self.comm.stats.messages - msgs0,
-                bytes=self.comm.stats.bytes_sent - bytes0,
-            )
 
     def messages_per_exchange(self) -> int:
         """Total messages of one exchange (the aggregation metric)."""

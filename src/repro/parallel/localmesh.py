@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.grid.mesh import PAD, Mesh
-from repro.partition.decomposition import Subdomain
+from repro.partition.decomposition import Subdomain, halo_lists
 
 
 @dataclass
@@ -69,17 +69,6 @@ class LocalMesh:
         return np.array(global_field[self.edges], copy=True)
 
 
-def _remap(table: dict, arr: np.ndarray, missing: int) -> np.ndarray:
-    """Remap global ids through ``table``; absent ids become ``missing``."""
-    out = np.full(arr.shape, missing, dtype=np.int64)
-    flat_in = arr.ravel()
-    flat_out = out.ravel()
-    for i, g in enumerate(flat_in):
-        if g != PAD:
-            flat_out[i] = table.get(int(g), missing)
-    return out
-
-
 def build_local_meshes(
     mesh: Mesh, subdomains: list[Subdomain], part: np.ndarray
 ) -> list[LocalMesh]:
@@ -94,121 +83,47 @@ def build_local_meshes(
 
     for sub in subdomains:
         ring01 = sub.local_cells                          # owned + halo1
-        in01 = set(int(c) for c in ring01)
-        halo1 = ring01[sub.n_owned:]
-        nbrs = mesh.cell_neighbors[halo1]
-        nbrs = nbrs[nbrs != PAD]
-        ring2 = np.unique([int(c) for c in nbrs if int(c) not in in01]).astype(np.int64)
+        nbrs = mesh.cell_neighbors[ring01[sub.n_owned:]]
+        ring2 = np.setdiff1d(nbrs[nbrs != PAD], ring01)
         cells = np.concatenate([ring01, ring2])
-        cell_l = {int(g): i for i, g in enumerate(cells)}
 
         # Edges: all edges incident to owned + first-ring cells, owned first.
         e_all = mesh.cell_edges[ring01]
         e_all = np.unique(e_all[e_all != PAD])
         own_mask = edge_owner[e_all] == sub.rank
         edges = np.concatenate([e_all[own_mask], e_all[~own_mask]])
-        edge_l = {int(g): i for i, g in enumerate(edges)}
-        n_owned_edges = int(own_mask.sum())
 
         # Vertices of the owned + first-ring cells.
         v_all = mesh.cell_vertices[ring01]
         vertices = np.unique(v_all[v_all != PAD])
-        vert_l = {int(g): i for i, g in enumerate(vertices)}
 
-        # ---- Remapped connectivity ------------------------------------
-        cell_edges = _remap(edge_l, mesh.cell_edges[cells], PAD)
-        cell_sign = mesh.cell_edge_sign[cells].copy()
-        cell_sign[cell_edges == PAD] = 0.0
-        cell_neighbors = _remap(cell_l, mesh.cell_neighbors[cells], PAD)
-        cell_vertices = _remap(vert_l, mesh.cell_vertices[cells], PAD)
-
-        # Edge endpoints now always resolve: both cells of any local edge
-        # lie within owned+ring1+ring2.
-        edge_cells = _remap(cell_l, mesh.edge_cells[edges], 0)
-        edge_vertices = _remap(vert_l, mesh.edge_vertices[edges], 0)
-
-        vertex_cells = _remap(cell_l, mesh.vertex_cells[vertices], 0)
-        vertex_edges = _remap(edge_l, mesh.vertex_edges[vertices], PAD)
-        vertex_sign = mesh.vertex_edge_sign[vertices].copy()
-        vertex_sign[vertex_edges == PAD] = 0.0
-
-        lmesh = Mesh(
-            level=mesh.level,
-            radius=mesh.radius,
-            nc=cells.size,
-            ne=edges.size,
-            nv=vertices.size,
-            cell_xyz=mesh.cell_xyz[cells],
-            vertex_xyz=mesh.vertex_xyz[vertices],
-            edge_xyz=mesh.edge_xyz[edges],
-            cell_lat=mesh.cell_lat[cells],
-            cell_lon=mesh.cell_lon[cells],
-            edge_normal=mesh.edge_normal[edges],
-            edge_tangent=mesh.edge_tangent[edges],
-            de=mesh.de[edges],
-            le=mesh.le[edges],
-            cell_area=mesh.cell_area[cells],
-            vertex_area=mesh.vertex_area[vertices],
-            edge_cells=edge_cells,
-            edge_vertices=edge_vertices,
-            cell_ne=mesh.cell_ne[cells],
-            cell_edges=cell_edges,
-            cell_edge_sign=cell_sign,
-            cell_neighbors=cell_neighbors,
-            cell_vertices=cell_vertices,
-            vertex_cells=vertex_cells,
-            vertex_edges=vertex_edges,
-            vertex_edge_sign=vertex_sign,
-            cell_recon=mesh.cell_recon[cells],
-            f_cell=mesh.f_cell[cells],
-            f_edge=mesh.f_edge[edges],
-            f_vertex=mesh.f_vertex[vertices],
-        )
-        lm = LocalMesh(
-            rank=sub.rank,
-            mesh=lmesh,
-            cells=cells,
-            edges=edges,
-            vertices=vertices,
-            n_owned_cells=sub.n_owned,
-            n_owned_edges=n_owned_edges,
-        )
-        locals_.append(lm)
-
-    # ---- Cell exchange lists: every non-owned local cell (both rings)
-    # is received from its owning rank; owners mirror into send lists.
-    owned_local: list[dict] = []
-    for lm in locals_:
-        owned_local.append(
-            {int(g): i for i, g in enumerate(lm.cells[: lm.n_owned_cells])}
-        )
-    for lm in locals_:
-        ghost_c = lm.cells[lm.n_owned_cells:]
-        owners_c = part[ghost_c]
-        for r in np.unique(owners_c):
-            sel = np.where(owners_c == r)[0]
-            lm.cell_recv[int(r)] = lm.n_owned_cells + sel
-            wanted = ghost_c[sel]
-            peer = locals_[int(r)]
-            peer.cell_send[lm.rank] = np.array(
-                [owned_local[int(r)][int(g)] for g in wanted], dtype=np.int64
+        # Edge endpoints always resolve in the taken mesh: both cells of
+        # any local edge lie within owned+ring1+ring2.
+        locals_.append(
+            LocalMesh(
+                rank=sub.rank,
+                mesh=mesh.take(cells, edges, vertices),
+                cells=cells,
+                edges=edges,
+                vertices=vertices,
+                n_owned_cells=sub.n_owned,
+                n_owned_edges=int(own_mask.sum()),
             )
-
-    # ---- Edge exchange lists, same pattern.
-    owned_edge_local: list[dict] = []
-    for lm in locals_:
-        owned_edge_local.append(
-            {int(g): i for i, g in enumerate(lm.edges[: lm.n_owned_edges])}
         )
+
+    # Every non-owned local cell (both rings) and edge is received from
+    # its owning rank; owners mirror into send lists.
+    cell_send, cell_recv = halo_lists(
+        [lm.cells for lm in locals_],
+        [lm.n_owned_cells for lm in locals_],
+        part,
+    )
+    edge_send, edge_recv = halo_lists(
+        [lm.edges for lm in locals_],
+        [lm.n_owned_edges for lm in locals_],
+        edge_owner,
+    )
     for lm in locals_:
-        ghost_e = lm.edges[lm.n_owned_edges:]
-        owners_e = edge_owner[ghost_e]
-        for r in np.unique(owners_e):
-            sel = np.where(owners_e == r)[0]
-            lm.edge_recv[int(r)] = lm.n_owned_edges + sel
-            wanted = ghost_e[sel]
-            peer = locals_[int(r)]
-            peer.edge_send[lm.rank] = np.array(
-                [owned_edge_local[int(r)][int(g)] for g in wanted], dtype=np.int64
-            )
+        lm.cell_send, lm.cell_recv = cell_send[lm.rank], cell_recv[lm.rank]
+        lm.edge_send, lm.edge_recv = edge_send[lm.rank], edge_recv[lm.rank]
     return locals_

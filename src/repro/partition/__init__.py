@@ -6,7 +6,8 @@ and minimise halo communication.  METIS is not available here, so
 partitioner with the same structure (heavy-edge-matching coarsening,
 greedy initial partitioning, Fiduccia–Mattheyses-style boundary
 refinement), and :mod:`repro.partition.decomposition` turns a partition
-into per-rank subdomains with halo layers.
+into per-rank subdomains with halo layers; its ``halo_lists`` is the one
+builder of send/recv index lists, for cells and edges alike.
 """
 
 from repro.partition.decomposition import Subdomain, decompose

@@ -1,17 +1,15 @@
 """Per-rank subdomains with halo layers.
 
 Given a mesh and a cell partition, :func:`decompose` builds, for every
-rank, the owned-cell set, the halo cells (one ring of remote neighbours —
-sufficient for the dycore's ~2nd-order stencils), local index maps, and
-the send/recv lists that drive the aggregated halo exchange in
-:mod:`repro.comm.halo`.
+rank, the owned-cell set, the halo cells (one ring of remote neighbours)
+and the send/recv lists of the aggregated halo exchange.
+:func:`halo_lists` is the one builder of such lists; the rank-local
+meshes of :mod:`repro.parallel.localmesh` use it for their two-ring cell
+halo and their edge halo too.
 
-Ownership conventions (matching common C-grid practice):
-
-* a cell is owned by its partition rank;
-* an edge is owned by the rank of its first cell (``edge_cells[:, 0]``);
-* a vertex is owned by the rank owning the majority (first on tie) of its
-  three cells.
+Ownership conventions (matching common C-grid practice): a cell is owned
+by its partition rank, an edge by the rank of its first cell
+(``edge_cells[:, 0]``).
 """
 
 from __future__ import annotations
@@ -38,10 +36,6 @@ class Subdomain:
     rank: int
     local_cells: np.ndarray            # (nloc,) global ids; owned then halo
     n_owned: int
-    local_edges: np.ndarray            # global edge ids needed locally
-    n_owned_edges: int
-    local_vertices: np.ndarray         # global vertex ids needed locally
-    global_to_local: dict = field(repr=False, default_factory=dict)
     send_cells: dict = field(default_factory=dict)   # rank -> local idx array
     recv_cells: dict = field(default_factory=dict)   # rank -> local idx array
     #: Declared halo depth in cell rings.  Kernel reads must not reach
@@ -60,6 +54,36 @@ class Subdomain:
     def halo_volume(self) -> int:
         """Total number of cell values sent per exchange (one variable)."""
         return int(sum(v.size for v in self.send_cells.values()))
+
+
+def halo_lists(
+    local_ids: list[np.ndarray], n_owned: list[int], owner: np.ndarray
+) -> tuple[list[dict], list[dict]]:
+    """Send and recv index lists of every rank, for one entity kind.
+
+    ``local_ids[r]`` are rank ``r``'s global ids, its ``n_owned[r]`` owned
+    ones first and ghosts after; ``owner[g]`` is the rank owning global id
+    ``g``.  Every ghost is received from its owner, grouped by owner in
+    local order, and the owner's send list holds the same entities in the
+    same order.  Returns ``(send, recv)`` with ``send[r][peer]`` and
+    ``recv[r][peer]`` local index arrays.
+    """
+    index_at_owner = np.full(owner.size, -1, dtype=np.int64)
+    for ids, n in zip(local_ids, n_owned):
+        index_at_owner[ids[:n]] = np.arange(n)
+    send: list[dict] = [{} for _ in local_ids]
+    recv: list[dict] = [{} for _ in local_ids]
+    for rank, (ids, n) in enumerate(zip(local_ids, n_owned)):
+        ghosts = ids[n:]
+        ghost_owner = owner[ghosts]
+        for peer in np.unique(ghost_owner).tolist():
+            sel = np.flatnonzero(ghost_owner == peer)
+            recv[rank][peer] = n + sel
+            at_peer = index_at_owner[ghosts[sel]]
+            if at_peer.min() < 0:
+                raise RuntimeError("halo entity not owned by its source rank")
+            send[peer][rank] = at_peer
+    return send, recv
 
 
 def decompose(
@@ -81,63 +105,26 @@ def decompose(
     if part.min() < 0 or part.max() >= nparts:
         raise ValueError("part values out of range")
 
-    edge_owner = part[mesh.edge_cells[:, 0]]
-    # Vertex owner: majority of its 3 cells, first cell's rank on 3-way tie.
-    vparts = part[mesh.vertex_cells]  # (nv, 3)
-    vertex_owner = np.where(
-        vparts[:, 1] == vparts[:, 2], vparts[:, 1], vparts[:, 0]
-    )
-
-    subdomains: list[Subdomain] = []
+    local_cells: list[np.ndarray] = []
+    n_owned: list[int] = []
     for rank in range(nparts):
         owned = np.where(part == rank)[0]
         nbrs = mesh.cell_neighbors[owned]
         nbrs = nbrs[nbrs != PAD]
         halo = np.unique(nbrs[part[nbrs] != rank])
-        local_cells = np.concatenate([owned, halo])
-        g2l = {int(g): i for i, g in enumerate(local_cells)}
-
-        # Edges needed: all edges incident to owned cells (stencils touch
-        # only the owned cells' own edges plus values in the halo ring).
-        e_own = mesh.cell_edges[owned]
-        e_need = np.unique(e_own[e_own != PAD])
-        own_e_mask = edge_owner[e_need] == rank
-        local_edges = np.concatenate([e_need[own_e_mask], e_need[~own_e_mask]])
-
-        v_own = mesh.cell_vertices[owned]
-        v_need = np.unique(v_own[v_own != PAD])
-        own_v_mask = vertex_owner[v_need] == rank
-        local_vertices = np.concatenate([v_need[own_v_mask], v_need[~own_v_mask]])
-
-        sub = Subdomain(
+        local_cells.append(np.concatenate([owned, halo]))
+        n_owned.append(owned.size)
+    send, recv = halo_lists(local_cells, n_owned, part)
+    return [
+        Subdomain(
             rank=rank,
-            local_cells=local_cells,
-            n_owned=owned.size,
-            local_edges=local_edges,
-            n_owned_edges=int(own_e_mask.sum()),
-            local_vertices=local_vertices,
-            global_to_local=g2l,
+            local_cells=local_cells[rank],
+            n_owned=n_owned[rank],
+            send_cells=send[rank],
+            recv_cells=recv[rank],
         )
-        # recv list: halo cells grouped by owning rank, in local order.
-        halo_ranks = part[halo]
-        for r in np.unique(halo_ranks):
-            sel = np.where(halo_ranks == r)[0]
-            sub.recv_cells[int(r)] = owned.size + sel
-        subdomains.append(sub)
-
-    # Send lists mirror the neighbours' recv lists.
-    for sub in subdomains:
-        for r, local_idx in sub.recv_cells.items():
-            wanted_global = sub.local_cells[local_idx]
-            peer = subdomains[r]
-            peer_local = np.array(
-                [peer.global_to_local[int(g)] for g in wanted_global],
-                dtype=np.int64,
-            )
-            if np.any(peer_local >= peer.n_owned):
-                raise RuntimeError("halo cell not owned by its source rank")
-            peer.send_cells[sub.rank] = peer_local
-    return subdomains
+        for rank in range(nparts)
+    ]
 
 
 def decomposition_stats(subdomains: list[Subdomain]) -> dict:

@@ -96,13 +96,6 @@ class JobServer:
         #: plus backoff is charged as simulated time).
         self.fault_injector = None
         self.retry = RetryPolicy()
-        #: Enables the chunk-granular accounting fast path: static-
-        #: schedule launches with no injector, no chunk observers and a
-        #: disabled tracer charge all lanes in one vectorized pass
-        #: instead of per-chunk ``charge()`` calls.  The accounting is
-        #: bitwise-identical either way; the flag exists so benchmarks
-        #: can time the per-chunk reference path.
-        self.vectorized = True
 
     def init_from_mpe(self) -> None:
         """Athread initialisation performed by the MPE."""
@@ -289,9 +282,12 @@ class TargetRegion:
             name, SpanKind.KERNEL_LAUNCH, n_elems=n, n_cpes=ncpe,
             n_teams=self.n_teams, schedule=schedule,
         ) as region_span:
+            # Static-schedule launches with no injector, no chunk observers
+            # and a disabled tracer charge all lanes in one vectorized
+            # pass instead of per-chunk ``charge()`` calls; the accounting
+            # is bitwise-identical either way.
             fast = (
-                self.server.vectorized
-                and schedule == "static"
+                schedule == "static"
                 and injector is None
                 and not self.server.chunk_observers
                 and not tracer.enabled

@@ -101,46 +101,6 @@ class TestFastModulesFullSize:
         m.test_table3_all_schemes(stub, mesh_g2, vcoord8, trained)
 
 
-class TestHotpathBench:
-    """The hot-path baseline driver: JSON shape, dtype contract, and the
-    regression gate's pass/fail logic."""
-
-    def test_tiny_run_and_check(self, tmp_path):
-        import json
-
-        from benchmarks import bench_hotpath as m
-
-        out = tmp_path / "bench.json"
-        rc = m.main(["--tiny", "--iters", "3", "--out", str(out)])
-        assert rc == 0
-        res = json.loads(out.read_text())
-        assert res["schema"] == m.SCHEMA
-        g3 = res["grids"]["G3"]
-        ex = g3["exchange"]
-        assert ex["legacy"]["seconds_per_exchange"] > 0
-        assert ex["plan"]["seconds_per_exchange"] > 0
-        assert ex["speedup"] > 0
-        # Identical field sets -> identical wire bytes (all float64).
-        assert ex["plan"]["wire_bytes"] == ex["legacy"]["wire_bytes"]
-        assert ex["plan"]["messages"] == ex["legacy"]["messages"]
-        # MIXED payload: the plan wire is strictly smaller (float32
-        # travels at 4 bytes/elem; legacy upcasts to 8).
-        exm = g3["exchange_mixed"]
-        assert exm["plan"]["wire_bytes"] < exm["legacy"]["wire_bytes"]
-        assert all(g3["mixed_roundtrip"].values()), g3["mixed_roundtrip"]
-        assert g3["step"]["seconds_per_step"] > 0
-        # The tracer saw the halo spans of both paths.
-        assert any("halo_exchange" in k for k in ex["plan"]["spans"])
-        # The gate passes against its own numbers and trips on a fake
-        # baseline claiming a much larger speedup.
-        assert m.check_regression(res, str(out)) == []
-        fake = json.loads(out.read_text())
-        fake["grids"]["G3"]["exchange"]["speedup"] = 1e9
-        fake_path = tmp_path / "fake.json"
-        fake_path.write_text(json.dumps(fake))
-        assert m.check_regression(res, str(fake_path))
-
-
 class TestSubstrateBench:
     """The substrate fast-path driver: JSON shape, bitwise contracts,
     and the profile-matched regression gate."""

@@ -4,12 +4,15 @@ aggregation optimisation), fat-tree model, and grouped I/O."""
 import numpy as np
 import pytest
 
-from repro.comm.halo import HaloExchanger
 from repro.comm.message import Communicator
 from repro.comm.parallel_io import GroupedIOWriter
 from repro.comm.topology import SUNWAY_TOPOLOGY, FatTreeTopology
 from repro.grid.mesh import build_mesh
+from repro.parallel.exchange import EdgeCellExchanger
+from repro.parallel.localmesh import build_local_meshes
 from repro.partition.decomposition import decompose
+from repro.partition.graph import mesh_cell_graph
+from repro.partition.metis import partition_graph
 
 
 @pytest.fixture(scope="module")
@@ -18,8 +21,18 @@ def mesh():
 
 
 @pytest.fixture(scope="module")
-def subs(mesh):
-    return decompose(mesh, 4, seed=0)
+def part(mesh):
+    return partition_graph(mesh_cell_graph(mesh), 4, seed=0)
+
+
+@pytest.fixture(scope="module")
+def subs(mesh, part):
+    return decompose(mesh, 4, part=part)
+
+
+@pytest.fixture(scope="module")
+def locals_(mesh, subs, part):
+    return build_local_meshes(mesh, subs, part)
 
 
 class TestCommunicator:
@@ -126,71 +139,83 @@ class TestCollectiveAccounting:
         assert "comm.collectives" not in r2.snapshot()["counters"]
 
 
+def _scatter(locals_, gfield):
+    return [lm.scatter_cell_field(gfield) for lm in locals_]
+
+
 class TestHaloExchange:
-    def test_exchange_fills_halo(self, mesh, subs):
-        hx = HaloExchanger(subs)
+    def test_exchange_fills_halo(self, mesh, locals_):
+        ex = EdgeCellExchanger(locals_)
         rng = np.random.default_rng(0)
         gfield = rng.normal(size=(mesh.nc, 3))
-        per = hx.scatter_global("T", gfield)
-        for sub, arr in zip(subs, per):
-            arr[sub.n_owned:] = np.nan
-        hx.exchange()
-        for sub, arr in zip(subs, per):
-            np.testing.assert_allclose(arr, gfield[sub.local_cells])
+        per = _scatter(locals_, gfield)
+        ex.register_cell("T", per)
+        for lm, arr in zip(locals_, per):
+            arr[lm.n_owned_cells:] = np.nan
+        ex.exchange()
+        for lm, arr in zip(locals_, per):
+            np.testing.assert_array_equal(arr, gfield[lm.cells])
 
-    def test_exchange_1d_and_3d_fields(self, mesh, subs):
-        hx = HaloExchanger(subs)
+    def test_exchange_1d_and_3d_fields(self, mesh, locals_):
+        ex = EdgeCellExchanger(locals_)
         rng = np.random.default_rng(1)
         f1 = rng.normal(size=mesh.nc)
         f3 = rng.normal(size=(mesh.nc, 4, 2))
-        p1 = hx.scatter_global("a", f1)
-        p3 = hx.scatter_global("b", f3)
-        for sub, a, b in zip(subs, p1, p3):
-            a[sub.n_owned:] = -1
-            b[sub.n_owned:] = -1
-        hx.exchange()
-        for sub, a, b in zip(subs, p1, p3):
-            np.testing.assert_allclose(a, f1[sub.local_cells])
-            np.testing.assert_allclose(b, f3[sub.local_cells])
+        p1, p3 = _scatter(locals_, f1), _scatter(locals_, f3)
+        ex.register_cell("a", p1)
+        ex.register_cell("b", p3)
+        for lm, a, b in zip(locals_, p1, p3):
+            a[lm.n_owned_cells:] = -1
+            b[lm.n_owned_cells:] = -1
+        ex.exchange()
+        for lm, a, b in zip(locals_, p1, p3):
+            np.testing.assert_array_equal(a, f1[lm.cells])
+            np.testing.assert_array_equal(b, f3[lm.cells])
 
-    def test_aggregation_message_count(self, mesh, subs):
+    def test_aggregation_message_count(self, mesh, locals_):
         """The section 3.1.3 claim: one message per pair regardless of
-        how many variables are registered."""
-        hx = HaloExchanger(subs)
+        how many variables are registered.  The unaggregated baseline is
+        one single-field exchanger per variable on a shared communicator."""
         rng = np.random.default_rng(2)
-        for name in ("a", "b", "c", "d"):
-            hx.scatter_global(name, rng.normal(size=mesh.nc))
-        hx.comm.stats.reset()
-        hx.exchange()
-        agg = hx.comm.stats.messages
-        hx.comm.stats.reset()
-        hx.exchange_unaggregated()
-        unagg = hx.comm.stats.messages
-        assert unagg == 4 * agg
+        fields = {n: _scatter(locals_, rng.normal(size=mesh.nc)) for n in "abcd"}
+        ex = EdgeCellExchanger(locals_)
+        for name, per in fields.items():
+            ex.register_cell(name, per)
+        ex.exchange()
+        agg = ex.comm.stats.messages
+        assert agg == ex.messages_per_exchange()
+        comm = Communicator(len(locals_))
+        for name, per in fields.items():
+            single = EdgeCellExchanger(locals_, comm)
+            single.register_cell(name, per)
+            single.exchange()
+        assert comm.stats.messages == 4 * agg
 
-    def test_unaggregated_same_result(self, mesh, subs):
+    def test_unaggregated_same_result(self, mesh, locals_):
         rng = np.random.default_rng(3)
-        gfield = rng.normal(size=mesh.nc)
-        hx = HaloExchanger(subs)
-        per = hx.scatter_global("x", gfield)
-        for sub, arr in zip(subs, per):
-            arr[sub.n_owned:] = np.nan
-        hx.exchange_unaggregated()
-        for sub, arr in zip(subs, per):
-            np.testing.assert_allclose(arr, gfield[sub.local_cells])
+        gfields = {n: rng.normal(size=mesh.nc) for n in "xy"}
+        comm = Communicator(len(locals_))
+        for name, gfield in gfields.items():
+            per = _scatter(locals_, gfield)
+            for lm, arr in zip(locals_, per):
+                arr[lm.n_owned_cells:] = np.nan
+            single = EdgeCellExchanger(locals_, comm)
+            single.register_cell(name, per)
+            single.exchange()
+            for lm, arr in zip(locals_, per):
+                np.testing.assert_array_equal(arr, gfield[lm.cells])
 
-    def test_gather_global_roundtrip(self, mesh, subs):
-        hx = HaloExchanger(subs)
-        rng = np.random.default_rng(4)
-        gfield = rng.normal(size=(mesh.nc, 2))
-        hx.scatter_global("T", gfield)
-        back = hx.gather_global("T", mesh.nc)
-        np.testing.assert_allclose(back, gfield)
-
-    def test_shape_mismatch_rejected(self, subs):
-        hx = HaloExchanger(subs)
+    def test_shape_mismatch_rejected(self, locals_):
+        ex = EdgeCellExchanger(locals_)
         with pytest.raises(ValueError):
-            hx.register("bad", [np.zeros(3) for _ in subs])
+            ex.register_cell("bad", [np.zeros(3) for _ in locals_])
+
+    @pytest.mark.parametrize("size", [2, 6])
+    def test_communicator_size_mismatch_rejected(self, locals_, size):
+        """A communicator with too few ranks used to fail mid-exchange
+        with sends already posted; one with too many was accepted."""
+        with pytest.raises(ValueError, match="communicator size"):
+            EdgeCellExchanger(locals_, Communicator(size))
 
 
 class TestFatTreeTopology:

@@ -1,5 +1,6 @@
 """Tests of the hexagonal C-grid mesh: topology and geometry invariants."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -183,3 +184,67 @@ class TestVelocityReconstruction:
         rec = np.einsum("nik,nk->ni", mesh.cell_recon, gathered)
         radial = np.einsum("ni,ni->n", rec, mesh.cell_xyz)
         np.testing.assert_allclose(radial, 0.0, atol=1e-8)
+
+
+class TestTake:
+    """``Mesh.take`` is the one index remap under reordering and the
+    rank-local meshes."""
+
+    def test_permutation_then_inverse_is_identity(self, mesh):
+        rng = np.random.default_rng(mesh.level)
+        perms = [rng.permutation(n) for n in (mesh.nc, mesh.ne, mesh.nv)]
+        back = mesh.take(*perms).take(*(np.argsort(p) for p in perms))
+        for f in dataclasses.fields(mesh):
+            np.testing.assert_array_equal(
+                getattr(back, f.name), getattr(mesh, f.name), err_msg=f.name
+            )
+
+    def test_connected_subset_maps_back(self, mesh):
+        rng = np.random.default_rng(10 + mesh.level)
+        # A connected patch grown from a random cell, in random local order.
+        inside = np.zeros(mesh.nc, dtype=bool)
+        inside[rng.integers(mesh.nc)] = True
+        while inside.sum() < mesh.nc // 3:
+            nbrs = mesh.cell_neighbors[inside]
+            inside[nbrs[nbrs != PAD]] = True
+        cells = rng.permutation(np.flatnonzero(inside))
+        # Only edges interior to the patch, so rim cells lose edge slots;
+        # every vertex of the patch, so rim vertices lose cells and edges.
+        edges = rng.permutation(
+            np.flatnonzero(inside[mesh.edge_cells].all(axis=1))
+        )
+        v_all = mesh.cell_vertices[cells]
+        vertices = rng.permutation(np.unique(v_all[v_all != PAD]))
+        sub = mesh.take(cells, edges, vertices)
+        assert (sub.nc, sub.ne, sub.nv) == (cells.size, edges.size, vertices.size)
+
+        ids = {"cell": cells, "edge": edges, "vertex": vertices}
+        tables = [  # (table, row kind, entry kind, value of an absent id)
+            ("cell_edges", "cell", "edge", PAD),
+            ("cell_neighbors", "cell", "cell", PAD),
+            ("cell_vertices", "cell", "vertex", PAD),
+            ("vertex_edges", "vertex", "edge", PAD),
+            ("edge_cells", "edge", "cell", 0),
+            ("edge_vertices", "edge", "vertex", 0),
+            ("vertex_cells", "vertex", "cell", 0),
+        ]
+        dropped_somewhere = False
+        for name, rows, entries, absent in tables:
+            local = getattr(sub, name)
+            glob = getattr(mesh, name)[ids[rows]]
+            taken = np.isin(glob, ids[entries]) & (glob != PAD)
+            np.testing.assert_array_equal(
+                ids[entries][local[taken]], glob[taken], err_msg=name
+            )
+            assert np.all(local[~taken] == absent), name
+            dropped_somewhere |= bool((~taken & (glob != PAD)).any())
+        assert dropped_somewhere
+
+        for sign, table, rows in (
+            ("cell_edge_sign", "cell_edges", "cell"),
+            ("vertex_edge_sign", "vertex_edges", "vertex"),
+        ):
+            pad = getattr(sub, table) == PAD
+            local, glob = getattr(sub, sign), getattr(mesh, sign)[ids[rows]]
+            np.testing.assert_array_equal(local == 0.0, pad, err_msg=sign)
+            np.testing.assert_array_equal(local[~pad], glob[~pad], err_msg=sign)

@@ -234,17 +234,27 @@ class TestJobServer:
         assert chunk.args["end"] > chunk.args["start"]
 
 
+class _NoopChunkObserver:
+    def begin_chunk(self, cpe, start, end):
+        pass
+
+    def end_chunk(self, cpe, start, end):
+        pass
+
+
 class TestFastPathAccounting:
     """The vectorized static-schedule fast path must be accounting-
-    equivalent to the per-chunk reference (``server.vectorized = False``)
-    and must stand down whenever any per-chunk contract is in play."""
+    equivalent to the per-chunk reference (selected here, as anywhere,
+    by attaching a chunk observer) and must stand down whenever any
+    per-chunk contract is in play."""
 
     @staticmethod
-    def _launch(vectorized, n, cost, observers=(), tracer=None):
+    def _launch(fast, n, cost, observers=(), tracer=None):
         srv = JobServer()
-        srv.vectorized = vectorized
         srv.init_from_mpe()
         srv.chunk_observers.extend(observers)
+        if not fast:
+            srv.chunk_observers.append(_NoopChunkObserver())
         if tracer is not None:
             srv.tracer = tracer
         region = TargetRegion(srv)
