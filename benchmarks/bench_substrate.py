@@ -8,7 +8,7 @@ wall-clock in, each against its bitwise reference path:
   G4-scale loop stream and on the Fig. 6 five-array thrashing stream,
   asserting identical `CacheStats` and final tag/age arrays;
 * **SWGOMP launches** — per-launch cost of the chunk-granular fast path
-  vs the per-chunk reference (a no-op chunk observer attached),
+  vs the per-chunk reference (a listener-only tracer on the server),
   asserting identical lane accounting;
 * **rank stepping** — `DistributedDycore` wall time at 1/2/4 workers,
   asserting the gathered prognostic fields match the serial run bitwise
@@ -53,6 +53,7 @@ from repro.dycore.vertical import VerticalCoordinate
 from repro.grid import build_mesh
 from repro.ml.radiation_net import RadiationMLP
 from repro.ml.tendency_net import TendencyCNN
+from repro.obs import Tracer
 from repro.parallel.driver import DistributedDycore
 from repro.sunway.ldcache import LDCache, loop_access_stream
 from repro.sunway.swgomp import JobServer, TargetRegion
@@ -120,20 +121,12 @@ def bench_ldcache(n_iters: int, repeats: int) -> dict:
 
 # -- SWGOMP launches -------------------------------------------------------
 
-class _NoopChunkObserver:
-    """Any chunk observer makes a launch take the per-chunk path."""
-
-    def begin_chunk(self, cpe: int, start: int, end: int) -> None:
-        pass
-
-    def end_chunk(self, cpe: int, start: int, end: int) -> None:
-        pass
-
-
 def _launch_time(fast: bool, n: int, iters: int) -> tuple[float, dict]:
     srv = JobServer()
     if not fast:
-        srv.chunk_observers.append(_NoopChunkObserver())
+        # A listener-only tracer (nothing retained) makes a launch take
+        # the per-chunk path.
+        srv.tracer = Tracer(enabled=True, record=False)
     srv.init_from_mpe()
     region = TargetRegion(srv)
     buf = np.zeros(n)

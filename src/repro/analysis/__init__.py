@@ -17,8 +17,14 @@ The correctness-tooling layer, two rule families:
   :class:`StaticRaceAnalyzer` checks the happens-before graph (races on
   arena slots, halo read-before-recv, in-flight pack-buffer reuse,
   missing stage barriers, order-sensitive reductions) and the
-  :class:`RaceSanitizer` vector-clock replays the plan — or a real
-  driver run via :func:`sanitize_run` — to settle every verdict.
+  :class:`RaceSanitizer` replays the plan — or a real driver run via
+  :func:`sanitize_run` — to settle every verdict.
+
+Both families share one core: one ordering relation
+(:class:`HappensBefore`) and one conflict pass
+(:func:`repro.analysis.races.unordered_conflicts`), called with
+declared indices by the static RD checker, with observed indices by the
+RD replay, and with one lane per executed chunk for SW001's verdict.
 
 ``repro lint`` (and ``--parallel``) drives both passes over the repo's
 annotated kernels, the real step plan, and the known-bad corpora.
@@ -50,7 +56,7 @@ from repro.analysis.parallel_plan import (
     ParallelPlan,
     PlanOp,
 )
-from repro.analysis.race_corpus import KNOWN_RACY_PLANS, RaceCorpusCase
+from repro.analysis.race_corpus import KNOWN_RACY_PLANS
 from repro.analysis.race_sanitizer import (
     RaceEvent,
     RaceReplay,
@@ -95,7 +101,6 @@ __all__ = [
     "ParallelPlan",
     "PlanOp",
     "KNOWN_RACY_PLANS",
-    "RaceCorpusCase",
     "RaceEvent",
     "RaceReplay",
     "RaceSanitizer",

@@ -29,11 +29,18 @@ from repro.sunway.allocator import PoolAllocator
 
 @dataclass(frozen=True)
 class CorpusCase:
-    """One known-bad plan with its expected rule IDs."""
+    """One known-bad plan with its expected rule IDs.
+
+    Serves both corpora: here ``factory`` returns ``(OffloadPlan,
+    arrays)``; in :mod:`repro.analysis.race_corpus` it returns a
+    :class:`ParallelPlan` and ``expect_verdict`` names the dynamic
+    verdict the expected rules' diagnostics must get.
+    """
 
     name: str
     expect_rules: frozenset
-    factory: Callable          # () -> (OffloadPlan, dict[str, np.ndarray])
+    factory: Callable
+    expect_verdict: str | None = None   # None = verdict not pinned
 
     def build(self):
         return self.factory()

@@ -2,21 +2,20 @@
 
 Every RD rule has at least one seeded plan here that must keep tripping
 it — statically suspected by :class:`StaticRaceAnalyzer` AND dynamically
-CONFIRMED by the vector-clock replay — plus false-positive variants the
-replay must demote.  Each case is a small hand-built
-:class:`ParallelPlan` encoding one mutation of the real lockstep
-schedule: a pack moved onto a rank lane without sync, an omitted
-exchange, a missed barrier, byte-aliased arena slots, an unordered
-float reduction.  ``repro lint --parallel`` and CI run the analyzer
+CONFIRMED by the replay (the same conflict pass over observed index
+sets) — plus false-positive variants the replay must demote.  Each
+case is a small hand-built :class:`ParallelPlan` encoding one mutation
+of the real lockstep schedule: a pack moved onto a rank lane without
+sync, an omitted exchange, a missed barrier, byte-aliased arena slots,
+an unordered float reduction.  ``repro lint --parallel`` and CI run the analyzer
 over this corpus and fail if any case stops producing its expected
 rule with its expected verdict.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable
-
+from repro.analysis.corpus import CorpusCase
+from repro.analysis.diagnostics import CONFIRMED, FALSE_POSITIVE
 from repro.analysis.parallel_plan import (
     DRIVER,
     Access,
@@ -26,20 +25,6 @@ from repro.analysis.parallel_plan import (
 from repro.analysis.parallel_plan import (
     OpKind as K,
 )
-
-
-@dataclass(frozen=True)
-class RaceCorpusCase:
-    """One known-racy plan with its expected rules and verdict."""
-
-    name: str
-    expect_rules: frozenset
-    factory: Callable              # () -> ParallelPlan
-    #: Expected dynamic verdict for the expected rules' diagnostics.
-    expect_verdict: str = "CONFIRMED"
-
-    def build(self) -> ParallelPlan:
-        return self.factory()
 
 
 def _aliased_tendency_slots() -> ParallelPlan:
@@ -226,23 +211,21 @@ def _benign_reduction() -> ParallelPlan:
 #: name -> case.  CONFIRMED cases lead; FALSE_POSITIVE demotions follow.
 KNOWN_RACY_PLANS: dict = {
     c.name: c for c in [
-        RaceCorpusCase("aliased_tendency_slots", frozenset({"RD001"}),
-                       _aliased_tendency_slots),
-        RaceCorpusCase("halo_read_before_recv", frozenset({"RD002"}),
-                       _halo_read_before_recv),
-        RaceCorpusCase("halo_never_received", frozenset({"RD002"}),
-                       _halo_never_received),
-        RaceCorpusCase("inflight_pack_reuse", frozenset({"RD003"}),
-                       _inflight_pack_reuse),
-        RaceCorpusCase("missing_stage_barrier", frozenset({"RD004"}),
-                       _missing_stage_barrier),
-        RaceCorpusCase("unordered_reduction", frozenset({"RD005"}),
-                       _unordered_reduction),
-        RaceCorpusCase("disjoint_observed_writes", frozenset({"RD001"}),
-                       _disjoint_observed_writes,
-                       expect_verdict="FALSE_POSITIVE"),
-        RaceCorpusCase("benign_reduction", frozenset({"RD005"}),
-                       _benign_reduction,
-                       expect_verdict="FALSE_POSITIVE"),
+        CorpusCase("aliased_tendency_slots", frozenset({"RD001"}),
+                   _aliased_tendency_slots, CONFIRMED),
+        CorpusCase("halo_read_before_recv", frozenset({"RD002"}),
+                   _halo_read_before_recv, CONFIRMED),
+        CorpusCase("halo_never_received", frozenset({"RD002"}),
+                   _halo_never_received, CONFIRMED),
+        CorpusCase("inflight_pack_reuse", frozenset({"RD003"}),
+                   _inflight_pack_reuse, CONFIRMED),
+        CorpusCase("missing_stage_barrier", frozenset({"RD004"}),
+                   _missing_stage_barrier, CONFIRMED),
+        CorpusCase("unordered_reduction", frozenset({"RD005"}),
+                   _unordered_reduction, CONFIRMED),
+        CorpusCase("disjoint_observed_writes", frozenset({"RD001"}),
+                   _disjoint_observed_writes, FALSE_POSITIVE),
+        CorpusCase("benign_reduction", frozenset({"RD005"}),
+                   _benign_reduction, FALSE_POSITIVE),
     ]
 }

@@ -1,17 +1,15 @@
-"""Dynamic race sanitizer: vector-clock replay of a parallel plan.
+"""Dynamic race sanitizer: replay of a parallel plan's observed accesses.
 
 The static RD checker (:mod:`repro.analysis.races`) can only *suspect*
 a race — a conservatively declared whole-array write might really touch
 a disjoint index set.  This module settles it, the same static/dynamic
 split as the SWGOMP sanitizer:
 
-* :class:`RaceReplay` replays a :class:`ParallelPlan` op by op with a
-  **vector clock per lane** (rank, worker, or the driver).  Each op's
-  clock is the join of its predecessors' (program order, barriers,
-  message-delivery edges) plus its own lane tick; two accesses race iff
-  neither clock dominates the other and their *observed* index sets
-  (:meth:`Access.runtime_indices`) intersect.  On top of the pairwise
-  engine it replays three stateful checks: halo freshness (an unpack
+* :class:`RaceReplay` runs the static checker's own conflict pass
+  (:func:`~repro.analysis.races.unordered_conflicts`, ordering from the
+  same :class:`HappensBefore`) over the *observed* index sets
+  (:meth:`Access.runtime_indices`), then walks the schedule once for
+  the three checks that need state: halo freshness (an unpack
   refreshes recv indices, any other write stales them — a COMPUTE
   reading a stale halo index is RD002), pack-buffer content epochs (an
   unpack draining a buffer whose content epoch is not its own is RD003,
@@ -24,9 +22,9 @@ split as the SWGOMP sanitizer:
 * :func:`sanitize_run` attaches a tracer listener to a **real**
   :class:`~repro.parallel.driver.DistributedDycore` run, rebuilds the
   observed plan from the span stream (per-pair pack/unpack instants,
-  executor EXEC_ROUND barriers, driver save/apply spans) with the live
-  components' declared index sets, and replays it — the chaos-free
-  ``workers=2`` CI run must come back with zero race events.
+  executor EXEC_ROUND barriers, driver save/apply spans) out of the same
+  op constructors the declared step plan uses, and replays it — the
+  chaos-free ``workers=2`` CI run must come back with zero race events.
 """
 
 from __future__ import annotations
@@ -34,15 +32,16 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.analysis.diagnostics import CONFIRMED, FALSE_POSITIVE
-from repro.analysis.parallel_plan import (
-    DRIVER,
-    Access,
-    HappensBefore,
-    OpKind,
-    ParallelPlan,
-    PlanOp,
+from repro.analysis.parallel_plan import HappensBefore, OpKind, ParallelPlan
+from repro.analysis.races import (
+    apply_op,
+    driver_plan,
+    pack_op,
+    round_ops,
+    save_op,
+    unordered_conflicts,
+    unpack_op,
 )
-from repro.analysis.races import SLOT_COMPONENTS, classify_conflict
 from repro.obs import SpanKind, Tracer, set_tracer
 
 
@@ -76,7 +75,7 @@ def _tree_sum(values) -> float:
 
 
 class RaceReplay:
-    """Replay a plan's schedule with per-lane vector clocks."""
+    """Replay a plan's schedule over its observed index sets."""
 
     def __init__(self, plan: ParallelPlan):
         self.plan = plan
@@ -92,90 +91,25 @@ class RaceReplay:
 
     def run(self) -> list:
         plan = self.plan
-        # Predecessor lists encode the same sync structure the static
-        # checker reasons over; the replay derives clocks from them.
-        preds = HappensBefore(plan).preds
-        clocks: list[dict] = []          # per-op vector clock
-        lane_tick: dict = {}             # lane -> ticks so far
+        for rule, resource, writer, other, _, _ in unordered_conflicts(
+            plan, HappensBefore(plan), lambda acc: acc.runtime_indices()
+        ):
+            self._emit(
+                rule, (writer.name, other.name), resource,
+                "unordered conflicting access observed",
+            )
 
-        alias: dict = {}
-        for ra, rb in plan.aliased_resources():
-            alias.setdefault(ra, []).append(rb)
-            alias.setdefault(rb, []).append(ra)
-
-        # resource -> [(op index, op, access, write?, idx set or None)]
-        history: dict = {}
         halo = {r: set(idx) for r, idx in plan.halo_recv.items()}
         fresh: dict = {r: set() for r in halo}
         buf_epoch: dict = {}             # buffer resource -> (epoch, pack op)
-
-        def hb(i: int, j: int) -> bool:
-            """Did op i happen-before op j (i earlier in the schedule)?"""
-            op_i = plan.ops[i]
-            return clocks[j].get(op_i.lane, 0) >= clocks[i][op_i.lane]
-
-        def idx_set(acc: Access):
-            rt = acc.runtime_indices()
-            return None if rt is None else set(rt)
-
-        def overlap(a, b) -> bool:
-            if a is None or b is None:
-                return True
-            return bool(a & b)
-
-        for i, op in enumerate(plan.ops):
-            vc: dict = {}
-            for j in preds[i]:
-                for lane, t in clocks[j].items():
-                    if t > vc.get(lane, 0):
-                        vc[lane] = t
-            lane_tick[op.lane] = lane_tick.get(op.lane, 0) + 1
-            vc[op.lane] = lane_tick[op.lane]
-            clocks.append(vc)
-            if op.kind is OpKind.BARRIER:
-                continue
-
+        for op in plan.ops:
             if op.kind is OpKind.REDUCE or (
                 op.kind is OpKind.COMPUTE and op.order_sensitive
             ):
                 self._replay_reduce(op)
-
             for acc in op.accesses:
-                idx = idx_set(acc)
-                # Pairwise engine over this resource and its aliases.
-                for res, aliased in [(acc.resource, False)] + [
-                    (rb, True) for rb in alias.get(acc.resource, ())
-                ]:
-                    for jprev, op_p, acc_p, w_p, idx_p in history.get(res, ()):
-                        if op_p.name == op.name:
-                            continue
-                        if not (w_p or acc.writes):
-                            continue
-                        if not aliased and not overlap(idx_p, idx):
-                            continue
-                        if hb(jprev, i):
-                            continue
-                        if aliased:
-                            ra, rb = sorted((acc.resource, res))
-                            self._emit(
-                                "RD001", (op_p.name, op.name), f"{ra}~{rb}",
-                                "aliased arena extents touched unordered",
-                            )
-                            continue
-                        writer, other, o_writes = (
-                            (op, op_p, w_p) if acc.writes
-                            else (op_p, op, acc.writes)
-                        )
-                        self._emit(
-                            classify_conflict(writer, other, o_writes),
-                            (op_p.name, op.name), res,
-                            "unordered conflicting access observed",
-                        )
-                    if not aliased:
-                        history.setdefault(res, []).append(
-                            (i, op, acc, acc.writes, idx)
-                        )
-
+                rt = acc.runtime_indices()
+                idx = None if rt is None else set(rt)
                 self._replay_halo_freshness(op, acc, idx, halo, fresh)
                 self._replay_buffer_epoch(op, acc, buf_epoch)
         return self.events
@@ -248,13 +182,7 @@ class RaceSanitizer:
         to FALSE_POSITIVE.  Non-RD diagnostics pass through untouched.
         """
         events = self.replay(plan)
-        pair_keys, single_keys = set(), set()
-        for ev in events:
-            if len(ev.ops) == 2:
-                pair_keys.add((ev.rule, ev.ops, ev.resource))
-            else:
-                (op,) = ev.ops
-                single_keys.add((ev.rule, op, ev.resource))
+        keys = {(ev.rule, ev.ops, ev.resource) for ev in events}
         for d in diagnostics:
             if not d.rule.startswith("RD"):
                 continue
@@ -262,11 +190,11 @@ class RaceSanitizer:
             if "ops" in det:
                 hit = (
                     d.rule, frozenset(det["ops"]), det.get("resource", "")
-                ) in pair_keys
+                ) in keys
             elif "op" in det:
-                hit = (
-                    (d.rule, det["op"], det.get("resource")) in single_keys
-                    or (d.rule, det["op"], d.array) in single_keys
+                hit = any(
+                    (d.rule, frozenset((det["op"],)), res) in keys
+                    for res in (det.get("resource"), d.array)
                 )
             else:  # pragma: no cover - RD details always carry op names
                 continue
@@ -282,142 +210,54 @@ class RaceSanitizer:
 class RunObserver:
     """Tracer listener rebuilding the observed plan of a driver run.
 
-    Consumes the per-pair pack/unpack instants (clock edges with their
+    Turns the per-pair pack/unpack instants (clock edges with their
     exchange epoch), the executors' EXEC_ROUND spans (the barrier
     rounds bracketing the concurrent per-rank evaluations) and the
-    driver's save/apply spans, in emission order.
+    driver's save/apply spans into plan ops, in emission order, through
+    the declared step plan's own op constructors.
     """
 
     def __init__(self, driver):
         self.driver = driver
-        self._records: list[tuple] = []
-        self._counts = {"save": 0, "apply": 0, "round": 0}
+        self._ann = driver._exchanger.access_annotations()
+        self._fields = list(driver._exchanger.registered_fields())
+        self._ops: list = []
+        self._edges: list = []
+        self._counts = {"round": 0, "save": 0, "apply": 0}
 
-    # Tracer-listener protocol --------------------------------------------
+    def _label(self, what: str) -> str:
+        self._counts[what] += 1
+        return f"{what}{self._counts[what]}"
+
     def on_span_open(self, span) -> None:
-        if span.kind is SpanKind.HALO_PACK and span.name.endswith(".pair"):
-            self._records.append(
-                ("pack", span.rank, span.args["neighbor"], span.args["epoch"])
-            )
-        elif span.kind is SpanKind.HALO_UNPACK and span.name.endswith(".pair"):
-            self._records.append(
-                ("unpack", span.rank, span.args["neighbor"], span.args["epoch"])
-            )
+        ann, fields, nranks = self._ann, self._fields, self.driver.nparts
+        args = span.args
+        if span.kind in (SpanKind.HALO_PACK, SpanKind.HALO_UNPACK):
+            pair = (span.rank, args.get("neighbor"))
+            if not span.name.endswith(".pair") or pair not in ann:
+                return
+            if span.kind is SpanKind.HALO_PACK:
+                self._ops.append(pack_op(ann, *pair, args["epoch"]))
+            elif pair[::-1] in ann:
+                op, edge = unpack_op(ann, *pair, args["epoch"])
+                self._ops.append(op)
+                if any(o.name == edge[0] for o in self._ops):
+                    self._edges.append(edge)
         elif span.kind is SpanKind.EXEC_ROUND:
-            self._records.append(
-                ("round", span.args.get("op"), span.args.get("slot"))
-            )
-        elif span.kind is SpanKind.RK_STAGE:
-            op = span.args.get("op")
-            if op == "save":
-                self._records.append(("save",))
-            elif op == "apply":
-                self._records.append(("apply", span.args.get("slots", ())))
+            kind = args.get("op")
+            self._ops.extend(round_ops(
+                f"{self._label('round')}.{kind}", nranks, fields,
+                args.get("slot") if kind == "tend" else None,
+            ))
+        elif span.kind is SpanKind.RK_STAGE and args.get("op") == "save":
+            self._ops.append(save_op(self._label("save"), nranks, fields))
+        elif span.kind is SpanKind.RK_STAGE and args.get("op") == "apply":
+            self._ops.append(apply_op(
+                self._label("apply"), nranks, fields, args.get("slots", ()),
+            ))
 
-    # Plan reconstruction --------------------------------------------------
     def to_plan(self, name: str = "observed_run") -> ParallelPlan:
-        drv = self.driver
-        ann = drv._exchanger.access_annotations()
-        fields = list(drv._exchanger.registered_fields())
-        read_fields = fields + ["phi_surface"]
-        nranks = drv.nparts
-        ops: list[PlanOp] = []
-        edges: list[tuple] = []
-        counts = {"round": 0, "save": 0, "apply": 0}
-        for rec in self._records:
-            tag = rec[0]
-            if tag == "pack":
-                _, rank, nbr, epoch = rec
-                pair = ann.get((rank, nbr))
-                if pair is None:
-                    continue
-                ops.append(PlanOp(
-                    name=f"e{epoch}.pack.{rank}to{nbr}", kind=OpKind.PACK,
-                    lane=DRIVER, epoch=epoch,
-                    accesses=[Access(pair["buffer"], mode="w")] + [
-                        Access(f"rank{rank}.{f}", mode="r", indices=idx)
-                        for f, idx in pair["sends"].items()
-                    ],
-                ))
-            elif tag == "unpack":
-                _, rank, nbr, epoch = rec
-                pair = ann.get((rank, nbr))
-                peer = ann.get((nbr, rank))
-                if pair is None or peer is None:
-                    continue
-                uname = f"e{epoch}.unpack.{rank}from{nbr}"
-                ops.append(PlanOp(
-                    name=uname, kind=OpKind.UNPACK, lane=DRIVER, epoch=epoch,
-                    accesses=[Access(peer["buffer"], mode="r")] + [
-                        Access(f"rank{rank}.{f}", mode="w", indices=idx)
-                        for f, idx in pair["recvs"].items()
-                    ],
-                ))
-                pname = f"e{epoch}.pack.{nbr}to{rank}"
-                if any(op.name == pname for op in ops):
-                    edges.append((pname, uname))
-            elif tag == "round":
-                _, kind, slot = rec
-                counts["round"] += 1
-                label = f"round{counts['round']}.{kind}"
-                ops.append(PlanOp(name=f"{label}.begin", kind=OpKind.BARRIER))
-                for r in range(nranks):
-                    accesses = [
-                        Access(f"rank{r}.{f}", mode="r") for f in read_fields
-                    ]
-                    if kind == "tend" and slot is not None:
-                        accesses += [
-                            Access(f"rank{r}.slot{slot}.{c}", mode="w")
-                            for c in SLOT_COMPONENTS
-                        ]
-                    else:
-                        accesses += [
-                            Access(f"rank{r}.{f}", mode="w") for f in fields
-                        ]
-                    ops.append(PlanOp(
-                        name=f"{label}.rank{r}", kind=OpKind.COMPUTE, lane=r,
-                        accesses=accesses,
-                    ))
-                ops.append(PlanOp(name=f"{label}.end", kind=OpKind.BARRIER))
-            elif tag == "save":
-                counts["save"] += 1
-                ops.append(PlanOp(
-                    name=f"save{counts['save']}", kind=OpKind.APPLY,
-                    lane=DRIVER,
-                    accesses=[
-                        Access(f"rank{r}.{f}", mode="r")
-                        for r in range(nranks) for f in fields
-                    ] + [
-                        Access(f"rank{r}.saved", mode="w")
-                        for r in range(nranks)
-                    ],
-                ))
-            elif tag == "apply":
-                _, slots = rec
-                counts["apply"] += 1
-                accesses = []
-                for r in range(nranks):
-                    accesses.append(Access(f"rank{r}.saved", mode="r"))
-                    for s in slots:
-                        accesses += [
-                            Access(f"rank{r}.slot{s}.{c}", mode="r")
-                            for c in SLOT_COMPONENTS
-                        ]
-                    accesses += [
-                        Access(f"rank{r}.{f}", mode="w") for f in fields
-                    ]
-                ops.append(PlanOp(
-                    name=f"apply{counts['apply']}", kind=OpKind.APPLY,
-                    lane=DRIVER, accesses=accesses,
-                ))
-
-        halo_recv: dict = {}
-        for (rank, fname), idx in drv._exchanger.halo_recv_union().items():
-            halo_recv[f"rank{rank}.{fname}"] = tuple(int(i) for i in idx)
-        return ParallelPlan(
-            name=name, ops=ops, edges=edges,
-            arena=drv.arena_layout(), halo_recv=halo_recv,
-        )
+        return driver_plan(self.driver, name, self._ops, self._edges)
 
 
 @dataclass
@@ -453,7 +293,7 @@ def sanitize_run(driver, steps: int = 1) -> RunSanitizeReport:
 
     Installs a listener-only tracer (nothing is retained) for the run,
     rebuilds the observed :class:`ParallelPlan` from the span stream and
-    vector-clock replays it.  A chaos-free run on the current lockstep
+    replays it.  A chaos-free run on the current lockstep
     implementation must report ``clean``.
     """
     if driver._exchanger is None:

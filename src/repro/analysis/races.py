@@ -60,6 +60,59 @@ def classify_conflict(writer: PlanOp, other: PlanOp, other_writes: bool) -> str:
     return "RD004"
 
 
+def unordered_conflicts(plan: ParallelPlan, hb: HappensBefore, index_set):
+    """The one conflict pass: every unordered conflicting access pair.
+
+    Two accesses of different ops conflict when at least one writes,
+    their index sets — ``index_set(access)``, ``None`` = the whole
+    resource — overlap on one resource, and ``hb`` orders the ops
+    neither way.  Accesses of two *different* resources whose arena
+    byte extents overlap conflict the same way, whatever their indices,
+    as RD001 on ``"ra~rb"``.  Yields ``(rule, resource, writer, other,
+    other_writes, shared)`` per pair, ``shared`` being the overlapping
+    indices (``None`` = unbounded); callers dedupe by rule, op pair and
+    resource.
+
+    The static checker calls it with the declared indices, the replay
+    with :meth:`Access.runtime_indices`, and the SW001 verdict with one
+    lane per executed chunk.
+    """
+    by_res: dict = {}
+    for op in plan.ops:
+        for acc in op.accesses:
+            idx = index_set(acc)
+            by_res.setdefault(acc.resource, []).append(
+                (op, acc.writes, None if idx is None else frozenset(idx))
+            )
+
+    def candidates():
+        for resource, touches in by_res.items():
+            for i, a in enumerate(touches):
+                for b in touches[i + 1:]:
+                    yield resource, a, b, False
+        for ra, rb in plan.aliased_resources():
+            for a in by_res.get(ra, ()):
+                for b in by_res.get(rb, ()):
+                    yield f"{ra}~{rb}", a, b, True
+
+    for resource, (op_a, w_a, idx_a), (op_b, w_b, idx_b), aliased in candidates():
+        if op_a.name == op_b.name or not (w_a or w_b):
+            continue
+        shared = (
+            None if aliased or idx_a is None or idx_b is None
+            else idx_a & idx_b
+        )
+        if shared is not None and not shared:
+            continue
+        if hb.ordered(op_a.name, op_b.name):
+            continue
+        writer, other, o_writes = (
+            (op_a, op_b, w_b) if w_a else (op_b, op_a, w_a)
+        )
+        rule = "RD001" if aliased else classify_conflict(writer, other, o_writes)
+        yield rule, resource, writer, other, o_writes, shared
+
+
 class StaticRaceAnalyzer:
     """Run the full RD001-RD005 pass over a :class:`ParallelPlan`."""
 
@@ -68,13 +121,11 @@ class StaticRaceAnalyzer:
         diags: list = []
         seen: set = set()
         diags += self._check_conflicts(plan, hb, seen)
-        diags += self._check_aliasing(plan, hb, seen)
         diags += self._check_stale_halo(plan, hb, seen)
         diags += self._check_pack_reuse(plan, hb, seen)
         diags += self._check_reductions(plan)
         return diags
 
-    # -- generic unordered-conflict pass (RD001/RD002/RD003/RD004) --------
     @staticmethod
     def _by_resource(plan: ParallelPlan) -> dict:
         out: dict = {}
@@ -83,31 +134,23 @@ class StaticRaceAnalyzer:
                 out.setdefault(acc.resource, []).append((op, acc))
         return out
 
+    # -- unordered conflicts over declared indices (RD001-RD004) ----------
     def _check_conflicts(self, plan, hb, seen) -> list:
         diags = []
-        for resource, touches in self._by_resource(plan).items():
-            for i, (op_a, acc_a) in enumerate(touches):
-                for op_b, acc_b in touches[i + 1:]:
-                    if op_a.name == op_b.name:
-                        continue
-                    if not (acc_a.writes or acc_b.writes):
-                        continue
-                    if not indices_intersect(acc_a.indices, acc_b.indices):
-                        continue
-                    if hb.ordered(op_a.name, op_b.name):
-                        continue
-                    writer, other, o_acc = (
-                        (op_a, op_b, acc_b) if acc_a.writes
-                        else (op_b, op_a, acc_a)
-                    )
-                    rule = classify_conflict(writer, other, o_acc.writes)
-                    key = _pair_key(op_a.name, op_b.name, resource, rule)
-                    if key in seen:
-                        continue
-                    seen.add(key)
-                    diags.append(self._conflict_diag(
-                        plan, rule, resource, writer, other, o_acc.writes
-                    ))
+        for rule, resource, writer, other, other_writes, _ in unordered_conflicts(
+            plan, hb, lambda acc: acc.indices
+        ):
+            key = _pair_key(writer.name, other.name, resource, rule)
+            if key in seen:
+                continue
+            seen.add(key)
+            diags.append(   # byte-aliased pairs come back on "ra~rb"
+                self._alias_diag(plan, resource, writer, other)
+                if "~" in resource else
+                self._conflict_diag(
+                    plan, rule, resource, writer, other, other_writes
+                )
+            )
         return diags
 
     @staticmethod
@@ -150,46 +193,31 @@ class StaticRaceAnalyzer:
             },
         )
 
-    # -- RD001: byte-aliased arena slots ----------------------------------
-    def _check_aliasing(self, plan, hb, seen) -> list:
-        diags = []
-        by_res = self._by_resource(plan)
-        for ra, rb in plan.aliased_resources():
-            for op_a, acc_a in by_res.get(ra, ()):
-                for op_b, acc_b in by_res.get(rb, ()):
-                    if op_a.name == op_b.name:
-                        continue
-                    if not (acc_a.writes or acc_b.writes):
-                        continue
-                    if hb.ordered(op_a.name, op_b.name):
-                        continue
-                    key = _pair_key(op_a.name, op_b.name, f"{ra}~{rb}", "RD001")
-                    if key in seen:
-                        continue
-                    seen.add(key)
-                    oa, la = plan.arena[ra]
-                    ob, lb = plan.arena[rb]
-                    diags.append(Diagnostic(
-                        rule="RD001",
-                        plan=plan.name,
-                        loop=f"{op_a.name}|{op_b.name}",
-                        array=f"{ra}~{rb}",
-                        message=(
-                            f"arena slots {ra!r} [{oa}:{oa + la}) and "
-                            f"{rb!r} [{ob}:{ob + lb}) alias overlapping "
-                            f"bytes and ops {op_a.name!r}/{op_b.name!r} "
-                            "touch them unordered (at least one writes)"
-                        ),
-                        details={
-                            "ops": sorted((op_a.name, op_b.name)),
-                            "resource": f"{ra}~{rb}",
-                            "extents": {ra: [oa, la], rb: [ob, lb]},
-                            "fix": "re-carve the arena so slots are "
-                                   "disjoint (one take() per slot, no "
-                                   "manual offsets)",
-                        },
-                    ))
-        return diags
+    @staticmethod
+    def _alias_diag(plan, resource, op_a, op_b):
+        ra, rb = resource.split("~")
+        oa, la = plan.arena[ra]
+        ob, lb = plan.arena[rb]
+        return Diagnostic(
+            rule="RD001",
+            plan=plan.name,
+            loop=f"{op_a.name}|{op_b.name}",
+            array=resource,
+            message=(
+                f"arena slots {ra!r} [{oa}:{oa + la}) and "
+                f"{rb!r} [{ob}:{ob + lb}) alias overlapping "
+                f"bytes and ops {op_a.name!r}/{op_b.name!r} "
+                "touch them unordered (at least one writes)"
+            ),
+            details={
+                "ops": sorted((op_a.name, op_b.name)),
+                "resource": resource,
+                "extents": {ra: [oa, la], rb: [ob, lb]},
+                "fix": "re-carve the arena so slots are "
+                       "disjoint (one take() per slot, no "
+                       "manual offsets)",
+            },
+        )
 
     # -- RD002: stale halo (no completed exchange before the read) --------
     def _check_stale_halo(self, plan, hb, seen) -> list:
@@ -352,11 +380,111 @@ def analyze_parallel_plan(plan: ParallelPlan) -> list:
 
 
 # ---------------------------------------------------------------------------
-# Plan extraction from a real DistributedDycore
+# The step plan of a real DistributedDycore: one op vocabulary
 # ---------------------------------------------------------------------------
+# What each driver phase reads and writes is stated here once;
+# :func:`build_step_plan` (declared, from the schedule table) and
+# :meth:`repro.analysis.race_sanitizer.RunObserver.to_plan` (observed,
+# from the span stream) both assemble their plans from these.
 
-def _prognostic_resources(rank: int, fields) -> list:
-    return [f"rank{rank}.{f}" for f in fields]
+def _rank_fields(rank: int, fields, mode: str) -> list:
+    return [Access(f"rank{rank}.{f}", mode=mode) for f in fields]
+
+
+def _slot_accesses(rank: int, slot: int, mode: str) -> list:
+    return [
+        Access(f"rank{rank}.slot{slot}.{c}", mode=mode) for c in SLOT_COMPONENTS
+    ]
+
+
+def pack_op(ann: dict, rank: int, nbr: int, epoch: int) -> PlanOp:
+    """The driver gathers ``rank``'s send sets into the pair's buffer."""
+    pair = ann[(rank, nbr)]
+    return PlanOp(
+        name=f"e{epoch}.pack.{rank}to{nbr}", kind=OpKind.PACK, lane=DRIVER,
+        epoch=epoch,
+        accesses=[Access(pair["buffer"], mode="w")] + [
+            Access(f"rank{rank}.{f}", mode="r", indices=idx)
+            for f, idx in pair["sends"].items()
+        ],
+    )
+
+
+def unpack_op(ann: dict, rank: int, nbr: int, epoch: int) -> tuple:
+    """The driver scatters ``nbr``'s payload into ``rank``'s recv sets.
+
+    Returns the op and its message-delivery edge (matching pack -> it).
+    """
+    op = PlanOp(
+        name=f"e{epoch}.unpack.{rank}from{nbr}", kind=OpKind.UNPACK,
+        lane=DRIVER, epoch=epoch,
+        accesses=[Access(ann[(nbr, rank)]["buffer"], mode="r")] + [
+            Access(f"rank{rank}.{f}", mode="w", indices=idx)
+            for f, idx in ann[(rank, nbr)]["recvs"].items()
+        ],
+    )
+    return op, (f"e{epoch}.pack.{nbr}to{rank}", op.name)
+
+
+def round_ops(
+    label: str, nranks: int, fields: list, slot: int | None, stage: int = 0
+) -> list:
+    """One executor round: barrier, a COMPUTE per rank lane, barrier.
+
+    Every rank reads its prognostics (and ``phi_surface``); a tendency
+    round writes the rank's output ``slot``, the sponge round
+    (``slot=None``) damps the prognostics in place.
+    """
+    ops = [PlanOp(name=f"{label}.begin", kind=OpKind.BARRIER)]
+    for r in range(nranks):
+        ops.append(PlanOp(
+            name=f"{label}.rank{r}", kind=OpKind.COMPUTE, lane=r, stage=stage,
+            accesses=_rank_fields(r, fields + ["phi_surface"], "r") + (
+                _rank_fields(r, fields, "w") if slot is None
+                else _slot_accesses(r, slot, "w")
+            ),
+        ))
+    ops.append(PlanOp(name=f"{label}.end", kind=OpKind.BARRIER))
+    return ops
+
+
+def save_op(name: str, nranks: int, fields: list) -> PlanOp:
+    """The driver copies the step's base state (RK increments build on it)."""
+    return PlanOp(
+        name=name, kind=OpKind.APPLY, lane=DRIVER,
+        accesses=[
+            a for r in range(nranks) for a in _rank_fields(r, fields, "r")
+        ] + [Access(f"rank{r}.saved", mode="w") for r in range(nranks)],
+    )
+
+
+def apply_op(
+    name: str, nranks: int, fields: list, slots, stage: int = 0
+) -> PlanOp:
+    """The driver rewrites the prognostics from the base state and the
+    tendency ``slots`` combined so far."""
+    accesses = []
+    for r in range(nranks):
+        accesses.append(Access(f"rank{r}.saved", mode="r"))
+        for s in slots:
+            accesses += _slot_accesses(r, s, "r")
+        accesses += _rank_fields(r, fields, "w")
+    return PlanOp(
+        name=name, kind=OpKind.APPLY, lane=DRIVER, stage=stage,
+        accesses=accesses,
+    )
+
+
+def driver_plan(driver, name: str, ops: list, edges: list) -> ParallelPlan:
+    """``ops``/``edges`` plus the live driver's arena layout and halo
+    recv sets."""
+    return ParallelPlan(
+        name=name, ops=ops, edges=edges, arena=driver.arena_layout(),
+        halo_recv={
+            f"rank{rank}.{fname}": idx for (rank, fname), idx
+            in driver._exchanger.halo_recv_union().items()
+        },
+    )
 
 
 def build_step_plan(driver, name: str = "rk_step") -> ParallelPlan:
@@ -364,123 +492,40 @@ def build_step_plan(driver, name: str = "rk_step") -> ParallelPlan:
 
     Saves, exchange pack/unpack loops and RK applies run on the
     :data:`DRIVER` lane; tendency (and sponge) evaluations run on rank
-    lanes bracketed by the executor's broadcast/reply barriers.
+    lanes bracketed by the executor's broadcast/reply barriers.  The
+    stage sequence is :data:`repro.dycore.solver.SSP_RK_SCHEDULE` — the
+    table the driver itself steps through: stage ``k`` exchanges, writes
+    slot ``k - 1`` and applies slots ``0..k-1``.
 
     Index sets come from the compiled
     :class:`~repro.parallel.exchange.ExchangePlan`\\ s; arena byte
     extents from :meth:`DistributedDycore.arena_layout`.
     """
+    # Imported lazily: repro.dycore.kernels imports repro.analysis.access.
+    from repro.dycore.solver import SSP_RK_SCHEDULE
+
     if driver._exchanger is None:
         raise RuntimeError("scatter a state first (no exchanger compiled)")
     ann = driver._exchanger.access_annotations()
     fields = list(driver._exchanger.registered_fields())
-    read_fields = fields + ["phi_surface"]
     nranks = driver.nparts
-    stages = driver.config.rk_stages
-    n_slots = 3
     ops: list[PlanOp] = []
     edges: list[tuple] = []
 
     def add_exchange(epoch: int) -> None:
-        for (rank, nbr), pair in sorted(ann.items()):
-            accesses = [Access(pair["buffer"], mode="w")]
-            accesses += [
-                Access(f"rank{rank}.{fname}", mode="r", indices=idx)
-                for fname, idx in pair["sends"].items()
-            ]
-            ops.append(PlanOp(
-                name=f"e{epoch}.pack.{rank}to{nbr}", kind=OpKind.PACK,
-                lane=DRIVER, accesses=accesses, epoch=epoch,
-            ))
-        for (rank, nbr), pair in sorted(ann.items()):
-            accesses = [Access(ann[(nbr, rank)]["buffer"], mode="r")]
-            accesses += [
-                Access(f"rank{rank}.{fname}", mode="w", indices=idx)
-                for fname, idx in pair["recvs"].items()
-            ]
-            uname = f"e{epoch}.unpack.{rank}from{nbr}"
-            ops.append(PlanOp(
-                name=uname, kind=OpKind.UNPACK,
-                lane=DRIVER, accesses=accesses, epoch=epoch,
-            ))
-            edges.append((f"e{epoch}.pack.{nbr}to{rank}", uname))
+        ops.extend(pack_op(ann, rank, nbr, epoch) for rank, nbr in sorted(ann))
+        for rank, nbr in sorted(ann):
+            op, edge = unpack_op(ann, rank, nbr, epoch)
+            ops.append(op)
+            edges.append(edge)
 
-    def add_round(label: str, stage: int, slot: int | None) -> None:
-        ops.append(PlanOp(name=f"{label}.begin", kind=OpKind.BARRIER))
-        for r in range(nranks):
-            accesses = [
-                Access(res, mode="r")
-                for res in _prognostic_resources(r, read_fields)
-            ]
-            if slot is not None:
-                accesses += [
-                    Access(f"rank{r}.slot{slot}.{c}", mode="w")
-                    for c in SLOT_COMPONENTS
-                ]
-            else:   # sponge: damps the prognostics in place
-                accesses += [
-                    Access(res, mode="w")
-                    for res in _prognostic_resources(r, fields)
-                ]
-            ops.append(PlanOp(
-                name=f"{label}.rank{r}", kind=OpKind.COMPUTE, lane=r,
-                accesses=accesses, stage=stage,
-            ))
-        ops.append(PlanOp(name=f"{label}.end", kind=OpKind.BARRIER))
-
-    def add_apply(stage: int, slots: list) -> None:
-        accesses = []
-        for r in range(nranks):
-            accesses += [Access(f"rank{r}.saved", mode="r")]
-            for s in slots:
-                accesses += [
-                    Access(f"rank{r}.slot{s}.{c}", mode="r")
-                    for c in SLOT_COMPONENTS
-                ]
-            accesses += [
-                Access(res, mode="w")
-                for res in _prognostic_resources(r, fields)
-            ]
-        ops.append(PlanOp(
-            name=f"apply.s{stage}", kind=OpKind.APPLY, lane=DRIVER,
-            accesses=accesses, stage=stage,
-        ))
-
-    # Save the step's base state (the RK increments build on it).
-    ops.append(PlanOp(
-        name="save", kind=OpKind.APPLY, lane=DRIVER,
-        accesses=tuple(
-            [Access(res, mode="r")
-             for r in range(nranks)
-             for res in _prognostic_resources(r, fields)]
-            + [Access(f"rank{r}.saved", mode="w") for r in range(nranks)]
-        ),
-    ))
-    slots_used: list[int] = []
-    for stage in range(1, stages + 1):
-        slot = (stage - 1) % n_slots
-        slots_used.append(slot)
+    ops.append(save_op("save", nranks, fields))
+    stages = SSP_RK_SCHEDULE[driver.config.rk_stages]
+    for stage in range(1, len(stages) + 1):
         add_exchange(epoch=stage)
-        add_round(f"tend.s{stage}", stage, slot)
-        if stages >= 3:
-            applied = slots_used if stage > 1 else [slot]
-        else:
-            applied = slots_used
-        add_apply(stage, applied)
+        ops.extend(round_ops(f"tend.s{stage}", nranks, fields, stage - 1, stage))
+        ops.append(apply_op(f"apply.s{stage}", nranks, fields, range(stage), stage))
     if driver.config.sponge_levels > 0:
-        add_exchange(epoch=stages + 1)
-        add_round("sponge", stages + 1, None)
-
-    halo_recv: dict = {}
-    for (rank, _nbr), pair in ann.items():
-        for fname, idx in pair["recvs"].items():
-            res = f"rank{rank}.{fname}"
-            halo_recv.setdefault(res, set()).update(int(i) for i in idx)
-
-    return ParallelPlan(
-        name=name,
-        ops=ops,
-        edges=edges,
-        arena=driver.arena_layout(),
-        halo_recv={r: tuple(sorted(s)) for r, s in halo_recv.items()},
-    )
+        add_exchange(epoch=len(stages) + 1)
+        ops.extend(round_ops("sponge", nranks, fields, None, len(stages) + 1))
+    return driver_plan(driver, name, ops, edges)

@@ -30,7 +30,7 @@ from repro.analysis.access import OffloadPlan, PlannedLoop
 from repro.analysis.corpus import KNOWN_BAD_CORPUS
 from repro.analysis.diagnostics import CONFIRMED, FALSE_POSITIVE, Severity, rank
 from repro.analysis.sanitizer import Sanitizer
-from repro.analysis.static import StaticAnalyzer
+from repro.analysis.static import StaticAnalyzer, analyze_plan
 from repro.sunway.allocator import PoolAllocator
 
 #: Version of the ``repro lint --json`` document layout.  Bump on any
@@ -103,61 +103,48 @@ def lint_kernels(analyzer: StaticAnalyzer | None = None) -> list:
     return analyzer.analyze(build_kernel_plan())
 
 
-def lint_corpus(
-    analyzer: StaticAnalyzer | None = None,
-    sanitize: bool = True,
-    n_cpes: int = 64,
-) -> list:
-    """Analyze every corpus case; returns one result dict per case."""
-    analyzer = analyzer or StaticAnalyzer()
+def lint_cases(cases, analyze, verify) -> list:
+    """The one corpus loop: one result dict per :class:`CorpusCase`.
+
+    ``analyze(built)`` returns the static diagnostics of whatever the
+    case's factory built; ``verify(built, diags)`` (``None`` = static
+    only) stamps their verdicts, and a case that pins an
+    ``expect_verdict`` then needs it on every expected rule.
+    """
     results = []
-    for case in KNOWN_BAD_CORPUS.values():
-        plan, arrays = case.build()
-        diags = analyzer.analyze(plan)
-        if sanitize and plan.server_initialized:
-            Sanitizer(n_cpes=n_cpes).verify(plan, arrays, diags)
-        elif sanitize and any(d.rule == "SW003" for d in diags):
-            # The launch-order case has nothing runnable, but the
-            # runtime condition itself is checkable.
-            Sanitizer(n_cpes=8).verify(plan, arrays, diags)
+    for case in cases:
+        built = case.build()
+        diags = analyze(built)
+        if verify is not None:
+            verify(built, diags)
         found = {d.rule for d in diags}
-        results.append({
+        pinned = verify is not None and case.expect_verdict is not None
+        result = {
             "name": case.name,
             "expected_rules": sorted(case.expect_rules),
+            "expected_verdict": case.expect_verdict if pinned else None,
             "found_rules": sorted(found),
-            "ok": case.expect_rules <= found,
+            "ok": case.expect_rules <= found and (not pinned or all(
+                any(d.rule == r and d.verdict == case.expect_verdict
+                    for d in diags)
+                for r in case.expect_rules
+            )),
             "diagnostics": rank(diags),
-        })
+        }
+        if case.expect_verdict is None:   # no pin, no key (the SW corpus)
+            del result["expected_verdict"]
+        results.append(result)
     return results
 
 
-def lint_race_corpus(sanitize: bool = True) -> list:
-    """Analyze every seeded racy plan; one result dict per case."""
-    from repro.analysis.race_corpus import KNOWN_RACY_PLANS
-    from repro.analysis.race_sanitizer import RaceSanitizer
-    from repro.analysis.races import analyze_parallel_plan
-
-    results = []
-    for case in KNOWN_RACY_PLANS.values():
-        plan = case.build()
-        diags = analyze_parallel_plan(plan)
-        if sanitize:
-            RaceSanitizer().verify(plan, diags)
-        found = {d.rule for d in diags}
-        verdict_ok = not sanitize or all(
-            any(d.rule == r and d.verdict == case.expect_verdict
-                for d in diags)
-            for r in case.expect_rules
-        )
-        results.append({
-            "name": case.name,
-            "expected_rules": sorted(case.expect_rules),
-            "expected_verdict": case.expect_verdict if sanitize else None,
-            "found_rules": sorted(found),
-            "ok": case.expect_rules <= found and verdict_ok,
-            "diagnostics": rank(diags),
-        })
-    return results
+def _verify_offload(built, diags) -> None:
+    plan, arrays = built
+    if plan.server_initialized:
+        Sanitizer(n_cpes=64).verify(plan, arrays, diags)
+    elif any(d.rule == "SW003" for d in diags):
+        # The launch-order case has nothing runnable, but the
+        # runtime condition itself is checkable.
+        Sanitizer(n_cpes=8).verify(plan, arrays, diags)
 
 
 def lint_parallel(sanitize: bool = True, workers: int = 2) -> dict:
@@ -167,7 +154,8 @@ def lint_parallel(sanitize: bool = True, workers: int = 2) -> dict:
     statically, and when ``sanitize`` a one-step run must replay clean
     through the observed span stream.
     """
-    from repro.analysis.race_sanitizer import sanitize_run
+    from repro.analysis.race_corpus import KNOWN_RACY_PLANS
+    from repro.analysis.race_sanitizer import RaceSanitizer, sanitize_run
     from repro.analysis.races import analyze_parallel_plan
     from repro.dycore.solver import DycoreConfig
     from repro.dycore.state import baroclinic_wave_state
@@ -191,7 +179,10 @@ def lint_parallel(sanitize: bool = True, workers: int = 2) -> dict:
             run_report = None
     finally:
         driver.close()
-    corpus = lint_race_corpus(sanitize=sanitize)
+    corpus = lint_cases(
+        KNOWN_RACY_PLANS.values(), analyze_parallel_plan,
+        RaceSanitizer().verify if sanitize else None,
+    )
     corpus_ok = all(c["ok"] for c in corpus)
     plan_errors = [d for d in plan_diags if d.severity is Severity.ERROR]
     run_clean = run_report is None or run_report["clean"]
@@ -212,7 +203,10 @@ def lint_parallel(sanitize: bool = True, workers: int = 2) -> dict:
 def lint_all(sanitize: bool = True, parallel: bool = False) -> dict:
     """Full lint run; the dict `repro lint` serialises."""
     kernel_diags = rank(lint_kernels())
-    corpus = lint_corpus(sanitize=sanitize)
+    corpus = lint_cases(
+        KNOWN_BAD_CORPUS.values(), lambda built: analyze_plan(built[0]),
+        _verify_offload if sanitize else None,
+    )
     all_diags = kernel_diags + [d for c in corpus for d in c["diagnostics"]]
     par = lint_parallel(sanitize=sanitize) if parallel else None
     if par is not None:
@@ -245,6 +239,16 @@ def lint_all(sanitize: bool = True, parallel: bool = False) -> dict:
     return result
 
 
+def _corpus_json(section: dict) -> dict:
+    return {
+        "cases": [
+            {**c, "diagnostics": [d.to_dict() for d in c["diagnostics"]]}
+            for c in section["cases"]
+        ],
+        "all_expected_found": section["all_expected_found"],
+    }
+
+
 def to_json(result: dict) -> dict:
     """JSON-serialisable copy of a :func:`lint_all` result.
 
@@ -257,13 +261,7 @@ def to_json(result: dict) -> dict:
             "diagnostics": [d.to_dict() for d in result["kernels"]["diagnostics"]],
             "n_error": result["kernels"]["n_error"],
         },
-        "corpus": {
-            "cases": [
-                {**c, "diagnostics": [d.to_dict() for d in c["diagnostics"]]}
-                for c in result["corpus"]["cases"]
-            ],
-            "all_expected_found": result["corpus"]["all_expected_found"],
-        },
+        "corpus": _corpus_json(result["corpus"]),
         "summary": result["summary"],
     }
     if "parallel" in result:
@@ -275,13 +273,7 @@ def to_json(result: dict) -> dict:
                     d.to_dict() for d in par["step_plan"]["diagnostics"]
                 ],
             },
-            "race_corpus": {
-                "cases": [
-                    {**c, "diagnostics": [d.to_dict() for d in c["diagnostics"]]}
-                    for c in par["race_corpus"]["cases"]
-                ],
-                "all_expected_found": par["race_corpus"]["all_expected_found"],
-            },
+            "race_corpus": _corpus_json(par["race_corpus"]),
             "dynamic_run": par["dynamic_run"],
             "ok": par["ok"],
         }
@@ -294,6 +286,20 @@ def _fmt_diag(d) -> str:
     return f"  {d.severity.name:7s} {d.rule} {where}: {d.message}{verdict}"
 
 
+def _corpus_lines(title: str, section: dict, missing: str) -> list:
+    lines = [f"== {title} =="]
+    for c in section["cases"]:
+        status = "ok" if c["ok"] else missing
+        want_v = f" ({c['expected_verdict']})" if c.get("expected_verdict") else ""
+        lines.append(
+            f" {c['name']}: expected {','.join(c['expected_rules'])}"
+            f"{want_v} -> found {','.join(c['found_rules']) or '(none)'} "
+            f"[{status}]"
+        )
+        lines.extend(_fmt_diag(d) for d in c["diagnostics"])
+    return lines
+
+
 def render_human(result: dict) -> str:
     """Severity-ranked human report."""
     lines = []
@@ -303,14 +309,9 @@ def render_human(result: dict) -> str:
         lines.append("  clean: no diagnostics")
     lines.extend(_fmt_diag(d) for d in k["diagnostics"])
     lines.append("")
-    lines.append("== known-bad corpus ==")
-    for c in result["corpus"]["cases"]:
-        status = "ok" if c["ok"] else "MISSING EXPECTED RULES"
-        lines.append(
-            f" {c['name']}: expected {','.join(c['expected_rules'])} "
-            f"-> found {','.join(c['found_rules']) or '(none)'} [{status}]"
-        )
-        lines.extend(_fmt_diag(d) for d in c["diagnostics"])
+    lines += _corpus_lines(
+        "known-bad corpus", result["corpus"], "MISSING EXPECTED RULES"
+    )
     if "parallel" in result:
         par = result["parallel"]
         sp = par["step_plan"]
@@ -323,16 +324,10 @@ def render_human(result: dict) -> str:
             lines.append("  clean: no RD diagnostics")
         lines.extend(_fmt_diag(d) for d in sp["diagnostics"])
         lines.append("")
-        lines.append("== known-racy corpus ==")
-        for c in par["race_corpus"]["cases"]:
-            status = "ok" if c["ok"] else "MISSING EXPECTED RULES/VERDICTS"
-            want_v = f" ({c['expected_verdict']})" if c["expected_verdict"] else ""
-            lines.append(
-                f" {c['name']}: expected {','.join(c['expected_rules'])}"
-                f"{want_v} -> found {','.join(c['found_rules']) or '(none)'} "
-                f"[{status}]"
-            )
-            lines.extend(_fmt_diag(d) for d in c["diagnostics"])
+        lines += _corpus_lines(
+            "known-racy corpus", par["race_corpus"],
+            "MISSING EXPECTED RULES/VERDICTS",
+        )
         run = par["dynamic_run"]
         if run is not None:
             lines.append(

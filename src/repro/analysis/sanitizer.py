@@ -7,11 +7,12 @@ each loop's body chunk-by-chunk through the real
 lightweight :class:`ShadowArray` that records the per-chunk read/write
 index sets.  Chunk boundaries come from the runtime's own trace stream:
 the sanitizer subscribes to the job server's CHUNK spans
-(:mod:`repro.obs.trace`) rather than maintaining a private observer
-protocol, so it brackets exactly what the tracer says executed.  Two
-chunks writing the same element — or one writing what another reads —
-is an *observed* race; a suspected race with disjoint observed sets is
-a false positive.  :func:`verify` stamps each diagnostic's ``verdict``
+(:mod:`repro.obs.trace`), so it brackets exactly what the tracer says
+executed.  Two chunks writing the same element — or one writing what
+another reads — is an *observed* race, found by the RD analyzer's
+conflict pass (:func:`repro.analysis.races.unordered_conflicts`) with
+one lane per executed chunk; a suspected race with disjoint observed
+sets is a false positive.  :func:`verify` stamps each diagnostic's ``verdict``
 accordingly, closing the static/dynamic feedback loop.
 """
 
@@ -23,6 +24,14 @@ import numpy as np
 
 from repro.analysis.access import OffloadPlan, PlannedLoop
 from repro.analysis.diagnostics import CONFIRMED, FALSE_POSITIVE
+from repro.analysis.parallel_plan import (
+    Access,
+    HappensBefore,
+    OpKind,
+    ParallelPlan,
+    PlanOp,
+)
+from repro.analysis.races import unordered_conflicts
 from repro.obs import SpanKind, Tracer
 from repro.precision.policy import is_sensitive
 from repro.sunway.arch import CoreGroup
@@ -96,9 +105,8 @@ class ChunkLog:
 class _Recorder:
     """Chunk bracketer wired into the runtime during a loop run.
 
-    Consumes the job server's CHUNK trace spans (the tracer-listener
-    methods); the legacy ``begin_chunk``/``end_chunk`` observer protocol
-    is kept for direct users and tests.
+    A tracer listener: the job server's CHUNK spans open and close the
+    current :class:`ChunkLog` through ``begin_chunk``/``end_chunk``.
     """
 
     def __init__(self) -> None:
@@ -114,7 +122,6 @@ class _Recorder:
         if span.kind is SpanKind.CHUNK:
             self.end_chunk(span.cpe, span.args["start"], span.args["end"])
 
-    # Legacy JobServer chunk-observer protocol ----------------------------
     def begin_chunk(self, cpe: int, start: int, end: int) -> None:
         self._current = ChunkLog(cpe=cpe, start=start, end=end)
 
@@ -135,38 +142,31 @@ class _Recorder:
 
 @dataclass
 class LoopObservation:
-    """All chunk logs of one executed loop, plus overlap queries."""
+    """All chunk logs of one executed loop."""
 
     loop: str
     chunks: list
 
-    def _cross_chunk(self, kind: str, name: str) -> set:
-        """Elements of ``name`` touched (``kind``) by more than one chunk."""
-        seen: dict = {}
-        overlap: set = set()
-        for c, log in enumerate(self.chunks):
-            for i in getattr(log, kind).get(name, ()):
-                if seen.setdefault(i, c) != c:
-                    overlap.add(i)
-        return overlap
-
-    def write_write_overlap(self, name: str) -> set:
-        return self._cross_chunk("writes", name)
-
-    def read_write_overlap(self, name: str) -> set:
-        writers: dict = {}
-        for c, log in enumerate(self.chunks):
-            for i in log.writes.get(name, ()):
-                writers.setdefault(i, set()).add(c)
-        overlap: set = set()
-        for c, log in enumerate(self.chunks):
-            for i in log.reads.get(name, ()):
-                if writers.get(i, set()) - {c}:
-                    overlap.add(i)
-        return overlap
-
     def race_indices(self, name: str) -> set:
-        return self.write_write_overlap(name) | self.read_write_overlap(name)
+        """Elements of ``name`` two chunks touch, at least one writing.
+
+        The chunks of one loop run concurrently on the CPE array, so each
+        is one op on a lane of its own — no barrier, no edge — and the
+        RD conflict pass over the observed index sets does the rest.
+        """
+        plan = ParallelPlan(name=self.loop, ops=[
+            PlanOp(name=f"chunk{c}", kind=OpKind.COMPUTE, lane=c, accesses=[
+                Access(name, mode=mode, indices=sorted(touched.get(name, ())))
+                for mode, touched in (("r", log.reads), ("w", log.writes))
+            ])
+            for c, log in enumerate(self.chunks)
+        ])
+        races: set = set()
+        for *_, shared in unordered_conflicts(
+            plan, HappensBefore(plan), lambda acc: acc.indices
+        ):
+            races |= shared
+        return races
 
 
 class Sanitizer:

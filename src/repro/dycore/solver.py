@@ -34,6 +34,19 @@ from repro.grid.mesh import Mesh
 from repro.obs import SpanKind, get_metrics, get_tracer
 from repro.precision.policy import PrecisionPolicy
 
+#: The SSP-RK increment schedules, by stage count: one ``(combine
+#: weights, dt fraction)`` row per stage.  Stage ``k`` evaluates the
+#: tendency at the current state, combines the tendencies so far with
+#: its weights and restarts from the step's base state over
+#: ``fraction * dt`` (a single-weight row applies its tendency as is).
+#: The serial step, the distributed step and the race analyzer's
+#: declared step plan are all loops over these rows.
+SSP_RK_SCHEDULE = {
+    1: (((1.0,), 1.0),),
+    2: (((1.0,), 1.0), ((0.5, 0.5), 1.0)),
+    3: (((1.0,), 1.0), ((0.5, 0.5), 0.5), ((1 / 6, 1 / 6, 2 / 3), 1.0)),
+}
+
 
 @dataclass
 class DycoreConfig:
@@ -70,6 +83,13 @@ class DycoreConfig:
     #: driver's rank-local cores inherit the same backend through the
     #: shared config.  See :mod:`repro.dycore.stencil`.
     stencil_backend: str | None = None
+
+    def __post_init__(self) -> None:
+        if self.rk_stages not in SSP_RK_SCHEDULE:
+            raise ValueError(
+                f"rk_stages must be one of {sorted(SSP_RK_SCHEDULE)}, "
+                f"got {self.rk_stages!r}"
+            )
 
 
 @dataclass
@@ -186,23 +206,14 @@ class DynamicalCore:
                 with tracer.span("dycore.rk_stage", SpanKind.RK_STAGE, stage=k):
                     return self.compute_tendencies(st)
 
-            t1 = stage(1, state)
-            if self.config.rk_stages >= 3:
-                s1 = self._apply(state, t1, dt)
-                t2 = stage(2, s1)
-                half = self._combine([t1, t2], [0.5, 0.5])
-                s2 = self._apply(state, half, 0.5 * dt)
-                t3 = stage(3, s2)
-                used = self._combine([t1, t2, t3], [1 / 6, 1 / 6, 2 / 3])
-                s1 = self._apply(state, used, dt)
-            elif self.config.rk_stages == 2:
-                s1 = self._apply(state, t1, dt)
-                t2 = stage(2, s1)
-                used = self._combine([t1, t2], [0.5, 0.5])
-                s1 = self._apply(state, used, dt)
-            else:
-                used = t1
-                s1 = self._apply(state, t1, dt)
+            tds: list[Tendencies] = []
+            s1 = state
+            for k, (weights, frac) in enumerate(
+                SSP_RK_SCHEDULE[self.config.rk_stages], 1
+            ):
+                tds.append(stage(k, s1))
+                used = tds[0] if len(weights) == 1 else self._combine(tds, weights)
+                s1 = self._apply(state, used, frac * dt)
             # Accumulate the mass flux for the tracer step — always double.
             self.flux_acc.add(used.flux_edge)
 

@@ -17,11 +17,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.comm.message import Communicator
-from repro.dycore.solver import DycoreConfig, DynamicalCore, Tendencies
-from repro.obs import SpanKind, get_tracer
+from repro.dycore.solver import (
+    SSP_RK_SCHEDULE,
+    DycoreConfig,
+    DynamicalCore,
+    Tendencies,
+)
 from repro.dycore.state import ModelState
 from repro.dycore.vertical import VerticalCoordinate
 from repro.grid.mesh import Mesh
+from repro.obs import SpanKind, get_tracer
 from repro.parallel.exchange import EdgeCellExchanger
 from repro.parallel.executor import (
     ProcessRankExecutor,
@@ -240,15 +245,6 @@ class DistributedDycore:
         return ps, u, theta
 
     # -- stepping ------------------------------------------------------------
-    def _tendencies_all(self) -> list[Tendencies]:
-        """Halo exchange, then per-rank tendency evaluation.
-
-        The evaluation itself is delegated to the rank executor (serial
-        loop or forked workers) — identical results either way.
-        """
-        self._exchanger.exchange()
-        return self._executor.compute_tendencies()
-
     @staticmethod
     def _combine(per_rank: list[list[Tendencies]], weights: list[float]) -> list[Tendencies]:
         out = []
@@ -279,46 +275,24 @@ class DistributedDycore:
                 RankState(s.ps.copy(), s.u.copy(), s.theta.copy(), s.phi_surface)
                 for s in self._states
             ]
-        t1 = self._tendencies_all()
-        if self.config.rk_stages >= 3:
+        per_stage: list[list[Tendencies]] = []
+        for k, (weights, frac) in enumerate(
+            SSP_RK_SCHEDULE[self.config.rk_stages], 1
+        ):
+            # Halo exchange, then the executor's per-rank evaluation
+            # (serial loop or forked workers — identical results) into
+            # the stage's own tendency slot.
+            self._exchanger.exchange()
+            per_stage.append(self._executor.compute_tendencies(slot=k - 1))
+            used = (
+                per_stage[0] if len(weights) == 1
+                else self._combine(per_stage, weights)
+            )
             with tracer.span(
                 "driver.apply", SpanKind.RK_STAGE, op="apply",
-                stage=1, slots=(0,),
+                stage=k, slots=tuple(range(k)),
             ):
-                self._apply(saved, t1, dt)
-            t2 = self._tendencies_all()
-            half = self._combine([t1, t2], [0.5, 0.5])
-            with tracer.span(
-                "driver.apply", SpanKind.RK_STAGE, op="apply",
-                stage=2, slots=(0, 1),
-            ):
-                self._apply(saved, half, 0.5 * dt)
-            t3 = self._tendencies_all()
-            used = self._combine([t1, t2, t3], [1 / 6, 1 / 6, 2 / 3])
-            with tracer.span(
-                "driver.apply", SpanKind.RK_STAGE, op="apply",
-                stage=3, slots=(0, 1, 2),
-            ):
-                self._apply(saved, used, dt)
-        elif self.config.rk_stages == 2:
-            with tracer.span(
-                "driver.apply", SpanKind.RK_STAGE, op="apply",
-                stage=1, slots=(0,),
-            ):
-                self._apply(saved, t1, dt)
-            t2 = self._tendencies_all()
-            mean = self._combine([t1, t2], [0.5, 0.5])
-            with tracer.span(
-                "driver.apply", SpanKind.RK_STAGE, op="apply",
-                stage=2, slots=(0, 1),
-            ):
-                self._apply(saved, mean, dt)
-        else:
-            with tracer.span(
-                "driver.apply", SpanKind.RK_STAGE, op="apply",
-                stage=1, slots=(0,),
-            ):
-                self._apply(saved, t1, dt)
+                self._apply(saved, used, frac * dt)
         if self.config.sponge_levels > 0:
             # Refresh halos so the sponge's Laplacians see the same
             # neighbour values as the serial solver, then damp per rank.

@@ -25,8 +25,8 @@ it.  The mechanism:
   visible to workers and worker-side writes (tendencies, sponge updates)
   are visible to the parent with no pickling of field data;
 * three output slots exist because an SSP-RK3 step holds all of
-  ``t1``/``t2``/``t3`` live at once; the executor cycles slots per
-  tendency call.
+  ``t1``/``t2``/``t3`` live at once; the driver names the slot of each
+  tendency call (stage ``k`` writes slot ``k - 1``).
 
 Workers execute the pure NumPy tendency code only; tracing spans and
 metrics emitted inside a worker stay in that worker (the driver-side
@@ -43,7 +43,7 @@ import weakref
 
 import numpy as np
 
-from repro.dycore.solver import Tendencies
+from repro.dycore.solver import SSP_RK_SCHEDULE, Tendencies
 from repro.obs import SpanKind, get_tracer
 
 
@@ -116,18 +116,14 @@ class SerialRankExecutor:
 
     workers = 1
 
-    #: Mirror of :attr:`ProcessRankExecutor.N_SLOTS` so the EXEC_ROUND
-    #: span metadata (slot cycling) is identical serial vs forked.
-    N_SLOTS = 3
-
     def __init__(self, cores: list, scratch: list):
         self._cores = cores
         self._scratch = scratch
-        self._next_slot = 0
 
-    def compute_tendencies(self) -> list[Tendencies]:
-        slot = self._next_slot
-        self._next_slot = (self._next_slot + 1) % self.N_SLOTS
+    def compute_tendencies(self, slot: int = 0) -> list[Tendencies]:
+        """Evaluate every rank.  ``slot`` only labels the EXEC_ROUND
+        span here (fresh arrays are returned), exactly as the forked
+        executor labels its own."""
         with get_tracer().span(
             "executor.round", SpanKind.EXEC_ROUND,
             op="tend", slot=slot, workers=self.workers,
@@ -224,8 +220,9 @@ class ProcessRankExecutor:
     (finalizers run atexit) even if nobody called :meth:`close`.
     """
 
-    #: RK3 holds t1/t2/t3 simultaneously; slots cycle per tendency call.
-    N_SLOTS = 3
+    #: One output slot per stage of the longest SSP-RK schedule (RK3
+    #: holds t1/t2/t3 simultaneously).
+    N_SLOTS = max(SSP_RK_SCHEDULE)
 
     def __init__(self, cores: list, scratch: list, slots: list, workers: int):
         import multiprocessing as mp
@@ -235,7 +232,6 @@ class ProcessRankExecutor:
         self.workers = workers
         self._slots = slots
         self._nranks = len(cores)
-        self._next_slot = 0
         ctx = mp.get_context("fork")
         self._conns = []
         self._procs = []
@@ -282,9 +278,9 @@ class ProcessRankExecutor:
         if errors:
             raise RuntimeError(f"rank worker failed: {'; '.join(errors)}")
 
-    def compute_tendencies(self) -> list[Tendencies]:
-        slot = self._next_slot
-        self._next_slot = (self._next_slot + 1) % self.N_SLOTS
+    def compute_tendencies(self, slot: int = 0) -> list[Tendencies]:
+        """Evaluate every rank into output slot ``slot`` (the driver
+        passes the RK stage's: stage ``k`` writes slot ``k - 1``)."""
         with get_tracer().span(
             "executor.round", SpanKind.EXEC_ROUND,
             op="tend", slot=slot, workers=self.workers,

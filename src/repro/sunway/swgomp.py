@@ -81,14 +81,11 @@ class JobServer:
         self._initialized = False
         self.cpes = [CPEState(i) for i in range(self.cg.n_cpes)]
         self.spawn_log: list[SpawnEvent] = []
-        #: Chunk-execution observers (legacy protocol, kept for direct
-        #: users).  Each needs ``begin_chunk(cpe, start, end)`` /
-        #: ``end_chunk(...)``; they bracket every chunk body a target
-        #: region executes.  New consumers (the sanitizer, the profiler)
-        #: subscribe to the tracer's CHUNK spans instead.
-        self.chunk_observers: list = []
         #: Tracer override for this server; ``None`` resolves the global
-        #: tracer at launch time (disabled no-op by default).
+        #: tracer at launch time (disabled no-op by default).  Its CHUNK
+        #: spans bracket every chunk body a target region executes — the
+        #: one way to observe a chunk (the sanitizer and the profiler
+        #: subscribe as listeners).
         self.tracer = tracer
         #: Fault-injector override; ``None`` resolves the global injector
         #: at launch time (no injection by default).  Failed chunks are
@@ -108,28 +105,6 @@ class JobServer:
                 "perform athread initialisation first) — statically "
                 "detectable as rule SW003"
             )
-
-    def _notify_observers(self, method: str, cpe: int, start: int, end: int) -> None:
-        """Call every chunk observer, converting observer failures into
-        :class:`SWGOMPError` naming the culprit — a silently broken
-        observer would otherwise invalidate sanitizer verdicts."""
-        for ob in self.chunk_observers:
-            try:
-                getattr(ob, method)(cpe, start, end)
-            except SWGOMPError:
-                raise
-            except Exception as exc:
-                raise SWGOMPError(
-                    f"chunk observer {type(ob).__name__}.{method} raised "
-                    f"{type(exc).__name__} on chunk [{start}, {end}) of "
-                    f"CPE {cpe}: {exc}"
-                ) from exc
-
-    def _begin_chunk(self, cpe: int, start: int, end: int) -> None:
-        self._notify_observers("begin_chunk", cpe, start, end)
-
-    def _end_chunk(self, cpe: int, start: int, end: int) -> None:
-        self._notify_observers("end_chunk", cpe, start, end)
 
     def active_tracer(self):
         """This server's tracer, falling back to the process-global one."""
@@ -216,13 +191,12 @@ class TargetRegion:
         ``name`` labels the region's KERNEL_LAUNCH trace span (and its
         CHUNK children) when tracing is enabled.
 
-        Static fault-free launches on a ``vectorized`` server with no
-        chunk observers and a disabled tracer take a chunk-granular
-        fast path: the schedule bounds come from a cache and every
-        lane's simulated time is charged in one vectorized pass.  Any
-        installed injector, observer, or enabled tracer transparently
+        Static fault-free launches with a disabled tracer take a
+        chunk-granular fast path: the schedule bounds come from a cache
+        and every lane's simulated time is charged in one vectorized
+        pass.  An installed injector or an enabled tracer transparently
         selects the exact per-chunk reference path (CHUNK spans and the
-        observer/sanitizer/injector contract are preserved unchanged).
+        sanitizer/injector contract are preserved unchanged).
         """
         if n < 0:
             raise ValueError("n must be >= 0")
@@ -267,11 +241,7 @@ class TargetRegion:
                     injector.recover(FaultKind.STRAGGLER, "straggler_absorbed", site=name)
             span = tracer.span(name, SpanKind.CHUNK, cpe=cpe, start=start, end=end)
             with span:
-                self.server._begin_chunk(cpe, start, end)
-                try:
-                    body(start, end)
-                finally:
-                    self.server._end_chunk(cpe, start, end)
+                body(start, end)
                 span.set(sim_seconds=dt + penalty)
             times[lane] += dt + penalty
             st = self.server.cpes[all_cpes[lane]]
@@ -282,14 +252,13 @@ class TargetRegion:
             name, SpanKind.KERNEL_LAUNCH, n_elems=n, n_cpes=ncpe,
             n_teams=self.n_teams, schedule=schedule,
         ) as region_span:
-            # Static-schedule launches with no injector, no chunk observers
-            # and a disabled tracer charge all lanes in one vectorized
-            # pass instead of per-chunk ``charge()`` calls; the accounting
-            # is bitwise-identical either way.
+            # Static-schedule launches with no injector and a disabled
+            # tracer charge all lanes in one vectorized pass instead of
+            # per-chunk ``charge()`` calls; the accounting is
+            # bitwise-identical either way.
             fast = (
                 schedule == "static"
                 and injector is None
-                and not self.server.chunk_observers
                 and not tracer.enabled
             )
             if schedule == "static":

@@ -1,5 +1,5 @@
-"""Tests of the dynamic race sanitizer: vector-clock replay verdicts on
-the known-racy corpus, and clean sanitizing of a real driver run."""
+"""Tests of the dynamic race sanitizer: replay verdicts on the
+known-racy corpus, and clean sanitizing of a real driver run."""
 
 import os
 
@@ -152,20 +152,44 @@ class TestRealRunSanitize:
         assert report.plan.arena
         assert report.plan.halo_recv
 
-    def test_observed_plan_matches_declared_schedule_shape(self, mesh, vc):
-        """The observer's reconstruction agrees with build_step_plan on
-        the op-kind census of one step."""
-        from collections import Counter
-
-        d = self._driver(mesh, vc)
+    @pytest.mark.parametrize("workers", [1, pytest.param(2, marks=needs_fork)])
+    @pytest.mark.parametrize("sponge", [0, 2])
+    @pytest.mark.parametrize("rk", [1, 2, 3])
+    def test_observed_plan_matches_declared_schedule(
+        self, mesh, vc, rk, sponge, workers
+    ):
+        """Every observed step is, op for op, the one declared step:
+        kind, lane, epoch, accesses and delivery edges (exchange epochs
+        relative to the step's first exchange — the exchanger's counter
+        runs on across steps), plus the plan-level halo sets and arena."""
+        cfg = DycoreConfig(dt=600.0, sponge_levels=sponge, rk_stages=rk)
+        d = DistributedDycore(mesh, vc, cfg, nparts=4, workers=workers)
         try:
+            d.scatter(baroclinic_wave_state(mesh, vc))
             declared = build_step_plan(d)
-            report = sanitize_run(d, steps=1)
+            observed = sanitize_run(d, steps=2).plan
         finally:
             d.close()
-        census = Counter(op.kind for op in declared.ops)
-        observed = Counter(op.kind for op in report.plan.ops)
-        assert observed == census
+
+        def shape(ops, edges):
+            first = min(op.epoch for op in ops if op.epoch)
+            at = {op.name: i for i, op in enumerate(ops)}
+            return (
+                [(op.kind, op.lane, op.epoch and op.epoch - first + 1,
+                  op.accesses) for op in ops],
+                sorted((at[a], at[b]) for a, b in edges if b in at),
+            )
+
+        starts = [i for i, op in enumerate(observed.ops)
+                  if op.name.startswith("save")]
+        assert len(starts) == 2
+        want = shape(declared.ops, declared.edges)
+        for lo, hi in zip(starts, starts[1:] + [len(observed.ops)]):
+            assert shape(observed.ops[lo:hi], observed.edges) == want
+        assert len(observed.edges) == 2 * len(declared.edges)
+        assert observed.halo_recv == declared.halo_recv
+        assert observed.arena == declared.arena
+        assert bool(observed.arena) == (workers > 1)
 
     def test_sanitize_restores_previous_tracer(self, mesh, vc):
         from repro.obs import get_tracer

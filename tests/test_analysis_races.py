@@ -19,6 +19,7 @@ from repro.analysis.races import (
     analyze_parallel_plan,
     build_step_plan,
     classify_conflict,
+    unordered_conflicts,
 )
 from repro.dycore.solver import DycoreConfig
 from repro.dycore.state import baroclinic_wave_state
@@ -152,6 +153,46 @@ class TestClassifyConflict:
         assert classify_conflict(
             self._op(OpKind.COMPUTE, "c"), self._op(OpKind.APPLY, "a"), False
         ) == "RD004"
+
+
+class TestUnorderedConflicts:
+    """The one pass all three callers share: what differs per caller is
+    only the index set charged to each access."""
+
+    def test_declared_overlap_observed_disjoint(self):
+        plan = KNOWN_RACY_PLANS["disjoint_observed_writes"].build()
+        hb = HappensBefore(plan)
+        declared = list(unordered_conflicts(plan, hb, lambda a: a.indices))
+        assert [(c[0], c[1], c[-1]) for c in declared] == [
+            ("RD001", "shared.diag", None)      # whole-array: unbounded
+        ]
+        assert not list(
+            unordered_conflicts(plan, hb, lambda a: a.runtime_indices())
+        )
+
+    def test_one_lane_per_chunk_finds_the_shared_elements(self):
+        """SW001's verdict: chunks are lanes, races are the overlaps —
+        write/write and read/write, never read/read or within a chunk."""
+        from repro.analysis.sanitizer import ChunkLog, LoopObservation
+
+        obs = LoopObservation(loop="l", chunks=[
+            ChunkLog(0, 0, 4, reads={"x": {0, 1, 9}}, writes={"x": {0, 1}}),
+            ChunkLog(1, 4, 8, reads={"x": {9, 7}}, writes={"x": {1, 2}}),
+            ChunkLog(2, 8, 12, reads={"x": {2}}, writes={"y": {0}}),
+        ])
+        assert obs.race_indices("x") == {1, 2}
+        assert obs.race_indices("y") == set()
+
+    def test_ordered_pairs_are_not_conflicts(self):
+        plan = KNOWN_RACY_PLANS["missing_stage_barrier"].build()
+        fixed = ParallelPlan(name="fixed", ops=[
+            plan.ops[0], PlanOp(name="b", kind=OpKind.BARRIER), plan.ops[1],
+        ])
+        rules = [c[0] for c in unordered_conflicts(
+            plan, HappensBefore(plan), lambda a: a.indices)]
+        assert rules == ["RD004", "RD004"]   # theta r->w and slot w->r
+        assert not list(unordered_conflicts(
+            fixed, HappensBefore(fixed), lambda a: a.indices))
 
 
 class TestRaceCorpus:

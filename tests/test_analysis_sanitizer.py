@@ -57,10 +57,13 @@ class TestShadowArray:
 
 class TestChunkObservers:
     def test_observer_sees_every_chunk(self):
+        from repro.obs import Tracer
+
         server = JobServer(CoreGroup(n_cpes=4))
         server.init_from_mpe()
         rec = _Recorder()
-        server.chunk_observers.append(rec)
+        server.tracer = Tracer(enabled=True, record=False)
+        server.tracer.add_listener(rec)
         TargetRegion(server).parallel_for(lambda s, e: None, 100)
         spans = sorted((c.start, c.end) for c in rec.chunks)
         assert spans[0][0] == 0
@@ -168,12 +171,6 @@ class TestVerification:
         plan, arrays = KNOWN_BAD_CORPUS["halo_overreach"].build()
         with pytest.raises(ValueError, match="no runnable body"):
             Sanitizer(n_cpes=8).run_loop(plan.loops[0], arrays)
-
-    def test_observer_removed_after_run(self):
-        plan, arrays = _disjoint_scatter_plan()
-        san = Sanitizer(n_cpes=8)
-        san.run_plan(plan, arrays)
-        assert san.server.chunk_observers == []
 
     def test_server_tracer_restored_after_run(self):
         """run_loop installs its listener tracer and always puts the

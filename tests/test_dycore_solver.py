@@ -215,6 +215,19 @@ class TestKernelRegistry:
         assert spec.arrays_streamed <= 4
 
 
+class TestConfigValidation:
+    @pytest.mark.parametrize("rk", [0, 4, -1])
+    def test_unknown_rk_stage_count_rejected(self, rk):
+        """Only the stage counts the schedule table declares exist; 4
+        used to run RK3 silently and 0 forward Euler."""
+        with pytest.raises(ValueError, match="rk_stages"):
+            DycoreConfig(rk_stages=rk)
+
+    @pytest.mark.parametrize("rk", [1, 2, 3])
+    def test_declared_rk_stage_counts_accepted(self, rk):
+        assert DycoreConfig(rk_stages=rk).rk_stages == rk
+
+
 class TestNonFiniteGuard:
     def test_solver_raises_on_blowup(self, mesh, vc):
         core = DynamicalCore(mesh, vc, DycoreConfig(dt=600.0))

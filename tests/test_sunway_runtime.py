@@ -155,64 +155,6 @@ class TestJobServer:
         with pytest.raises(ValueError):
             region.parallel_for(lambda s, e: None, 10, schedule="guided2")
 
-    def test_broken_chunk_observer_raises_swgomp_error(self):
-        """A crashing observer must surface as SWGOMPError naming the
-        observer — never be swallowed into a bogus sanitizer verdict."""
-        from repro.sunway.swgomp import SWGOMPError
-
-        class Broken:
-            def begin_chunk(self, cpe, start, end):
-                raise ValueError("shadow state corrupt")
-
-            def end_chunk(self, cpe, start, end):
-                pass
-
-        srv = JobServer()
-        srv.init_from_mpe()
-        srv.chunk_observers.append(Broken())
-        region = TargetRegion(srv)
-        with pytest.raises(SWGOMPError) as ei:
-            region.parallel_for(lambda s, e: None, 64)
-        msg = str(ei.value)
-        assert "Broken.begin_chunk" in msg
-        assert "ValueError" in msg
-        assert "shadow state corrupt" in msg
-        assert isinstance(ei.value.__cause__, ValueError)
-
-    def test_observer_swgomp_error_passes_through(self):
-        from repro.sunway.swgomp import SWGOMPError
-
-        class Strict:
-            def begin_chunk(self, cpe, start, end):
-                raise SWGOMPError("already the right type")
-
-            def end_chunk(self, cpe, start, end):
-                pass
-
-        srv = JobServer()
-        srv.init_from_mpe()
-        srv.chunk_observers.append(Strict())
-        region = TargetRegion(srv)
-        with pytest.raises(SWGOMPError, match="already the right type"):
-            region.parallel_for(lambda s, e: None, 64)
-
-    def test_broken_end_chunk_observer_named(self):
-        from repro.sunway.swgomp import SWGOMPError
-
-        class BadEnd:
-            def begin_chunk(self, cpe, start, end):
-                pass
-
-            def end_chunk(self, cpe, start, end):
-                raise KeyError("missing log")
-
-        srv = JobServer()
-        srv.init_from_mpe()
-        srv.chunk_observers.append(BadEnd())
-        region = TargetRegion(srv)
-        with pytest.raises(SWGOMPError, match="BadEnd.end_chunk"):
-            region.parallel_for(lambda s, e: None, 64)
-
     def test_server_tracer_records_region_and_chunks(self):
         from repro.obs import SpanKind, Tracer
 
@@ -234,27 +176,21 @@ class TestJobServer:
         assert chunk.args["end"] > chunk.args["start"]
 
 
-class _NoopChunkObserver:
-    def begin_chunk(self, cpe, start, end):
-        pass
-
-    def end_chunk(self, cpe, start, end):
-        pass
-
-
 class TestFastPathAccounting:
     """The vectorized static-schedule fast path must be accounting-
     equivalent to the per-chunk reference (selected here, as anywhere,
-    by attaching a chunk observer) and must stand down whenever any
-    per-chunk contract is in play."""
+    by an enabled tracer on the server — listener-only, nothing
+    retained) and must stand down whenever any per-chunk contract is in
+    play."""
 
     @staticmethod
-    def _launch(fast, n, cost, observers=(), tracer=None):
+    def _launch(fast, n, cost, tracer=None):
+        from repro.obs import Tracer
+
         srv = JobServer()
         srv.init_from_mpe()
-        srv.chunk_observers.extend(observers)
-        if not fast:
-            srv.chunk_observers.append(_NoopChunkObserver())
+        if tracer is None and not fast:
+            tracer = Tracer(enabled=True, record=False)
         if tracer is not None:
             srv.tracer = tracer
         region = TargetRegion(srv)
@@ -286,18 +222,24 @@ class TestFastPathAccounting:
             [c.busy_seconds for c in srv_r.cpes]
 
     def test_observers_force_reference_path(self):
-        """Chunk observers must still see every chunk — the fast path
-        stands down rather than skipping the begin/end callbacks."""
+        """CHUNK-span listeners must still see every chunk — the fast
+        path stands down rather than skipping the open/close callbacks."""
+        from repro.obs import SpanKind, Tracer
+
         events = []
 
         class Recorder:
-            def begin_chunk(self, cpe, start, end):
-                events.append(("b", cpe, start, end))
+            def on_span_open(self, span):
+                if span.kind is SpanKind.CHUNK:
+                    events.append(("b", span.cpe, span.args["start"]))
 
-            def end_chunk(self, cpe, start, end):
-                events.append(("e", cpe, start, end))
+            def on_span_close(self, span):
+                if span.kind is SpanKind.CHUNK:
+                    events.append(("e", span.cpe, span.args["start"]))
 
-        srv, _, _ = self._launch(True, 640, 1e-9, observers=[Recorder()])
+        tracer = Tracer(enabled=True, record=False)
+        tracer.add_listener(Recorder())
+        srv, _, _ = self._launch(True, 640, 1e-9, tracer=tracer)
         n_chunks = sum(c.chunks_executed for c in srv.cpes)
         assert len(events) == 2 * n_chunks
         assert n_chunks == srv.cg.n_cpes
