@@ -399,8 +399,8 @@ def _cmd_profile(args) -> int:
     else:
         cfg = result["config"]
         print(f"profiled G{cfg['level']} ({cfg['cells']} cells, "
-              f"nlev {cfg['nlev']}): {cfg['steps']} steps, "
-              f"{result['n_spans']} spans")
+              f"nlev {cfg['nlev']}, {cfg['stencil_backend']} stencils): "
+              f"{cfg['steps']} steps, {result['n_spans']} spans")
         if result["sdpd_traced"] is not None:
             print(f"traced speed: {result['sdpd_traced']:.1f} SDPD "
                   f"(single in-process rank)")

@@ -12,26 +12,12 @@ round-off), which the test suite checks *per backend*.
 Compiled stencil layer
 ----------------------
 Every operator here is a declarative :class:`~repro.dycore.stencil.
-StencilSpec` compiled once per mesh into a kernel plan with a pluggable
-backend (see :mod:`repro.dycore.stencil`):
-
-* ``reference`` — the eager NumPy expressions, bitwise identical to the
-  pre-stencil operators; the default.
-* ``fused`` — preallocated ``out=``/scratch buffers, pad-zeroing folded
-  into weights, folded normalisations + single-``einsum`` reductions,
-  ``np.bincount`` scatter-accumulates.
-
-Backend selection, most specific wins::
-
-    ops.divergence(mesh, F, backend="fused")      # per call
-    bind_stencil_backend(mesh, "fused")           # per mesh (solver does
-                                                  # this from DycoreConfig)
-    REPRO_STENCIL_BACKEND=fused                   # process default
-
-The compiled plans live on the mesh (:func:`mesh_ops` /
-:func:`repro.dycore.stencil.compiled_kernels`), are built under a module
-lock, and are immutable after publish — safe to share across
-``repro.serve`` threads on a warm model.
+StencilSpec` compiled once per mesh into a kernel plan
+(:func:`repro.dycore.stencil.compiled_kernels`) — built under a module
+lock and immutable after publish, so safe to share across
+``repro.serve`` threads on a warm model.  ``backend=`` on a call picks
+the ``reference`` oracle or the ``fused`` default by name; the backends
+and how one is selected are described in :mod:`repro.dycore.stencil`.
 """
 
 from __future__ import annotations
@@ -47,42 +33,19 @@ from repro.dycore.stencil import (
     bind_stencil_backend,
     bound_backend,
     compiled_kernels,
-    default_backend,
-    mesh_cache,
     traffic_factor,
 )
 from repro.grid.mesh import Mesh, PAD  # noqa: F401  (re-export: PAD)
 
 __all__ = [
     "OperatorCache", "StencilSpec", "STENCILS", "BACKENDS", "BITWISE",
-    "mesh_ops", "compiled_kernels", "bind_stencil_backend",
-    "bound_backend", "default_backend", "traffic_factor",
+    "compiled_kernels", "bind_stencil_backend", "bound_backend",
+    "traffic_factor",
     "divergence", "gradient", "curl", "cell_to_edge",
     "cell_to_edge_upwind", "vertex_to_edge", "vertex_to_cell",
     "reconstruct_cell_vectors", "tangential_velocity", "kinetic_energy",
     "laplacian_cell", "laplacian_edge",
 ]
-
-
-def mesh_ops(mesh: Mesh) -> OperatorCache:
-    """The mesh's shared index/weight cache, compiled on first use.
-
-    Compilation happens under the stencil layer's module lock and the
-    cache is immutable after publish (see
-    :class:`~repro.dycore.stencil.OperatorCache`).
-    """
-    return mesh_cache(mesh)
-
-
-def _gather_edges(mesh: Mesh, edge_field: np.ndarray) -> np.ndarray:
-    """Gather an edge field to (nc, MAX_DEG, ...) with zeros at pads.
-
-    Pad lanes are annihilated by the cached pad-mask weight (1 at live
-    lanes, 0 at pads) — one vectorised multiply instead of the old
-    per-call boolean-mask scatter that first gathered live edge-0 rows
-    into the pad lanes and then zeroed them again.
-    """
-    return compiled_kernels(mesh).gather_edges(edge_field)
 
 
 def divergence(mesh: Mesh, flux_edge: np.ndarray, backend: str | None = None) -> np.ndarray:

@@ -24,6 +24,7 @@ from repro.dycore import operators as ops
 from repro.dycore import tendencies as tend
 from repro.dycore.hevi import implicit_w_solve
 from repro.dycore.state import ModelState
+from repro.dycore.stencil import DEFAULT_BACKEND, resolve_backend_name
 from repro.dycore.tracer import (
     MassFluxAccumulator,
     tracer_transport_hori_flux_limiter,
@@ -77,12 +78,12 @@ class DycoreConfig:
     #: amplify in the thin uppermost layers).
     sponge_levels: int = 3
     sponge_timescale: float = 1.0e4
-    #: Stencil backend the core's operators compile to ("reference" —
-    #: bitwise, the default — or "fused"; ``None`` keeps the mesh/env
-    #: default).  Bound to the mesh at construction, so the distributed
-    #: driver's rank-local cores inherit the same backend through the
-    #: shared config.  See :mod:`repro.dycore.stencil`.
-    stencil_backend: str | None = None
+    #: Stencil backend the core's operators compile to ("fused", the
+    #: default, or the "reference" oracle).  Bound to the mesh at
+    #: construction, so the distributed driver's rank-local cores
+    #: inherit the same backend through the shared config.  See
+    #: :mod:`repro.dycore.stencil`.
+    stencil_backend: str = DEFAULT_BACKEND
 
     def __post_init__(self) -> None:
         if self.rk_stages not in SSP_RK_SCHEDULE:
@@ -90,6 +91,7 @@ class DycoreConfig:
                 f"rk_stages must be one of {sorted(SSP_RK_SCHEDULE)}, "
                 f"got {self.rk_stages!r}"
             )
+        resolve_backend_name(self.stencil_backend)
 
 
 @dataclass
@@ -107,8 +109,7 @@ class DynamicalCore:
         self.mesh = mesh
         self.vcoord = vcoord
         self.config = config or DycoreConfig()
-        if self.config.stencil_backend is not None:
-            ops.bind_stencil_backend(mesh, self.config.stencil_backend)
+        ops.bind_stencil_backend(mesh, self.config.stencil_backend)
         # Compile this mesh's kernel plan up front (idempotent): the hot
         # loop never pays first-call compilation, and forked rank workers
         # inherit a fully built, immutable-after-publish plan.

@@ -11,10 +11,10 @@ with Python", PAPERS.md).  Two backends exist:
 ``reference``
     Today's eager NumPy expressions, verbatim.  Bitwise identical to the
     pre-refactor operators; the oracle every other backend is judged
-    against, and the default.
+    against, selected by name where a test or probe needs it.
 
 ``fused``
-    Eliminates the per-call temporaries that make the reference path
+    What runs (:data:`DEFAULT_BACKEND`).  Eliminates the per-call temporaries that make the reference path
     memory-bandwidth bound (Hoefler et al., "Towards Specialized
     Supercomputers for Climate Sciences"): gathers land in preallocated
     per-plan scratch via ``np.take(..., out=...)``, pad-zeroing is folded
@@ -25,6 +25,13 @@ with Python", PAPERS.md).  Two backends exist:
     ``np.bincount`` scatter-accumulate over precompiled flat index
     tables.
 
+Selection
+---------
+:data:`DEFAULT_BACKEND` is the one decision.  A caller can override it
+per core (``DycoreConfig.stencil_backend``; the core binds its mesh, so
+bare ``ops.*(mesh, …)`` calls follow it) or per operator call
+(``backend=``, for oracle comparisons); an unbound mesh gets the default.
+
 Backend contract
 ----------------
 Each spec declares its fused-vs-reference contract: ``tolerance == 0.0``
@@ -34,8 +41,10 @@ positive ``tolerance`` is a scaled-infinity-norm bound
 ``max|fused - ref| <= tolerance * max|ref|`` (kernels whose fused form
 folds a normalisation into the weights or reorders a summation).  The
 fused fast path covers float64 fields — the solver's native precision —
-and silently delegates other dtypes to the reference kernels so the MIX
-configurations keep their exact reference rounding.
+and delegates other dtypes to the reference kernels so the MIX
+configurations keep their exact reference rounding; each delegation
+increments the ``stencil.reference_delegations`` counter of
+:mod:`repro.obs`, so a profile states how many calls left the fast path.
 
 Thread-safety: compilation is guarded by a module lock and plans are
 **immutable after publish** — every index/weight array is built before
@@ -48,19 +57,21 @@ hands each model to exactly one request at a time).
 
 from __future__ import annotations
 
-import os
 import threading
 from dataclasses import dataclass
 
 import numpy as np
 
 from repro.grid.mesh import Mesh, PAD
+from repro.obs import get_metrics
 
 #: Contract value meaning "fused must equal reference bitwise".
 BITWISE = 0.0
 
-#: Environment default for :func:`default_backend`.
-BACKEND_ENV = "REPRO_STENCIL_BACKEND"
+#: The one backend decision: what a core compiles to unless its
+#: ``DycoreConfig.stencil_backend`` (or a per-call ``backend=``) names
+#: the ``reference`` oracle.
+DEFAULT_BACKEND = "fused"
 
 
 @dataclass(frozen=True)
@@ -270,12 +281,6 @@ class OperatorCache:
 
 # -- backend selection -----------------------------------------------------
 
-def default_backend() -> str:
-    """Process-wide default backend (``REPRO_STENCIL_BACKEND`` or
-    ``reference``)."""
-    return resolve_backend_name(os.environ.get(BACKEND_ENV) or "reference")
-
-
 def resolve_backend_name(name: str) -> str:
     if name not in BACKENDS:
         raise ValueError(
@@ -284,19 +289,15 @@ def resolve_backend_name(name: str) -> str:
     return name
 
 
-def bind_stencil_backend(mesh: Mesh, backend: str | None) -> None:
-    """Pin ``mesh``'s default backend (``None`` restores the env/global
-    default).  Operators called without an explicit ``backend=`` use it."""
-    if backend is None:
-        mesh.__dict__.pop("_stencil_backend", None)
-    else:
-        mesh._stencil_backend = resolve_backend_name(backend)
+def bind_stencil_backend(mesh: Mesh, backend: str) -> None:
+    """Pin the backend bare operator calls on ``mesh`` dispatch to — how
+    a core's ``DycoreConfig.stencil_backend`` reaches ``ops.*(mesh, …)``."""
+    mesh._stencil_backend = resolve_backend_name(backend)
 
 
 def bound_backend(mesh: Mesh) -> str:
     """The backend a bare operator call on ``mesh`` dispatches to."""
-    bound = getattr(mesh, "_stencil_backend", None)
-    return bound if bound is not None else default_backend()
+    return getattr(mesh, "_stencil_backend", DEFAULT_BACKEND)
 
 
 def mesh_cache(mesh: Mesh) -> OperatorCache:
@@ -353,8 +354,6 @@ def compiled_kernels(mesh: Mesh, backend: str | None = None):
             plan = BACKENDS[name](mesh, mesh_cache(mesh))
             plans[name] = plan  # publish only when fully built
             _plan_compiles += 1
-            from repro.obs import get_metrics
-
             get_metrics().inc("stencil.plan_compilations")
     return plan
 
@@ -524,10 +523,12 @@ class FusedKernels(ReferenceKernels):
 
     @staticmethod
     def _fast(*fields) -> bool:
-        """The fused fast path handles float64; else fall back."""
-        return all(
-            f.dtype == np.float64 and f.ndim <= 2 for f in fields
-        )
+        """The fused fast path handles float64; else fall back, counted
+        as ``stencil.reference_delegations`` (nested kernels included)."""
+        fast = all(f.dtype == np.float64 and f.ndim <= 2 for f in fields)
+        if not fast:
+            get_metrics().inc("stencil.reference_delegations")
+        return fast
 
     def _take(self, field, idx, name):
         out = self._buf(name, idx.shape + field.shape[1:], field.dtype)

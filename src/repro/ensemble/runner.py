@@ -111,7 +111,6 @@ class EnsembleRunner:
         perturbation: float = 0.3,
         physics_perturbation: float = 0.0,
         pool=None,
-        stencil_backend: str | None = None,
         workers: int = 1,
     ):
         self.scenario = (
@@ -128,7 +127,6 @@ class EnsembleRunner:
         self.perturbation = perturbation
         self.physics_perturbation = physics_perturbation
         self.pool = pool
-        self.stencil_backend = stencil_backend
         if workers < 1:
             raise ValueError("workers must be >= 1")
         if workers > 1 and pool is not None:
@@ -205,8 +203,7 @@ class EnsembleRunner:
 
     def _build_model(self):
         return build_scenario_model(
-            self.scenario, self.level, self.nlev, self.scheme,
-            stencil_backend=self.stencil_backend,
+            self.scenario, self.level, self.nlev, self.scheme
         )
 
     def _result(self, members, compiles, t0):

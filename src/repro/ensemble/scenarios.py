@@ -281,7 +281,6 @@ def build_scenario_model(
     nlev: int,
     scheme_label: str,
     shared_nets: dict | None = None,
-    stencil_backend: str | None = None,
 ):
     """Build one runnable model for a scenario.
 
@@ -292,7 +291,6 @@ def build_scenario_model(
     fallback and per-step validation on, exactly as the serving layer
     has always built models.
     """
-    from repro.dycore.stencil import default_backend
     from repro.dycore.vertical import VerticalCoordinate
     from repro.grid import build_mesh
     from repro.model.config import TABLE3_SCHEMES, scaled_grid_config
@@ -303,8 +301,6 @@ def build_scenario_model(
 
     if isinstance(scenario, str):
         scenario = get_scenario(scenario)
-    if stencil_backend is None:
-        stencil_backend = default_backend()
     scheme = TABLE3_SCHEMES[scheme_label]
     mesh = build_mesh(level)
     vc = VerticalCoordinate.stretched(nlev)
@@ -333,13 +329,11 @@ def build_scenario_model(
             ),
         )
     physics = ResilientPhysics(primary=suite, fallback=None, surface=surface)
-    dycore_kwargs = dict(scenario.dycore_kwargs)
-    dycore_kwargs["stencil_backend"] = stencil_backend
     return GristModel(
         mesh, vc, gc, scheme,
         surface=surface, physics_suite=physics, validate_state=True,
         day_of_year=scenario.day_of_year,
-        dycore_kwargs=dycore_kwargs,
+        dycore_kwargs=dict(scenario.dycore_kwargs),
     )
 
 

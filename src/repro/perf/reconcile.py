@@ -176,6 +176,7 @@ def run_profile(
             "level": level, "nlev": nlev, "steps": steps, "seed": seed,
             "dt_dyn": gc.dt_dyn, "tracer_ratio": gc.tracer_ratio,
             "cells": mesh.nc, "edges": mesh.ne,
+            "stencil_backend": dycore.config.stencil_backend,
         },
         "tracer": tracer,
         "n_spans": len(tracer),

@@ -54,19 +54,18 @@ def make_member_state(model, request: ForecastRequest, member: int):
 def build_forecast_model(
     model_key: tuple,
     shared_nets: dict | None = None,
-    stencil_backend: str | None = None,
 ):
     """Build one servable model for ``model_key``.
 
-    ``stencil_backend`` selects the dycore's compiled stencil backend
-    (default: the ``REPRO_STENCIL_BACKEND``/process default, see
-    :mod:`repro.dycore.stencil`).  The compiled kernel plans live on the
-    model's mesh and survive :meth:`GristModel.reset`, so a warm
-    :class:`ModelPool` instance reuses the same immutable plans across
-    every request it serves — compilation is paid once per pooled model,
-    not once per request.  :func:`~repro.serve.scheduler.run_serial_oracle`
-    builds through this same entry point, so pooled and oracle runs
-    always compare like-for-like per backend.
+    The dycore compiles to the one production stencil backend
+    (:data:`repro.dycore.stencil.DEFAULT_BACKEND`).  The compiled kernel
+    plans live on the model's mesh and survive :meth:`GristModel.reset`,
+    so a warm :class:`ModelPool` instance reuses the same immutable plans
+    across every request it serves — compilation is paid once per pooled
+    model, not once per request.
+    :func:`~repro.serve.scheduler.run_serial_oracle` builds through this
+    same entry point, so pooled and oracle runs always compare
+    like-for-like.
 
     The physics is always wrapped in :class:`ResilientPhysics` with no
     fallback and per-step state validation on, so any blow-up — injected
@@ -90,8 +89,7 @@ def build_forecast_model(
 
     level, nlev, scheme_label, scenario = model_key
     return build_scenario_model(
-        scenario, level, nlev, scheme_label,
-        shared_nets=shared_nets, stencil_backend=stencil_backend,
+        scenario, level, nlev, scheme_label, shared_nets=shared_nets
     )
 
 

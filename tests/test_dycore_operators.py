@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.dycore import operators as ops
+from repro.dycore.stencil import mesh_cache
 from repro.grid.mesh import build_mesh
 
 
@@ -209,16 +210,16 @@ class TestOperatorCache:
 
     def test_cache_built_once_per_mesh(self):
         mesh = build_mesh(2)
-        c1 = ops.mesh_ops(mesh)
+        c1 = mesh_cache(mesh)
         rng = np.random.default_rng(0)
         ops.divergence(mesh, rng.normal(size=mesh.ne))
         ops.curl(mesh, rng.normal(size=mesh.ne))
-        assert ops.mesh_ops(mesh) is c1
+        assert mesh_cache(mesh) is c1
 
     def test_cached_weights_match_definitions(self, mesh):
         from repro.grid.mesh import PAD
 
-        c = ops.mesh_ops(mesh)
+        c = mesh_cache(mesh)
         le = np.where(
             mesh.cell_edges >= 0,
             mesh.le[np.clip(mesh.cell_edges, 0, None)], 0.0,

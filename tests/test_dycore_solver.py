@@ -227,6 +227,14 @@ class TestConfigValidation:
     def test_declared_rk_stage_counts_accepted(self, rk):
         assert DycoreConfig(rk_stages=rk).rk_stages == rk
 
+    def test_unknown_stencil_backend_rejected_at_construction(self):
+        """A typo fails here, before a distributed driver has
+        partitioned the graph and built every local mesh."""
+        with pytest.raises(ValueError, match="unknown stencil backend"):
+            DycoreConfig(stencil_backend="magic")
+        with pytest.raises(ValueError, match="unknown stencil backend"):
+            DycoreConfig(stencil_backend=None)
+
 
 class TestNonFiniteGuard:
     def test_solver_raises_on_blowup(self, mesh, vc):

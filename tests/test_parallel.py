@@ -6,6 +6,7 @@ import pytest
 
 from repro.dycore.solver import DycoreConfig, DynamicalCore
 from repro.dycore.state import baroclinic_wave_state, solid_body_rotation_state
+from repro.dycore.stencil import BACKENDS
 from repro.dycore.vertical import VerticalCoordinate
 from repro.grid.mesh import PAD, build_mesh
 from repro.parallel.driver import DistributedDycore
@@ -297,37 +298,45 @@ class TestExchangePlans:
 
 
 class TestSerialEquivalence:
+    """Rank-independence is pinned per stencil backend by name (the
+    loops keep the test ids stable), so neither the ``reference`` oracle
+    nor the ``fused`` default holds it only while it is the default."""
+
     @pytest.mark.parametrize("nparts", [1, 2, 4, 7])
     def test_solid_body_bitwise(self, mesh, nparts):
         vc = VerticalCoordinate.uniform(5)
         st0 = solid_body_rotation_state(mesh, vc)
-        serial = DynamicalCore(mesh, vc, DycoreConfig(dt=600.0))
-        s = st0.copy()
-        for _ in range(4):
-            s = serial.step(s)
-        dist = DistributedDycore(mesh, vc, DycoreConfig(dt=600.0), nparts=nparts)
-        dist.scatter(st0)
-        dist.run(4)
-        ps, u, theta = dist.gather()
-        np.testing.assert_array_equal(ps, s.ps)
-        np.testing.assert_array_equal(u, s.u)
-        np.testing.assert_array_equal(theta, s.theta)
-        # A single rank has no neighbour: it never sends.
-        assert (dist.comm_stats()["messages"] == 0) == (nparts == 1)
+        for backend in BACKENDS:
+            cfg = DycoreConfig(dt=600.0, stencil_backend=backend)
+            serial = DynamicalCore(mesh, vc, cfg)
+            s = st0.copy()
+            for _ in range(4):
+                s = serial.step(s)
+            dist = DistributedDycore(mesh, vc, cfg, nparts=nparts)
+            dist.scatter(st0)
+            dist.run(4)
+            ps, u, theta = dist.gather()
+            np.testing.assert_array_equal(ps, s.ps, err_msg=backend)
+            np.testing.assert_array_equal(u, s.u, err_msg=backend)
+            np.testing.assert_array_equal(theta, s.theta, err_msg=backend)
+            # A single rank has no neighbour: it never sends.
+            assert (dist.comm_stats()["messages"] == 0) == (nparts == 1)
 
     def test_baroclinic_wave_bitwise(self, mesh):
         vc = VerticalCoordinate.uniform(5)
         st0 = baroclinic_wave_state(mesh, vc)
-        serial = DynamicalCore(mesh, vc, DycoreConfig(dt=450.0))
-        s = st0.copy()
-        for _ in range(6):
-            s = serial.step(s)
-        dist = DistributedDycore(mesh, vc, DycoreConfig(dt=450.0), nparts=5)
-        dist.scatter(st0)
-        dist.run(6)
-        ps, u, theta = dist.gather()
-        np.testing.assert_array_equal(ps, s.ps)
-        np.testing.assert_array_equal(u, s.u)
+        for backend in BACKENDS:
+            cfg = DycoreConfig(dt=450.0, stencil_backend=backend)
+            serial = DynamicalCore(mesh, vc, cfg)
+            s = st0.copy()
+            for _ in range(6):
+                s = serial.step(s)
+            dist = DistributedDycore(mesh, vc, cfg, nparts=5)
+            dist.scatter(st0)
+            dist.run(6)
+            ps, u, theta = dist.gather()
+            np.testing.assert_array_equal(ps, s.ps, err_msg=backend)
+            np.testing.assert_array_equal(u, s.u, err_msg=backend)
 
     def test_mixed_precision_distributed(self, mesh):
         """The MIX policy decomposes identically too."""

@@ -18,6 +18,7 @@ import pytest
 
 from repro.dycore.solver import DycoreConfig
 from repro.dycore.state import baroclinic_wave_state
+from repro.dycore.stencil import BACKENDS
 from repro.dycore.vertical import VerticalCoordinate
 from repro.grid.mesh import build_mesh
 from repro.parallel.driver import DistributedDycore
@@ -42,8 +43,8 @@ def vc():
     return VerticalCoordinate.uniform(5)
 
 
-def _run(mesh, vc, workers: int, steps: int = 3, sponge: int = 0):
-    cfg = DycoreConfig(dt=600.0, sponge_levels=sponge)
+def _run(mesh, vc, workers: int, steps: int = 3, sponge: int = 0, **cfg_kw):
+    cfg = DycoreConfig(dt=600.0, sponge_levels=sponge, **cfg_kw)
     d = DistributedDycore(mesh, vc, cfg, nparts=4, workers=workers)
     d.scatter(baroclinic_wave_state(mesh, vc))
     d.run(steps)
@@ -68,19 +69,24 @@ def _deadline(seconds):
 
 
 class TestBitwiseEquality:
+    """Forked vs serial executor, per stencil backend by name (the loops
+    keep the test ids stable)."""
+
     def test_two_workers_match_serial_bitwise(self, mesh, vc):
-        serial = _run(mesh, vc, workers=1)
-        parallel = _run(mesh, vc, workers=2)
-        for a, b in zip(serial, parallel):
-            assert np.array_equal(a, b)
+        for backend in BACKENDS:
+            serial = _run(mesh, vc, workers=1, stencil_backend=backend)
+            parallel = _run(mesh, vc, workers=2, stencil_backend=backend)
+            for a, b in zip(serial, parallel):
+                assert np.array_equal(a, b), backend
 
     def test_three_workers_with_sponge_match_serial_bitwise(self, mesh, vc):
         """Uneven rank deal (4 ranks over 3 workers) plus the sponge
         command path, which writes state in the workers."""
-        serial = _run(mesh, vc, workers=1, sponge=2)
-        parallel = _run(mesh, vc, workers=3, sponge=2)
-        for a, b in zip(serial, parallel):
-            assert np.array_equal(a, b)
+        for backend in BACKENDS:
+            serial = _run(mesh, vc, workers=1, sponge=2, stencil_backend=backend)
+            parallel = _run(mesh, vc, workers=3, sponge=2, stencil_backend=backend)
+            for a, b in zip(serial, parallel):
+                assert np.array_equal(a, b), backend
 
 
 class TestExecutorLifecycle:

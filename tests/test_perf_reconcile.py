@@ -62,6 +62,7 @@ class TestRunProfile:
 
     def test_config_and_spans(self, profile):
         assert profile["config"]["steps"] == 2
+        assert profile["config"]["stencil_backend"] == "fused"
         assert profile["n_spans"] == len(profile["tracer"].events) > 0
 
     def test_aggregate_covers_dycore(self, profile):
@@ -70,6 +71,8 @@ class TestRunProfile:
 
     def test_metrics_snapshot(self, profile):
         assert profile["metrics"]["counters"]["dycore.steps"] == 2.0
+        # The profile dycore is DP: nothing leaves the fused fast path.
+        assert "stencil.reference_delegations" not in profile["metrics"]["counters"]
 
     def test_reconciliation_table_complete(self, profile):
         assert {r["kernel"] for r in profile["reconciliation"]} == set(MAJOR_KERNELS)

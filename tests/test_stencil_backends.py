@@ -85,7 +85,7 @@ def _assert_contract(name, ref, fused):
 # -- pre-refactor goldens (the old eager implementations, verbatim) --------
 
 def _legacy_gather_edges(mesh, edge_field):
-    c = ops.mesh_ops(mesh)
+    c = stc.mesh_cache(mesh)
     out = edge_field[c.cell_edges_idx]
     out[c.cell_edges_pad] = 0.0
     return out
@@ -93,7 +93,7 @@ def _legacy_gather_edges(mesh, edge_field):
 
 def _legacy_divergence(mesh, flux_edge):
     gathered = _legacy_gather_edges(mesh, flux_edge)
-    w = ops.mesh_ops(mesh).div_w
+    w = stc.mesh_cache(mesh).div_w
     extra = gathered.ndim - 2
     w = w.reshape(w.shape + (1,) * extra)
     acc = (gathered * w).sum(axis=1)
@@ -102,7 +102,7 @@ def _legacy_divergence(mesh, flux_edge):
 
 
 def _legacy_curl(mesh, u_edge):
-    c = ops.mesh_ops(mesh)
+    c = stc.mesh_cache(mesh)
     ue = u_edge[c.vertex_edges_idx]
     w = c.curl_w
     extra = ue.ndim - 2
@@ -113,7 +113,7 @@ def _legacy_curl(mesh, u_edge):
 
 
 def _legacy_vertex_to_cell(mesh, vertex_field):
-    c = ops.mesh_ops(mesh)
+    c = stc.mesh_cache(mesh)
     vals = vertex_field[c.cell_vertices_idx]
     mask = c.cell_vertices_valid.astype(vals.dtype)
     cnt = np.maximum(mask.sum(axis=1), 1.0)
@@ -124,7 +124,7 @@ def _legacy_vertex_to_cell(mesh, vertex_field):
 
 
 def _legacy_reconstruct(mesh, u_edge):
-    c = ops.mesh_ops(mesh)
+    c = stc.mesh_cache(mesh)
     ug = u_edge[c.cell_edges_idx]
     valid = c.cell_edges_valid
     ug = np.where(valid.reshape(valid.shape + (1,) * (ug.ndim - 2)), ug, 0.0)
@@ -159,7 +159,7 @@ class TestReferenceMatchesPreRefactorGoldens:
     @pytest.mark.parametrize("nlev", [0, 5])
     def test_point_operators(self, mesh3, nlev):
         f = _fields(mesh3, 12, nlev)
-        c = ops.mesh_ops(mesh3)
+        c = stc.mesh_cache(mesh3)
         de = mesh3.de.reshape((-1,) + (1,) * (f["cell"].ndim - 1))
         np.testing.assert_array_equal(
             ops.gradient(mesh3, f["cell"], backend="reference"),
@@ -293,7 +293,7 @@ class TestOperatorCacheThreadSafety:
         def hammer(i):
             try:
                 barrier.wait()
-                cache = ops.mesh_ops(mesh)
+                cache = stc.mesh_cache(mesh)
                 plan = stc.compiled_kernels(
                     mesh, "fused" if i % 2 else "reference"
                 )
@@ -318,7 +318,7 @@ class TestOperatorCacheThreadSafety:
         assert sorted(mesh._stencil_plans) == ["fused", "reference"]
 
     def test_v2c_cache_immutable_after_publish(self, mesh3):
-        cache = ops.mesh_ops(mesh3)
+        cache = stc.mesh_cache(mesh3)
         published = dict(cache._v2c_weights)
         # Exotic dtype: computed fresh, never cached.
         mask16, cnt16 = cache.v2c_weights(np.float16)
@@ -340,7 +340,7 @@ class TestGatherEdgesPadWeight:
     @pytest.mark.parametrize("nlev", [0, 5])
     def test_matches_legacy_scatter(self, mesh3, nlev):
         f = _fields(mesh3, 41, nlev)
-        got = ops._gather_edges(mesh3, f["edge"])
+        got = stc.compiled_kernels(mesh3).gather_edges(f["edge"])
         np.testing.assert_array_equal(got, _legacy_gather_edges(mesh3, f["edge"]))
 
     def test_pad_lanes_read_zero(self, mesh3):
@@ -349,13 +349,13 @@ class TestGatherEdgesPadWeight:
         # pad lanes before zeroing; the weight must annihilate it.
         field = rng.normal(size=mesh3.ne)
         field[0] = 1e300
-        got = ops._gather_edges(mesh3, field)
+        got = stc.compiled_kernels(mesh3).gather_edges(field)
         pad = mesh3.cell_edges == PAD
         assert pad.any()
         np.testing.assert_array_equal(got[pad], 0.0)
 
     def test_cached_pad_weight_matches_validity(self, mesh3):
-        c = ops.mesh_ops(mesh3)
+        c = stc.mesh_cache(mesh3)
         np.testing.assert_array_equal(
             c.edge_gather_w, (mesh3.cell_edges >= 0).astype(np.float64)
         )
@@ -397,24 +397,15 @@ class TestBackendSelection:
         with pytest.raises(ValueError, match="unknown stencil backend"):
             stc.bind_stencil_backend(mesh3, "magic")
 
-    def test_env_default(self, monkeypatch):
-        monkeypatch.setenv(stc.BACKEND_ENV, "fused")
-        assert stc.default_backend() == "fused"
+    def test_unbound_mesh_dispatches_to_default(self):
+        assert stc.DEFAULT_BACKEND == "fused"
         mesh = build_mesh(1)
         assert stc.bound_backend(mesh) == "fused"
         ops.curl(mesh, np.zeros(mesh.ne))
-        assert stc.compiled_kernels(mesh).backend == "fused"
-        monkeypatch.delenv(stc.BACKEND_ENV)
-        assert stc.default_backend() == "reference"
-
-    def test_mesh_binding_and_unbinding(self):
-        mesh = build_mesh(1)
+        assert sorted(mesh._stencil_plans) == ["fused"]
+        stc.bind_stencil_backend(mesh, "reference")
         assert stc.bound_backend(mesh) == "reference"
-        stc.bind_stencil_backend(mesh, "fused")
-        assert stc.bound_backend(mesh) == "fused"
-        assert stc.compiled_kernels(mesh).backend == "fused"
-        stc.bind_stencil_backend(mesh, None)
-        assert stc.bound_backend(mesh) == "reference"
+        assert stc.compiled_kernels(mesh).backend == "reference"
 
     def test_solver_config_binds_mesh(self):
         from repro.dycore.solver import DycoreConfig, DynamicalCore
@@ -423,11 +414,11 @@ class TestBackendSelection:
         mesh = build_mesh(1)
         DynamicalCore(
             mesh, VerticalCoordinate.uniform(4),
-            DycoreConfig(dt=600.0, stencil_backend="fused"),
+            DycoreConfig(dt=600.0, stencil_backend="reference"),
         )
-        assert stc.bound_backend(mesh) == "fused"
+        assert stc.bound_backend(mesh) == "reference"
         # Plans were compiled eagerly at construction.
-        assert "fused" in mesh._stencil_plans
+        assert sorted(mesh._stencil_plans) == ["reference"]
 
 
 class TestSolverPerBackend:
@@ -453,6 +444,46 @@ class TestSolverPerBackend:
             scale = max(float(np.abs(a).max()), 1e-300)
             assert float(np.abs(a - b).max()) <= 1e-9 * scale, name
 
+    @pytest.mark.parametrize("scheme", ["DP-PHY", "MIX-PHY"])
+    def test_coupled_default_tracks_reference_oracle(self, scheme):
+        """The default (fused) coupled model against the reference
+        oracle over four tracer and two physics steps, and the profile
+        fact that goes with it: DP never leaves the fast path, MIX's
+        float32 fields do."""
+        from repro.dycore.state import tropical_profile_state
+        from repro.dycore.vertical import VerticalCoordinate
+        from repro.model.config import TABLE3_SCHEMES, scaled_grid_config
+        from repro.model.grist import GristModel
+        from repro.obs import collecting
+
+        vc = VerticalCoordinate.stretched(10)
+        gc = scaled_grid_config(3, 10)
+        assert (gc.tracer_ratio, gc.physics_ratio) == (6, 12)
+        states, delegations = {}, {}
+        for kwargs in ({}, {"stencil_backend": "reference"}):
+            mesh = build_mesh(3)  # one mesh per core: the binding lives on it
+            model = GristModel(
+                mesh, vc, gc, TABLE3_SCHEMES[scheme], dycore_kwargs=kwargs
+            )
+            backend = model.dycore.config.stencil_backend
+            with collecting() as metrics:
+                states[backend] = model.run(tropical_profile_state(mesh, vc), 24)
+            delegations[backend] = metrics.snapshot()["counters"].get(
+                "stencil.reference_delegations", 0
+            )
+        assert delegations["reference"] == 0
+        assert (delegations["fused"] > 0) == (scheme == "MIX-PHY")
+        ref, fus = states["reference"], states["fused"]
+        fields = {n: (getattr(ref, n), getattr(fus, n))
+                  for n in ("ps", "u", "theta", "w", "phi")}
+        fields.update({n: (ref.tracers[n], fus.tracers[n]) for n in ref.tracers})
+        for name, (a, b) in fields.items():
+            scale = max(float(np.abs(a).max()), 1e-300)
+            assert float(np.abs(a - b).max()) <= 1e-10 * scale, name
+        assert fus.total_dry_mass() == pytest.approx(
+            ref.total_dry_mass(), rel=1e-14
+        )
+
 
 class TestKernelAnnotationsPerBackend:
     """The registered kernels' declared access patterns hold on both
@@ -464,12 +495,11 @@ class TestKernelAnnotationsPerBackend:
         fields = sample_fields(mesh3, nlev=6)
         for name, reg in MAJOR_KERNELS.items():
             stc.bind_stencil_backend(mesh3, "reference")
-            ref = reg.run(mesh3, fields)
-            stc.bind_stencil_backend(mesh3, "fused")
             try:
-                fused = reg.run(mesh3, fields)
+                ref = reg.run(mesh3, fields)
             finally:
-                stc.bind_stencil_backend(mesh3, None)
+                stc.bind_stencil_backend(mesh3, stc.DEFAULT_BACKEND)
+            fused = reg.run(mesh3, fields)
             scale = max(float(np.abs(ref).max()), 1e-300)
             assert float(np.abs(fused - ref).max()) <= 1e-11 * scale, name
 
@@ -515,8 +545,7 @@ class TestPerfModelStencilHook:
 class TestServeWarmPlansReuse:
     """Warm pooled models reuse one immutable compiled plan set."""
 
-    def test_pool_reuses_plans_and_stays_bitwise(self, monkeypatch):
-        monkeypatch.setenv(stc.BACKEND_ENV, "fused")
+    def test_pool_reuses_plans_and_stays_bitwise(self):
         from repro.serve.pool import ModelPool, make_member_state
         from repro.serve.request import ForecastRequest
 
