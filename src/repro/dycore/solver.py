@@ -1,7 +1,8 @@
 """The dynamical core driver: explicit horizontal RK + implicit vertical.
 
 One :meth:`DynamicalCore.step` advances the prognostic state by the
-dynamics timestep using a 2-stage SSP Runge–Kutta over the horizontally
+dynamics timestep using the SSP Runge–Kutta scheme of
+``SSP_RK_SCHEDULE`` (3 stages by default) over the horizontally
 explicit terms, followed (in nonhydrostatic mode) by the implicit
 acoustic w–phi adjustment of :mod:`repro.dycore.hevi`.  Tracers advance
 on a longer timestep from accumulated mass fluxes (Table 2 uses
@@ -121,8 +122,9 @@ class DynamicalCore:
         from repro.grid.icosahedral import grid_mean_spacing_km
 
         de = grid_mean_spacing_km(mesh.level, mesh.radius) * 1000.0
-        self._nu = self.config.diffusion_coeff * de**2 / self.config.dt
-        self._nu_div = self.config.divergence_damping * de**2 / self.config.dt
+        self._de2 = de**2
+        self._nu = self.config.diffusion_coeff * self._de2 / self.config.dt
+        self._nu_div = self.config.divergence_damping * self._de2 / self.config.dt
         self._steps = 0
 
     # -- tendency evaluation ------------------------------------------------
@@ -258,13 +260,10 @@ class DynamicalCore:
         thin uppermost layers.
         """
         nsp = min(self.config.sponge_levels, self.vcoord.nlev - 1)
-        from repro.grid.icosahedral import grid_mean_spacing_km
-
-        de2 = (grid_mean_spacing_km(self.mesh.level, self.mesh.radius) * 1000.0) ** 2
         u_sp = state.u[:, :nsp]
         th_sp = state.theta[:, :nsp]
         ramp = (1.0 - np.arange(nsp) / nsp)[None, :]
-        nu = de2 / self.config.sponge_timescale * ramp
+        nu = self._de2 / self.config.sponge_timescale * ramp
         state.u[:, :nsp] = u_sp + dt * nu * ops.laplacian_edge(self.mesh, u_sp)
         state.theta[:, :nsp] = th_sp + dt * nu * ops.laplacian_cell(self.mesh, th_sp)
 

@@ -261,8 +261,6 @@ def baroclinic_wave_state(
 
     # Approximate balance: integrate -(f u + u^2 tan(lat)/a) dy for the
     # barotropic part of the jet into a ps perturbation.
-    f = 2.0 * OMEGA * np.sin(lat_c)
-    jet_c = u0 * np.sin(2.0 * lat_c) ** 2
     mean_shear = float((shear * vcoord.dsigma).sum())
     # d(ln ps)/dlat = -a/(R T) * (f u) ; integrate analytically for
     # u = u0 sin^2(2 lat):  int f u dlat has closed form, use numeric.
@@ -286,7 +284,6 @@ def baroclinic_wave_state(
     p_mid = state.p_mid()
     state.theta = theta_from_temperature(np.full_like(p_mid, temperature0), p_mid)
     state.phi = _hydrostatic_phi(mesh, vcoord, state.ps, state.theta, state.phi_surface)
-    _ = jet_c  # balance uses the analytic integral; jet_c kept for clarity
     return state
 
 

@@ -487,10 +487,6 @@ class FusedKernels(ReferenceKernels):
         self.inv_cell_area = 1.0 / mesh.cell_area
         self.de_col = mesh.de[:, None]
         self.le_col = mesh.le[:, None]
-        # Flat scatter-index tables of the bincount divergence, per
-        # trailing length; {L: (flat_c1, flat_c2)} built under the plan
-        # lock and published whole.
-        self._flat_idx: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         self._scratch: dict[tuple, np.ndarray] = {}
         self._lock = threading.Lock()
 
@@ -505,21 +501,6 @@ class FusedKernels(ReferenceKernels):
                     buf = np.empty(shape, dtype=dtype)
                     self._scratch[key] = buf
         return buf
-
-    def _flat(self, L: int) -> tuple[np.ndarray, np.ndarray]:
-        got = self._flat_idx.get(L)
-        if got is None:
-            with self._lock:
-                got = self._flat_idx.get(L)
-                if got is None:
-                    lanes = np.arange(L)
-                    c = self.cache
-                    got = (
-                        (c.edge_c1[:, None] * L + lanes).ravel(),
-                        (c.edge_c2[:, None] * L + lanes).ravel(),
-                    )
-                    self._flat_idx[L] = got
-        return got
 
     @staticmethod
     def _fast(*fields) -> bool:

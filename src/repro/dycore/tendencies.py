@@ -24,6 +24,7 @@ import numpy as np
 
 from repro.constants import CP_DRY, GRAVITY
 from repro.dycore import operators as ops
+from repro.dycore.stencil import mesh_cache
 from repro.dycore.vertical import exner
 from repro.grid.mesh import Mesh
 from repro.precision.policy import NS, PrecisionPolicy
@@ -42,8 +43,8 @@ def primal_normal_flux_edge(
     the accumulation consumer (see tracer transport).
     """
     dt = policy.dtype_of("mass_divergence")
-    c1 = mesh.edge_cells[:, 0]
-    c2 = mesh.edge_cells[:, 1]
+    cache = mesh_cache(mesh)
+    c1, c2 = cache.edge_c1, cache.edge_c2
     # Midpoint weighting keeps 2nd order on the slightly non-uniform grid.
     # The weight is the dtype-correct literal 1/2: the old form
     # ``(0.5 * mesh.de / mesh.de)`` evaluated to exactly 0.5 too (the
@@ -58,7 +59,6 @@ def primal_normal_flux_edge(
 def calc_coriolis_term(
     mesh: Mesh,
     u: np.ndarray,
-    dpi_edge: np.ndarray | None = None,
     policy: PrecisionPolicy = NS,
 ) -> np.ndarray:
     """Nonlinear Coriolis term ``(zeta + f) * v_t`` at edges [m/s^2].
@@ -74,7 +74,6 @@ def calc_coriolis_term(
     zeta_e = ops.vertex_to_edge(mesh, zeta_v)
     vt = ops.tangential_velocity(mesh, un)
     absvor = zeta_e.astype(dt) + mesh.f_edge[:, None].astype(dt)
-    _ = dpi_edge  # mass-weighted PV form reserved for future use
     return (absvor * vt).astype(dt)
 
 

@@ -19,6 +19,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.dycore import operators as ops
+from repro.dycore.stencil import mesh_cache
 from repro.grid.mesh import Mesh, PAD
 from repro.precision.policy import NS, PrecisionPolicy
 
@@ -70,8 +71,8 @@ def tracer_transport_hori_flux_limiter(
     R_minus = np.minimum(1.0, Q_minus / np.maximum(P_minus, tiny))
 
     # Edge correction factor: min of receiving R+ and giving R-.
-    c1 = mesh.edge_cells[:, 0]
-    c2 = mesh.edge_cells[:, 1]
+    cache = mesh_cache(mesh)
+    c1, c2 = cache.edge_c1, cache.edge_c2
     # A > 0 moves tracer from c1 to c2 (along +normal).
     C_pos = np.minimum(R_plus[c2], R_minus[c1])
     C_neg = np.minimum(R_plus[c1], R_minus[c2])
@@ -103,12 +104,10 @@ def _signed_flux_sums(mesh: Mesh, A: np.ndarray) -> tuple[np.ndarray, np.ndarray
     area, matching the divergence operator's metric exactly so the
     limiter is consistent with the update it limits.
     """
-    gathered = A[np.clip(mesh.cell_edges, 0, None)]     # (nc, D, nlev)
-    sign = mesh.cell_edge_sign[..., None]
-    le = np.where(
-        mesh.cell_edges >= 0, mesh.le[np.clip(mesh.cell_edges, 0, None)], 0.0
-    )[..., None]
-    signed = gathered * sign * le                        # outward positive
+    cache = mesh_cache(mesh)
+    gathered = A[cache.cell_edges_idx]                   # (nc, D, nlev)
+    # div_w = sign * le with pad slots zeroed; outward positive.
+    signed = gathered * cache.div_w[..., None]
     incoming = np.where(signed < 0.0, -signed, 0.0).sum(axis=1)
     outgoing = np.where(signed > 0.0, signed, 0.0).sum(axis=1)
     area = mesh.cell_area[:, None]

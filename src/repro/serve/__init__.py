@@ -18,8 +18,8 @@ concurrently from one process by a :class:`ForecastScheduler` that
   :class:`ForecastError` while every other request keeps serving.
 
 ``serve.*`` spans and metrics flow through :mod:`repro.obs`; the
-``repro serve`` CLI and ``benchmarks/bench_serve.py`` load-generate the
-layer and gate requests/sec + p50/p99 latency in CI.
+``repro serve`` CLI load-generates the layer, and ``bench/run.py``'s
+``serve_g3_mix`` workload records its goodput and latency.
 """
 
 from repro.serve.batch import BatchedRadiationNet, BatchedTendencyNet, InferenceBatcher

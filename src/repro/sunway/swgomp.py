@@ -191,15 +191,17 @@ class TargetRegion:
         ``name`` labels the region's KERNEL_LAUNCH trace span (and its
         CHUNK children) when tracing is enabled.
 
-        Static fault-free launches with a disabled tracer take a
-        chunk-granular fast path: the schedule bounds come from a cache
-        and every lane's simulated time is charged in one vectorized
-        pass.  An installed injector or an enabled tracer transparently
-        selects the exact per-chunk reference path (CHUNK spans and the
-        sanitizer/injector contract are preserved unchanged).
+        Both schedules charge every chunk through the same per-chunk
+        step (cost, injected faults, CHUNK span around the body), so the
+        accounting does not depend on whether a tracer or an injector is
+        attached; static bounds come from a cache.
         """
         if n < 0:
             raise ValueError("n must be >= 0")
+        if schedule not in ("static", "dynamic"):
+            raise ValueError(f"unknown schedule {schedule!r}")
+        if chunk is not None and chunk < 0:
+            raise ValueError("chunk must be >= 0 (0 or None: default size)")
         tracer = self.server.active_tracer()
         injector = self.server.active_injector()
         metrics = get_metrics()
@@ -252,55 +254,19 @@ class TargetRegion:
             name, SpanKind.KERNEL_LAUNCH, n_elems=n, n_cpes=ncpe,
             n_teams=self.n_teams, schedule=schedule,
         ) as region_span:
-            # Static-schedule launches with no injector and a disabled
-            # tracer charge all lanes in one vectorized pass instead of
-            # per-chunk ``charge()`` calls; the accounting is
-            # bitwise-identical either way.
-            fast = (
-                schedule == "static"
-                and injector is None
-                and not tracer.enabled
-            )
             if schedule == "static":
                 bounds = _static_bounds(n, ncpe)
-                if fast:
-                    starts = bounds[:-1]
-                    ends = bounds[1:]
-                    active = np.flatnonzero(ends > starts)
-                    # The chunk bodies still run one by one (they touch
-                    # real NumPy slices); only the accounting is batched.
-                    for lane in active.tolist():
-                        body(int(starts[lane]), int(ends[lane]))
-                    if callable(cost_per_elem):
-                        dts = np.array(
-                            [
-                                cost_per_elem(int(starts[lane]), int(ends[lane]))
-                                for lane in active.tolist()
-                            ]
-                        )
-                    else:
-                        # Same scalar-times-int product as charge(), just
-                        # elementwise — bitwise-identical lane times.
-                        dts = cost_per_elem * (ends[active] - starts[active])
-                    times[active] += dts
-                    for lane in active.tolist():
-                        self.server.cpes[all_cpes[lane]].chunks_executed += 1
-                    metrics.inc("swgomp.chunks", int(active.size))
-                else:
-                    for lane in range(ncpe):
-                        if bounds[lane + 1] > bounds[lane]:
-                            charge(lane, int(bounds[lane]), int(bounds[lane + 1]))
-            elif schedule == "dynamic":
+                for lane in range(ncpe):
+                    if bounds[lane + 1] > bounds[lane]:
+                        charge(lane, int(bounds[lane]), int(bounds[lane + 1]))
+            else:
                 chunk = chunk or max(1, n // (4 * ncpe))
-                pos, lane_time_order = 0, 0
+                pos = 0
                 while pos < n:
                     lane = int(np.argmin(times))
                     end = min(pos + chunk, n)
                     charge(lane, pos, end)
                     pos = end
-                    lane_time_order += 1
-            else:
-                raise ValueError(f"unknown schedule {schedule!r}")
 
             region_time = float(times.max())
             region_span.set(sim_seconds=region_time)

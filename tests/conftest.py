@@ -7,11 +7,35 @@ build their own.
 
 from __future__ import annotations
 
+import contextlib
+import signal
+
 import numpy as np
 import pytest
 
 from repro.dycore.vertical import VerticalCoordinate
 from repro.grid import build_mesh
+
+
+@contextlib.contextmanager
+def _deadline(seconds):
+    """Turn a hang into a test failure instead of a stuck suite."""
+    def _alarm(signum, frame):
+        raise TimeoutError(f"operation exceeded {seconds}s deadline")
+
+    old = signal.signal(signal.SIGALRM, _alarm)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, old)
+
+
+@pytest.fixture(scope="session")
+def deadline():
+    """``with deadline(seconds):`` — a SIGALRM bound on the block."""
+    return _deadline
 
 
 @pytest.fixture(scope="session")

@@ -8,7 +8,6 @@ matches bit for bit.  These tests fork real worker processes; they are
 skipped on platforms without ``fork``.
 """
 
-import contextlib
 import os
 import signal
 import threading
@@ -51,21 +50,6 @@ def _run(mesh, vc, workers: int, steps: int = 3, sponge: int = 0, **cfg_kw):
     fields = d.gather()
     d.close()
     return fields
-
-
-@contextlib.contextmanager
-def _deadline(seconds):
-    """Turn a hang into a test failure instead of a stuck suite."""
-    def _alarm(signum, frame):
-        raise TimeoutError(f"operation exceeded {seconds}s deadline")
-
-    old = signal.signal(signal.SIGALRM, _alarm)
-    signal.alarm(seconds)
-    try:
-        yield
-    finally:
-        signal.alarm(0)
-        signal.signal(signal.SIGALRM, old)
 
 
 class TestBitwiseEquality:
@@ -202,13 +186,13 @@ class TestMidStepWorkerDeath:
         d.close()                     # second close: no-op
         assert ex.closed
 
-    def test_sigkilled_worker_fails_next_step(self, mesh, vc):
+    def test_sigkilled_worker_fails_next_step(self, mesh, vc, deadline):
         """Dead before the round is posted: the send fails."""
         d = self._driver(mesh, vc)
         ex = d._executor
         ex._procs[0].kill()
         ex._procs[0].join(10)
-        with _deadline(60):
+        with deadline(60):
             with pytest.raises(
                 RuntimeError, match=r"worker 0 is dead \(send failed\)"
             ):
@@ -217,7 +201,7 @@ class TestMidStepWorkerDeath:
         # Prognostic state is still readable after the failed step.
         assert all(np.all(np.isfinite(f)) for f in d.gather())
 
-    def test_worker_killed_mid_round_fails_step(self, mesh, vc):
+    def test_worker_killed_mid_round_fails_step(self, mesh, vc, deadline):
         """Dead after the round is posted: the reply pipe closes.  The
         worker is stopped first so the command is accepted but never
         served, then killed while the driver waits on the reply."""
@@ -228,7 +212,7 @@ class TestMidStepWorkerDeath:
         killer = threading.Timer(0.5, victim.kill)
         killer.start()
         try:
-            with _deadline(60):
+            with deadline(60):
                 with pytest.raises(
                     RuntimeError,
                     match=r"worker 1 died mid-round \(pipe closed\)",

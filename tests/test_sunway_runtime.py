@@ -155,6 +155,44 @@ class TestJobServer:
         with pytest.raises(ValueError):
             region.parallel_for(lambda s, e: None, 10, schedule="guided2")
 
+    def test_bad_schedule_rejected_for_empty_range_before_spawning(self):
+        srv = JobServer()
+        srv.init_from_mpe()
+        region = TargetRegion(srv)
+        spawned = len(srv.spawn_log)
+        with pytest.raises(ValueError, match="unknown schedule"):
+            region.parallel_for(lambda s, e: None, 0, schedule="bogus")
+        assert len(srv.spawn_log) == spawned
+
+    def test_negative_chunk_raises_instead_of_hanging(self, deadline):
+        """``chunk=-1`` used to be kept by ``chunk or default`` and walk
+        ``pos`` backwards forever."""
+        srv = JobServer()
+        srv.init_from_mpe()
+        region = TargetRegion(srv)
+        spawned = len(srv.spawn_log)
+        with deadline(10):
+            with pytest.raises(ValueError, match="chunk"):
+                region.parallel_for(lambda s, e: None, 100,
+                                    schedule="dynamic", chunk=-1)
+        assert len(srv.spawn_log) == spawned
+
+    def test_zero_chunk_means_default(self):
+        def run(chunk):
+            srv = JobServer()
+            srv.init_from_mpe()
+            out = np.zeros(1000)
+            t = TargetRegion(srv).parallel_for(
+                lambda s, e: out[s:e].__iadd__(1.0), 1000,
+                cost_per_elem=1e-9, schedule="dynamic", chunk=chunk,
+            )
+            return t, [c.chunks_executed for c in srv.cpes], out
+
+        t0, chunks0, out0 = run(0)
+        t_none, chunks_none, _ = run(None)
+        assert (t0, chunks0) == (t_none, chunks_none)
+        np.testing.assert_array_equal(out0, 1.0)
+
     def test_server_tracer_records_region_and_chunks(self):
         from repro.obs import SpanKind, Tracer
 
@@ -177,11 +215,10 @@ class TestJobServer:
 
 
 class TestFastPathAccounting:
-    """The vectorized static-schedule fast path must be accounting-
-    equivalent to the per-chunk reference (selected here, as anywhere,
-    by an enabled tracer on the server — listener-only, nothing
-    retained) and must stand down whenever any per-chunk contract is in
-    play."""
+    """There is one accounting path: per-CPE ``busy_seconds``,
+    ``chunks_executed``, the region time and the buffer contents are
+    identical with a listener-only tracer attached to the server
+    (``fast=False``) and with none (``fast=True``)."""
 
     @staticmethod
     def _launch(fast, n, cost, tracer=None):
@@ -222,8 +259,8 @@ class TestFastPathAccounting:
             [c.busy_seconds for c in srv_r.cpes]
 
     def test_observers_force_reference_path(self):
-        """CHUNK-span listeners must still see every chunk — the fast
-        path stands down rather than skipping the open/close callbacks."""
+        """CHUNK-span listeners see every chunk's open and close, and
+        attaching them does not change the chunk count."""
         from repro.obs import SpanKind, Tracer
 
         events = []
@@ -245,6 +282,7 @@ class TestFastPathAccounting:
         assert n_chunks == srv.cg.n_cpes
 
     def test_tracer_forces_reference_path(self):
+        """A recording tracer retains one CHUNK span per executed chunk."""
         from repro.obs import SpanKind, Tracer
 
         tracer = Tracer()
