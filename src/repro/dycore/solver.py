@@ -158,7 +158,7 @@ class DynamicalCore:
         u_tend = u_tend + self._nu_div * ops.gradient(mesh, ops.divergence(mesh, state.u))
 
         # Potential temperature in flux form.
-        theta_e = ops.cell_to_edge(mesh, state.theta.astype(pol.ns))
+        theta_e = ops.cell_to_edge(mesh, state.theta.astype(pol.ns, copy=False))
         theta_div = ops.divergence(mesh, F * theta_e)
         theta_mass_tend = -theta_div + tend.vertical_advection_cell(M, state.theta)
         theta_mass_tend = theta_mass_tend + self._nu * dpi * ops.laplacian_cell(

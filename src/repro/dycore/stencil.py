@@ -39,26 +39,27 @@ means bitwise (``np.array_equal``; linear gather/arithmetic kernels whose
 fused form performs the identical operations in the identical order), a
 positive ``tolerance`` is a scaled-infinity-norm bound
 ``max|fused - ref| <= tolerance * max|ref|`` (kernels whose fused form
-folds a normalisation into the weights or reorders a summation).  The
-fused fast path covers float64 fields — the solver's native precision —
-and delegates other dtypes to the reference kernels so the MIX
-configurations keep their exact reference rounding; each delegation
-increments the ``stencil.reference_delegations`` counter of
-:mod:`repro.obs`, so a profile states how many calls left the fast path.
+folds a normalisation into the weights or reorders a summation).  That
+is the float64 contract.  A float32 field (MIX's ``ns`` terms) runs the
+same fused kernels through float32 weight tables and returns float32,
+within :data:`FLOAT32_TOLERANCE` of ``reference`` — which multiplies the
+float32 gather by float64 weights, so it answers the weighted operators
+in float64.  Any other dtype, or ``ndim > 2``, raises ``TypeError``.
 
 Thread-safety: compilation is guarded by a module lock and plans are
-**immutable after publish** — every index/weight array is built before
-the plan is attached to the mesh, and per-dtype lookups never mutate
-published state (exotic dtypes are computed fresh, uncached).  Fused
-*scratch* buffers are single-consumer like the solver that owns the
-mesh: one mesh = one solver stepping sequentially (the warm serve pool
-hands each model to exactly one request at a time).
+**immutable after publish** — every index/weight array, the fused
+plan's per-dtype tables included, is built before the plan is attached
+to the mesh, and lookups never mutate published state.  Fused *scratch*
+buffers are single-consumer like the solver that owns the mesh: one
+mesh = one solver stepping sequentially (the warm serve pool hands each
+model to exactly one request at a time).
 """
 
 from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -67,6 +68,10 @@ from repro.obs import get_metrics
 
 #: Contract value meaning "fused must equal reference bitwise".
 BITWISE = 0.0
+
+#: The float32 contract of every operator: scaled-inf-norm bound of
+#: fused against ``reference`` on the same float32 field.
+FLOAT32_TOLERANCE = 1e-6
 
 #: The one backend decision: what a core compiles to unless its
 #: ``DycoreConfig.stencil_backend`` (or a per-call ``backend=``) names
@@ -81,7 +86,7 @@ class StencilSpec:
     ``gathers``/``weights`` name the per-mesh index and weight tables the
     compiled plan materialises; ``arithmetic`` is the combine/reduce
     expression in index notation.  ``tolerance`` is the fused-backend
-    contract (:data:`BITWISE` or a scaled-inf-norm bound).
+    float64 contract (:data:`BITWISE` or a scaled-inf-norm bound).
     ``ref_passes``/``fused_passes`` count full memory passes over
     output-sized arrays per call — the per-kernel hook the performance
     model uses to credit the fused backend's temporary elimination.
@@ -94,10 +99,6 @@ class StencilSpec:
     tolerance: float = BITWISE
     ref_passes: int = 2
     fused_passes: int = 2
-
-    @property
-    def bitwise(self) -> bool:
-        return self.tolerance == BITWISE
 
 
 #: The compiled stencil registry: every public operator in
@@ -468,31 +469,43 @@ class FusedKernels(ReferenceKernels):
     """Temporary-eliminating backend: folded weights, ``out=`` scratch,
     single-``einsum`` reductions, ``bincount`` scatter-accumulate.
 
-    The fast path covers float64 fields; other dtypes delegate to the
-    inherited reference kernels so MIX precision keeps reference
-    rounding exactly.  Scratch buffers are compiled per (name, shape,
-    dtype) and are single-consumer (one mesh = one sequential solver).
+    One path for both policy dtypes: a kernel gathers, reduces and
+    returns in its field's dtype through that dtype's weight tables;
+    any other dtype, or ``ndim > 2``, is a ``TypeError``.  Scratch
+    buffers are compiled per (name, shape, dtype) and are
+    single-consumer (one mesh = one sequential solver).
     """
 
     backend = "fused"
 
     def __init__(self, mesh: Mesh, cache: OperatorCache):
         super().__init__(mesh, cache)
-        # Folded weights: normalisation baked into the gather weight so
-        # the weighted reduction is one einsum with no divide pass.
-        self.div_w_fold = cache.div_w / mesh.cell_area[:, None]
-        self.curl_w_fold = cache.curl_w / mesh.vertex_area[:, None]
+        # Folded weights: normalisation baked into the gather weight (one
+        # einsum, no divide pass) in float64, then rounded once per policy
+        # dtype — for float64 the cast is the identity, no copy.
         mask, cnt = cache.v2c_weights(np.dtype(np.float64))
-        self.v2c_w_fold = mask / cnt[:, None]
-        self.inv_cell_area = 1.0 / mesh.cell_area
-        self.de_col = mesh.de[:, None]
-        self.le_col = mesh.le[:, None]
+        folded = {
+            "div_w_fold": cache.div_w / mesh.cell_area[:, None],
+            "curl_w_fold": cache.curl_w / mesh.vertex_area[:, None],
+            "v2c_w_fold": mask / cnt[:, None],
+            "inv_cell_area": 1.0 / mesh.cell_area,
+            "de": mesh.de, "de_col": mesh.de[:, None],
+            "le": mesh.le, "le_col": mesh.le[:, None],
+            "cell_recon": mesh.cell_recon,
+            "edge_tangent": mesh.edge_tangent,
+        }
+        self._tables = {
+            np.dtype(dt): SimpleNamespace(
+                **{k: v.astype(dt, copy=False) for k, v in folded.items()}
+            )
+            for dt in (np.float64, np.float32)
+        }
         self._scratch: dict[tuple, np.ndarray] = {}
         self._lock = threading.Lock()
 
     # -- compiled resources ------------------------------------------------
-    def _buf(self, name: str, shape: tuple, dtype=np.float64) -> np.ndarray:
-        key = (name, shape, np.dtype(dtype))
+    def _buf(self, name: str, shape: tuple, dtype: np.dtype) -> np.ndarray:
+        key = (name, shape, dtype)
         buf = self._scratch.get(key)
         if buf is None:
             with self._lock:
@@ -502,14 +515,14 @@ class FusedKernels(ReferenceKernels):
                     self._scratch[key] = buf
         return buf
 
-    @staticmethod
-    def _fast(*fields) -> bool:
-        """The fused fast path handles float64; else fall back, counted
-        as ``stencil.reference_delegations`` (nested kernels included)."""
-        fast = all(f.dtype == np.float64 and f.ndim <= 2 for f in fields)
-        if not fast:
-            get_metrics().inc("stencil.reference_delegations")
-        return fast
+    def _tables_for(self, op: str, field: np.ndarray) -> SimpleNamespace:
+        t = self._tables.get(field.dtype)
+        if t is None or field.ndim > 2:
+            raise TypeError(
+                f"fused {op}: expected a 1-D or 2-D float64/float32 field, "
+                f"got {field.dtype} with ndim={field.ndim}"
+            )
+        return t
 
     def _take(self, field, idx, name):
         out = self._buf(name, idx.shape + field.shape[1:], field.dtype)
@@ -517,127 +530,108 @@ class FusedKernels(ReferenceKernels):
         return out
 
     # -- kernels -----------------------------------------------------------
-    def gather_edges(self, edge_field: np.ndarray) -> np.ndarray:
-        # Same pad-weight fold as reference, but gathered into scratch;
-        # returns a fresh array (callers may keep it).
-        if not self._fast(edge_field):
-            return super().gather_edges(edge_field)
-        c = self.cache
-        g = self._take(edge_field, c.cell_edges_idx, "gather_edges")
-        w = c.edge_gather_w
-        return g * w.reshape(w.shape + (1,) * (g.ndim - 2))
-
     def divergence(self, flux_edge: np.ndarray) -> np.ndarray:
-        if not self._fast(flux_edge):
-            return super().divergence(flux_edge)
+        t = self._tables_for("divergence", flux_edge)
         if flux_edge.ndim == 1:
             # Scatter-accumulate form: each edge pushes +-F*le to its two
-            # cells; np.bincount replaces the padded gather entirely.
+            # cells; np.bincount replaces the padded gather entirely.  It
+            # accumulates in float64 whatever the weights' dtype.
             nc = self.mesh.nc
-            ebuf = self._buf("div_ebuf", flux_edge.shape)
-            np.multiply(flux_edge, self.mesh.le, out=ebuf)
+            ebuf = self._buf("div_ebuf", flux_edge.shape, flux_edge.dtype)
+            np.multiply(flux_edge, t.le, out=ebuf)
             acc = np.bincount(self.cache.edge_c1, weights=ebuf, minlength=nc)
             acc -= np.bincount(self.cache.edge_c2, weights=ebuf, minlength=nc)
-            acc *= self.inv_cell_area
+            acc = acc.astype(flux_edge.dtype, copy=False)
+            acc *= t.inv_cell_area
             return acc
         g = self._take(flux_edge, self.cache.cell_edges_idx, "div_gather")
-        return np.einsum("ndl,nd->nl", g, self.div_w_fold)
+        return np.einsum("ndl,nd->nl", g, t.div_w_fold)
 
     def gradient(self, cell_field: np.ndarray) -> np.ndarray:
-        if not self._fast(cell_field):
-            return super().gradient(cell_field)
+        t = self._tables_for("gradient", cell_field)
         c = self.cache
         a = self._take(cell_field, c.edge_c2, "grad_a")
         b = self._take(cell_field, c.edge_c1, "grad_b")
         out = np.empty_like(a)
         np.subtract(a, b, out=out)
-        de = self.mesh.de if out.ndim == 1 else self.de_col
+        de = t.de if out.ndim == 1 else t.de_col
         np.divide(out, de, out=out)
         return out
 
     def curl(self, u_edge: np.ndarray) -> np.ndarray:
-        if not self._fast(u_edge):
-            return super().curl(u_edge)
+        t = self._tables_for("curl", u_edge)
         g = self._take(u_edge, self.cache.vertex_edges_idx, "curl_gather")
         if g.ndim == 2:
-            return np.einsum("nd,nd->n", g, self.curl_w_fold)
-        return np.einsum("ndl,nd->nl", g, self.curl_w_fold)
+            return np.einsum("nd,nd->n", g, t.curl_w_fold)
+        return np.einsum("ndl,nd->nl", g, t.curl_w_fold)
 
-    def cell_to_edge(self, cell_field: np.ndarray) -> np.ndarray:
-        if not self._fast(cell_field):
-            return super().cell_to_edge(cell_field)
-        c = self.cache
-        a = self._take(cell_field, c.edge_c1, "c2e_a")
-        b = self._take(cell_field, c.edge_c2, "c2e_b")
+    def _endpoint_mean(self, op, field, idx_a, idx_b):
+        self._tables_for(op, field)
+        a = self._take(field, idx_a, op + "_a")
+        b = self._take(field, idx_b, op + "_b")
         out = np.empty_like(a)
         np.add(a, b, out=out)
         out *= 0.5
         return out
 
+    def cell_to_edge(self, cell_field: np.ndarray) -> np.ndarray:
+        c = self.cache
+        return self._endpoint_mean("cell_to_edge", cell_field, c.edge_c1, c.edge_c2)
+
     def cell_to_edge_upwind(
         self, cell_field: np.ndarray, u_edge: np.ndarray
     ) -> np.ndarray:
-        if not self._fast(cell_field, u_edge):
-            return super().cell_to_edge_upwind(cell_field, u_edge)
+        # Keyed on the advected field alone: ``u_edge`` is a sign mask (MIX
+        # tracer transport passes float32 q with the float64 mean flux).
+        self._tables_for("cell_to_edge_upwind", cell_field)
         c = self.cache
         a = self._take(cell_field, c.edge_c1, "up_a")
         b = self._take(cell_field, c.edge_c2, "up_b")
         return np.where(u_edge >= 0.0, a, b)
 
     def vertex_to_edge(self, vertex_field: np.ndarray) -> np.ndarray:
-        if not self._fast(vertex_field):
-            return super().vertex_to_edge(vertex_field)
         c = self.cache
-        a = self._take(vertex_field, c.edge_v1, "v2e_a")
-        b = self._take(vertex_field, c.edge_v2, "v2e_b")
-        out = np.empty_like(a)
-        np.add(a, b, out=out)
-        out *= 0.5
-        return out
+        return self._endpoint_mean("vertex_to_edge", vertex_field, c.edge_v1, c.edge_v2)
 
     def vertex_to_cell(self, vertex_field: np.ndarray) -> np.ndarray:
-        if not self._fast(vertex_field):
-            return super().vertex_to_cell(vertex_field)
+        t = self._tables_for("vertex_to_cell", vertex_field)
         g = self._take(vertex_field, self.cache.cell_vertices_idx, "v2c")
         if g.ndim == 2:
-            return np.einsum("nd,nd->n", g, self.v2c_w_fold)
-        return np.einsum("ndl,nd->nl", g, self.v2c_w_fold)
+            return np.einsum("nd,nd->n", g, t.v2c_w_fold)
+        return np.einsum("ndl,nd->nl", g, t.v2c_w_fold)
 
     def reconstruct_cell_vectors(self, u_edge: np.ndarray) -> np.ndarray:
-        if not self._fast(u_edge):
-            return super().reconstruct_cell_vectors(u_edge)
+        t = self._tables_for("reconstruct_cell_vectors", u_edge)
         # cell_recon is zero at invalid lanes (checked at compile), so
         # the reference's where-mask pass is redundant: 0-weight lanes
         # annihilate the clamped gather's garbage.
         g = self._take(u_edge, self.cache.cell_edges_idx, "recon")
         if g.ndim == 2:
-            return np.einsum("nik,nk->ni", self.mesh.cell_recon, g)
-        return np.einsum("nik,nkl->nil", self.mesh.cell_recon, g)
+            return np.einsum("nik,nk->ni", t.cell_recon, g)
+        return np.einsum("nik,nkl->nil", t.cell_recon, g)
 
     def tangential_velocity(self, u_edge: np.ndarray) -> np.ndarray:
-        if not self._fast(u_edge):
-            return super().tangential_velocity(u_edge)
+        t = self._tables_for("tangential_velocity", u_edge)
         c = self.cache
         vec = self.reconstruct_cell_vectors(u_edge)
         a = self._take(vec, c.edge_c1, "tang_a")
         b = self._take(vec, c.edge_c2, "tang_b")
-        ve = self._buf("tang_ve", a.shape)
+        ve = self._buf("tang_ve", a.shape, a.dtype)
         np.add(a, b, out=ve)
         ve *= 0.5
         if ve.ndim == 2:
-            return np.einsum("ej,ej->e", ve, self.mesh.edge_tangent)
-        return np.einsum("ejl,ej->el", ve, self.mesh.edge_tangent)
+            return np.einsum("ej,ej->e", ve, t.edge_tangent)
+        return np.einsum("ejl,ej->el", ve, t.edge_tangent)
 
     def laplacian_edge(self, u_edge: np.ndarray) -> np.ndarray:
-        if not self._fast(u_edge):
-            return super().laplacian_edge(u_edge)
+        t = self._tables_for("laplacian_edge", u_edge)
         c = self.cache
         div = self.divergence(u_edge)
         zeta = self.curl(u_edge)
         grad_div = self.gradient(div)
         za = self._take(zeta, c.edge_v2, "lape_a")
         zb = self._take(zeta, c.edge_v1, "lape_b")
-        le = self.mesh.le if u_edge.ndim == 1 else self.le_col
+        le = t.le if u_edge.ndim == 1 else t.le_col
         cz = np.empty_like(grad_div)
         np.subtract(za, zb, out=cz)
         np.divide(cz, le, out=cz)

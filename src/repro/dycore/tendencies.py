@@ -42,7 +42,7 @@ def primal_normal_flux_edge(
     "primal normal" reconstruction).  Classified insensitive apart from
     the accumulation consumer (see tracer transport).
     """
-    dt = policy.dtype_of("mass_divergence")
+    term = "mass_divergence"
     cache = mesh_cache(mesh)
     c1, c2 = cache.edge_c1, cache.edge_c2
     # Midpoint weighting keeps 2nd order on the slightly non-uniform grid.
@@ -51,9 +51,9 @@ def primal_normal_flux_edge(
     # division is exact), but burned a full pass over ``de`` per call and
     # NaN-poisoned the flux if a degenerate zero-length edge ever
     # appeared.  Pinned bitwise against the old expression in tests.
-    w1 = np.asarray(0.5, dtype=dt)
-    dpi_e = w1 * dpi[c1].astype(dt) + (1.0 - w1) * dpi[c2].astype(dt)
-    return dpi_e * u.astype(dt)
+    w1 = np.asarray(0.5, dtype=policy.dtype_of(term))
+    dpi_e = w1 * policy.cast(term, dpi[c1]) + (1.0 - w1) * policy.cast(term, dpi[c2])
+    return dpi_e * policy.cast(term, u)
 
 
 def calc_coriolis_term(
@@ -68,13 +68,13 @@ def calc_coriolis_term(
     right-handed (normal, tangent, radial) convention the tendency on the
     normal velocity is ``+(zeta + f) v_t``.
     """
-    dt = policy.dtype_of("coriolis_term")
-    un = u.astype(dt)
+    term = "coriolis_term"
+    un = policy.cast(term, u)
     zeta_v = ops.curl(mesh, un)
     zeta_e = ops.vertex_to_edge(mesh, zeta_v)
     vt = ops.tangential_velocity(mesh, un)
-    absvor = zeta_e.astype(dt) + mesh.f_edge[:, None].astype(dt)
-    return (absvor * vt).astype(dt)
+    absvor = policy.cast(term, zeta_e) + policy.cast(term, mesh.f_edge[:, None])
+    return policy.cast(term, absvor * vt)
 
 
 def compute_rrr(
@@ -90,11 +90,11 @@ def compute_rrr(
     pressure to the geopotential (section 3.4's pressure terms stay DP,
     but the advective consumers of rrr are insensitive).
     """
-    dt = policy.dtype_of("momentum_advection")
-    dphi = (phi[:, :-1] - phi[:, 1:]).astype(dt)  # positive (top - bottom)
-    dphi = np.maximum(dphi, np.asarray(1.0, dtype=dt))
+    term = "momentum_advection"
+    dphi = policy.cast(term, phi[:, :-1] - phi[:, 1:])  # positive (top - bottom)
+    dphi = np.maximum(dphi, np.asarray(1.0, dtype=dphi.dtype))
     # rho = (dpi/g) mass per area over (dphi/g) thickness = dpi/dphi.
-    return dpi.astype(dt) / dphi
+    return policy.cast(term, dpi) / dphi
 
 
 def tend_grad_ke_at_edge(
@@ -106,9 +106,9 @@ def tend_grad_ke_at_edge(
 
     ``tend = -(K(c2) - K(c1)) / de`` per level.
     """
-    dt = policy.dtype_of("kinetic_energy_gradient")
-    ke = ops.kinetic_energy(mesh, u.astype(dt)).astype(dt)
-    return (-ops.gradient(mesh, ke)).astype(dt)
+    term = "kinetic_energy_gradient"
+    ke = policy.cast(term, ops.kinetic_energy(mesh, policy.cast(term, u)))
+    return policy.cast(term, -ops.gradient(mesh, ke))
 
 
 def pressure_gradient_force(
@@ -122,11 +122,11 @@ def pressure_gradient_force(
 
     Precision-sensitive (section 3.4.2): always evaluated in double.
     """
-    dt = policy.dtype_of("pressure_gradient")      # float64 by design
-    pi_ex = exner(p_mid.astype(dt))
-    theta_e = ops.cell_to_edge(mesh, theta.astype(dt))
+    term = "pressure_gradient"                     # float64 by design
+    pi_ex = exner(policy.cast(term, p_mid))
+    theta_e = ops.cell_to_edge(mesh, policy.cast(term, theta))
     g_pi = ops.gradient(mesh, pi_ex)
-    g_phi = ops.gradient(mesh, phi_mid.astype(dt))
+    g_phi = ops.gradient(mesh, policy.cast(term, phi_mid))
     return -CP_DRY * theta_e * g_pi - g_phi
 
 

@@ -43,8 +43,8 @@ def tracer_transport_hori_flux_limiter(
     dpi_old, dpi_new : (nc, nlev) layer masses before/after the step.
     dt : tracer timestep [s].
     """
-    ns = policy.dtype_of("tracer_flux_limiter")
-    qn = q.astype(ns)
+    term = "tracer_flux_limiter"
+    qn = policy.cast(term, q)
     F = flux_edge  # stays in its accumulated (double) precision
 
     # Low-order (monotone) update.
@@ -54,7 +54,7 @@ def tracer_transport_hori_flux_limiter(
 
     # Antidiffusive fluxes toward 2nd order.
     q_ce = ops.cell_to_edge(mesh, qn)
-    A = (F * (q_ce - q_up)).astype(ns)
+    A = policy.cast(term, F * (q_ce - q_up))
 
     # Zalesak limiter bounds from the neighbourhood of q_td and q.
     both = np.maximum(q_td, q)
@@ -148,7 +148,7 @@ class MassFluxAccumulator:
         self._steps = 0
 
     def add(self, flux_edge: np.ndarray) -> None:
-        self._sum += flux_edge.astype(np.float64)
+        self._sum += flux_edge.astype(np.float64, copy=False)
         self._steps += 1
 
     @property

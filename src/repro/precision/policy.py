@@ -86,10 +86,7 @@ class PrecisionPolicy:
 
     def cast(self, term: str, array: np.ndarray) -> np.ndarray:
         """On-the-fly precision conversion of a term (section 3.4.3)."""
-        dt = self.dtype_of(term)
-        if array.dtype == dt:
-            return array
-        return array.astype(dt)
+        return array.astype(self.dtype_of(term), copy=False)
 
     def demoted_terms(self) -> list[str]:
         """Terms that actually run in FP32 under the current config."""

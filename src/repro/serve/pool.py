@@ -216,7 +216,8 @@ class ModelPool:
                 self._total -= 1
                 self._cond.notify_all()
             raise
-        self.built += 1
+        with self._cond:
+            self.built += 1
         get_metrics().inc("serve.pool.built")
         return model
 

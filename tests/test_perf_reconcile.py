@@ -71,8 +71,6 @@ class TestRunProfile:
 
     def test_metrics_snapshot(self, profile):
         assert profile["metrics"]["counters"]["dycore.steps"] == 2.0
-        # The profile dycore is DP: nothing leaves the fused fast path.
-        assert "stencil.reference_delegations" not in profile["metrics"]["counters"]
 
     def test_reconciliation_table_complete(self, profile):
         assert {r["kernel"] for r in profile["reconciliation"]} == set(MAJOR_KERNELS)

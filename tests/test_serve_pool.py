@@ -101,6 +101,38 @@ class TestPoolLifecycle:
         assert not violations
         assert pool.stats()["total"] <= 2
 
+    def test_counters_exact_under_concurrent_builds(self, monkeypatch):
+        """Every counter ``stats()`` reports is updated under the pool
+        lock, ``built`` included: n threads x k build-and-recycle cycles
+        lose no update even at a 1 us switch interval."""
+        import sys
+
+        monkeypatch.setattr(
+            "repro.serve.pool.build_forecast_model",
+            lambda key, shared_nets=None: object(),
+        )
+        pool = ModelPool(max_models=64)
+        n, cycles = 8, 500
+
+        def worker():
+            for _ in range(cycles):
+                pool.release(REQ, pool.acquire(REQ, timeout=30.0), tainted=True)
+
+        threads = [threading.Thread(target=worker) for _ in range(n)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        stats = pool.stats()
+        assert stats["built"] == stats["recycled"] == n * cycles
+        assert stats["total"] == 0
+
     def test_rejects_bad_capacity(self):
         with pytest.raises(ValueError):
             ModelPool(max_models=0)

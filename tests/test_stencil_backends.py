@@ -3,10 +3,11 @@ operator-cache/hot-loop bugfix regressions.
 
 * the ``reference`` backend is pinned **bitwise** against inline copies
   of the pre-refactor eager-NumPy operators (the goldens);
-* the ``fused`` backend is pinned against ``reference`` per kernel under
-  its declared contract — bitwise for the linear gather/arithmetic
-  kernels, a scaled-inf-norm tolerance where the fused form folds a
-  normalisation into the weights or reorders a summation;
+* the ``fused`` backend is pinned against ``reference`` per kernel and
+  per dtype: float64 under the spec's declared contract — bitwise for
+  the linear gather/arithmetic kernels, a scaled-inf-norm tolerance
+  where the fused form folds a normalisation into the weights or
+  reorders a summation — and float32 under ``FLOAT32_TOLERANCE``;
 * the mimetic identities re-run per backend;
 * the operator cache compiles exactly once under thread hammering and is
   immutable after publish;
@@ -39,13 +40,13 @@ def mesh4():
     return build_mesh(4)
 
 
-def _fields(mesh, seed, nlev):
+def _fields(mesh, seed, nlev, dtype=np.float64):
     rng = np.random.default_rng(seed)
     shape = (nlev,) if nlev else ()
     return {
-        "edge": rng.normal(size=(mesh.ne,) + shape),
-        "cell": rng.normal(size=(mesh.nc,) + shape),
-        "vertex": rng.normal(size=(mesh.nv,) + shape),
+        "edge": rng.normal(size=(mesh.ne,) + shape).astype(dtype),
+        "cell": rng.normal(size=(mesh.nc,) + shape).astype(dtype),
+        "vertex": rng.normal(size=(mesh.nv,) + shape).astype(dtype),
     }
 
 
@@ -72,14 +73,24 @@ def _call(name, mesh, fields, backend):
     return fn(mesh, *args, backend=backend)
 
 
-def _assert_contract(name, ref, fused):
-    spec = stc.STENCILS[name]
-    if spec.bitwise:
-        assert np.array_equal(ref, fused), f"{name}: fused not bitwise"
-    else:
-        bound = spec.tolerance * max(float(np.abs(ref).max()), 1e-300)
-        err = float(np.abs(fused - ref).max())
-        assert err <= bound, f"{name}: |fused-ref|={err:.3e} > {bound:.3e}"
+def _assert_contract(name, mesh, seed, nlev):
+    """Fused vs reference on the same fields, once per policy dtype:
+    float64 under the spec's own contract, float32 under the one
+    ``FLOAT32_TOLERANCE`` — and the fused result keeps its input dtype."""
+    for dtype in (np.float64, np.float32):
+        f = _fields(mesh, seed, nlev, dtype)
+        ref = _call(name, mesh, f, "reference")
+        fused = _call(name, mesh, f, "fused")
+        assert fused.dtype == dtype, f"{name}: {dtype.__name__} in, {fused.dtype} out"
+        tol = stc.STENCILS[name].tolerance if dtype is np.float64 else stc.FLOAT32_TOLERANCE
+        if tol == stc.BITWISE:
+            assert np.array_equal(ref, fused), f"{name}: fused not bitwise"
+        else:
+            bound = tol * max(float(np.abs(ref).max()), 1e-300)
+            err = float(np.abs(fused - ref).max())
+            assert err <= bound, (
+                f"{name}[{dtype.__name__}]: |fused-ref|={err:.3e} > {bound:.3e}"
+            )
 
 
 # -- pre-refactor goldens (the old eager implementations, verbatim) --------
@@ -180,38 +191,24 @@ class TestReferenceMatchesPreRefactorGoldens:
 
 
 class TestBackendEquivalence:
-    """Fused vs reference under each kernel's declared contract."""
+    """Fused vs reference under each kernel's declared contract, for
+    both policy dtypes, 1-D and 2-D fields."""
 
     @pytest.mark.parametrize("name", sorted(OPERATORS))
     @pytest.mark.parametrize("nlev", [0, 6])
     def test_g3(self, mesh3, name, nlev):
-        f = _fields(mesh3, 21, nlev)
-        _assert_contract(
-            name,
-            _call(name, mesh3, f, "reference"),
-            _call(name, mesh3, f, "fused"),
-        )
+        _assert_contract(name, mesh3, 21, nlev)
 
     @pytest.mark.parametrize("name", sorted(OPERATORS))
     def test_g4(self, mesh4, name):
-        f = _fields(mesh4, 22, 8)
-        _assert_contract(
-            name,
-            _call(name, mesh4, f, "reference"),
-            _call(name, mesh4, f, "fused"),
-        )
+        _assert_contract(name, mesh4, 22, 8)
 
     @given(st.integers(min_value=0, max_value=10**6))
     @settings(max_examples=15, deadline=None)
     def test_property_randomized(self, seed):
         mesh = build_mesh(2)
-        f = _fields(mesh, seed, 4)
         for name in OPERATORS:
-            _assert_contract(
-                name,
-                _call(name, mesh, f, "reference"),
-                _call(name, mesh, f, "fused"),
-            )
+            _assert_contract(name, mesh, seed, 4)
 
     def test_fused_returns_fresh_arrays(self, mesh3):
         """Outputs must never alias plan scratch: consecutive calls
@@ -224,11 +221,41 @@ class TestBackendEquivalence:
         np.testing.assert_allclose(2.0 * a, b, rtol=1e-12)
 
     def test_non_f64_dtypes_delegate_to_reference(self, mesh3):
-        f32 = _fields(mesh3, 24, 5)["cell"].astype(np.float32)
+        """(The id predates the per-dtype tables and is pinned.)  Fused
+        float32 ``cell_to_edge`` delegates nowhere, yet still equals the
+        reference bitwise: the same operations in the same order."""
+        f32 = _fields(mesh3, 24, 5, np.float32)["cell"]
         ref = ops.cell_to_edge(mesh3, f32, backend="reference")
         fused = ops.cell_to_edge(mesh3, f32, backend="fused")
         assert fused.dtype == np.float32
         np.testing.assert_array_equal(ref, fused)
+
+    @pytest.mark.parametrize("name", sorted(OPERATORS))
+    def test_unsupported_inputs_raise(self, mesh3, name):
+        """float32 in -> float32 out is part of ``_assert_contract``; a
+        dtype that is neither policy dtype, or ``ndim == 3``, is a
+        ``TypeError`` naming the fused kernel that refused it."""
+        f = _fields(mesh3, 26, 5)
+        for bad in (
+            {k: v.astype(np.float16) for k, v in f.items()},
+            {k: v.astype(np.int64) for k, v in f.items()},
+            {k: v[..., None] for k, v in f.items()},
+        ):
+            with pytest.raises(TypeError, match=r"^fused \w+: expected"):
+                _call(name, mesh3, bad, "fused")
+
+    @pytest.mark.parametrize("name", sorted(OPERATORS))
+    def test_interleaved_dtypes_never_share_scratch(self, mesh3, name):
+        """f64, f32, f64 on one plan: scratch is keyed by dtype, so the
+        float32 call in the middle leaves the float64 result unchanged."""
+        f64 = _fields(mesh3, 27, 5)
+        f32 = _fields(mesh3, 28, 5, np.float32)
+        first = _call(name, mesh3, f64, "fused")
+        middle = _call(name, mesh3, f32, "fused")
+        third = _call(name, mesh3, f64, "fused")
+        assert middle.dtype == np.float32
+        assert first.dtype == third.dtype == np.float64
+        np.testing.assert_array_equal(first, third)
 
     def test_optional_accelerators_degrade_silently(self, mesh3):
         """The fused backend needs nothing beyond NumPy."""
@@ -447,42 +474,71 @@ class TestSolverPerBackend:
     @pytest.mark.parametrize("scheme", ["DP-PHY", "MIX-PHY"])
     def test_coupled_default_tracks_reference_oracle(self, scheme):
         """The default (fused) coupled model against the reference
-        oracle over four tracer and two physics steps, and the profile
-        fact that goes with it: DP never leaves the fast path, MIX's
-        float32 fields do."""
+        oracle over four tracer and two physics steps.  DP differs only
+        by summation order; MIX runs its ``ns`` terms in float32 on the
+        fused path where the oracle promotes them through float64
+        weights, so it is held to the float32 bound (measured 2.4e-8 on
+        ``u``, <= 1e-11 elsewhere)."""
         from repro.dycore.state import tropical_profile_state
         from repro.dycore.vertical import VerticalCoordinate
         from repro.model.config import TABLE3_SCHEMES, scaled_grid_config
         from repro.model.grist import GristModel
-        from repro.obs import collecting
 
         vc = VerticalCoordinate.stretched(10)
         gc = scaled_grid_config(3, 10)
         assert (gc.tracer_ratio, gc.physics_ratio) == (6, 12)
-        states, delegations = {}, {}
+        states = {}
         for kwargs in ({}, {"stencil_backend": "reference"}):
             mesh = build_mesh(3)  # one mesh per core: the binding lives on it
             model = GristModel(
                 mesh, vc, gc, TABLE3_SCHEMES[scheme], dycore_kwargs=kwargs
             )
             backend = model.dycore.config.stencil_backend
-            with collecting() as metrics:
-                states[backend] = model.run(tropical_profile_state(mesh, vc), 24)
-            delegations[backend] = metrics.snapshot()["counters"].get(
-                "stencil.reference_delegations", 0
-            )
-        assert delegations["reference"] == 0
-        assert (delegations["fused"] > 0) == (scheme == "MIX-PHY")
+            states[backend] = model.run(tropical_profile_state(mesh, vc), 24)
         ref, fus = states["reference"], states["fused"]
+        tol, mass_tol = {
+            "DP-PHY": (1e-10, 1e-14),
+            "MIX-PHY": (stc.FLOAT32_TOLERANCE, 1e-12),
+        }[scheme]
         fields = {n: (getattr(ref, n), getattr(fus, n))
                   for n in ("ps", "u", "theta", "w", "phi")}
         fields.update({n: (ref.tracers[n], fus.tracers[n]) for n in ref.tracers})
         for name, (a, b) in fields.items():
             scale = max(float(np.abs(a).max()), 1e-300)
-            assert float(np.abs(a - b).max()) <= 1e-10 * scale, name
+            assert float(np.abs(a - b).max()) <= tol * scale, name
         assert fus.total_dry_mass() == pytest.approx(
-            ref.total_dry_mass(), rel=1e-14
+            ref.total_dry_mass(), rel=mass_tol
         )
+
+    @pytest.mark.parametrize("case", ["baroclinic", "tropical"])
+    def test_mix_long_run_stays_finite_and_conserves_mass(self, case):
+        """400 coupled G3L10 MIX-PHY steps stay finite with relative
+        dry-mass drift <= 1e-9.  The continuity divergence of the float32
+        mass flux is now itself float32, so the drift is no longer
+        round-off of a float64 sum: it measures 2.0e-11 (baroclinic) /
+        1.1e-12 (tropical) where the old float64-promoting delegation
+        measured 0 / 2e-16."""
+        from repro.dycore import state as states
+        from repro.dycore.vertical import VerticalCoordinate
+        from repro.model.config import TABLE3_SCHEMES, scaled_grid_config
+        from repro.model.grist import GristModel
+
+        mesh = build_mesh(3)
+        vc = VerticalCoordinate.stretched(10)
+        model = GristModel(
+            mesh, vc, scaled_grid_config(3, 10), TABLE3_SCHEMES["MIX-PHY"]
+        )
+        start = {
+            "baroclinic": states.baroclinic_wave_state,
+            "tropical": states.tropical_profile_state,
+        }[case](mesh, vc)
+        m0 = start.total_dry_mass()
+        end = model.run(start, 400)
+        for name in ("ps", "u", "theta", "w", "phi"):
+            assert np.isfinite(getattr(end, name)).all(), name
+        for name, q in end.tracers.items():
+            assert np.isfinite(q).all(), name
+        assert abs(end.total_dry_mass() - m0) <= 1e-9 * m0
 
 
 class TestKernelAnnotationsPerBackend:
