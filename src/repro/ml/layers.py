@@ -19,6 +19,7 @@ raises.
 from __future__ import annotations
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 
 class Layer:
@@ -75,8 +76,10 @@ class Conv1D(Layer):
     """1-D convolution, 'same' zero padding, stride 1.
 
     Input ``(batch, c_in, L)``, kernel ``(c_out, c_in, k)``.  Implemented
-    as a sum over kernel offsets of shifted matmuls — fully vectorised
-    and exactly differentiable by the mirrored backward pass.
+    as im2col + one GEMM: the ``k`` taps of every output level are laid
+    side by side as one row of a ``(batch * L, k * c_in)`` matrix, so the
+    whole layer is a single BLAS call in either dtype; the backward pass
+    is the two transposed GEMMs and a ``k``-term col2im.
     """
 
     def __init__(self, c_in: int, c_out: int, k: int = 3, rng: np.random.Generator | None = None):
@@ -89,7 +92,7 @@ class Conv1D(Layer):
         self.dW = np.zeros_like(self.W)
         self.db = np.zeros_like(self.b)
         self.k = k
-        self._xp: np.ndarray | None = None
+        self._cols: np.ndarray | None = None
 
     def params(self):
         return {"W": self.W, "b": self.b}
@@ -101,33 +104,44 @@ class Conv1D(Layer):
     def n_params(self) -> int:
         return self.W.size + self.b.size
 
+    def _wm(self) -> np.ndarray:
+        """``W`` as the ``(k * c_in, c_out)`` GEMM operand (tap-major rows)."""
+        return self.W.transpose(2, 1, 0).reshape(-1, self.W.shape[0])
+
     def forward(self, x, train=True):
-        b, c_in, L = x.shape
-        pad = self.k // 2
-        xp = np.pad(x, ((0, 0), (0, 0), (pad, pad)))
-        self._xp = xp if train else None
-        c_out = self.W.shape[0]
-        # Accumulate in the operand result dtype so a float32-cast net
-        # stays float32 end to end instead of upcasting through the
-        # float64 default.
-        y = np.zeros((b, c_out, L), dtype=np.result_type(xp.dtype, self.W.dtype))
-        for dk in range(self.k):
-            # y[:, o, l] += sum_i W[o, i, dk] * xp[:, i, l + dk]
-            y += np.einsum("oi,bil->bol", self.W[:, :, dk], xp[:, :, dk: dk + L])
-        return y + self.b[None, :, None]
+        c_out, c_in, k = self.W.shape
+        if x.ndim != 3 or x.shape[1] != c_in:
+            raise ValueError(f"expected input (batch, {c_in}, L), got {x.shape}")
+        b, _, L = x.shape
+        pad = k // 2
+        # Channels-last and padded once, in the operand result dtype so a
+        # float32-cast net stays float32 end to end.
+        xp = np.zeros((b, L + 2 * pad, c_in), dtype=np.result_type(x.dtype, self.W.dtype))
+        xp[:, pad: pad + L] = x.transpose(0, 2, 1)
+        # cols[b, l, dk * c_in + i] = xp[b, l + dk, i]
+        cols = sliding_window_view(xp, k, axis=1).transpose(0, 1, 3, 2).reshape(b, L, k * c_in)
+        self._cols = cols if train else None
+        y = cols.reshape(b * L, -1) @ self._wm()
+        y += self.b
+        return y.reshape(b, L, c_out).transpose(0, 2, 1)
 
     def backward(self, dy):
-        if self._xp is None:
+        if self._cols is None:
             raise RuntimeError("backward before forward")
-        b, c_out, L = dy.shape
-        pad = self.k // 2
-        dxp = np.zeros_like(self._xp)
-        for dk in range(self.k):
-            xs = self._xp[:, :, dk: dk + L]          # (b, c_in, L)
-            self.dW[:, :, dk] += np.einsum("bol,bil->oi", dy, xs)
-            dxp[:, :, dk: dk + L] += np.einsum("oi,bol->bil", self.W[:, :, dk], dy)
-        self.db += dy.sum(axis=(0, 2))
-        return dxp[:, :, pad: pad + L] if pad else dxp
+        c_out, c_in, k = self.W.shape
+        b, L, _ = self._cols.shape
+        if dy.shape != (b, c_out, L):
+            raise ValueError(f"expected gradient {(b, c_out, L)}, got {dy.shape}")
+        pad = k // 2
+        dym = dy.transpose(0, 2, 1).reshape(b * L, c_out)
+        dwm = self._cols.reshape(b * L, -1).T @ dym          # (k * c_in, c_out)
+        self.dW += dwm.reshape(k, c_in, c_out).transpose(2, 1, 0)
+        self.db += dym.sum(axis=0)
+        dcols = (dym @ self._wm().T).reshape(b, L, k, c_in)
+        dxp = np.zeros((b, L + 2 * pad, c_in), dtype=dcols.dtype)
+        for dk in range(k):                          # col2im
+            dxp[:, dk: dk + L] += dcols[:, :, dk]
+        return dxp[:, pad: pad + L].transpose(0, 2, 1)
 
 
 class ReLU(Layer):

@@ -72,6 +72,15 @@ class ResUnit(Layer):
         return dy + self.inner.backward(dy)
 
 
+#: The float32 inference contract, the ML counterpart of
+#: ``stencil.FLOAT32_TOLERANCE``: a ``cast_network(net, float32)`` clone
+#: stays within this of the float64 net, ``max|a - b| / max|b|`` over an
+#: output field (observed 7.5e-7 through the paper-size 11-layer CNN,
+#: 3.5e-6 on the coupled suite's clipped ``dqv``, <= 2.7e-7 through the
+#: small nets).
+FLOAT32_TOLERANCE = 1e-5
+
+
 def cast_network(net: Layer, dtype) -> Layer:
     """Deep-copy ``net`` with every parameter cast to ``dtype``.
 

@@ -8,7 +8,7 @@ concurrently from one process by a :class:`ForecastScheduler` that
   requests through a bounded :class:`ModelPool` (tainted instances are
   recycled, never reused);
 * coalesces ML-physics inference from co-scheduled requests into single
-  ``compile_inference(fp32)`` forward passes via the
+  stacked forward passes (one GEMM per layer) via the
   :class:`InferenceBatcher` (with a bitwise-safety probe that falls back
   to sequential execution whenever stacking would change bits);
 * answers repeat ``(seed, config)`` requests from a content-addressed

@@ -1,6 +1,8 @@
 """Tests of the NumPy NN framework: layers, gradients, optimisers,
 training protocol."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -63,6 +65,66 @@ class TestConv1D:
         with pytest.raises(ValueError):
             Conv1D(2, 2, k=4)
 
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("L", [1, 2, 10])
+    @pytest.mark.parametrize("k", [1, 3, 5])
+    def test_matches_literal_definition(self, k, L, dtype):
+        """Forward, dW, db and dx against the definition written out as
+        loops — the only place a k > 1 'same' convolution is spelled."""
+        rng = np.random.default_rng([k, L])
+        c_in, c_out, b = 3, 4, 1
+        c = Conv1D(c_in, c_out, k, rng)
+        c.W, c.b = c.W.astype(dtype), rng.normal(size=c_out).astype(dtype)
+        c.dW, c.db = np.zeros_like(c.W), np.zeros_like(c.b)
+        # Non-contiguous on purpose: a transposed view of (b, L, c_in).
+        x = rng.normal(size=(b, L, c_in)).astype(dtype).transpose(0, 2, 1)
+        dy = rng.normal(size=(b, L, c_out)).astype(dtype).transpose(0, 2, 1)
+        assert L == 1 or not x.flags.c_contiguous
+
+        pad = k // 2
+        y = np.zeros((b, c_out, L))
+        dW, db, dx = np.zeros(c.W.shape), np.zeros(c_out), np.zeros(x.shape)
+        for n in range(b):
+            for o in range(c_out):
+                for l in range(L):                       # noqa: E741
+                    y[n, o, l] = c.b[o]
+                    db[o] += dy[n, o, l]
+                    for i in range(c_in):
+                        for dk in range(k):
+                            m = l + dk - pad             # zero outside [0, L)
+                            if 0 <= m < L:
+                                y[n, o, l] += float(c.W[o, i, dk]) * float(x[n, i, m])
+                                dW[o, i, dk] += float(dy[n, o, l]) * float(x[n, i, m])
+                                dx[n, i, m] += float(c.W[o, i, dk]) * float(dy[n, o, l])
+
+        out = c.forward(x, train=True)
+        got_dx = c.backward(dy)
+        assert out.dtype == dtype and got_dx.dtype == dtype
+        tol = 1e-12 if dtype == np.float64 else 1e-5
+        for got, want in ((out, y), (c.dW, dW), (c.db, db), (got_dx, dx)):
+            assert got.shape == want.shape
+            np.testing.assert_allclose(got, want, rtol=0, atol=tol * max(1.0, np.abs(want).max()))
+
+    def test_result_dtype_follows_operands(self, rng):
+        """float32 input on float64 weights promotes (``np.result_type``)."""
+        c = Conv1D(3, 2, 3)
+        assert c.forward(rng.normal(size=(2, 3, 5)).astype(np.float32)).dtype == np.float64
+
+    def test_wrong_channel_count_rejected(self):
+        """A size-1 channel axis used to broadcast silently over c_in."""
+        c = Conv1D(3, 4, 3)
+        for bad in (np.ones((2, 1, 5)), np.ones((2, 6, 5)), np.ones((3, 5)), np.ones((1, 2, 3, 5))):
+            with pytest.raises(ValueError, match=re.escape(f"(batch, 3, L), got {bad.shape}")):
+                c.forward(bad)
+
+    def test_wrong_gradient_shape_rejected(self):
+        c = Conv1D(3, 4, 3)
+        c.forward(np.ones((2, 3, 5)))
+        for bad in (np.ones((2, 1, 5)), np.ones((2, 3, 5)), np.ones((2, 4, 6)), np.ones((2, 4))):
+            with pytest.raises(ValueError, match=re.escape(f"(2, 4, 5), got {bad.shape}")):
+                c.backward(bad)
+        np.testing.assert_array_equal(c.dW, 0.0)       # nothing accumulated
+
 
 class TestResUnit:
     def test_identity_at_zero_weights(self, rng):
@@ -103,7 +165,7 @@ class TestInferenceMode:
         net.forward(x, train=False)
         for layer in net.layers:
             if isinstance(layer, Conv1D):
-                assert layer._xp is None
+                assert layer._cols is None
             if isinstance(layer, ReLU):
                 assert layer._mask is None
 
@@ -116,7 +178,7 @@ class TestInferenceMode:
         net.forward(rng.normal(size=(5, 3, 8)), train=False)
         for layer in net.layers:
             if isinstance(layer, Conv1D):
-                assert layer._xp is None
+                assert layer._cols is None
 
     def test_dense_relu_inference_caches_none(self):
         rng = np.random.default_rng(3)
@@ -159,7 +221,7 @@ class TestCastNetwork:
             assert p.dtype == np.float32
 
     def test_float32_forward_close_to_float64(self):
-        from repro.ml.network import cast_network
+        from repro.ml.network import FLOAT32_TOLERANCE, cast_network
 
         rng = np.random.default_rng(2)
         net = Sequential(Conv1D(3, 8, 3, rng), ReLU(), Conv1D(8, 2, 3, rng))
@@ -170,7 +232,7 @@ class TestCastNetwork:
         )
         assert y32.dtype == np.float32
         scale = np.max(np.abs(y64))
-        assert np.max(np.abs(y32 - y64)) / scale < 1e-5
+        assert np.max(np.abs(y32 - y64)) / scale < FLOAT32_TOLERANCE
 
 
 class TestOptimizers:

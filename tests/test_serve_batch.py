@@ -186,3 +186,37 @@ class TestBatchedNetProxies:
         gsw, glw = proxy.predict_gsw_glw(t, q, tskin, coszr)
         gswd, glwd = rn.predict_gsw_glw(t, q, tskin, coszr)
         assert np.array_equal(gsw, gswd) and np.array_equal(glw, glwd)
+
+
+class TestStackingOnTheGemmConv:
+    """`Conv1D` is one GEMM per layer, so whether k stacked requests give
+    each request its solo bits is BLAS's blocking decision at that shape.
+    The contract does not depend on the answer: the probe decides, and
+    every caller gets its solo output either way."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("nlev,width,n_resunits", [(8, 16, 2), (10, 128, 5)])
+    @pytest.mark.parametrize("ncol", [642, 162])
+    def test_served_equals_solo_whichever_way_the_probe_decides(
+        self, ncol, nlev, width, n_resunits, dtype
+    ):
+        from repro.ml.tendency_net import TendencyCNN
+
+        rng = np.random.default_rng([ncol, nlev, width])
+        net = TendencyCNN(nlev, width=width, n_resunits=n_resunits)
+        net.fit_normalizers(
+            rng.normal(size=(32, 5, nlev)), rng.normal(size=(32, 2, nlev))
+        )
+        if dtype == np.float32:
+            net.compile_inference(np.float32)
+        inputs = [rng.normal(size=(ncol, 5, nlev)) for _ in range(3)]
+        solo = [net.predict(x) for x in inputs]
+
+        b = InferenceBatcher(net.predict, max_batch=3, window_seconds=0.5)
+        # First wave probes on its leader's input, second wave runs decided.
+        outs = _concurrent_submit(b, inputs * 2, workers=3)
+        assert b.stacking is not None
+        for out, want in zip(outs, solo * 2):
+            assert np.array_equal(out, want)
+        if not b.stacking:
+            assert b.stats()["stacked_items"] == 0
