@@ -44,7 +44,7 @@ __all__ = [
     "divergence", "gradient", "curl", "cell_to_edge",
     "cell_to_edge_upwind", "vertex_to_edge", "vertex_to_cell",
     "reconstruct_cell_vectors", "tangential_velocity", "kinetic_energy",
-    "laplacian_cell", "laplacian_edge",
+    "laplacian_cell", "laplacian_edge", "vorticity_edge", "momentum_diffusion",
 ]
 
 
@@ -133,3 +133,21 @@ def laplacian_edge(mesh: Mesh, u_edge: np.ndarray, backend: str | None = None) -
     as a stabiliser (coefficient-scaled in the solver).
     """
     return compiled_kernels(mesh, backend).laplacian_edge(u_edge)
+
+
+def vorticity_edge(mesh: Mesh, u_edge: np.ndarray, backend: str | None = None) -> np.ndarray:
+    """Relative vorticity averaged onto edges: ``vertex_to_edge(curl(u))``."""
+    return compiled_kernels(mesh, backend).vorticity_edge(u_edge)
+
+
+def momentum_diffusion(
+    mesh: Mesh, u_edge: np.ndarray, nu: float, nu_div: float,
+    backend: str | None = None,
+) -> np.ndarray:
+    """``nu * laplacian_edge(u) + nu_div * gradient(divergence(u))``.
+
+    Compiles the operator for these coefficients on every call; a core
+    compiles it once (``diffusion_operator``) and applies it per stage.
+    """
+    plan = compiled_kernels(mesh, backend)
+    return plan.momentum_diffusion(u_edge, plan.diffusion_operator(nu, nu_div))

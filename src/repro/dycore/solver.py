@@ -114,7 +114,7 @@ class DynamicalCore:
         # Compile this mesh's kernel plan up front (idempotent): the hot
         # loop never pays first-call compilation, and forked rank workers
         # inherit a fully built, immutable-after-publish plan.
-        ops.compiled_kernels(mesh)
+        self._kernels = ops.compiled_kernels(mesh)
         self.flux_acc = MassFluxAccumulator(mesh.ne, vcoord.nlev)
         # Diffusion scales with the *global* grid spacing of this level
         # (not the instance's mean edge length) so a rank-local submesh
@@ -125,6 +125,8 @@ class DynamicalCore:
         self._de2 = de**2
         self._nu = self.config.diffusion_coeff * self._de2 / self.config.dt
         self._nu_div = self.config.divergence_damping * self._de2 / self.config.dt
+        # nu lap_e(u) + nu_div grad(div u), compiled for these coefficients.
+        self._diffusion = self._kernels.diffusion_operator(self._nu, self._nu_div)
         self._steps = 0
 
     # -- tendency evaluation ------------------------------------------------
@@ -142,7 +144,8 @@ class DynamicalCore:
         phi_mid = 0.5 * (phi[:, :-1] + phi[:, 1:])
 
         # Mass flux and continuity.
-        F = tend.primal_normal_flux_edge(mesh, dpi, state.u, pol)
+        dpi_e = ops.cell_to_edge(mesh, dpi)   # shared by flux and advection
+        F = tend.primal_normal_flux_edge(mesh, dpi, state.u, pol, dpi_e)
         D = ops.divergence(mesh, F)                       # (nc, nlev)
         ps_tend = -D.sum(axis=1)
         M = tend.vertical_mass_flux(mesh, vc.b_interfaces, D)
@@ -153,9 +156,8 @@ class DynamicalCore:
         u_tend = u_tend + tend.pressure_gradient_force(
             mesh, state.theta, p_mid, phi_mid, pol
         )
-        u_tend = u_tend + tend.vertical_advection_edge(mesh, M, dpi, state.u)
-        u_tend = u_tend + self._nu * ops.laplacian_edge(mesh, state.u)
-        u_tend = u_tend + self._nu_div * ops.gradient(mesh, ops.divergence(mesh, state.u))
+        u_tend = u_tend + tend.vertical_advection_edge(mesh, M, dpi, state.u, dpi_e)
+        u_tend = u_tend + self._kernels.momentum_diffusion(state.u, self._diffusion)
 
         # Potential temperature in flux form.
         theta_e = ops.cell_to_edge(mesh, state.theta.astype(pol.ns, copy=False))

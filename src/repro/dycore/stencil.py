@@ -14,45 +14,45 @@ with Python", PAPERS.md).  Two backends exist:
     against, selected by name where a test or probe needs it.
 
 ``fused``
-    What runs (:data:`DEFAULT_BACKEND`).  Eliminates the per-call temporaries that make the reference path
-    memory-bandwidth bound (Hoefler et al., "Towards Specialized
-    Supercomputers for Climate Sciences"): gathers land in preallocated
-    per-plan scratch via ``np.take(..., out=...)``, pad-zeroing is folded
-    into the precomputed weights (pad lanes carry weight 0 instead of a
-    scatter-mask pass), the area/count normalisations are folded into the
-    gather weights, weighted reductions run as a single ``einsum``, and
-    the 1-D flux divergence is rewritten from a padded gather into a
-    ``np.bincount`` scatter-accumulate over precompiled flat index
-    tables.
+    What runs (:data:`DEFAULT_BACKEND`).  Every operator is linear with a
+    fixed per-mesh table — a sparse matrix — so the plan precomposes each
+    stencil, and each linear *chain* of stencils (``grad∘div −
+    curlᵀ∘curl``, ``v2e∘curl``, ``tangent·avg·recon``), into one CSR
+    matrix per policy dtype at compile time.  A call is one
+    ``csr @ field``: one read of the field's neighbourhood, one write, no
+    gather transient (Ben-Nun et al.'s cross-stencil fusion against the
+    memory traffic Hoefler et al. identify as the bound; PAPERS.md).
+    Two rules keep it exact where the model needs it:
 
-Selection
----------
-:data:`DEFAULT_BACKEND` is the one decision.  A caller can override it
-per core (``DycoreConfig.stencil_backend``; the core binds its mesh, so
-bare ``ops.*(mesh, …)`` calls follow it) or per operator call
-(``backend=``, for oracle comparisons); an unbound mesh gets the default.
+    * **lane order** — a row's entries are stored in the padded table's
+      lane order (a composite's duplicates merged into the lane of first
+      occurrence) and both dtypes share one unsorted ``indices`` array, so
+      a row sums in the same order on a rank-local mesh as on the global
+      one: every rank-independence test stays bitwise;
+    * **difference before scale** — operators that annihilate constants
+      (``gradient``, ``laplacian_cell``) apply a ±1 difference matrix and
+      scale after; a ``Σ w_k ψ_k`` row whose weights cancel only to
+      round-off breaks the exactly-steady rest states.
 
-Backend contract
-----------------
-Each spec declares its fused-vs-reference contract: ``tolerance == 0.0``
-means bitwise (``np.array_equal``; linear gather/arithmetic kernels whose
-fused form performs the identical operations in the identical order), a
-positive ``tolerance`` is a scaled-infinity-norm bound
-``max|fused - ref| <= tolerance * max|ref|`` (kernels whose fused form
-folds a normalisation into the weights or reorders a summation).  That
-is the float64 contract.  A float32 field (MIX's ``ns`` terms) runs the
-same fused kernels through float32 weight tables and returns float32,
-within :data:`FLOAT32_TOLERANCE` of ``reference`` — which multiplies the
-float32 gather by float64 weights, so it answers the weighted operators
-in float64.  Any other dtype, or ``ndim > 2``, raises ``TypeError``.
+Selection: :data:`DEFAULT_BACKEND` is the one decision.  A caller can
+override it per core (``DycoreConfig.stencil_backend``; the core binds
+its mesh, so bare ``ops.*(mesh, …)`` calls follow it) or per operator
+call (``backend=``, for oracle comparisons).
+
+Backend contract: each spec's ``tolerance`` is its float64
+fused-vs-reference bound — ``0.0`` means bitwise (the fused form performs
+the identical operations in the identical order), a positive value is
+scaled-infinity-norm, ``max|fused - ref| <= tolerance * max|ref|`` (a
+normalisation folded into the weights, or a summation reordered).  A
+float32 field (MIX's ``ns`` terms) runs the same kernels through float32
+tables and returns float32, within :data:`FLOAT32_TOLERANCE` of
+``reference`` (which promotes through its float64 weights).  Any other
+dtype, or ``ndim > 2``, raises ``TypeError``.
 
 Thread-safety: compilation is guarded by a module lock and plans are
-**immutable after publish** — every index/weight array, the fused
-plan's per-dtype tables included, is built before the plan is attached
-to the mesh, and lookups never mutate published state.  Fused *scratch*
-buffers are single-consumer like the solver that owns the mesh: one
-mesh = one solver stepping sequentially (the warm serve pool hands each
-model to exactly one request at a time).
+**immutable after publish** — every table, the fused plan's per-dtype
+matrices included, is built before the plan is attached to the mesh;
+calls allocate their result and mutate nothing.
 """
 
 from __future__ import annotations
@@ -62,6 +62,7 @@ from dataclasses import dataclass
 from types import SimpleNamespace
 
 import numpy as np
+from scipy.sparse import csr_matrix
 
 from repro.grid.mesh import Mesh, PAD
 from repro.obs import get_metrics
@@ -89,7 +90,10 @@ class StencilSpec:
     float64 contract (:data:`BITWISE` or a scaled-inf-norm bound).
     ``ref_passes``/``fused_passes`` count full memory passes over
     output-sized arrays per call — the per-kernel hook the performance
-    model uses to credit the fused backend's temporary elimination.
+    model uses to credit the fused backend.  A CSR SpMM is 2 (one read
+    of the field's neighbourhood, one write, no gather transient); each
+    further output-sized pass adds 1.  A composite's ``ref_passes`` is its
+    reference composition's charge in units of the composite's own output.
     """
 
     name: str
@@ -101,75 +105,48 @@ class StencilSpec:
     fused_passes: int = 2
 
 
+_E4 = ("cell_edges", "vertex_edges", "edge_cells", "edge_vertices")
+_W6 = ("div_w", "curl_w", "cell_area", "vertex_area", "de", "le")
+
 #: The compiled stencil registry: every public operator in
-#: :mod:`repro.dycore.operators`.
+#: :mod:`repro.dycore.operators`.  Fields in declaration order; the last
+#: three are ``tolerance, ref_passes, fused_passes``.
 STENCILS: dict[str, StencilSpec] = {
     s.name: s
     for s in (
-        StencilSpec(
-            "divergence", ("cell_edges",), ("div_w", "cell_area"),
-            "div_i = (1/A_i) sum_k F[ce(i,k)] * sign(i,k) * le(i,k)",
-            tolerance=1e-12, ref_passes=5, fused_passes=2,
-        ),
-        StencilSpec(
-            "gradient", ("edge_cells",), ("de",),
-            "g_e = (psi[c2(e)] - psi[c1(e)]) / de_e",
-            tolerance=BITWISE, ref_passes=3, fused_passes=2,
-        ),
-        StencilSpec(
-            "curl", ("vertex_edges",), ("curl_w", "vertex_area"),
-            "zeta_v = (1/A_v) sum_k u[ve(v,k)] * sign(v,k) * de(v,k)",
-            tolerance=1e-12, ref_passes=4, fused_passes=2,
-        ),
-        StencilSpec(
-            "cell_to_edge", ("edge_cells",), (),
-            "f_e = 0.5 (psi[c1(e)] + psi[c2(e)])",
-            tolerance=BITWISE, ref_passes=3, fused_passes=2,
-        ),
-        StencilSpec(
-            "cell_to_edge_upwind", ("edge_cells",), (),
-            "f_e = psi[c1] if u_e >= 0 else psi[c2]",
-            tolerance=BITWISE, ref_passes=3, fused_passes=2,
-        ),
-        StencilSpec(
-            "vertex_to_edge", ("edge_vertices",), (),
-            "f_e = 0.5 (psi[v1(e)] + psi[v2(e)])",
-            tolerance=BITWISE, ref_passes=3, fused_passes=2,
-        ),
-        StencilSpec(
-            "vertex_to_cell", ("cell_vertices",), ("v2c_mask", "v2c_count"),
-            "f_i = sum_k psi[cv(i,k)] m(i,k) / n_i",
-            tolerance=1e-12, ref_passes=5, fused_passes=2,
-        ),
-        StencilSpec(
-            "reconstruct_cell_vectors", ("cell_edges",), ("cell_recon",),
-            "U_i = sum_k R(i,:,k) u[ce(i,k)]",
-            tolerance=BITWISE, ref_passes=4, fused_passes=2,
-        ),
-        StencilSpec(
-            "tangential_velocity", ("cell_edges", "edge_cells"),
-            ("cell_recon", "edge_tangent"),
-            "vt_e = 0.5 (U[c1] + U[c2]) . t_e",
-            tolerance=BITWISE, ref_passes=5, fused_passes=3,
-        ),
-        StencilSpec(
-            "kinetic_energy", ("cell_edges",), ("cell_recon",),
-            "K_i = 0.5 |U_i|^2",
-            tolerance=BITWISE, ref_passes=4, fused_passes=2,
-        ),
-        StencilSpec(
-            "laplacian_cell", ("edge_cells", "cell_edges"),
-            ("de", "div_w", "cell_area"),
-            "lap = div(grad(psi))",
-            tolerance=1e-11, ref_passes=8, fused_passes=4,
-        ),
-        StencilSpec(
-            "laplacian_edge", ("cell_edges", "vertex_edges", "edge_cells",
-                               "edge_vertices"),
-            ("div_w", "curl_w", "cell_area", "vertex_area", "de", "le"),
-            "lap = grad(div(u)) - curl(curl(u))",
-            tolerance=1e-11, ref_passes=15, fused_passes=8,
-        ),
+        StencilSpec("divergence", ("cell_edges",), ("div_w", "cell_area"),
+                    "div_i = (1/A_i) sum_k F[ce(i,k)] * sign(i,k) * le(i,k)",
+                    1e-12, 5, 2),
+        StencilSpec("gradient", ("edge_cells",), ("de",),
+                    "g_e = (psi[c2(e)] - psi[c1(e)]) / de_e", BITWISE, 3, 3),
+        StencilSpec("curl", ("vertex_edges",), ("curl_w", "vertex_area"),
+                    "zeta_v = (1/A_v) sum_k u[ve(v,k)] * sign(v,k) * de(v,k)",
+                    1e-12, 4, 2),
+        StencilSpec("cell_to_edge", ("edge_cells",), (),
+                    "f_e = 0.5 (psi[c1(e)] + psi[c2(e)])", BITWISE, 3, 2),
+        StencilSpec("cell_to_edge_upwind", ("edge_cells",), (),
+                    "f_e = psi[c1] if u_e >= 0 else psi[c2]", BITWISE, 3, 3),
+        StencilSpec("vertex_to_edge", ("edge_vertices",), (),
+                    "f_e = 0.5 (psi[v1(e)] + psi[v2(e)])", BITWISE, 3, 2),
+        StencilSpec("vertex_to_cell", ("cell_vertices",), ("v2c_mask", "v2c_count"),
+                    "f_i = sum_k psi[cv(i,k)] m(i,k) / n_i", 1e-12, 5, 2),
+        StencilSpec("reconstruct_cell_vectors", ("cell_edges",), ("cell_recon",),
+                    "U_i = sum_k R(i,:,k) u[ce(i,k)]", 1e-12, 4, 2),
+        StencilSpec("tangential_velocity", ("cell_edges", "edge_cells"),
+                    ("cell_recon", "edge_tangent"),
+                    "vt_e = 0.5 (U[c1] + U[c2]) . t_e", 1e-12, 5, 2),
+        StencilSpec("kinetic_energy", ("cell_edges",), ("cell_recon",),
+                    "K_i = 0.5 |U_i|^2", 1e-12, 4, 3),
+        StencilSpec("laplacian_cell", ("edge_cells", "cell_edges"),
+                    ("de", "div_w", "cell_area"),
+                    "lap = (div . 1/de)(diff psi)", 1e-11, 8, 4),
+        StencilSpec("laplacian_edge", _E4, _W6,
+                    "lap = grad(div(u)) - curl(curl(u))", 1e-11, 15, 2),
+        StencilSpec("vorticity_edge", ("vertex_edges", "edge_vertices"),
+                    ("curl_w", "vertex_area"),
+                    "zeta_e = 0.5 (curl(u)[v1(e)] + curl(u)[v2(e)])", 1e-11, 6, 2),
+        StencilSpec("momentum_diffusion", _E4, _W6,
+                    "d = nu lap_e(u) + nu_div grad(div(u))", 1e-11, 20, 2),
     )
 }
 
@@ -178,7 +155,7 @@ STENCILS: dict[str, StencilSpec] = {
 #: here (pure element-wise ones) see no stencil-layer traffic change.
 KERNEL_STENCILS: dict[str, tuple[str, ...]] = {
     "divergence": ("divergence",),
-    "calc_coriolis_term": ("curl", "vertex_to_edge", "tangential_velocity"),
+    "calc_coriolis_term": ("vorticity_edge", "tangential_velocity"),
     "tend_grad_ke_at_edge": ("kinetic_energy", "gradient"),
     "tracer_transport_hori_flux_limiter": (
         "cell_to_edge_upwind", "divergence", "cell_to_edge", "divergence",
@@ -193,10 +170,8 @@ def traffic_factor(kernel_name: str, backend: str) -> float:
     over the kernel's constituent stencils; 1.0 for the reference
     backend and for kernels with no stencil constituents.
     """
-    if backend != "fused":
-        return 1.0
     names = KERNEL_STENCILS.get(kernel_name)
-    if not names:
+    if backend != "fused" or not names:
         return 1.0
     ratios = [STENCILS[n].fused_passes / STENCILS[n].ref_passes for n in names]
     return float(sum(ratios) / len(ratios))
@@ -222,6 +197,7 @@ class OperatorCache:
         "edge_gather_w",
         "vertex_edges_idx", "curl_w",
         "cell_vertices_idx", "cell_vertices_valid",
+        "cell_neighbors_idx", "cell_neighbors_pad",
         "edge_c1", "edge_c2", "edge_v1", "edge_v2",
         "_v2c_weights",
     )
@@ -233,12 +209,10 @@ class OperatorCache:
         self.cell_edges_valid = ce >= 0
         le = np.where(ce >= 0, mesh.le[self.cell_edges_idx], 0.0)
         self.div_w = mesh.cell_edge_sign * le                 # (nc, D)
-        # Pad-annihilating gather weight: 1.0 at live lanes, 0.0 at pads.
-        # Multiplying the clamped gather by this replaces the old per-call
-        # boolean-mask scatter (``out[pad] = 0``) with one vectorised
-        # multiply; identical up to the sign of zero in pad lanes, which
-        # no consumer observes (pad lanes also carry zero operator
-        # weight downstream).
+        # Pad-annihilating gather weight: 1.0 at live lanes, 0.0 at pads
+        # (one multiply instead of a boolean-mask scatter ``out[pad] = 0``;
+        # identical up to the sign of zero in pad lanes, which carry zero
+        # operator weight downstream).
         self.edge_gather_w = self.cell_edges_valid.astype(np.float64)
 
         ve = mesh.vertex_edges
@@ -250,6 +224,10 @@ class OperatorCache:
         self.cell_vertices_idx = np.clip(cv, 0, None)
         self.cell_vertices_valid = cv >= 0
 
+        # The tracer limiter's neighbourhood gather.
+        self.cell_neighbors_idx = np.clip(mesh.cell_neighbors, 0, None)
+        self.cell_neighbors_pad = mesh.cell_neighbors == PAD
+
         # Contiguous copies of the hot endpoint columns (the sliced
         # views have stride 2, which slows fancy indexing).
         self.edge_c1 = np.ascontiguousarray(mesh.edge_cells[:, 0])
@@ -257,10 +235,8 @@ class OperatorCache:
         self.edge_v1 = np.ascontiguousarray(mesh.edge_vertices[:, 0])
         self.edge_v2 = np.ascontiguousarray(mesh.edge_vertices[:, 1])
 
-        # dtype -> (mask, clamped count) for vertex_to_cell.  Built
-        # EAGERLY for the dtypes the precision policies use, so the dict
-        # is never mutated after __init__ returns (immutable-after-
-        # publish; the old lazy per-call fill raced under repro.serve).
+        # dtype -> (mask, clamped count) for vertex_to_cell, built eagerly
+        # for the policy dtypes: never mutated after __init__ returns.
         self._v2c_weights: dict = {
             np.dtype(np.float64): self._build_v2c(np.dtype(np.float64)),
             np.dtype(np.float32): self._build_v2c(np.dtype(np.float32)),
@@ -340,19 +316,17 @@ def compiled_kernels(mesh: Mesh, backend: str | None = None):
     """
     global _plan_compiles
     name = resolve_backend_name(backend) if backend else bound_backend(mesh)
-    plans = getattr(mesh, "_stencil_plans", None)
-    if plans is not None:
-        plan = plans.get(name)
-        if plan is not None:
-            return plan
+    plan = getattr(mesh, "_stencil_plans", {}).get(name)
+    if plan is not None:
+        return plan
     with _COMPILE_LOCK:
-        plans = getattr(mesh, "_stencil_plans", None)
-        if plans is None:
-            plans = {}
-            mesh._stencil_plans = plans
+        plans = vars(mesh).setdefault("_stencil_plans", {})
         plan = plans.get(name)
         if plan is None:
-            plan = BACKENDS[name](mesh, mesh_cache(mesh))
+            # A degenerate (zero-length) edge compiles to the inf weights
+            # the eager forms would produce per call; not a compile error.
+            with np.errstate(divide="ignore", invalid="ignore"):
+                plan = BACKENDS[name](mesh, mesh_cache(mesh))
             plans[name] = plan  # publish only when fully built
             _plan_compiles += 1
             get_metrics().inc("stencil.plan_compilations")
@@ -462,58 +436,137 @@ class ReferenceKernels:
         curl_zeta = (zeta[c.edge_v2] - zeta[c.edge_v1]) / le
         return grad_div - curl_zeta
 
+    def vorticity_edge(self, u_edge: np.ndarray) -> np.ndarray:
+        return self.vertex_to_edge(self.curl(u_edge))
+
+    def diffusion_operator(self, nu: float, nu_div: float):
+        """What :meth:`momentum_diffusion` applies, compiled per core."""
+        return nu, nu_div
+
+    def momentum_diffusion(self, u_edge: np.ndarray, operator) -> np.ndarray:
+        nu, nu_div = operator
+        grad_div = self.gradient(self.divergence(u_edge))
+        return nu * self.laplacian_edge(u_edge) + nu_div * grad_div
+
+    def signed_flux_sums(self, A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Per-cell incoming (P+) and outgoing (P-) antidiffusive flux in
+        the divergence operator's metric, so the tracer limiter is
+        consistent with the update it limits."""
+        c = self.cache         # div_w: sign * le, pads zeroed, outward positive
+        signed = A[c.cell_edges_idx] * c.div_w[..., None]    # (nc, D, nlev)
+        incoming = np.where(signed < 0.0, -signed, 0.0).sum(axis=1)
+        outgoing = np.where(signed > 0.0, signed, 0.0).sum(axis=1)
+        area = self.mesh.cell_area[:, None]
+        return incoming / area, outgoing / area
+
 
 # -- fused backend ---------------------------------------------------------
 
-class FusedKernels(ReferenceKernels):
-    """Temporary-eliminating backend: folded weights, ``out=`` scratch,
-    single-``einsum`` reductions, ``bincount`` scatter-accumulate.
+def _lanes(n_cols: int, idx: np.ndarray, w: np.ndarray) -> dict:
+    """Per-dtype CSR matrices of a padded ``(n, L)`` index/weight table,
+    row entries **in lane order**, ``PAD`` lanes dropped.  ``indptr`` and
+    ``indices`` are shared by both dtypes; only ``data`` is cast."""
+    valid = idx >= 0
+    indptr = np.zeros(idx.shape[0] + 1, dtype=np.int32)
+    np.cumsum(valid.sum(axis=1), out=indptr[1:])
+    indices = idx[valid].astype(np.int32)
+    data, shape = np.broadcast_to(w, idx.shape)[valid], (idx.shape[0], n_cols)
+    return {
+        np.dtype(dt): csr_matrix((data.astype(dt, copy=False), indices, indptr), shape=shape)
+        for dt in (np.float64, np.float32)
+    }
 
-    One path for both policy dtypes: a kernel gathers, reduces and
-    returns in its field's dtype through that dtype's weight tables;
-    any other dtype, or ``ndim > 2``, is a ``TypeError``.  Scratch
-    buffers are compiled per (name, shape, dtype) and are
-    single-consumer (one mesh = one sequential solver).
-    """
+
+def _through(idx_a, w_a, idx_b, w_b) -> tuple[np.ndarray, np.ndarray]:
+    """Padded table of ``A @ B``: lane ``(k, l)`` of row ``i`` is lane
+    ``l`` of B's row ``idx_a[i, k]``, weighted ``w_a[i, k] * w_b[.., l]``."""
+    rows = np.clip(idx_a, 0, None)
+    idx = np.where((idx_a >= 0)[:, :, None], idx_b[rows], PAD)
+    w = np.broadcast_to(w_a, idx_a.shape)[:, :, None] * w_b[rows]
+    return idx.reshape(len(idx), -1), w.reshape(len(idx), -1)
+
+
+def _merge_lanes(idx: np.ndarray, *weights: np.ndarray) -> list[np.ndarray]:
+    """Sum a padded table's duplicate columns, lane by lane, into the lane
+    where the column first occurs and ``PAD`` the others — a function of
+    each row's lane order only, never of how the columns are numbered."""
+    # Lane-major copies: a lane is contiguous.
+    idx, weights = idx.T.copy(), [w.T.copy() for w in weights]
+    for lane in range(1, len(idx)):
+        seen = idx[:lane] == idx[lane]
+        rows = np.flatnonzero(seen.any(axis=0) & (idx[lane] >= 0))
+        first = seen[:, rows].argmax(axis=0)
+        for w in weights:
+            w[first, rows] += w[lane, rows]
+        idx[lane, rows] = PAD
+    return [idx.T] + [w.T for w in weights]
+
+
+class FusedKernels(ReferenceKernels):
+    """Precomposed sparse operators: each stencil, and each linear chain
+    of stencils, is one CSR matrix per policy dtype built at plan compile,
+    and a call is one ``csr @ field`` for 1-D and 2-D fields alike, in the
+    field's dtype; any other dtype, or ``ndim > 2``, is a ``TypeError``.
+    The plan holds no mutable state."""
 
     backend = "fused"
 
     def __init__(self, mesh: Mesh, cache: OperatorCache):
         super().__init__(mesh, cache)
-        # Folded weights: normalisation baked into the gather weight (one
-        # einsum, no divide pass) in float64, then rounded once per policy
-        # dtype — for float64 the cast is the identity, no copy.
+        ce, ve = mesh.cell_edges, mesh.vertex_edges
+        # (c2, c1) / (v2, v1): the order the +-1 differences are taken in.
+        ec, ev = mesh.edge_cells[:, ::-1], mesh.edge_vertices[:, ::-1]
+        pm, half = np.array([1.0, -1.0]), np.array([0.5, 0.5])
+        div_w = cache.div_w / mesh.cell_area[:, None]
+        curl_w = cache.curl_w / mesh.vertex_area[:, None]
         mask, cnt = cache.v2c_weights(np.dtype(np.float64))
-        folded = {
-            "div_w_fold": cache.div_w / mesh.cell_area[:, None],
-            "curl_w_fold": cache.curl_w / mesh.vertex_area[:, None],
-            "v2c_w_fold": mask / cnt[:, None],
-            "inv_cell_area": 1.0 / mesh.cell_area,
-            "de": mesh.de, "de_col": mesh.de[:, None],
-            "le": mesh.le, "le_col": mesh.le[:, None],
-            "cell_recon": mesh.cell_recon,
-            "edge_tangent": mesh.edge_tangent,
+        # t . 0.5 (U[c1] + U[c2]) with U = R u, contracted over the three
+        # components at compile time; explicit products, so a weight is
+        # the same bits on a rank-local mesh as on the global one.
+        recon, tang = mesh.cell_recon[ec], mesh.edge_tangent[:, None, :, None]
+        tang_w = 0.5 * (
+            tang[:, :, 0] * recon[:, :, 0] + tang[:, :, 1] * recon[:, :, 1]
+            + tang[:, :, 2] * recon[:, :, 2]
+        )
+        # grad(div) and curl^T(curl) merged on their joint pattern once:
+        # laplacian_edge and every momentum_diffusion operator are
+        # weighted differences of the two weight tables.
+        (gi, gw), (ci, cw) = (_through(ec, pm / mesh.de[:, None], ce, div_w),
+                              _through(ev, pm / mesh.le[:, None], ve, curl_w))
+        self._edge_lap = _merge_lanes(
+            np.hstack([gi, ci]),
+            np.hstack([gw, np.zeros_like(cw)]), np.hstack([np.zeros_like(gw), cw]),
+        )
+        tables = {
+            "diff": _lanes(mesh.nc, ec, pm),
+            "cell_to_edge": _lanes(mesh.nc, ec, half),
+            "vertex_to_edge": _lanes(mesh.nv, ev, half),
+            "divergence": _lanes(mesh.ne, ce, div_w),
+            "curl": _lanes(mesh.ne, ve, curl_w),
+            "vertex_to_cell": _lanes(mesh.nv, mesh.cell_vertices, mask / cnt[:, None]),
+            "recon": _lanes(mesh.ne, np.repeat(ce, 3, axis=0),
+                            mesh.cell_recon.reshape(-1, ce.shape[1])),
+            "div_over_de": _lanes(mesh.ne, ce, div_w / mesh.de[cache.cell_edges_idx]),
+            "laplacian_edge": self._edge_laplacian(1.0, 1.0),
+            "tangential_velocity": _lanes(mesh.ne, *_merge_lanes(
+                ce[ec].reshape(mesh.ne, -1), tang_w.reshape(mesh.ne, -1))),
+            "vorticity_edge": _lanes(
+                mesh.ne, *_merge_lanes(*_through(ev, half, ve, curl_w))),
+            # Sign-split divergence weights for the tracer limiter.
+            "flux_out": _lanes(mesh.ne, np.where(div_w > 0.0, ce, PAD), div_w),
+            "flux_in": _lanes(mesh.ne, np.where(div_w < 0.0, ce, PAD), -div_w),
+            "de": {np.dtype(dt): mesh.de.astype(dt, copy=False)
+                   for dt in (np.float64, np.float32)},
         }
         self._tables = {
-            np.dtype(dt): SimpleNamespace(
-                **{k: v.astype(dt, copy=False) for k, v in folded.items()}
-            )
-            for dt in (np.float64, np.float32)
+            dt: SimpleNamespace(**{k: v[dt] for k, v in tables.items()})
+            for dt in tables["de"]
         }
-        self._scratch: dict[tuple, np.ndarray] = {}
-        self._lock = threading.Lock()
 
-    # -- compiled resources ------------------------------------------------
-    def _buf(self, name: str, shape: tuple, dtype: np.dtype) -> np.ndarray:
-        key = (name, shape, dtype)
-        buf = self._scratch.get(key)
-        if buf is None:
-            with self._lock:
-                buf = self._scratch.get(key)
-                if buf is None:
-                    buf = np.empty(shape, dtype=dtype)
-                    self._scratch[key] = buf
-        return buf
+    def _edge_laplacian(self, grad_div: float, curl_curl: float) -> dict:
+        """``grad_div * grad(div) - curl_curl * curl^T(curl)`` as one matrix."""
+        idx, gd, cc = self._edge_lap
+        return _lanes(self.mesh.ne, idx, grad_div * gd - curl_curl * cc)
 
     def _tables_for(self, op: str, field: np.ndarray) -> SimpleNamespace:
         t = self._tables.get(field.dtype)
@@ -524,119 +577,66 @@ class FusedKernels(ReferenceKernels):
             )
         return t
 
-    def _take(self, field, idx, name):
-        out = self._buf(name, idx.shape + field.shape[1:], field.dtype)
-        np.take(field, idx, axis=0, out=out, mode="clip")
-        return out
-
     # -- kernels -----------------------------------------------------------
     def divergence(self, flux_edge: np.ndarray) -> np.ndarray:
-        t = self._tables_for("divergence", flux_edge)
-        if flux_edge.ndim == 1:
-            # Scatter-accumulate form: each edge pushes +-F*le to its two
-            # cells; np.bincount replaces the padded gather entirely.  It
-            # accumulates in float64 whatever the weights' dtype.
-            nc = self.mesh.nc
-            ebuf = self._buf("div_ebuf", flux_edge.shape, flux_edge.dtype)
-            np.multiply(flux_edge, t.le, out=ebuf)
-            acc = np.bincount(self.cache.edge_c1, weights=ebuf, minlength=nc)
-            acc -= np.bincount(self.cache.edge_c2, weights=ebuf, minlength=nc)
-            acc = acc.astype(flux_edge.dtype, copy=False)
-            acc *= t.inv_cell_area
-            return acc
-        g = self._take(flux_edge, self.cache.cell_edges_idx, "div_gather")
-        return np.einsum("ndl,nd->nl", g, t.div_w_fold)
+        return self._tables_for("divergence", flux_edge).divergence @ flux_edge
 
     def gradient(self, cell_field: np.ndarray) -> np.ndarray:
+        # Difference before scale: a constant field differences to exact
+        # zeros, which a row of +-1/de weights only does to round-off.
         t = self._tables_for("gradient", cell_field)
-        c = self.cache
-        a = self._take(cell_field, c.edge_c2, "grad_a")
-        b = self._take(cell_field, c.edge_c1, "grad_b")
-        out = np.empty_like(a)
-        np.subtract(a, b, out=out)
-        de = t.de if out.ndim == 1 else t.de_col
-        np.divide(out, de, out=out)
+        out = t.diff @ cell_field
+        out /= t.de if out.ndim == 1 else t.de[:, None]
         return out
 
     def curl(self, u_edge: np.ndarray) -> np.ndarray:
-        t = self._tables_for("curl", u_edge)
-        g = self._take(u_edge, self.cache.vertex_edges_idx, "curl_gather")
-        if g.ndim == 2:
-            return np.einsum("nd,nd->n", g, t.curl_w_fold)
-        return np.einsum("ndl,nd->nl", g, t.curl_w_fold)
-
-    def _endpoint_mean(self, op, field, idx_a, idx_b):
-        self._tables_for(op, field)
-        a = self._take(field, idx_a, op + "_a")
-        b = self._take(field, idx_b, op + "_b")
-        out = np.empty_like(a)
-        np.add(a, b, out=out)
-        out *= 0.5
-        return out
+        return self._tables_for("curl", u_edge).curl @ u_edge
 
     def cell_to_edge(self, cell_field: np.ndarray) -> np.ndarray:
-        c = self.cache
-        return self._endpoint_mean("cell_to_edge", cell_field, c.edge_c1, c.edge_c2)
+        return self._tables_for("cell_to_edge", cell_field).cell_to_edge @ cell_field
 
-    def cell_to_edge_upwind(
-        self, cell_field: np.ndarray, u_edge: np.ndarray
-    ) -> np.ndarray:
-        # Keyed on the advected field alone: ``u_edge`` is a sign mask (MIX
-        # tracer transport passes float32 q with the float64 mean flux).
+    def cell_to_edge_upwind(self, cell_field: np.ndarray, u_edge: np.ndarray) -> np.ndarray:
+        # A selection, not a sum: the reference form, keyed on the advected
+        # field alone (``u_edge`` is a sign mask: MIX tracer transport
+        # passes float32 q with the float64 mean flux).
         self._tables_for("cell_to_edge_upwind", cell_field)
-        c = self.cache
-        a = self._take(cell_field, c.edge_c1, "up_a")
-        b = self._take(cell_field, c.edge_c2, "up_b")
-        return np.where(u_edge >= 0.0, a, b)
+        return super().cell_to_edge_upwind(cell_field, u_edge)
 
     def vertex_to_edge(self, vertex_field: np.ndarray) -> np.ndarray:
-        c = self.cache
-        return self._endpoint_mean("vertex_to_edge", vertex_field, c.edge_v1, c.edge_v2)
+        return self._tables_for("vertex_to_edge", vertex_field).vertex_to_edge @ vertex_field
 
     def vertex_to_cell(self, vertex_field: np.ndarray) -> np.ndarray:
-        t = self._tables_for("vertex_to_cell", vertex_field)
-        g = self._take(vertex_field, self.cache.cell_vertices_idx, "v2c")
-        if g.ndim == 2:
-            return np.einsum("nd,nd->n", g, t.v2c_w_fold)
-        return np.einsum("ndl,nd->nl", g, t.v2c_w_fold)
+        return self._tables_for("vertex_to_cell", vertex_field).vertex_to_cell @ vertex_field
 
     def reconstruct_cell_vectors(self, u_edge: np.ndarray) -> np.ndarray:
         t = self._tables_for("reconstruct_cell_vectors", u_edge)
-        # cell_recon is zero at invalid lanes (checked at compile), so
-        # the reference's where-mask pass is redundant: 0-weight lanes
-        # annihilate the clamped gather's garbage.
-        g = self._take(u_edge, self.cache.cell_edges_idx, "recon")
-        if g.ndim == 2:
-            return np.einsum("nik,nk->ni", t.cell_recon, g)
-        return np.einsum("nik,nkl->nil", t.cell_recon, g)
+        return (t.recon @ u_edge).reshape((self.mesh.nc, 3) + u_edge.shape[1:])
 
     def tangential_velocity(self, u_edge: np.ndarray) -> np.ndarray:
-        t = self._tables_for("tangential_velocity", u_edge)
-        c = self.cache
-        vec = self.reconstruct_cell_vectors(u_edge)
-        a = self._take(vec, c.edge_c1, "tang_a")
-        b = self._take(vec, c.edge_c2, "tang_b")
-        ve = self._buf("tang_ve", a.shape, a.dtype)
-        np.add(a, b, out=ve)
-        ve *= 0.5
-        if ve.ndim == 2:
-            return np.einsum("ej,ej->e", ve, t.edge_tangent)
-        return np.einsum("ejl,ej->el", ve, t.edge_tangent)
+        return self._tables_for("tangential_velocity", u_edge).tangential_velocity @ u_edge
+
+    def vorticity_edge(self, u_edge: np.ndarray) -> np.ndarray:
+        return self._tables_for("vorticity_edge", u_edge).vorticity_edge @ u_edge
+
+    def laplacian_cell(self, cell_field: np.ndarray) -> np.ndarray:
+        t = self._tables_for("laplacian_cell", cell_field)
+        return t.div_over_de @ (t.diff @ cell_field)
 
     def laplacian_edge(self, u_edge: np.ndarray) -> np.ndarray:
-        t = self._tables_for("laplacian_edge", u_edge)
-        c = self.cache
-        div = self.divergence(u_edge)
-        zeta = self.curl(u_edge)
-        grad_div = self.gradient(div)
-        za = self._take(zeta, c.edge_v2, "lape_a")
-        zb = self._take(zeta, c.edge_v1, "lape_b")
-        le = t.le if u_edge.ndim == 1 else t.le_col
-        cz = np.empty_like(grad_div)
-        np.subtract(za, zb, out=cz)
-        np.divide(cz, le, out=cz)
-        np.subtract(grad_div, cz, out=cz)
-        return cz
+        return self._tables_for("laplacian_edge", u_edge).laplacian_edge @ u_edge
+
+    def diffusion_operator(self, nu: float, nu_div: float) -> dict:
+        return self._edge_laplacian(nu + nu_div, nu)
+
+    def momentum_diffusion(self, u_edge: np.ndarray, operator: dict) -> np.ndarray:
+        self._tables_for("momentum_diffusion", u_edge)
+        return operator[u_edge.dtype] @ u_edge
+
+    def signed_flux_sums(self, A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        t = self._tables_for("signed_flux_sums", A)
+        pos, neg = np.maximum(A, 0.0), np.maximum(-A, 0.0)
+        return (t.flux_out @ neg + t.flux_in @ pos,
+                t.flux_out @ pos + t.flux_in @ neg)
 
 
 #: Registered backends (name -> plan class).

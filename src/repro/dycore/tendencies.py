@@ -24,7 +24,6 @@ import numpy as np
 
 from repro.constants import CP_DRY, GRAVITY
 from repro.dycore import operators as ops
-from repro.dycore.stencil import mesh_cache
 from repro.dycore.vertical import exner
 from repro.grid.mesh import Mesh
 from repro.precision.policy import NS, PrecisionPolicy
@@ -35,25 +34,20 @@ def primal_normal_flux_edge(
     dpi: np.ndarray,
     u: np.ndarray,
     policy: PrecisionPolicy = NS,
+    dpi_e: np.ndarray | None = None,
 ) -> np.ndarray:
     """Dry-mass flux ``F_e = dpi_e * u_e`` at edges [Pa m/s].
 
-    The edge mass is a distance-weighted two-cell interpolation (the
-    "primal normal" reconstruction).  Classified insensitive apart from
-    the accumulation consumer (see tracer transport).
+    The edge mass is the two-cell midpoint interpolation (the "primal
+    normal" reconstruction; 2nd order on the slightly non-uniform grid),
+    taken from ``dpi_e`` when the stage has already interpolated it.
+    Classified insensitive apart from the accumulation consumer (see
+    tracer transport).
     """
     term = "mass_divergence"
-    cache = mesh_cache(mesh)
-    c1, c2 = cache.edge_c1, cache.edge_c2
-    # Midpoint weighting keeps 2nd order on the slightly non-uniform grid.
-    # The weight is the dtype-correct literal 1/2: the old form
-    # ``(0.5 * mesh.de / mesh.de)`` evaluated to exactly 0.5 too (the
-    # division is exact), but burned a full pass over ``de`` per call and
-    # NaN-poisoned the flux if a degenerate zero-length edge ever
-    # appeared.  Pinned bitwise against the old expression in tests.
-    w1 = np.asarray(0.5, dtype=policy.dtype_of(term))
-    dpi_e = w1 * policy.cast(term, dpi[c1]) + (1.0 - w1) * policy.cast(term, dpi[c2])
-    return dpi_e * policy.cast(term, u)
+    if dpi_e is None:
+        dpi_e = ops.cell_to_edge(mesh, policy.cast(term, dpi))
+    return policy.cast(term, dpi_e) * policy.cast(term, u)
 
 
 def calc_coriolis_term(
@@ -70,8 +64,7 @@ def calc_coriolis_term(
     """
     term = "coriolis_term"
     un = policy.cast(term, u)
-    zeta_v = ops.curl(mesh, un)
-    zeta_e = ops.vertex_to_edge(mesh, zeta_v)
+    zeta_e = ops.vorticity_edge(mesh, un)
     vt = ops.tangential_velocity(mesh, un)
     absvor = policy.cast(term, zeta_e) + policy.cast(term, mesh.f_edge[:, None])
     return policy.cast(term, absvor * vt)
@@ -171,16 +164,22 @@ def vertical_advection_edge(
     M: np.ndarray,
     dpi: np.ndarray,
     u: np.ndarray,
+    dpi_e: np.ndarray | None = None,
 ) -> np.ndarray:
     """Advective-form vertical transport of edge velocity.
 
-    ``-(1/dpi_e) * [M_k (u_k - u_{k-1}) + M_{k+1} (u_{k+1} - u_k)] / 2``.
+    ``-(1/dpi_e) * [M_k (u_k - u_{k-1}) + M_{k+1} (u_{k+1} - u_k)] / 2``;
+    ``dpi_e`` is ``cell_to_edge(dpi)`` when the stage already has it.
     """
     M_e = ops.cell_to_edge(mesh, M)
-    dpi_e = ops.cell_to_edge(mesh, dpi)
-    du_up = np.zeros_like(u)
-    du_dn = np.zeros_like(u)
-    du_up[:, 1:] = u[:, 1:] - u[:, :-1]
-    du_dn[:, :-1] = u[:, 1:] - u[:, :-1]
-    tend = -0.5 * (M_e[:, :-1] * du_up + M_e[:, 1:] * du_dn) / np.maximum(dpi_e, 1e-3)
+    if dpi_e is None:
+        dpi_e = ops.cell_to_edge(mesh, dpi)
+    # One pass over the interior interfaces: layer k takes M_k du_{k-1}
+    # from the interface above and M_{k+1} du_k from the one below.
+    flux = M_e[:, 1:-1] * (u[:, 1:] - u[:, :-1])
+    tend = np.zeros_like(u)
+    tend[:, 1:] = flux
+    tend[:, :-1] += flux
+    tend *= -0.5
+    tend /= np.maximum(dpi_e, 1e-3)
     return tend

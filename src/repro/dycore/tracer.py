@@ -19,8 +19,8 @@ from __future__ import annotations
 import numpy as np
 
 from repro.dycore import operators as ops
-from repro.dycore.stencil import mesh_cache
-from repro.grid.mesh import Mesh, PAD
+from repro.dycore.stencil import compiled_kernels, mesh_cache
+from repro.grid.mesh import Mesh
 from repro.precision.policy import NS, PrecisionPolicy
 
 
@@ -85,33 +85,22 @@ def tracer_transport_hori_flux_limiter(
 
 def _neighbor_extreme(mesh: Mesh, field: np.ndarray, op) -> np.ndarray:
     """Element-wise extreme of each cell and its direct neighbours."""
-    idx = np.clip(mesh.cell_neighbors, 0, None)
-    vals = field[idx]                               # (nc, D, nlev)
-    pad = mesh.cell_neighbors == PAD
+    cache = mesh_cache(mesh)
+    vals = field[cache.cell_neighbors_idx]          # (nc, D, nlev)
+    pad = cache.cell_neighbors_pad[..., None]
     if op is np.maximum:
-        vals = np.where(pad[..., None], -np.inf, vals)
+        vals = np.where(pad, -np.inf, vals)
         ext = vals.max(axis=1)
         return np.maximum(ext, field)
-    vals = np.where(pad[..., None], np.inf, vals)
+    vals = np.where(pad, np.inf, vals)
     ext = vals.min(axis=1)
     return np.minimum(ext, field)
 
 
 def _signed_flux_sums(mesh: Mesh, A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per-cell sums of incoming (P+) and outgoing (P-) antidiffusive flux.
-
-    Fluxes are area-integrated (times edge length) and normalised by cell
-    area, matching the divergence operator's metric exactly so the
-    limiter is consistent with the update it limits.
-    """
-    cache = mesh_cache(mesh)
-    gathered = A[cache.cell_edges_idx]                   # (nc, D, nlev)
-    # div_w = sign * le with pad slots zeroed; outward positive.
-    signed = gathered * cache.div_w[..., None]
-    incoming = np.where(signed < 0.0, -signed, 0.0).sum(axis=1)
-    outgoing = np.where(signed > 0.0, signed, 0.0).sum(axis=1)
-    area = mesh.cell_area[:, None]
-    return incoming / area, outgoing / area
+    """Per-cell sums of incoming (P+) and outgoing (P-) antidiffusive
+    flux, by the mesh's compiled plan (``signed_flux_sums``)."""
+    return compiled_kernels(mesh).signed_flux_sums(A)
 
 
 def vertical_tracer_transport(

@@ -5,9 +5,12 @@ operator-cache/hot-loop bugfix regressions.
   of the pre-refactor eager-NumPy operators (the goldens);
 * the ``fused`` backend is pinned against ``reference`` per kernel and
   per dtype: float64 under the spec's declared contract — bitwise for
-  the linear gather/arithmetic kernels, a scaled-inf-norm tolerance
-  where the fused form folds a normalisation into the weights or
+  the two-point difference/mean kernels, a scaled-inf-norm tolerance
+  where the precomposed matrix folds a normalisation into the weights or
   reorders a summation — and float32 under ``FLOAT32_TOLERANCE``;
+* the two traps of the precomposed form are pinned: every plan method is
+  bitwise rank-independent on owned entities, and the operators that
+  annihilate constants return exact zeros;
 * the mimetic identities re-run per backend;
 * the operator cache compiles exactly once under thread hammering and is
   immutable after publish;
@@ -50,7 +53,7 @@ def _fields(mesh, seed, nlev, dtype=np.float64):
     }
 
 
-#: public operator -> (input staggering kinds)
+#: public operator -> (input staggering kinds; a float is passed as is)
 OPERATORS = {
     "divergence": ("edge",),
     "gradient": ("cell",),
@@ -64,12 +67,26 @@ OPERATORS = {
     "kinetic_energy": ("edge",),
     "laplacian_cell": ("cell",),
     "laplacian_edge": ("edge",),
+    "vorticity_edge": ("edge",),
+    "momentum_diffusion": ("edge", 3.0e5, 1.1e6),
+}
+
+#: staggering of each operator's result (the rank-independence test
+#: compares on the owned entities of that kind)
+OUTPUT_KIND = {
+    "divergence": "cell", "gradient": "edge", "curl": "vertex",
+    "cell_to_edge": "edge", "cell_to_edge_upwind": "edge",
+    "vertex_to_edge": "edge", "vertex_to_cell": "cell",
+    "reconstruct_cell_vectors": "cell", "tangential_velocity": "edge",
+    "kinetic_energy": "cell", "laplacian_cell": "cell",
+    "laplacian_edge": "edge", "vorticity_edge": "edge",
+    "momentum_diffusion": "edge",
 }
 
 
 def _call(name, mesh, fields, backend):
     fn = getattr(ops, name)
-    args = [fields[kind] for kind in OPERATORS[name]]
+    args = [fields[k] if isinstance(k, str) else k for k in OPERATORS[name]]
     return fn(mesh, *args, backend=backend)
 
 
@@ -262,6 +279,70 @@ class TestBackendEquivalence:
         f = _fields(mesh3, 25, 4)
         out = ops.laplacian_edge(mesh3, f["edge"], backend="fused")
         assert np.isfinite(out).all()
+
+
+class TestPrecomposedOperatorTraps:
+    """The two invariants a precomposed sparse operator can silently
+    lose: row order as a function of lane order only, and exact
+    annihilation of constants."""
+
+    @pytest.fixture(scope="class")
+    def decomposition(self, mesh3):
+        from repro.parallel.localmesh import build_local_meshes
+        from repro.partition.decomposition import decompose
+        from repro.partition.graph import mesh_cell_graph
+        from repro.partition.metis import partition_graph
+
+        part = partition_graph(mesh_cell_graph(mesh3), 4, seed=0)
+        return build_local_meshes(mesh3, decompose(mesh3, 4, part=part), part)
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("name", sorted(OPERATORS))
+    def test_rank_independent_on_owned_entities(self, mesh3, decomposition, name, dtype):
+        """Each fused plan method on every rank-local mesh equals the
+        global result bitwise wherever the rank owns the full stencil."""
+        f = _fields(mesh3, 61, 5, dtype)
+        want = _call(name, mesh3, f, "fused")
+        for lm in decomposition:
+            ids = {"cell": lm.cells, "edge": lm.edges, "vertex": lm.vertices}
+            got = _call(name, lm.mesh, {k: f[k][ids[k]] for k in f}, "fused")
+            cv = lm.mesh.cell_vertices[: lm.n_owned_cells]
+            owned = {
+                "cell": np.arange(lm.n_owned_cells),
+                "edge": np.arange(lm.n_owned_edges),
+                "vertex": np.unique(cv[cv != PAD]),
+            }[OUTPUT_KIND[name]]
+            assert got.dtype == dtype
+            np.testing.assert_array_equal(
+                got[owned], want[ids[OUTPUT_KIND[name]][owned]],
+                err_msg=f"{name}[{dtype.__name__}] differs on rank {lm.rank}",
+            )
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("nlev", [0, 5])
+    def test_constants_are_annihilated_exactly(self, mesh3, backend, dtype, nlev):
+        """``gradient`` and ``laplacian_cell`` of a constant are exact
+        zeros — difference before scale — not zeros to round-off."""
+        const = np.full((mesh3.nc,) + ((nlev,) if nlev else ()), 300.1, dtype=dtype)
+        for name in ("gradient", "laplacian_cell"):
+            out = getattr(ops, name)(mesh3, const, backend=backend)
+            assert not out.any(), f"{name}[{dtype.__name__}] left round-off"
+
+    def test_both_dtypes_share_one_unsorted_index_array(self, mesh3):
+        """``indptr``/``indices`` are shared by the float64 and float32
+        tables (only ``data`` is cast), and no row was re-sorted."""
+        plan = stc.compiled_kernels(mesh3, "fused")
+        t64, t32 = (plan._tables[np.dtype(dt)] for dt in (np.float64, np.float32))
+        for name, m64 in vars(t64).items():
+            if name == "de":
+                continue
+            m32 = getattr(t32, name)
+            assert np.shares_memory(m32.indices, m64.indices), name
+            assert np.shares_memory(m32.indptr, m64.indptr), name
+            assert m32.dtype == np.float32 and m64.dtype == np.float64
+        lap = t64.laplacian_edge
+        assert not lap.has_sorted_indices
 
 
 class TestMimeticIdentitiesPerBackend:
