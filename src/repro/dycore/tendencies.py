@@ -130,13 +130,15 @@ def vertical_mass_flux(
 ) -> np.ndarray:
     """Downward mass flux M at interfaces from the column continuity.
 
-    ``M_i = sum_{k<i} D_k - sigma_i * sum_k D_k`` with ``D_k`` the layer
+    Layer ``k`` changes by ``-dsigma_k * sum_k D_k`` while losing ``D_k``
+    horizontally, so ``M_{k+1} = M_k - D_k + dsigma_k * sum_k D_k``:
+    ``M_i = sigma_i * sum_k D_k - sum_{k<i} D_k`` with ``D_k`` the layer
     flux divergences; exactly zero at top and surface.
     """
     total = div_flux.sum(axis=1, keepdims=True)          # (nc, 1)
     partial = np.cumsum(div_flux, axis=1)                # (nc, nlev)
     M = np.zeros((div_flux.shape[0], div_flux.shape[1] + 1), dtype=div_flux.dtype)
-    M[:, 1:] = partial - vcoord_sigma_int[None, 1:] * total
+    M[:, 1:] = vcoord_sigma_int[None, 1:] * total - partial
     # round-off cleanup at the surface boundary
     M[:, -1] = 0.0
     return M

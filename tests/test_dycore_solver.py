@@ -3,6 +3,8 @@ conservation, stability, and the named tendency kernels."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.dycore import tendencies as tnd
 from repro.dycore.kernels import MAJOR_KERNELS, n_elements, sample_fields
@@ -188,6 +190,51 @@ class TestTendencyKernels:
         field = rng.random((mesh.nc, vc.nlev))
         t = tnd.vertical_advection_cell(M, field)
         np.testing.assert_allclose(t.sum(axis=1), 0.0, atol=1e-10)
+
+
+class TestFreeStreamPreservation:
+    """Uniform theta is a fixed point of one Euler stage whatever the
+    wind: the flux-form theta tendency must equal ``theta * d(dpi)/dt``,
+    which holds only if ``vertical_mass_flux`` has the (downward) sign
+    its consumers assume.  With the flux returned upward one stage moved
+    theta by ~10 K."""
+
+    _cores: dict = {}
+
+    @classmethod
+    def _core(cls, backend, mixed):
+        key = (backend, mixed)
+        if key not in cls._cores:
+            cls._cores[key] = DynamicalCore(
+                build_mesh(2), VerticalCoordinate.stretched(8),
+                DycoreConfig(dt=300.0, stencil_backend=backend,
+                             policy=PrecisionPolicy(mixed=mixed)),
+            )
+        return cls._cores[key]
+
+    @pytest.mark.parametrize("mixed", [False, True], ids=["DP", "MIX"])
+    @pytest.mark.parametrize("backend", ["reference", "fused"])
+    @given(seed=st.integers(0, 2**31 - 1), speed=st.floats(0.5, 20.0))
+    @settings(max_examples=10, deadline=None)
+    def test_uniform_theta_is_a_fixed_point(self, backend, mixed, seed, speed):
+        core = self._core(backend, mixed)
+        state = isothermal_rest_state(core.mesh, core.vcoord)
+        state.theta[:] = 300.0
+        state.u = speed * np.random.default_rng(seed).normal(size=state.u.shape)
+        new = core._apply(state, core.compute_tendencies(state), core.config.dt)
+        drift = float(np.abs(new.theta - 300.0).max())
+        assert drift <= (1e-4 if mixed else 1e-10), drift
+
+    def test_vertical_mass_flux_is_positive_downward(self, mesh, vc):
+        """Divergence in the top layer only: the layer loses ``D_0`` but
+        its share of the column's loss is only ``dsigma_0 * D_0``, so the
+        rest must come up through every interface below it — a negative
+        flux in the downward-positive convention."""
+        D = np.zeros((mesh.nc, vc.nlev))
+        D[:, 0] = 1.0
+        M = tnd.vertical_mass_flux(mesh, vc.sigma_interfaces, D)
+        assert (M[:, 1:-1] < 0.0).all()
+        np.testing.assert_array_equal(M[:, [0, -1]], 0.0)
 
 
 class TestKernelRegistry:
