@@ -74,6 +74,10 @@ BITWISE = 0.0
 #: fused against ``reference`` on the same float32 field.
 FLOAT32_TOLERANCE = 1e-6
 
+#: The dtypes the precision policies use; every per-dtype table is built
+#: for exactly these at compile time.
+POLICY_DTYPES = (np.dtype(np.float64), np.dtype(np.float32))
+
 #: The one backend decision: what a core compiles to unless its
 #: ``DycoreConfig.stencil_backend`` (or a per-call ``backend=``) names
 #: the ``reference`` oracle.
@@ -237,10 +241,7 @@ class OperatorCache:
 
         # dtype -> (mask, clamped count) for vertex_to_cell, built eagerly
         # for the policy dtypes: never mutated after __init__ returns.
-        self._v2c_weights: dict = {
-            np.dtype(np.float64): self._build_v2c(np.dtype(np.float64)),
-            np.dtype(np.float32): self._build_v2c(np.dtype(np.float32)),
-        }
+        self._v2c_weights: dict = {dt: self._build_v2c(dt) for dt in POLICY_DTYPES}
 
     def _build_v2c(self, dtype: np.dtype) -> tuple[np.ndarray, np.ndarray]:
         mask = self.cell_vertices_valid.astype(dtype)
@@ -472,8 +473,8 @@ def _lanes(n_cols: int, idx: np.ndarray, w: np.ndarray) -> dict:
     indices = idx[valid].astype(np.int32)
     data, shape = np.broadcast_to(w, idx.shape)[valid], (idx.shape[0], n_cols)
     return {
-        np.dtype(dt): csr_matrix((data.astype(dt, copy=False), indices, indptr), shape=shape)
-        for dt in (np.float64, np.float32)
+        dt: csr_matrix((data.astype(dt, copy=False), indices, indptr), shape=shape)
+        for dt in POLICY_DTYPES
     }
 
 
@@ -519,7 +520,7 @@ class FusedKernels(ReferenceKernels):
         pm, half = np.array([1.0, -1.0]), np.array([0.5, 0.5])
         div_w = cache.div_w / mesh.cell_area[:, None]
         curl_w = cache.curl_w / mesh.vertex_area[:, None]
-        mask, cnt = cache.v2c_weights(np.dtype(np.float64))
+        mask, cnt = cache.v2c_weights(POLICY_DTYPES[0])
         # t . 0.5 (U[c1] + U[c2]) with U = R u, contracted over the three
         # components at compile time; explicit products, so a weight is
         # the same bits on a rank-local mesh as on the global one.
@@ -555,12 +556,11 @@ class FusedKernels(ReferenceKernels):
             # Sign-split divergence weights for the tracer limiter.
             "flux_out": _lanes(mesh.ne, np.where(div_w > 0.0, ce, PAD), div_w),
             "flux_in": _lanes(mesh.ne, np.where(div_w < 0.0, ce, PAD), -div_w),
-            "de": {np.dtype(dt): mesh.de.astype(dt, copy=False)
-                   for dt in (np.float64, np.float32)},
+            "de": {dt: mesh.de.astype(dt, copy=False) for dt in POLICY_DTYPES},
         }
         self._tables = {
             dt: SimpleNamespace(**{k: v[dt] for k, v in tables.items()})
-            for dt in tables["de"]
+            for dt in POLICY_DTYPES
         }
 
     def _edge_laplacian(self, grad_div: float, curl_curl: float) -> dict:

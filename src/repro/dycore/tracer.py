@@ -63,7 +63,7 @@ def tracer_transport_hori_flux_limiter(
     q_min = _neighbor_extreme(mesh, both, np.minimum)
 
     # Sums of incoming (P+) and outgoing (P-) antidiffusive mass per cell.
-    P_plus, P_minus = _signed_flux_sums(mesh, A)
+    P_plus, P_minus = compiled_kernels(mesh).signed_flux_sums(A)
     tiny = np.asarray(1e-30, dtype=P_plus.dtype)
     Q_plus = (q_max - q_td) * dpi_new / dt
     Q_minus = (q_td - q_min) * dpi_new / dt
@@ -95,12 +95,6 @@ def _neighbor_extreme(mesh: Mesh, field: np.ndarray, op) -> np.ndarray:
     vals = np.where(pad, np.inf, vals)
     ext = vals.min(axis=1)
     return np.minimum(ext, field)
-
-
-def _signed_flux_sums(mesh: Mesh, A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per-cell sums of incoming (P+) and outgoing (P-) antidiffusive
-    flux, by the mesh's compiled plan (``signed_flux_sums``)."""
-    return compiled_kernels(mesh).signed_flux_sums(A)
 
 
 def vertical_tracer_transport(

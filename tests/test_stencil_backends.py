@@ -228,8 +228,8 @@ class TestBackendEquivalence:
             _assert_contract(name, mesh, seed, 4)
 
     def test_fused_returns_fresh_arrays(self, mesh3):
-        """Outputs must never alias plan scratch: consecutive calls
-        return distinct arrays (the solver keeps stage tendencies)."""
+        """The plan holds no scratch to alias: consecutive calls return
+        distinct arrays (the solver keeps stage tendencies)."""
         f = _fields(mesh3, 23, 6)
         a = ops.divergence(mesh3, f["edge"], backend="fused")
         b = ops.divergence(mesh3, 2.0 * f["edge"], backend="fused")
@@ -263,8 +263,9 @@ class TestBackendEquivalence:
 
     @pytest.mark.parametrize("name", sorted(OPERATORS))
     def test_interleaved_dtypes_never_share_scratch(self, mesh3, name):
-        """f64, f32, f64 on one plan: scratch is keyed by dtype, so the
-        float32 call in the middle leaves the float64 result unchanged."""
+        """f64, f32, f64 on one plan (the id predates the stateless
+        plan): the float32 call in the middle leaves the float64 result
+        unchanged."""
         f64 = _fields(mesh3, 27, 5)
         f32 = _fields(mesh3, 28, 5, np.float32)
         first = _call(name, mesh3, f64, "fused")
