@@ -92,6 +92,12 @@ class DycoreConfig:
                 f"rk_stages must be one of {sorted(SSP_RK_SCHEDULE)}, "
                 f"got {self.rk_stages!r}"
             )
+        if not self.dt > 0:
+            raise ValueError(f"dt must be > 0, got {self.dt!r}")
+        if self.tracer_ratio < 1:
+            raise ValueError(f"tracer_ratio must be >= 1, got {self.tracer_ratio!r}")
+        if self.sponge_levels < 0:
+            raise ValueError(f"sponge_levels must be >= 0, got {self.sponge_levels!r}")
         resolve_backend_name(self.stencil_backend)
 
 
@@ -101,6 +107,30 @@ class Tendencies:
     u: np.ndarray
     theta_mass: np.ndarray   # d(dpi * theta)/dt
     flux_edge: np.ndarray    # the mass flux used (for accumulation)
+
+
+def _weighted(tds: list, weights: tuple, name: str) -> np.ndarray:
+    """``sum_i w_i * tds_i.name``; a single-weight row is ``tds[0]`` as is."""
+    if len(weights) == 1:
+        return getattr(tds[0], name)
+    return sum(w * getattr(t, name) for w, t in zip(weights, tds))
+
+
+def rk_update(out: ModelState, base: ModelState, tds: list, weights: tuple, dt: float) -> None:
+    """One SSP-RK stage update, in place: ``out <- base + dt * sum_i w_i tds_i``.
+
+    ``ps`` and ``u`` directly, ``theta`` in its flux form (the tendency
+    is of ``dpi * theta``).  The one place the stage arithmetic is
+    written: the serial and the distributed step both call it, per rank.
+    """
+    dpi_old = base.dpi()
+    np.add(base.ps, dt * _weighted(tds, weights, "ps"), out=out.ps)
+    np.add(base.u, dt * _weighted(tds, weights, "u"), out=out.u)
+    np.divide(
+        dpi_old * base.theta + dt * _weighted(tds, weights, "theta_mass"),
+        out.dpi(), out=out.theta,
+    )
+    out.time = base.time + dt
 
 
 class DynamicalCore:
@@ -173,26 +203,6 @@ class DynamicalCore:
             flux_edge=np.asarray(F, dtype=np.float64),
         )
 
-    def _apply(self, state: ModelState, tds: Tendencies, dt: float) -> ModelState:
-        new = state.copy()
-        dpi_old = state.dpi()
-        new.ps = state.ps + dt * tds.ps
-        new.u = state.u + dt * tds.u
-        dpi_new = new.dpi()
-        new.theta = (dpi_old * state.theta + dt * tds.theta_mass) / dpi_new
-        new.time = state.time + dt
-        return new
-
-    @staticmethod
-    def _combine(t_list: list, weights: list) -> Tendencies:
-        """Weighted combination of tendency sets."""
-        return Tendencies(
-            ps=sum(w * t.ps for w, t in zip(weights, t_list)),
-            u=sum(w * t.u for w, t in zip(weights, t_list)),
-            theta_mass=sum(w * t.theta_mass for w, t in zip(weights, t_list)),
-            flux_edge=sum(w * t.flux_edge for w, t in zip(weights, t_list)),
-        )
-
     # -- time stepping -------------------------------------------------------
     def step(self, state: ModelState) -> ModelState:
         """Advance one dynamics step (SSP-RK + implicit vertical).
@@ -207,20 +217,16 @@ class DynamicalCore:
         tracer = get_tracer()
         wall0 = time.perf_counter()
         with tracer.span("dycore.step", SpanKind.DYN_STEP, step=self._steps):
-            def stage(k: int, st: ModelState) -> Tendencies:
-                with tracer.span("dycore.rk_stage", SpanKind.RK_STAGE, stage=k):
-                    return self.compute_tendencies(st)
-
             tds: list[Tendencies] = []
-            s1 = state
+            s1 = state.copy()   # the state returned; the input stays untouched
             for k, (weights, frac) in enumerate(
                 SSP_RK_SCHEDULE[self.config.rk_stages], 1
             ):
-                tds.append(stage(k, s1))
-                used = tds[0] if len(weights) == 1 else self._combine(tds, weights)
-                s1 = self._apply(state, used, frac * dt)
-            # Accumulate the mass flux for the tracer step — always double.
-            self.flux_acc.add(used.flux_edge)
+                with tracer.span("dycore.rk_stage", SpanKind.RK_STAGE, stage=k):
+                    tds.append(self.compute_tendencies(s1))
+                rk_update(s1, state, tds, weights, frac * dt)
+            # Accumulate the step's mass flux for the tracer step — always double.
+            self.flux_acc.add(_weighted(tds, weights, "flux_edge"))
 
             if self.config.nonhydrostatic:
                 with tracer.span("dycore.implicit_w", SpanKind.VERTICAL_SOLVE):

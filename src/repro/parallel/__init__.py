@@ -9,8 +9,8 @@ solver rank-by-rank:
   in-memory analogue of GRIST's distributed grid structures;
 * :mod:`repro.parallel.exchange` — a generic aggregated exchanger for
   cell- and edge-indexed fields built on the simulated communicator;
-* :mod:`repro.parallel.driver` — :class:`DistributedDycore`: the same
-  tendency code as the serial solver executed per rank between halo
+* :mod:`repro.parallel.driver` — :class:`DistributedDycore`: the serial
+  solver's tendency code and RK update executed per rank between halo
   exchanges, bitwise-verifiable against the serial result.
 """
 

@@ -1,28 +1,23 @@
 """The distributed dycore driver.
 
-Runs the *same* tendency code as the serial
-:class:`~repro.dycore.solver.DynamicalCore`, but rank-by-rank over the
-local meshes with aggregated halo exchanges between stages — the full
-execution pattern of the paper's parallelization facilitation layer.
-Owned-entity results match the serial solver to floating-point
-accumulation tolerance (asserted in the test suite), which is the
+Runs the serial :class:`~repro.dycore.solver.DynamicalCore`'s own code
+— ``compute_tendencies``, the ``SSP_RK_SCHEDULE`` loop and the in-place
+``rk_update`` — rank-by-rank over one list of rank-local model states,
+with aggregated halo exchanges between stages: the execution pattern of
+the paper's parallelization facilitation layer.  Owned-entity results
+equal the serial solver's bit for bit (asserted in the test suite), the
 correctness contract that lets the scaling model treat decomposed and
 serial runs as the same computation.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import replace
 
 import numpy as np
 
 from repro.comm.message import Communicator
-from repro.dycore.solver import (
-    SSP_RK_SCHEDULE,
-    DycoreConfig,
-    DynamicalCore,
-    Tendencies,
-)
+from repro.dycore.solver import SSP_RK_SCHEDULE, DycoreConfig, DynamicalCore, rk_update
 from repro.dycore.state import ModelState
 from repro.dycore.vertical import VerticalCoordinate
 from repro.grid.mesh import Mesh
@@ -41,23 +36,13 @@ from repro.partition.metis import partition_graph
 from repro.resilience.recovery import RetryPolicy
 
 
-@dataclass
-class RankState:
-    """One rank's local prognostic arrays (owned + halo entities)."""
-
-    ps: np.ndarray
-    u: np.ndarray
-    theta: np.ndarray
-    phi_surface: np.ndarray
-
-
 class DistributedDycore:
     """Hydrostatic dycore stepped across N simulated ranks.
 
     Tracers and the nonhydrostatic vertical solve are column-local and
-    therefore trivially decomposable; this driver focuses on the
-    halo-coupled horizontal dynamics, which is where the communication
-    pattern lives.
+    therefore trivially decomposable; this driver runs neither (a
+    nonhydrostatic config is refused) and focuses on the halo-coupled
+    horizontal dynamics, which is where the communication pattern lives.
     """
 
     def __init__(
@@ -72,6 +57,11 @@ class DistributedDycore:
     ):
         if workers < 1:
             raise ValueError("workers must be >= 1")
+        if config.nonhydrostatic:
+            raise ValueError(
+                "DistributedDycore is hydrostatic-only (it runs no implicit "
+                "w solve): nonhydrostatic must be False"
+            )
         self.mesh = mesh
         self.vcoord = vcoord
         self.config = config
@@ -91,9 +81,13 @@ class DistributedDycore:
         self.cores = [
             DynamicalCore(lm.mesh, vcoord, config) for lm in self.locals
         ]
-        self._states: list[RankState] | None = None
+        #: The rank states: one local ``ModelState`` per rank (owned +
+        #: halo entities), written in place only — the exchanger, the
+        #: executors, ``rk_update`` and ``gather`` all use this one list.
+        self._states: list[ModelState] | None = None
+        #: Per-rank buffers holding the step's base ``ps``/``u``/``theta``.
+        self._base: list[ModelState] | None = None
         self._exchanger: EdgeCellExchanger | None = None
-        self._scratch: list[ModelState] | None = None
         self._executor = None
         #: The shared mmap arena (forked execution only), kept alive
         #: alongside the field views carved from it.
@@ -106,95 +100,76 @@ class DistributedDycore:
         With ``workers > 1`` the per-rank prognostic arrays (and three
         tendency output slots per rank) are placed in one shared
         anonymous mmap, and the worker processes are forked at the end —
-        after the exchanger and scratch states are built — so everything
+        after the exchanger is built on the rank states — so everything
         they inherit aliases the shared arena.
         """
         if self._executor is not None:
             self._executor.close()
             self._executor = None
+        nlev = self.vcoord.nlev
         self._states = [
-            RankState(
+            ModelState(
+                mesh=lm.mesh,
+                vcoord=self.vcoord,
                 ps=lm.scatter_cell_field(state.ps),
                 u=lm.scatter_edge_field(state.u),
                 theta=lm.scatter_cell_field(state.theta),
+                w=np.zeros((lm.n_cells, nlev + 1)),
+                phi=np.zeros((lm.n_cells, nlev + 1)),
                 phi_surface=lm.scatter_cell_field(state.phi_surface),
+                tracers={},
+                time=state.time,
             )
             for lm in self.locals
         ]
-        slots: list[list[_TendencySlot]] | None = None
-        if self.workers > 1:
-            self._states, slots = self._to_shared(self._states)
+        slots = self._to_shared() if self.workers > 1 else None
         ex = EdgeCellExchanger(self.locals, self.comm, retry=self.retry)
         ex.register_cell("ps", [s.ps for s in self._states])
         ex.register_cell("theta", [s.theta for s in self._states])
         ex.register_edge("u", [s.u for s in self._states])
         self._exchanger = ex
-        # Per-rank scratch ModelStates, allocated once: they alias the
-        # RankState arrays (which are only ever written in place), so the
-        # 3-per-RK-stage tendency evaluations reuse the same w/phi zeros
-        # instead of allocating fresh ones every call.
-        nlev = self.vcoord.nlev
-        self._scratch = [
-            ModelState(
-                mesh=lm.mesh,
-                vcoord=self.vcoord,
-                ps=st.ps,
-                u=st.u,
-                theta=st.theta,
-                w=np.zeros((lm.n_cells, nlev + 1)),
-                phi=np.zeros((lm.n_cells, nlev + 1)),
-                phi_surface=st.phi_surface,
-                tracers={},
-            )
-            for lm, st in zip(self.locals, self._states)
+        self._base = [
+            replace(s, ps=np.empty_like(s.ps), u=np.empty_like(s.u), theta=np.empty_like(s.theta))
+            for s in self._states
         ]
         if self.workers > 1:
             self._executor = ProcessRankExecutor(
-                self.cores, self._scratch, slots, self.workers
+                self.cores, self._states, slots, self.workers
             )
         else:
-            self._executor = SerialRankExecutor(self.cores, self._scratch)
+            self._executor = SerialRankExecutor(self.cores, self._states)
 
-    def _to_shared(
-        self, states: list[RankState]
-    ) -> tuple[list[RankState], list[list[_TendencySlot]]]:
-        """Rehome rank arrays into one shared arena; build output slots."""
+    def _to_shared(self) -> list[list[_TendencySlot]]:
+        """Rehome the rank states' arrays into one shared arena; build
+        the tendency output slots beside them."""
         nlev = self.vcoord.nlev
+        fields = ("ps", "u", "theta", "phi_surface")
         shapes: list[tuple[int, ...]] = []
-        for lm in self.locals:
-            nc, ne = lm.n_cells, lm.n_edges
-            # state: ps, u, theta, phi_surface
-            shapes += [(nc,), (ne, nlev), (nc, nlev), (nc,)]
+        for st in self._states:
+            shapes += [getattr(st, f).shape for f in fields]
             # three tendency slots: ps, u, theta_mass, flux_edge each
             shapes += (
-                [(nc,), (ne, nlev), (nc, nlev), (ne, nlev)]
+                [st.ps.shape, st.u.shape, st.theta.shape, st.u.shape]
                 * ProcessRankExecutor.N_SLOTS
             )
-        arena = _ShmArena(_ShmArena.nbytes(shapes))
-        self._arena = arena
-        shared: list[RankState] = []
+        arena = self._arena = _ShmArena(_ShmArena.nbytes(shapes))
         slots: list[list[_TendencySlot]] = [
             [] for _ in range(ProcessRankExecutor.N_SLOTS)
         ]
-        for lm, st in zip(self.locals, states):
-            nc, ne = lm.n_cells, lm.n_edges
+        for lm, st in zip(self.locals, self._states):
             r = lm.rank
-            sh = RankState(
-                ps=arena.take((nc,), name=f"rank{r}.ps"),
-                u=arena.take((ne, nlev), name=f"rank{r}.u"),
-                theta=arena.take((nc, nlev), name=f"rank{r}.theta"),
-                phi_surface=arena.take((nc,), name=f"rank{r}.phi_surface"),
-            )
-            sh.ps[:] = st.ps
-            sh.u[:] = st.u
-            sh.theta[:] = st.theta
-            sh.phi_surface[:] = st.phi_surface
-            shared.append(sh)
+            for f in fields:
+                local = getattr(st, f)
+                shared = arena.take(local.shape, name=f"rank{r}.{f}")
+                np.copyto(shared, local)
+                setattr(st, f, shared)
             for k, slot in enumerate(slots):
                 slot.append(
-                    _TendencySlot(arena, nc, ne, nlev, name=f"rank{r}.slot{k}")
+                    _TendencySlot(
+                        arena, lm.n_cells, lm.n_edges, nlev, name=f"rank{r}.slot{k}"
+                    )
                 )
-        return shared, slots
+        return slots
 
     def arena_layout(self) -> dict:
         """Byte extents of the shared arena's named slots.
@@ -245,37 +220,21 @@ class DistributedDycore:
         return ps, u, theta
 
     # -- stepping ------------------------------------------------------------
-    @staticmethod
-    def _combine(per_rank: list[list[Tendencies]], weights: list[float]) -> list[Tendencies]:
-        out = []
-        for stages in zip(*per_rank):
-            out.append(
-                Tendencies(
-                    ps=sum(w * t.ps for w, t in zip(weights, stages)),
-                    u=sum(w * t.u for w, t in zip(weights, stages)),
-                    theta_mass=sum(
-                        w * t.theta_mass for w, t in zip(weights, stages)
-                    ),
-                    flux_edge=sum(
-                        w * t.flux_edge for w, t in zip(weights, stages)
-                    ),
-                )
-            )
-        return out
-
     def step(self) -> None:
-        """One SSP-RK dynamics step across all ranks (mirrors the serial
-        solver's increment form exactly, so results are bitwise equal)."""
+        """One SSP-RK dynamics step across all ranks: the serial solver's
+        loop over ``SSP_RK_SCHEDULE`` and its ``rk_update``, per rank, so
+        results are bitwise equal."""
         if self._states is None:
             raise RuntimeError("scatter a state first")
         dt = self.config.dt
         tracer = get_tracer()
         with tracer.span("driver.save", SpanKind.RK_STAGE, op="save"):
-            saved = [
-                RankState(s.ps.copy(), s.u.copy(), s.theta.copy(), s.phi_surface)
-                for s in self._states
-            ]
-        per_stage: list[list[Tendencies]] = []
+            for st, base in zip(self._states, self._base):
+                np.copyto(base.ps, st.ps)
+                np.copyto(base.u, st.u)
+                np.copyto(base.theta, st.theta)
+                base.time = st.time
+        per_stage: list[list] = []
         for k, (weights, frac) in enumerate(
             SSP_RK_SCHEDULE[self.config.rk_stages], 1
         ):
@@ -284,28 +243,17 @@ class DistributedDycore:
             # the stage's own tendency slot.
             self._exchanger.exchange()
             per_stage.append(self._executor.compute_tendencies(slot=k - 1))
-            used = (
-                per_stage[0] if len(weights) == 1
-                else self._combine(per_stage, weights)
-            )
             with tracer.span(
                 "driver.apply", SpanKind.RK_STAGE, op="apply",
                 stage=k, slots=tuple(range(k)),
             ):
-                self._apply(saved, used, frac * dt)
+                for st, base, *tds in zip(self._states, self._base, *per_stage):
+                    rk_update(st, base, tds, weights, frac * dt)
         if self.config.sponge_levels > 0:
             # Refresh halos so the sponge's Laplacians see the same
             # neighbour values as the serial solver, then damp per rank.
             self._exchanger.exchange()
             self._executor.sponge(dt)
-
-    def _apply(self, base: list[RankState], tds: list[Tendencies], dt: float) -> None:
-        for st, b, td in zip(self._states, base, tds):
-            dpi_old = self.vcoord.dpi(b.ps)
-            st.ps[:] = b.ps + dt * td.ps
-            st.u[:] = b.u + dt * td.u
-            dpi_new = self.vcoord.dpi(st.ps)
-            st.theta[:] = (dpi_old * b.theta + dt * td.theta_mass) / dpi_new
 
     def run(self, n_steps: int) -> None:
         for _ in range(n_steps):

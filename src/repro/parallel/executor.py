@@ -12,18 +12,18 @@ overlap the per-rank NumPy work.
 Bitwise contract
 ----------------
 Both executors run the *same* ``DynamicalCore.compute_tendencies`` /
-``_apply_sponge`` code on the same inputs, so their results are bitwise
-identical; the equality test in ``tests/test_parallel_executor.py`` pins
-it.  The mechanism:
+``_apply_sponge`` code on the driver's one list of rank states, so their
+results are bitwise identical; the equality test in
+``tests/test_parallel_executor.py`` pins it.  The mechanism:
 
 * all per-rank prognostic arrays (``ps``, ``u``, ``theta``,
   ``phi_surface``) and three tendency output slots per rank live in one
   anonymous ``mmap`` arena (``MAP_SHARED``) carved into NumPy views;
 * workers are forked *after* :meth:`DistributedDycore.scatter`, so they
-  inherit the cores, local meshes, and scratch states aliasing the
-  shared arrays — parent-side writes (RK ``_apply``, halo unpack) are
-  visible to workers and worker-side writes (tendencies, sponge updates)
-  are visible to the parent with no pickling of field data;
+  inherit the cores, local meshes and rank states aliasing the shared
+  arrays — parent-side writes (``rk_update``, halo unpack) are visible
+  to workers and worker-side writes (tendencies, sponge updates) are
+  visible to the parent with no pickling of field data;
 * three output slots exist because an SSP-RK3 step holds all of
   ``t1``/``t2``/``t3`` live at once; the driver names the slot of each
   tendency call (stage ``k`` writes slot ``k - 1``).
@@ -85,7 +85,8 @@ class _ShmArena:
 
 
 class _TendencySlot:
-    """Shared-memory destination for one rank's Tendencies."""
+    """Shared-memory destination for one rank's Tendencies (same four
+    attribute names, so ``rk_update`` reads it where it lies)."""
 
     def __init__(
         self, arena: _ShmArena, nc: int, ne: int, nlev: int, name: str = ""
@@ -104,21 +105,15 @@ class _TendencySlot:
         self.theta_mass[:] = td.theta_mass
         self.flux_edge[:] = td.flux_edge
 
-    def view(self) -> Tendencies:
-        return Tendencies(
-            ps=self.ps, u=self.u, theta_mass=self.theta_mass,
-            flux_edge=self.flux_edge,
-        )
-
 
 class SerialRankExecutor:
     """Step all ranks in the calling process (reference behaviour)."""
 
     workers = 1
 
-    def __init__(self, cores: list, scratch: list):
+    def __init__(self, cores: list, states: list):
         self._cores = cores
-        self._scratch = scratch
+        self._states = states
 
     def compute_tendencies(self, slot: int = 0) -> list[Tendencies]:
         """Evaluate every rank.  ``slot`` only labels the EXEC_ROUND
@@ -130,7 +125,7 @@ class SerialRankExecutor:
         ):
             return [
                 core.compute_tendencies(ms)
-                for core, ms in zip(self._cores, self._scratch)
+                for core, ms in zip(self._cores, self._states)
             ]
 
     def sponge(self, dt: float) -> None:
@@ -138,17 +133,17 @@ class SerialRankExecutor:
             "executor.round", SpanKind.EXEC_ROUND,
             op="sponge", slot=None, workers=self.workers,
         ):
-            for core, ms in zip(self._cores, self._scratch):
+            for core, ms in zip(self._cores, self._states):
                 core._apply_sponge(ms, dt)
 
     def close(self) -> None:  # symmetric API; nothing to reap
         pass
 
 
-def _worker_loop(conn, ranks, cores, scratch, slots) -> None:
+def _worker_loop(conn, ranks, cores, states, slots) -> None:
     """Body of one forked worker: serve tendency/sponge commands.
 
-    Everything is inherited through the fork — ``scratch`` states alias
+    Everything is inherited through the fork — the rank ``states`` alias
     the shared arena, so no field data crosses the pipe; only tiny
     command tuples do.
     """
@@ -159,12 +154,12 @@ def _worker_loop(conn, ranks, cores, scratch, slots) -> None:
             if op == "tend":
                 slot = msg[1]
                 for r in ranks:
-                    slots[slot][r].store(cores[r].compute_tendencies(scratch[r]))
+                    slots[slot][r].store(cores[r].compute_tendencies(states[r]))
                 conn.send(("ok", None))
             elif op == "sponge":
                 dt = msg[1]
                 for r in ranks:
-                    cores[r]._apply_sponge(scratch[r], dt)
+                    cores[r]._apply_sponge(states[r], dt)
                 conn.send(("ok", None))
             elif op == "stop":
                 conn.send(("ok", None))
@@ -224,23 +219,23 @@ class ProcessRankExecutor:
     #: holds t1/t2/t3 simultaneously).
     N_SLOTS = max(SSP_RK_SCHEDULE)
 
-    def __init__(self, cores: list, scratch: list, slots: list, workers: int):
+    def __init__(self, cores: list, states: list, slots: list, workers: int):
         import multiprocessing as mp
 
         if os.name != "posix":  # pragma: no cover - Linux container only
             raise RuntimeError("ProcessRankExecutor requires fork (POSIX)")
         self.workers = workers
         self._slots = slots
-        self._nranks = len(cores)
+        nranks = len(cores)
         ctx = mp.get_context("fork")
         self._conns = []
         self._procs = []
         for w in range(workers):
-            ranks = list(range(w, self._nranks, workers))
+            ranks = list(range(w, nranks, workers))
             parent, child = ctx.Pipe()
             proc = ctx.Process(
                 target=_worker_loop,
-                args=(child, ranks, cores, scratch, slots),
+                args=(child, ranks, cores, states, slots),
                 daemon=True,
             )
             proc.start()
@@ -278,15 +273,16 @@ class ProcessRankExecutor:
         if errors:
             raise RuntimeError(f"rank worker failed: {'; '.join(errors)}")
 
-    def compute_tendencies(self, slot: int = 0) -> list[Tendencies]:
+    def compute_tendencies(self, slot: int = 0) -> list[_TendencySlot]:
         """Evaluate every rank into output slot ``slot`` (the driver
-        passes the RK stage's: stage ``k`` writes slot ``k - 1``)."""
+        passes the RK stage's: stage ``k`` writes slot ``k - 1``) and
+        return that slot's per-rank views."""
         with get_tracer().span(
             "executor.round", SpanKind.EXEC_ROUND,
             op="tend", slot=slot, workers=self.workers,
         ):
             self._broadcast(("tend", slot))
-        return [self._slots[slot][r].view() for r in range(self._nranks)]
+        return self._slots[slot]
 
     def sponge(self, dt: float) -> None:
         with get_tracer().span(

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from repro.dycore import tendencies as tnd
 from repro.dycore.kernels import MAJOR_KERNELS, n_elements, sample_fields
-from repro.dycore.solver import DycoreConfig, DynamicalCore
+from repro.dycore.solver import SSP_RK_SCHEDULE, DycoreConfig, DynamicalCore, rk_update
 from repro.dycore.state import (
     baroclinic_wave_state,
     isothermal_rest_state,
@@ -221,7 +221,8 @@ class TestFreeStreamPreservation:
         state = isothermal_rest_state(core.mesh, core.vcoord)
         state.theta[:] = 300.0
         state.u = speed * np.random.default_rng(seed).normal(size=state.u.shape)
-        new = core._apply(state, core.compute_tendencies(state), core.config.dt)
+        new = state.copy()
+        rk_update(new, state, [core.compute_tendencies(state)], (1.0,), core.config.dt)
         drift = float(np.abs(new.theta - 300.0).max())
         assert drift <= (1e-4 if mixed else 1e-10), drift
 
@@ -281,6 +282,54 @@ class TestConfigValidation:
             DycoreConfig(stencil_backend="magic")
         with pytest.raises(ValueError, match="unknown stencil backend"):
             DycoreConfig(stencil_backend=None)
+
+    @pytest.mark.parametrize("field, value", [
+        ("dt", 0.0), ("dt", -5.0), ("tracer_ratio", 0), ("tracer_ratio", -3),
+        ("sponge_levels", -1),
+    ])
+    def test_values_the_core_divides_or_counts_by_rejected(self, field, value):
+        """``dt=0`` and ``tracer_ratio=0`` used to die with a
+        ZeroDivisionError (at construction / in the first step); the
+        negative values ran."""
+        with pytest.raises(ValueError, match=field):
+            DycoreConfig(**{field: value})
+
+
+class TestStepLeavesInputAlone:
+    """``step`` updates one copy of its input in place; the input itself
+    must come back byte-identical and share no memory with the result."""
+
+    @staticmethod
+    def _arrays(state):
+        named = {f: getattr(state, f) for f in ("ps", "u", "theta", "w", "phi", "phi_surface")}
+        named.update({f"tracers[{k}]": q for k, q in state.tracers.items()})
+        return named
+
+    @pytest.mark.parametrize("nonhydrostatic", [False, True], ids=["hydrostatic", "NH"])
+    @pytest.mark.parametrize("rk", sorted(SSP_RK_SCHEDULE))
+    def test_input_untouched_result_unaliased_and_reproducible(
+        self, mesh, vc, rk, nonhydrostatic
+    ):
+        # tracer_ratio=1: the tracer step (which reads the input's ps) runs too.
+        cfg = DycoreConfig(
+            dt=300.0, rk_stages=rk, nonhydrostatic=nonhydrostatic, tracer_ratio=1
+        )
+        state = solid_body_rotation_state(mesh, vc)
+        assert state.tracers
+        before = {k: a.tobytes() for k, a in self._arrays(state).items()}
+        t0 = state.time
+
+        result = DynamicalCore(mesh, vc, cfg).step(state)
+
+        assert state.time == t0 and result.time == t0 + cfg.dt
+        for name, arr in self._arrays(state).items():
+            assert arr.tobytes() == before[name], name
+            for other, out in self._arrays(result).items():
+                assert not np.shares_memory(arr, out), (name, other)
+        assert not np.array_equal(result.u, state.u)      # it did step
+        twin = DynamicalCore(mesh, vc, cfg).step(state)
+        for name, out in self._arrays(result).items():
+            assert out.tobytes() == self._arrays(twin)[name].tobytes(), name
 
 
 class TestNonFiniteGuard:

@@ -1,10 +1,12 @@
 """Tests of the distributed-memory execution layer: local meshes,
 cell+edge aggregated exchange, and serial-equivalence of the driver."""
 
+import itertools
+
 import numpy as np
 import pytest
 
-from repro.dycore.solver import DycoreConfig, DynamicalCore
+from repro.dycore.solver import SSP_RK_SCHEDULE, DycoreConfig, DynamicalCore
 from repro.dycore.state import baroclinic_wave_state, solid_body_rotation_state
 from repro.dycore.stencil import BACKENDS
 from repro.dycore.vertical import VerticalCoordinate
@@ -304,10 +306,13 @@ class TestSerialEquivalence:
 
     @pytest.mark.parametrize("nparts", [1, 2, 4, 7])
     def test_solid_body_bitwise(self, mesh, nparts):
+        """Every ``SSP_RK_SCHEDULE`` row: the single-weight row RK1 and
+        each first stage take, and both combined rows."""
         vc = VerticalCoordinate.uniform(5)
         st0 = solid_body_rotation_state(mesh, vc)
-        for backend in BACKENDS:
-            cfg = DycoreConfig(dt=600.0, stencil_backend=backend)
+        for backend, rk in itertools.product(BACKENDS, SSP_RK_SCHEDULE):
+            tag = f"{backend} rk_stages={rk}"
+            cfg = DycoreConfig(dt=600.0, stencil_backend=backend, rk_stages=rk)
             serial = DynamicalCore(mesh, vc, cfg)
             s = st0.copy()
             for _ in range(4):
@@ -316,9 +321,9 @@ class TestSerialEquivalence:
             dist.scatter(st0)
             dist.run(4)
             ps, u, theta = dist.gather()
-            np.testing.assert_array_equal(ps, s.ps, err_msg=backend)
-            np.testing.assert_array_equal(u, s.u, err_msg=backend)
-            np.testing.assert_array_equal(theta, s.theta, err_msg=backend)
+            np.testing.assert_array_equal(ps, s.ps, err_msg=tag)
+            np.testing.assert_array_equal(u, s.u, err_msg=tag)
+            np.testing.assert_array_equal(theta, s.theta, err_msg=tag)
             # A single rank has no neighbour: it never sends.
             assert (dist.comm_stats()["messages"] == 0) == (nparts == 1)
 
@@ -358,8 +363,8 @@ class TestSerialEquivalence:
 
     def test_bitwise_across_plan_reuse_checkpoints(self, mesh):
         """(c) equality holds at successive checkpoints of ONE distributed
-        run — the compiled plans and cached scratch states are reused
-        across all steps without drift."""
+        run — the compiled plans and the rank states are reused across
+        all steps without drift."""
         vc = VerticalCoordinate.uniform(5)
         st0 = solid_body_rotation_state(mesh, vc)
         serial = DynamicalCore(mesh, vc, DycoreConfig(dt=600.0))
@@ -380,6 +385,13 @@ class TestSerialEquivalence:
         dist = DistributedDycore(mesh, vc, DycoreConfig(dt=600.0), nparts=2)
         with pytest.raises(RuntimeError):
             dist.step()
+
+    def test_nonhydrostatic_config_rejected(self, mesh):
+        """The driver runs no implicit w solve; it used to accept the
+        config and step every rank on an all-zero geopotential."""
+        cfg = DycoreConfig(dt=600.0, nonhydrostatic=True)
+        with pytest.raises(ValueError, match="hydrostatic-only"):
+            DistributedDycore(mesh, VerticalCoordinate.uniform(5), cfg, nparts=2)
 
     def test_comm_accounting(self, mesh):
         vc = VerticalCoordinate.uniform(5)

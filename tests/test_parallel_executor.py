@@ -8,6 +8,7 @@ matches bit for bit.  These tests fork real worker processes; they are
 skipped on platforms without ``fork``.
 """
 
+import itertools
 import os
 import signal
 import threading
@@ -15,7 +16,7 @@ import threading
 import numpy as np
 import pytest
 
-from repro.dycore.solver import DycoreConfig
+from repro.dycore.solver import SSP_RK_SCHEDULE, DycoreConfig
 from repro.dycore.state import baroclinic_wave_state
 from repro.dycore.stencil import BACKENDS
 from repro.dycore.vertical import VerticalCoordinate
@@ -57,20 +58,22 @@ class TestBitwiseEquality:
     keep the test ids stable)."""
 
     def test_two_workers_match_serial_bitwise(self, mesh, vc):
-        for backend in BACKENDS:
-            serial = _run(mesh, vc, workers=1, stencil_backend=backend)
-            parallel = _run(mesh, vc, workers=2, stencil_backend=backend)
+        for backend, rk in itertools.product(BACKENDS, SSP_RK_SCHEDULE):
+            kw = dict(stencil_backend=backend, rk_stages=rk)
+            serial = _run(mesh, vc, workers=1, **kw)
+            parallel = _run(mesh, vc, workers=2, **kw)
             for a, b in zip(serial, parallel):
-                assert np.array_equal(a, b), backend
+                assert np.array_equal(a, b), f"{backend} rk_stages={rk}"
 
     def test_three_workers_with_sponge_match_serial_bitwise(self, mesh, vc):
         """Uneven rank deal (4 ranks over 3 workers) plus the sponge
         command path, which writes state in the workers."""
-        for backend in BACKENDS:
-            serial = _run(mesh, vc, workers=1, sponge=2, stencil_backend=backend)
-            parallel = _run(mesh, vc, workers=3, sponge=2, stencil_backend=backend)
+        for backend, rk in itertools.product(BACKENDS, SSP_RK_SCHEDULE):
+            kw = dict(sponge=2, stencil_backend=backend, rk_stages=rk)
+            serial = _run(mesh, vc, workers=1, **kw)
+            parallel = _run(mesh, vc, workers=3, **kw)
             for a, b in zip(serial, parallel):
-                assert np.array_equal(a, b), backend
+                assert np.array_equal(a, b), f"{backend} rk_stages={rk}"
 
 
 class TestExecutorLifecycle:
