@@ -27,8 +27,8 @@ from typing import Callable
 import numpy as np
 
 from repro.analysis.access import AccessSpec, ArrayAccess
-from repro.dycore import operators as ops
 from repro.dycore import tendencies as tnd
+from repro.dycore.stencil import compiled_kernels
 from repro.dycore.tracer import tracer_transport_hori_flux_limiter
 from repro.grid.mesh import Mesh
 from repro.sunway.kernel import KernelSpec
@@ -49,34 +49,35 @@ class RegisteredKernel:
     spec: KernelSpec
     #: element kind the work scales with ("edge" or "cell")
     element: str
-    #: run(mesh, fields) -> ndarray; exercises the real implementation
+    #: run(mesh, fields, kernels=None) -> ndarray; exercises the real
+    #: implementation on the given compiled plan (None: mesh's default)
     run: Callable
 
 
-def _run_flux_limiter(mesh: Mesh, f):
+def _run_flux_limiter(mesh: Mesh, f, kernels=None):
     return tracer_transport_hori_flux_limiter(
-        mesh, f["q"], f["flux"], f["dpi"], f["dpi"], f["dt"]
+        mesh, f["q"], f["flux"], f["dpi"], f["dpi"], f["dt"], kernels=kernels
     )
 
 
-def _run_compute_rrr(mesh: Mesh, f):
-    return tnd.compute_rrr(mesh, f["dpi"], f["phi"])
+def _run_compute_rrr(mesh: Mesh, f, kernels=None):
+    return tnd.compute_rrr(mesh, f["dpi"], f["phi"])       # element-wise: no plan
 
 
-def _run_primal_flux(mesh: Mesh, f):
-    return tnd.primal_normal_flux_edge(mesh, f["dpi"], f["u"])
+def _run_primal_flux(mesh: Mesh, f, kernels=None):
+    return tnd.primal_normal_flux_edge(mesh, f["dpi"], f["u"], kernels=kernels)
 
 
-def _run_coriolis(mesh: Mesh, f):
-    return tnd.calc_coriolis_term(mesh, f["u"])
+def _run_coriolis(mesh: Mesh, f, kernels=None):
+    return tnd.calc_coriolis_term(mesh, f["u"], kernels=kernels)
 
 
-def _run_grad_ke(mesh: Mesh, f):
-    return tnd.tend_grad_ke_at_edge(mesh, f["u"])
+def _run_grad_ke(mesh: Mesh, f, kernels=None):
+    return tnd.tend_grad_ke_at_edge(mesh, f["u"], kernels=kernels)
 
 
-def _run_divergence(mesh: Mesh, f):
-    return ops.divergence(mesh, f["flux"])
+def _run_divergence(mesh: Mesh, f, kernels=None):
+    return (kernels or compiled_kernels(mesh)).divergence(f["flux"])
 
 
 #: Fig. 9's kernel set (plus the two workhorse operators the figure's

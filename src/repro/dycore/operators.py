@@ -12,12 +12,15 @@ round-off), which the test suite checks *per backend*.
 Compiled stencil layer
 ----------------------
 Every operator here is a declarative :class:`~repro.dycore.stencil.
-StencilSpec` compiled once per mesh into a kernel plan
+StencilSpec` compiled once per (mesh, backend) into a kernel plan
 (:func:`repro.dycore.stencil.compiled_kernels`) — built under a module
 lock and immutable after publish, so safe to share across
-``repro.serve`` threads on a warm model.  ``backend=`` on a call picks
-the ``reference`` oracle or the ``fused`` default by name; the backends
-and how one is selected are described in :mod:`repro.dycore.stencil`.
+``repro.serve`` threads on a warm model.  The functions below are the
+``(mesh, backend)`` convenience over that plan for tests, probes and
+diagnostics: each looks the plan up and calls it, ``backend=None``
+meaning :data:`~repro.dycore.stencil.DEFAULT_BACKEND`.  The model itself
+does not come through here — a ``DynamicalCore`` owns the plan it
+compiled and calls it directly.
 """
 
 from __future__ import annotations
@@ -30,8 +33,6 @@ from repro.dycore.stencil import (
     STENCILS,
     OperatorCache,
     StencilSpec,
-    bind_stencil_backend,
-    bound_backend,
     compiled_kernels,
     traffic_factor,
 )
@@ -39,8 +40,7 @@ from repro.grid.mesh import Mesh, PAD  # noqa: F401  (re-export: PAD)
 
 __all__ = [
     "OperatorCache", "StencilSpec", "STENCILS", "BACKENDS", "BITWISE",
-    "compiled_kernels", "bind_stencil_backend", "bound_backend",
-    "traffic_factor",
+    "compiled_kernels", "traffic_factor",
     "divergence", "gradient", "curl", "cell_to_edge",
     "cell_to_edge_upwind", "vertex_to_edge", "vertex_to_cell",
     "reconstruct_cell_vectors", "tangential_velocity", "kinetic_energy",

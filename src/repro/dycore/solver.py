@@ -21,11 +21,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.dycore import operators as ops
 from repro.dycore import tendencies as tend
 from repro.dycore.hevi import implicit_w_solve
 from repro.dycore.state import ModelState
-from repro.dycore.stencil import DEFAULT_BACKEND, resolve_backend_name
+from repro.dycore.stencil import DEFAULT_BACKEND, compiled_kernels, resolve_backend_name
 from repro.dycore.tracer import (
     MassFluxAccumulator,
     tracer_transport_hori_flux_limiter,
@@ -79,11 +78,10 @@ class DycoreConfig:
     #: amplify in the thin uppermost layers).
     sponge_levels: int = 3
     sponge_timescale: float = 1.0e4
-    #: Stencil backend the core's operators compile to ("fused", the
-    #: default, or the "reference" oracle).  Bound to the mesh at
-    #: construction, so the distributed driver's rank-local cores
-    #: inherit the same backend through the shared config.  See
-    #: :mod:`repro.dycore.stencil`.
+    #: Stencil backend of the plan the core compiles and calls ("fused",
+    #: the default, or the "reference" oracle); the distributed driver's
+    #: rank-local cores share the config, so they compile the same one.
+    #: See :mod:`repro.dycore.stencil`.
     stencil_backend: str = DEFAULT_BACKEND
 
     def __post_init__(self) -> None:
@@ -98,6 +96,10 @@ class DycoreConfig:
             raise ValueError(f"tracer_ratio must be >= 1, got {self.tracer_ratio!r}")
         if self.sponge_levels < 0:
             raise ValueError(f"sponge_levels must be >= 0, got {self.sponge_levels!r}")
+        if not self.sponge_timescale > 0:
+            raise ValueError(
+                f"sponge_timescale must be > 0, got {self.sponge_timescale!r}"
+            )
         resolve_backend_name(self.stencil_backend)
 
 
@@ -140,11 +142,11 @@ class DynamicalCore:
         self.mesh = mesh
         self.vcoord = vcoord
         self.config = config or DycoreConfig()
-        ops.bind_stencil_backend(mesh, self.config.stencil_backend)
         # Compile this mesh's kernel plan up front (idempotent): the hot
         # loop never pays first-call compilation, and forked rank workers
-        # inherit a fully built, immutable-after-publish plan.
-        self._kernels = ops.compiled_kernels(mesh)
+        # inherit a fully built, immutable-after-publish plan.  Every
+        # horizontal operator the core applies is a call on this object.
+        self.kernels = compiled_kernels(mesh, self.config.stencil_backend)
         self.flux_acc = MassFluxAccumulator(mesh.ne, vcoord.nlev)
         # Diffusion scales with the *global* grid spacing of this level
         # (not the instance's mean edge length) so a rank-local submesh
@@ -156,12 +158,12 @@ class DynamicalCore:
         self._nu = self.config.diffusion_coeff * self._de2 / self.config.dt
         self._nu_div = self.config.divergence_damping * self._de2 / self.config.dt
         # nu lap_e(u) + nu_div grad(div u), compiled for these coefficients.
-        self._diffusion = self._kernels.diffusion_operator(self._nu, self._nu_div)
+        self._diffusion = self.kernels.diffusion_operator(self._nu, self._nu_div)
         self._steps = 0
 
     # -- tendency evaluation ------------------------------------------------
     def compute_tendencies(self, state: ModelState) -> Tendencies:
-        mesh, vc, pol = self.mesh, self.vcoord, self.config.policy
+        mesh, vc, pol, k = self.mesh, self.vcoord, self.config.policy, self.kernels
         dpi = state.dpi()
         p_mid = state.p_mid()
 
@@ -174,28 +176,28 @@ class DynamicalCore:
         phi_mid = 0.5 * (phi[:, :-1] + phi[:, 1:])
 
         # Mass flux and continuity.
-        dpi_e = ops.cell_to_edge(mesh, dpi)   # shared by flux and advection
+        dpi_e = k.cell_to_edge(dpi)           # shared by flux and advection
         F = tend.primal_normal_flux_edge(mesh, dpi, state.u, pol, dpi_e)
-        D = ops.divergence(mesh, F)                       # (nc, nlev)
+        D = k.divergence(F)                               # (nc, nlev)
         ps_tend = -D.sum(axis=1)
         M = tend.vertical_mass_flux(mesh, vc.b_interfaces, D)
 
         # Momentum.
-        u_tend = tend.calc_coriolis_term(mesh, state.u, policy=pol)
-        u_tend = u_tend + tend.tend_grad_ke_at_edge(mesh, state.u, pol)
+        u_tend = tend.calc_coriolis_term(mesh, state.u, pol, kernels=k)
+        u_tend = u_tend + tend.tend_grad_ke_at_edge(mesh, state.u, pol, kernels=k)
         u_tend = u_tend + tend.pressure_gradient_force(
-            mesh, state.theta, p_mid, phi_mid, pol
+            mesh, state.theta, p_mid, phi_mid, pol, kernels=k
         )
-        u_tend = u_tend + tend.vertical_advection_edge(mesh, M, dpi, state.u, dpi_e)
-        u_tend = u_tend + self._kernels.momentum_diffusion(state.u, self._diffusion)
+        u_tend = u_tend + tend.vertical_advection_edge(
+            mesh, M, dpi, state.u, dpi_e, kernels=k
+        )
+        u_tend = u_tend + k.momentum_diffusion(state.u, self._diffusion)
 
         # Potential temperature in flux form.
-        theta_e = ops.cell_to_edge(mesh, state.theta.astype(pol.ns, copy=False))
-        theta_div = ops.divergence(mesh, F * theta_e)
+        theta_e = k.cell_to_edge(state.theta.astype(pol.ns, copy=False))
+        theta_div = k.divergence(F * theta_e)
         theta_mass_tend = -theta_div + tend.vertical_advection_cell(M, state.theta)
-        theta_mass_tend = theta_mass_tend + self._nu * dpi * ops.laplacian_cell(
-            mesh, state.theta
-        )
+        theta_mass_tend = theta_mass_tend + self._nu * dpi * k.laplacian_cell(state.theta)
         return Tendencies(
             ps=np.asarray(ps_tend, dtype=np.float64),
             u=np.asarray(u_tend, dtype=np.float64),
@@ -272,8 +274,8 @@ class DynamicalCore:
         th_sp = state.theta[:, :nsp]
         ramp = (1.0 - np.arange(nsp) / nsp)[None, :]
         nu = self._de2 / self.config.sponge_timescale * ramp
-        state.u[:, :nsp] = u_sp + dt * nu * ops.laplacian_edge(self.mesh, u_sp)
-        state.theta[:, :nsp] = th_sp + dt * nu * ops.laplacian_cell(self.mesh, th_sp)
+        state.u[:, :nsp] = u_sp + dt * nu * self.kernels.laplacian_edge(u_sp)
+        state.theta[:, :nsp] = th_sp + dt * nu * self.kernels.laplacian_cell(th_sp)
 
     def _tracer_step(self, old: ModelState, new: ModelState) -> None:
         """Advance all tracers over the elapsed tracer window."""
@@ -281,7 +283,7 @@ class DynamicalCore:
         F = self.flux_acc.mean()
         self.flux_acc.reset()
         mesh, vc = self.mesh, self.vcoord
-        D = ops.divergence(mesh, F)
+        D = self.kernels.divergence(F)
         M = tend.vertical_mass_flux(mesh, vc.b_interfaces, D)
         # Layer masses consistent with the mean flux over the window.
         dpi_old = old.dpi()
@@ -289,7 +291,8 @@ class DynamicalCore:
         dpi_new = vc.dpi(ps_mid)
         for name, q in new.tracers.items():
             q1 = tracer_transport_hori_flux_limiter(
-                mesh, q, F, dpi_old, dpi_new, dt_trac, self.config.policy
+                mesh, q, F, dpi_old, dpi_new, dt_trac, self.config.policy,
+                kernels=self.kernels,
             )
             q2 = vertical_tracer_transport(q1, M, dpi_new, dpi_new, dt_trac)
             new.tracers[name] = np.maximum(q2, 0.0)
@@ -297,7 +300,7 @@ class DynamicalCore:
     # -- diagnostics -----------------------------------------------------------
     def diagnostics(self, state: ModelState) -> dict:
         """The paper's observation points: ps and relative vorticity."""
-        zeta = ops.curl(self.mesh, state.u)
+        zeta = self.kernels.curl(state.u)
         return {
             "ps": state.ps.copy(),
             "vor": zeta,

@@ -9,9 +9,9 @@ kernel plans, mirroring the GT4Py/Pace stencil-spec + backend split
 with Python", PAPERS.md).  Two backends exist:
 
 ``reference``
-    Today's eager NumPy expressions, verbatim.  Bitwise identical to the
-    pre-refactor operators; the oracle every other backend is judged
-    against, selected by name where a test or probe needs it.
+    The eager NumPy expression of each operator, pinned bitwise by
+    goldens; the oracle every other backend is judged against, selected
+    by name where a test or probe needs it.
 
 ``fused``
     What runs (:data:`DEFAULT_BACKEND`).  Every operator is linear with a
@@ -34,10 +34,15 @@ with Python", PAPERS.md).  Two backends exist:
       scale after; a ``Σ w_k ψ_k`` row whose weights cancel only to
       round-off breaks the exactly-steady rest states.
 
-Selection: :data:`DEFAULT_BACKEND` is the one decision.  A caller can
-override it per core (``DycoreConfig.stencil_backend``; the core binds
-its mesh, so bare ``ops.*(mesh, …)`` calls follow it) or per operator
-call (``backend=``, for oracle comparisons).
+Selection: :data:`DEFAULT_BACKEND` is the one decision, and a backend is
+only ever chosen by an argument: :func:`compiled_kernels` ``(mesh,
+backend)`` returns the plan, ``None`` meaning the default.  A
+``DynamicalCore`` compiles the plan its ``DycoreConfig.stencil_backend``
+names, keeps it as ``core.kernels`` and hands that object to everything
+it calls; nothing is selected through the mesh or any other shared
+state, so cores of different backends can share one mesh.  The
+``ops.*(mesh, …, backend=)`` wrappers of :mod:`repro.dycore.operators`
+are the same lookup per call, for tests, probes and diagnostics.
 
 Backend contract: each spec's ``tolerance`` is its float64
 fused-vs-reference bound — ``0.0`` means bitwise (the fused form performs
@@ -78,9 +83,9 @@ FLOAT32_TOLERANCE = 1e-6
 #: for exactly these at compile time.
 POLICY_DTYPES = (np.dtype(np.float64), np.dtype(np.float32))
 
-#: The one backend decision: what a core compiles to unless its
-#: ``DycoreConfig.stencil_backend`` (or a per-call ``backend=``) names
-#: the ``reference`` oracle.
+#: The one backend decision: what ``backend=None`` means, and so what a
+#: core compiles to unless its ``DycoreConfig.stencil_backend`` names the
+#: ``reference`` oracle.
 DEFAULT_BACKEND = "fused"
 
 
@@ -267,17 +272,6 @@ def resolve_backend_name(name: str) -> str:
     return name
 
 
-def bind_stencil_backend(mesh: Mesh, backend: str) -> None:
-    """Pin the backend bare operator calls on ``mesh`` dispatch to — how
-    a core's ``DycoreConfig.stencil_backend`` reaches ``ops.*(mesh, …)``."""
-    mesh._stencil_backend = resolve_backend_name(backend)
-
-
-def bound_backend(mesh: Mesh) -> str:
-    """The backend a bare operator call on ``mesh`` dispatches to."""
-    return getattr(mesh, "_stencil_backend", DEFAULT_BACKEND)
-
-
 def mesh_cache(mesh: Mesh) -> OperatorCache:
     """The mesh's shared index/weight cache, compiled on first use
     under the module compile lock (double-checked publish)."""
@@ -311,12 +305,13 @@ def plan_compile_count() -> int:
 def compiled_kernels(mesh: Mesh, backend: str | None = None):
     """The compiled kernel plan of ``mesh`` for ``backend``.
 
-    Plans are compiled once per (mesh, backend) under the compile lock
-    and memoised on the mesh; repeated calls — and every operator call —
-    return the same published plan object.
+    ``None`` is :data:`DEFAULT_BACKEND`.  Plans are compiled once per
+    (mesh, backend) under the compile lock and memoised on the mesh;
+    repeated calls — and every operator call — return the same published
+    plan object.
     """
     global _plan_compiles
-    name = resolve_backend_name(backend) if backend else bound_backend(mesh)
+    name = DEFAULT_BACKEND if backend is None else resolve_backend_name(backend)
     plan = getattr(mesh, "_stencil_plans", {}).get(name)
     if plan is not None:
         return plan

@@ -15,7 +15,10 @@ real vectorised functions:
   the exact loop shown in the paper's Fig. 4.
 
 Each function accepts a :class:`~repro.precision.policy.PrecisionPolicy`
-so the MIX configurations exercise genuinely reduced precision.
+so the MIX configurations exercise genuinely reduced precision, and the
+ones that apply a horizontal operator take the compiled plan to apply it
+with as a trailing ``kernels=`` (a core passes its own; ``None`` is the
+mesh's default-backend plan).
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.constants import CP_DRY, GRAVITY
-from repro.dycore import operators as ops
+from repro.dycore.stencil import compiled_kernels
 from repro.dycore.vertical import exner
 from repro.grid.mesh import Mesh
 from repro.precision.policy import NS, PrecisionPolicy
@@ -35,6 +38,7 @@ def primal_normal_flux_edge(
     u: np.ndarray,
     policy: PrecisionPolicy = NS,
     dpi_e: np.ndarray | None = None,
+    kernels=None,
 ) -> np.ndarray:
     """Dry-mass flux ``F_e = dpi_e * u_e`` at edges [Pa m/s].
 
@@ -46,7 +50,8 @@ def primal_normal_flux_edge(
     """
     term = "mass_divergence"
     if dpi_e is None:
-        dpi_e = ops.cell_to_edge(mesh, policy.cast(term, dpi))
+        kernels = kernels or compiled_kernels(mesh)
+        dpi_e = kernels.cell_to_edge(policy.cast(term, dpi))
     return policy.cast(term, dpi_e) * policy.cast(term, u)
 
 
@@ -54,6 +59,7 @@ def calc_coriolis_term(
     mesh: Mesh,
     u: np.ndarray,
     policy: PrecisionPolicy = NS,
+    kernels=None,
 ) -> np.ndarray:
     """Nonlinear Coriolis term ``(zeta + f) * v_t`` at edges [m/s^2].
 
@@ -63,9 +69,10 @@ def calc_coriolis_term(
     normal velocity is ``+(zeta + f) v_t``.
     """
     term = "coriolis_term"
+    kernels = kernels or compiled_kernels(mesh)
     un = policy.cast(term, u)
-    zeta_e = ops.vorticity_edge(mesh, un)
-    vt = ops.tangential_velocity(mesh, un)
+    zeta_e = kernels.vorticity_edge(un)
+    vt = kernels.tangential_velocity(un)
     absvor = policy.cast(term, zeta_e) + policy.cast(term, mesh.f_edge[:, None])
     return policy.cast(term, absvor * vt)
 
@@ -94,14 +101,16 @@ def tend_grad_ke_at_edge(
     mesh: Mesh,
     u: np.ndarray,
     policy: PrecisionPolicy = NS,
+    kernels=None,
 ) -> np.ndarray:
     """Kinetic-energy-gradient tendency at edges (the Fig. 4 loop).
 
     ``tend = -(K(c2) - K(c1)) / de`` per level.
     """
     term = "kinetic_energy_gradient"
-    ke = policy.cast(term, ops.kinetic_energy(mesh, policy.cast(term, u)))
-    return policy.cast(term, -ops.gradient(mesh, ke))
+    kernels = kernels or compiled_kernels(mesh)
+    ke = policy.cast(term, kernels.kinetic_energy(policy.cast(term, u)))
+    return policy.cast(term, -kernels.gradient(ke))
 
 
 def pressure_gradient_force(
@@ -110,16 +119,18 @@ def pressure_gradient_force(
     p_mid: np.ndarray,
     phi_mid: np.ndarray,
     policy: PrecisionPolicy = NS,
+    kernels=None,
 ) -> np.ndarray:
     """PGF at edges in theta–Exner form: ``-cp theta_e grad(Pi) - grad(phi)``.
 
     Precision-sensitive (section 3.4.2): always evaluated in double.
     """
     term = "pressure_gradient"                     # float64 by design
+    kernels = kernels or compiled_kernels(mesh)
     pi_ex = exner(policy.cast(term, p_mid))
-    theta_e = ops.cell_to_edge(mesh, policy.cast(term, theta))
-    g_pi = ops.gradient(mesh, pi_ex)
-    g_phi = ops.gradient(mesh, policy.cast(term, phi_mid))
+    theta_e = kernels.cell_to_edge(policy.cast(term, theta))
+    g_pi = kernels.gradient(pi_ex)
+    g_phi = kernels.gradient(policy.cast(term, phi_mid))
     return -CP_DRY * theta_e * g_pi - g_phi
 
 
@@ -167,15 +178,17 @@ def vertical_advection_edge(
     dpi: np.ndarray,
     u: np.ndarray,
     dpi_e: np.ndarray | None = None,
+    kernels=None,
 ) -> np.ndarray:
     """Advective-form vertical transport of edge velocity.
 
     ``-(1/dpi_e) * [M_k (u_k - u_{k-1}) + M_{k+1} (u_{k+1} - u_k)] / 2``;
     ``dpi_e`` is ``cell_to_edge(dpi)`` when the stage already has it.
     """
-    M_e = ops.cell_to_edge(mesh, M)
+    kernels = kernels or compiled_kernels(mesh)
+    M_e = kernels.cell_to_edge(M)
     if dpi_e is None:
-        dpi_e = ops.cell_to_edge(mesh, dpi)
+        dpi_e = kernels.cell_to_edge(dpi)
     # One pass over the interior interfaces: layer k takes M_k du_{k-1}
     # from the interface above and M_{k+1} du_k from the one below.
     flux = M_e[:, 1:-1] * (u[:, 1:] - u[:, :-1])

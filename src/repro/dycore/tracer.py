@@ -18,8 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.dycore import operators as ops
-from repro.dycore.stencil import compiled_kernels, mesh_cache
+from repro.dycore.stencil import OperatorCache, compiled_kernels
 from repro.grid.mesh import Mesh
 from repro.precision.policy import NS, PrecisionPolicy
 
@@ -32,6 +31,7 @@ def tracer_transport_hori_flux_limiter(
     dpi_new: np.ndarray,
     dt: float,
     policy: PrecisionPolicy = NS,
+    kernels=None,
 ) -> np.ndarray:
     """One horizontal FCT transport step; returns the new mixing ratio.
 
@@ -42,28 +42,32 @@ def tracer_transport_hori_flux_limiter(
         [Pa m/s], accumulated in double precision by the dycore.
     dpi_old, dpi_new : (nc, nlev) layer masses before/after the step.
     dt : tracer timestep [s].
+    kernels : the compiled plan whose operators and index tables the step
+        uses (a core passes its own); ``None`` is ``mesh``'s default plan.
     """
     term = "tracer_flux_limiter"
+    kernels = kernels or compiled_kernels(mesh)
     qn = policy.cast(term, q)
     F = flux_edge  # stays in its accumulated (double) precision
 
     # Low-order (monotone) update.
-    q_up = ops.cell_to_edge_upwind(mesh, qn, F)
-    div_lo = ops.divergence(mesh, F * q_up)
+    q_up = kernels.cell_to_edge_upwind(qn, F)
+    div_lo = kernels.divergence(F * q_up)
     q_td = (dpi_old * q - dt * div_lo) / dpi_new
 
     # Antidiffusive fluxes toward 2nd order.
-    q_ce = ops.cell_to_edge(mesh, qn)
+    q_ce = kernels.cell_to_edge(qn)
     A = policy.cast(term, F * (q_ce - q_up))
 
     # Zalesak limiter bounds from the neighbourhood of q_td and q.
     both = np.maximum(q_td, q)
-    q_max = _neighbor_extreme(mesh, both, np.maximum)
+    cache = kernels.cache
+    q_max = _neighbor_extreme(cache, both, np.maximum)
     both = np.minimum(q_td, q)
-    q_min = _neighbor_extreme(mesh, both, np.minimum)
+    q_min = _neighbor_extreme(cache, both, np.minimum)
 
     # Sums of incoming (P+) and outgoing (P-) antidiffusive mass per cell.
-    P_plus, P_minus = compiled_kernels(mesh).signed_flux_sums(A)
+    P_plus, P_minus = kernels.signed_flux_sums(A)
     tiny = np.asarray(1e-30, dtype=P_plus.dtype)
     Q_plus = (q_max - q_td) * dpi_new / dt
     Q_minus = (q_td - q_min) * dpi_new / dt
@@ -71,21 +75,19 @@ def tracer_transport_hori_flux_limiter(
     R_minus = np.minimum(1.0, Q_minus / np.maximum(P_minus, tiny))
 
     # Edge correction factor: min of receiving R+ and giving R-.
-    cache = mesh_cache(mesh)
     c1, c2 = cache.edge_c1, cache.edge_c2
     # A > 0 moves tracer from c1 to c2 (along +normal).
     C_pos = np.minimum(R_plus[c2], R_minus[c1])
     C_neg = np.minimum(R_plus[c1], R_minus[c2])
     C = np.where(A >= 0.0, C_pos, C_neg)
 
-    div_anti = ops.divergence(mesh, C * A)
+    div_anti = kernels.divergence(C * A)
     q_new = q_td - dt * div_anti / dpi_new
     return q_new
 
 
-def _neighbor_extreme(mesh: Mesh, field: np.ndarray, op) -> np.ndarray:
+def _neighbor_extreme(cache: OperatorCache, field: np.ndarray, op) -> np.ndarray:
     """Element-wise extreme of each cell and its direct neighbours."""
-    cache = mesh_cache(mesh)
     vals = field[cache.cell_neighbors_idx]          # (nc, D, nlev)
     pad = cache.cell_neighbors_pad[..., None]
     if op is np.maximum:

@@ -17,8 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.dycore import operators as ops
 from repro.dycore.state import ModelState
+from repro.dycore.stencil import compiled_kernels
 from repro.dycore.vertical import exner
 
 
@@ -38,10 +38,16 @@ class CouplingFields:
 
 
 class CouplingInterface:
-    """Extracts coupler fields from the state and applies tendencies."""
+    """Extracts coupler fields from the state and applies tendencies.
 
-    def __init__(self, mesh):
+    ``kernels`` is the compiled stencil plan it reconstructs winds and
+    interpolates drag with — the model passes its dycore's; ``None`` is
+    ``mesh``'s default-backend plan.
+    """
+
+    def __init__(self, mesh, kernels=None):
         self.mesh = mesh
+        self.kernels = kernels or compiled_kernels(mesh)
         xyz = mesh.cell_xyz
         z = np.array([0.0, 0.0, 1.0])
         east = np.cross(z, xyz)
@@ -53,7 +59,7 @@ class CouplingInterface:
         self._north = np.cross(xyz, self._east)
 
     def extract(self, state: ModelState, tskin: np.ndarray, coszr: np.ndarray) -> CouplingFields:
-        vec = ops.reconstruct_cell_vectors(self.mesh, state.u)   # (nc, 3, nlev)
+        vec = self.kernels.reconstruct_cell_vectors(state.u)     # (nc, 3, nlev)
         u = np.einsum("njl,nj->nl", vec, self._east)
         v = np.einsum("njl,nj->nl", vec, self._north)
         p = state.p_mid()
@@ -87,7 +93,7 @@ class CouplingInterface:
             state.tracers["qr"] = np.maximum(state.tracers["qr"] + dt * dqr, 0.0)
         # Surface momentum drag on the lowest layers, implicit in time so
         # strong drag cannot overshoot.
-        drag_e = ops.cell_to_edge(self.mesh, surface_drag)       # (ne,)
+        drag_e = self.kernels.cell_to_edge(surface_drag)         # (ne,)
         # Drag decays with height over drag_layers; scale by layer depth.
         nlev = state.u.shape[1]
         prof = np.zeros(nlev)

@@ -84,7 +84,7 @@ class GristModel:
                 sst=idealized_sst(mesh.cell_lat),
             )
         self.surface = surface
-        self.coupler = CouplingInterface(mesh)
+        self.coupler = CouplingInterface(mesh, self.dycore.kernels)
         self.day_of_year = day_of_year
         if physics_suite is None:
             if scheme.ml_physics:

@@ -1,8 +1,9 @@
 """Shared fixtures: session-scoped meshes and vertical coordinates.
 
-Mesh construction is deterministic, so sharing instances across tests is
-safe as long as tests do not mutate them; tests that need private copies
-build their own.
+Mesh construction is deterministic and nothing in ``repro`` writes to a
+mesh beyond memoising its compiled stencil plans (a core of either
+backend leaves it as it found it), so instances are shared across tests;
+a test that edits mesh arrays builds its own.
 """
 
 from __future__ import annotations

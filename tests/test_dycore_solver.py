@@ -202,11 +202,11 @@ class TestFreeStreamPreservation:
     _cores: dict = {}
 
     @classmethod
-    def _core(cls, backend, mixed):
+    def _core(cls, mesh, backend, mixed):
         key = (backend, mixed)
         if key not in cls._cores:
             cls._cores[key] = DynamicalCore(
-                build_mesh(2), VerticalCoordinate.stretched(8),
+                mesh, VerticalCoordinate.stretched(8),
                 DycoreConfig(dt=300.0, stencil_backend=backend,
                              policy=PrecisionPolicy(mixed=mixed)),
             )
@@ -216,8 +216,8 @@ class TestFreeStreamPreservation:
     @pytest.mark.parametrize("backend", ["reference", "fused"])
     @given(seed=st.integers(0, 2**31 - 1), speed=st.floats(0.5, 20.0))
     @settings(max_examples=10, deadline=None)
-    def test_uniform_theta_is_a_fixed_point(self, backend, mixed, seed, speed):
-        core = self._core(backend, mixed)
+    def test_uniform_theta_is_a_fixed_point(self, mesh_g2, backend, mixed, seed, speed):
+        core = self._core(mesh_g2, backend, mixed)    # all four on the shared mesh
         state = isothermal_rest_state(core.mesh, core.vcoord)
         state.theta[:] = 300.0
         state.u = speed * np.random.default_rng(seed).normal(size=state.u.shape)
@@ -285,12 +285,13 @@ class TestConfigValidation:
 
     @pytest.mark.parametrize("field, value", [
         ("dt", 0.0), ("dt", -5.0), ("tracer_ratio", 0), ("tracer_ratio", -3),
-        ("sponge_levels", -1),
+        ("sponge_levels", -1), ("sponge_timescale", 0.0), ("sponge_timescale", -1.0),
     ])
     def test_values_the_core_divides_or_counts_by_rejected(self, field, value):
         """``dt=0`` and ``tracer_ratio=0`` used to die with a
-        ZeroDivisionError (at construction / in the first step); the
-        negative values ran."""
+        ZeroDivisionError (at construction / in the first step), as did
+        ``sponge_timescale=0`` in the first sponge; the negative values
+        ran."""
         with pytest.raises(ValueError, match=field):
             DycoreConfig(**{field: value})
 

@@ -1,116 +1,13 @@
-"""Tests of the extension modules: ice microphysics and orographic flow."""
+"""Tests of the orographic-flow extension (terrain via the surface geopotential)."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from repro.constants import CP_DRY, GRAVITY, T_FREEZE
+from repro.constants import GRAVITY
 from repro.dycore.solver import DycoreConfig, DynamicalCore
 from repro.dycore.state import mountain_flow_state
-from repro.dycore.vertical import VerticalCoordinate, exner
+from repro.dycore.vertical import VerticalCoordinate
 from repro.grid.mesh import build_mesh
-from repro.physics.ice_microphysics import (
-    LATENT_HEAT_FUSION,
-    LATENT_HEAT_SUB,
-    ice_microphysics,
-)
-
-
-def _cold_columns(nc=30, nlev=6, seed=0):
-    rng = np.random.default_rng(seed)
-    p = np.linspace(2.5e4, 1.0e5, nlev)[None, :] * np.ones((nc, 1))
-    dpi = np.full((nc, nlev), 1.2e4)
-    ex = exner(p)
-    # Temperatures straddling freezing: cold aloft, warm below.
-    temp = np.linspace(230.0, 285.0, nlev)[None, :] + rng.normal(0, 3, (nc, nlev))
-    qv = np.abs(rng.normal(0, 1, (nc, nlev))) * 2e-3 + 1e-4
-    qc = np.abs(rng.normal(0, 1, (nc, nlev))) * 5e-4
-    qi = np.abs(rng.normal(0, 1, (nc, nlev))) * 5e-4
-    return temp, qv, qc, qi, p, dpi, ex
-
-
-class TestIceMicrophysics:
-    def test_water_conservation(self):
-        temp, qv, qc, qi, p, dpi, ex = _cold_columns()
-        dt = 600.0
-        res = ice_microphysics(temp, qv, qc, qi, p, dpi, ex, dt)
-        dwater = ((res.dqv + res.dqc + res.dqi) * dpi).sum(axis=1) / GRAVITY
-        np.testing.assert_allclose(dwater, -res.precip_rate, rtol=1e-8, atol=1e-15)
-
-    def test_no_negative_species(self):
-        temp, qv, qc, qi, p, dpi, ex = _cold_columns(seed=3)
-        dt = 600.0
-        res = ice_microphysics(temp, qv, qc, qi, p, dpi, ex, dt)
-        assert np.all(qv + dt * res.dqv >= -1e-12)
-        assert np.all(qc + dt * res.dqc >= -1e-12)
-        assert np.all(qi + dt * res.dqi >= -1e-12)
-
-    def test_deposition_only_below_freezing(self):
-        nc, nlev = 4, 3
-        p = np.full((nc, nlev), 5e4)
-        dpi = np.full((nc, nlev), 1e4)
-        ex = exner(p)
-        temp = np.full((nc, nlev), 280.0)      # warm: no deposition
-        qv = np.full((nc, nlev), 5e-3)
-        res = ice_microphysics(temp, qv, np.zeros_like(qv), np.zeros_like(qv),
-                               p, dpi, ex, 600.0)
-        np.testing.assert_allclose(res.dqv, 0.0, atol=1e-18)
-
-    def test_deposition_warms(self):
-        nc, nlev = 4, 3
-        p = np.full((nc, nlev), 4e4)
-        dpi = np.full((nc, nlev), 1e4)
-        ex = exner(p)
-        temp = np.full((nc, nlev), 245.0)
-        # Strongly supersaturated w.r.t. ice.
-        qv = np.full((nc, nlev), 3e-3)
-        res = ice_microphysics(temp, qv, np.zeros_like(qv), np.zeros_like(qv),
-                               p, dpi, ex, 600.0)
-        assert res.dqv.max() < 0.0
-        assert (res.dtheta * ex).min() > 0.0
-        # Enthalpy: cp dT = L_s * (-dqv) where only deposition acts.
-        np.testing.assert_allclose(
-            CP_DRY * res.dtheta * ex, -LATENT_HEAT_SUB * res.dqv, rtol=1e-10
-        )
-
-    def test_melting_above_freezing(self):
-        nc, nlev = 4, 3
-        p = np.full((nc, nlev), 9e4)
-        dpi = np.full((nc, nlev), 1e4)
-        ex = exner(p)
-        temp = np.full((nc, nlev), 278.0)
-        qi = np.full((nc, nlev), 1e-3)
-        res = ice_microphysics(temp, np.zeros_like(qi), np.zeros_like(qi), qi,
-                               p, dpi, ex, 600.0)
-        assert res.dqc.max() > 0.0             # melted to cloud water
-        assert (res.dtheta * ex).max() < 0.0   # melting cools
-
-    def test_snow_only_when_surface_cold(self):
-        nc, nlev = 2, 3
-        p = np.broadcast_to(np.array([4e4, 7e4, 9.5e4]), (nc, nlev)).copy()
-        dpi = np.full((nc, nlev), 1e4)
-        ex = exner(p)
-        temp = np.array([[250.0, 255.0, 260.0],     # cold column: snow
-                         [250.0, 270.0, 285.0]])    # warm surface: rain-ish
-        qi = np.full((nc, nlev), 2e-3)
-        res = ice_microphysics(temp, np.zeros_like(qi), np.zeros_like(qi), qi,
-                               p, dpi, ex, 600.0)
-        assert res.snow_rate[0] > 0.0
-        # Warm surface: the ice melts to cloud water before it can fall
-        # out (Kessler then rains it) — no frozen precipitation.
-        assert res.snow_rate[1] == 0.0
-        assert res.dqc[1, -1] > 0.0
-
-    @given(st.integers(min_value=0, max_value=10**6))
-    @settings(max_examples=15, deadline=None)
-    def test_property_conservation_random(self, seed):
-        temp, qv, qc, qi, p, dpi, ex = _cold_columns(seed=seed)
-        res = ice_microphysics(temp, qv, qc, qi, p, dpi, ex, 300.0)
-        dwater = ((res.dqv + res.dqc + res.dqi) * dpi).sum(axis=1) / GRAVITY
-        np.testing.assert_allclose(dwater, -res.precip_rate, rtol=1e-6, atol=1e-13)
-        assert np.all(res.precip_rate >= 0.0)
-        assert np.all(res.snow_rate <= res.precip_rate + 1e-15)
 
 
 class TestMountainFlow:
@@ -160,11 +57,3 @@ class TestMountainFlow:
         wind0 = np.abs(st.u).max()
         st2 = core.run(st, 24)
         assert abs(np.abs(st2.u).max() - wind0) / wind0 < 0.05
-
-
-class TestFusionConstants:
-    def test_latent_heats_consistent(self):
-        from repro.constants import LATENT_HEAT_VAP
-
-        assert LATENT_HEAT_SUB == pytest.approx(LATENT_HEAT_VAP + LATENT_HEAT_FUSION)
-        assert T_FREEZE == 273.15

@@ -503,31 +503,54 @@ class TestBackendSelection:
     def test_unknown_backend_rejected(self, mesh3):
         with pytest.raises(ValueError, match="unknown stencil backend"):
             ops.divergence(mesh3, np.zeros(mesh3.ne), backend="magic")
-        with pytest.raises(ValueError, match="unknown stencil backend"):
-            stc.bind_stencil_backend(mesh3, "magic")
 
-    def test_unbound_mesh_dispatches_to_default(self):
+    def test_none_is_the_default_backend(self):
         assert stc.DEFAULT_BACKEND == "fused"
         mesh = build_mesh(1)
-        assert stc.bound_backend(mesh) == "fused"
         ops.curl(mesh, np.zeros(mesh.ne))
         assert sorted(mesh._stencil_plans) == ["fused"]
-        stc.bind_stencil_backend(mesh, "reference")
-        assert stc.bound_backend(mesh) == "reference"
-        assert stc.compiled_kernels(mesh).backend == "reference"
+        assert stc.compiled_kernels(mesh) is mesh._stencil_plans["fused"]
 
-    def test_solver_config_binds_mesh(self):
+    @pytest.mark.parametrize("order", [BACKENDS, BACKENDS[::-1]],
+                             ids=lambda order: f"{order[0]}-first")
+    def test_backends_share_one_mesh(self, order):
+        """A core computes with the plan it compiled, whatever other
+        cores were built on its mesh before or after it: each backend's
+        tendencies and 3-step state are bitwise those of the same core
+        alone on a private mesh, and the mesh carries nothing but the
+        plan memo and the operator cache."""
         from repro.dycore.solver import DycoreConfig, DynamicalCore
+        from repro.dycore.state import solid_body_rotation_state
         from repro.dycore.vertical import VerticalCoordinate
 
-        mesh = build_mesh(1)
-        DynamicalCore(
-            mesh, VerticalCoordinate.uniform(4),
-            DycoreConfig(dt=600.0, stencil_backend="reference"),
-        )
-        assert stc.bound_backend(mesh) == "reference"
-        # Plans were compiled eagerly at construction.
-        assert sorted(mesh._stencil_plans) == ["reference"]
+        vc = VerticalCoordinate.uniform(6)
+
+        def core_on(mesh, backend):
+            return DynamicalCore(
+                mesh, vc, DycoreConfig(dt=300.0, tracer_ratio=2, stencil_backend=backend)
+            )
+
+        def evolve(core):
+            state = solid_body_rotation_state(core.mesh, vc)
+            tds = core.compute_tendencies(state)
+            for _ in range(3):
+                state = core.step(state)
+            out = {f"tend.{n}": getattr(tds, n) for n in ("ps", "u", "theta_mass", "flux_edge")}
+            out.update({n: getattr(state, n) for n in ("ps", "u", "theta")})
+            out.update({f"tracers[{n}]": q for n, q in state.tracers.items()})
+            return out
+
+        shared = build_mesh(2)
+        bare = set(vars(shared))
+        cores = {backend: core_on(shared, backend) for backend in order}
+        assert set(vars(shared)) - bare == {"_op_cache", "_stencil_plans"}
+        assert sorted(shared._stencil_plans) == BACKENDS
+        for backend, core in cores.items():
+            assert core.kernels is stc.compiled_kernels(shared, backend)
+            got, alone = evolve(core), evolve(core_on(build_mesh(2), backend))
+            for name, a in alone.items():
+                assert np.array_equal(got[name], a), f"{backend}: {name}"
+        assert set(vars(shared)) - bare == {"_op_cache", "_stencil_plans"}
 
 
 class TestSolverPerBackend:
@@ -537,9 +560,9 @@ class TestSolverPerBackend:
         from repro.dycore.vertical import VerticalCoordinate
 
         vc = VerticalCoordinate.uniform(6)
+        mesh = build_mesh(2)
         states = {}
         for backend in BACKENDS:
-            mesh = build_mesh(2)
             core = DynamicalCore(
                 mesh, vc, DycoreConfig(dt=300.0, stencil_backend=backend)
             )
@@ -569,13 +592,15 @@ class TestSolverPerBackend:
         vc = VerticalCoordinate.stretched(10)
         gc = scaled_grid_config(3, 10)
         assert (gc.tracer_ratio, gc.physics_ratio) == (6, 12)
+        mesh = build_mesh(3)
         states = {}
         for kwargs in ({}, {"stencil_backend": "reference"}):
-            mesh = build_mesh(3)  # one mesh per core: the binding lives on it
             model = GristModel(
                 mesh, vc, gc, TABLE3_SCHEMES[scheme], dycore_kwargs=kwargs
             )
             backend = model.dycore.config.stencil_backend
+            assert model.coupler.kernels is model.dycore.kernels
+            assert model.dycore.kernels.backend == backend
             states[backend] = model.run(tropical_profile_state(mesh, vc), 24)
         ref, fus = states["reference"], states["fused"]
         tol, mass_tol = {
@@ -632,11 +657,7 @@ class TestKernelAnnotationsPerBackend:
 
         fields = sample_fields(mesh3, nlev=6)
         for name, reg in MAJOR_KERNELS.items():
-            stc.bind_stencil_backend(mesh3, "reference")
-            try:
-                ref = reg.run(mesh3, fields)
-            finally:
-                stc.bind_stencil_backend(mesh3, stc.DEFAULT_BACKEND)
+            ref = reg.run(mesh3, fields, kernels=stc.compiled_kernels(mesh3, "reference"))
             fused = reg.run(mesh3, fields)
             scale = max(float(np.abs(ref).max()), 1e-300)
             assert float(np.abs(fused - ref).max()) <= 1e-11 * scale, name
@@ -690,7 +711,7 @@ class TestServeWarmPlansReuse:
         req = ForecastRequest(level=2, nlev=8, steps=3)
         pool = ModelPool(max_models=1)
         model = pool.acquire(req)
-        assert stc.bound_backend(model.mesh) == "fused"
+        assert model.dycore.kernels.backend == "fused"
         plans_first = model.mesh._stencil_plans["fused"]
         first = model.run(make_member_state(model, req, 0), req.steps)
         pool.release(req, model)
