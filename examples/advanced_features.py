@@ -4,8 +4,7 @@
    onto pressure surfaces);
 2. orographic flow over a bell mountain (terrain via the surface
    geopotential);
-3. kinetic-energy spectra on the icosahedral grid;
-4. an ensemble of tendency networks with spread-based trust damping
+3. an ensemble of tendency networks with spread-based trust damping
    (the stabilisation idea of the paper's reference [13]).
 
 Run:  python examples/advanced_features.py    (~40 s)
@@ -14,7 +13,6 @@ Run:  python examples/advanced_features.py    (~40 s)
 import numpy as np
 
 from repro.dycore.solver import DycoreConfig, DynamicalCore
-from repro.dycore.spectra import effective_resolution, kinetic_energy_spectrum
 from repro.dycore.state import mountain_flow_state
 from repro.dycore.vertical import HybridVerticalCoordinate
 from repro.grid import build_mesh
@@ -36,13 +34,7 @@ def main() -> None:
           f"max wind {np.abs(state.u).max():.1f} m/s, "
           f"mass error {abs(state.total_dry_mass() - m0) / m0:.1e}")
 
-    # 3. KE spectrum of the disturbed flow.
-    spec = kinetic_energy_spectrum(mesh, state.u, lmax=10, level=4)
-    print("KE spectrum (l=1..10):",
-          " ".join(f"{s:.1e}" for s in spec[1:]))
-    print(f"effective resolution estimate: l ~ {effective_resolution(spec)}")
-
-    # 4. Tendency-net ensemble with spread damping.
+    # 3. Tendency-net ensemble with spread damping.
     rng = np.random.default_rng(0)
     x = rng.normal(size=(400, 5, 8))
     y = np.stack([0.6 * x[:, 2] + 0.3 * x[:, 3], -0.5 * x[:, 3]], axis=1)

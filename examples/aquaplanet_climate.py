@@ -1,8 +1,7 @@
 """Climate-style run with history output and global budget monitoring.
 
 Runs the coupled model on a warm aquaplanet-plus-continents setup for two
-simulated days, writing history files (the grouped-I/O-backed npz
-format), a restart file, and tracking the conservation budgets the
+simulated days, writing history files (npz), a restart file, and tracking the conservation budgets the
 hierarchy of tests watches (dry mass exact; energy drift bounded by the
 explicit diffusion).
 

@@ -6,7 +6,7 @@ Subpackages
 grid        icosahedral hexagonal C-grid meshes (Table 2's G-levels)
 partition   multilevel k-way partitioner + domain decomposition
 comm        simulated MPI, aggregated halo exchange, fat-tree model
-dycore      nonhydrostatic HEVI dynamical core + diagnostics/spectra
+dycore      nonhydrostatic HEVI dynamical core + diagnostics
 physics     conventional parameterisation suite (+ ice microphysics)
 ml          NumPy NN framework, Q1/Q2 CNN, radiation MLP, ensembles
 precision   the ``ns`` mixed-precision policy and 5% acceptance harness

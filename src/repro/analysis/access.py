@@ -176,10 +176,6 @@ class AccessSpec:
     def bytes_per_iteration(self) -> int:
         return sum(a.bytes_per_elem for a in self.streamed_arrays())
 
-    def max_read_reach(self) -> int:
-        """Deepest halo ring / offset any *read* can land in."""
-        return max((a.expr.reach for a in self.reads), default=0)
-
 
 @dataclass(frozen=True)
 class PlannedLoop:

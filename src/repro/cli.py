@@ -44,17 +44,12 @@ def _cmd_grids(args) -> int:
 def _cmd_simulate(args) -> int:
     import numpy as np
 
-    from repro.dycore.state import tropical_profile_state
-    from repro.dycore.vertical import VerticalCoordinate
-    from repro.grid import build_mesh
-    from repro.model import GristModel, TABLE3_SCHEMES, scaled_grid_config
+    from repro.ensemble.scenarios import build_scenario_model, get_scenario
     from repro.model.io import HistoryWriter, save_state
 
-    mesh = build_mesh(args.level)
-    vc = VerticalCoordinate.stretched(args.nlev)
-    gc = scaled_grid_config(args.level, args.nlev)
-    model = GristModel(mesh, vc, gc, TABLE3_SCHEMES[args.scheme])
-    state = tropical_profile_state(mesh, vc, rh_surface=0.85)
+    scenario = get_scenario("tropical")
+    model = build_scenario_model(scenario, args.level, args.nlev, args.scheme)
+    state = scenario.base_state(model.mesh, model.vcoord)
     rng = np.random.default_rng(args.seed)
     state.theta = state.theta + 0.3 * rng.normal(size=state.theta.shape)
 
@@ -93,7 +88,7 @@ def _cmd_doksuri(args) -> int:
 
     res = resolution_comparison(
         low_level=args.low, high_level=args.high, ref_level=args.ref,
-        nlev=args.nlev, hours=args.hours, seed=args.seed,
+        nlev=args.nlev, hours=args.hours,
     )
     print(f"correlation vs reference: low r={res['corr_low']:.3f}, "
           f"high r={res['corr_high']:.3f}")
@@ -464,7 +459,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--ref", type=int, default=5)
     sp.add_argument("--nlev", type=int, default=8)
     sp.add_argument("--hours", type=float, default=6.0)
-    sp.add_argument("--seed", type=int, default=0)
     sp.set_defaults(func=_cmd_doksuri)
 
     sp = sub.add_parser("scaling", help="Figs. 10/11 + headline SYPD")

@@ -5,8 +5,7 @@ A simulated message-passing runtime standing in for MPI:
 * :mod:`repro.comm.message` — ranked processes exchanging NumPy buffers,
   with message/byte accounting;
 * :mod:`repro.comm.topology` — the next-generation Sunway fat-tree
-  (256-node supernodes, 16:3 oversubscription) as an alpha-beta model;
-* :mod:`repro.comm.parallel_io` — grouped parallel I/O.
+  (256-node supernodes, 16:3 oversubscription) as an alpha-beta model.
 
 The aggregated halo exchange that runs on this runtime (every registered
 variable of a neighbour pair in a *single* message) is
@@ -14,7 +13,6 @@ variable of a neighbour pair in a *single* message) is
 """
 
 from repro.comm.message import CommStats, Communicator
-from repro.comm.parallel_io import GroupedIOWriter
 from repro.comm.topology import SUNWAY_TOPOLOGY, FatTreeTopology
 
 __all__ = [
@@ -22,5 +20,4 @@ __all__ = [
     "CommStats",
     "FatTreeTopology",
     "SUNWAY_TOPOLOGY",
-    "GroupedIOWriter",
 ]

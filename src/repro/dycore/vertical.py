@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.constants import CP_DRY, GRAVITY, KAPPA, P0, R_DRY
+from repro.constants import CP_DRY, KAPPA, P0
 
 
 @dataclass(frozen=True)
@@ -176,14 +176,3 @@ def temperature_from_theta(theta: np.ndarray, p_mid: np.ndarray) -> np.ndarray:
 
 def theta_from_temperature(temp: np.ndarray, p_mid: np.ndarray) -> np.ndarray:
     return temp / exner(p_mid)
-
-
-def density(p_mid: np.ndarray, temp: np.ndarray) -> np.ndarray:
-    """Dry ideal-gas density."""
-    return p_mid / (R_DRY * temp)
-
-
-def layer_thickness_m(dpi: np.ndarray, p_mid: np.ndarray, temp: np.ndarray) -> np.ndarray:
-    """Geometric layer thickness from hydrostatic balance [m]."""
-    rho = density(p_mid, temp)
-    return dpi / (rho * GRAVITY)

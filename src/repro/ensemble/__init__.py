@@ -17,6 +17,7 @@ from repro.ensemble.products import (
 from repro.ensemble.scenarios import (
     Scenario,
     all_scenarios,
+    assemble_scenario_model,
     build_scenario_model,
     get_scenario,
     perturbation_noise,
@@ -27,7 +28,7 @@ from repro.ensemble.scenarios import (
 
 __all__ = [
     "Scenario", "register_scenario", "get_scenario", "scenario_names",
-    "all_scenarios", "build_scenario_model",
+    "all_scenarios", "assemble_scenario_model", "build_scenario_model",
     "perturbation_noise", "physics_perturbation_factors",
     "ensemble_mean", "ensemble_spread", "ensemble_percentiles",
     "exceedance_probability", "spread_to_signal", "ensemble_products",

@@ -150,33 +150,17 @@ class EnsembleRunner:
         )
 
     # -- internals -------------------------------------------------------
-    def _member_result(self, member: int, state, precip_steps: list):
-        """Final prognostics plus the member's time-mean precipitation."""
-        from repro.serve.request import MemberResult, state_digest
+    def _member_result(self, member: int, state, model):
+        """The serving layer's member result plus the time-mean
+        precipitation field the ensemble products are built from."""
+        from repro.serve.request import MemberResult
 
-        fields = {
-            "ps": state.ps.copy(),
-            "u": state.u.copy(),
-            "theta": state.theta.copy(),
-            "w": state.w.copy(),
-            "phi": state.phi.copy(),
-        }
-        for k, v in state.tracers.items():
-            fields[f"tracer.{k}"] = v.copy()
-        if precip_steps:
-            mean_rain = np.mean(np.array(precip_steps), axis=0)
-            mean_precip = float(mean_rain.mean())
-        else:
-            mean_rain = np.zeros_like(state.ps)
-            mean_precip = 0.0
-        fields["diag.mean_precip"] = mean_rain
-        return MemberResult(
-            member=member,
-            fields=fields,
-            digest=state_digest(state),
-            max_wind=float(np.abs(state.u).max()),
-            mean_precip=mean_precip,
+        result = MemberResult.from_state(member, state, model)
+        result.fields["diag.mean_precip"] = (
+            model.history.mean_precip()
+            if model.history.precip else np.zeros_like(state.ps)
         )
+        return result
 
     def _wrap_physics(self, model, factors: np.ndarray):
         model.physics = PerturbedPhysics(model.physics, factors)
@@ -312,7 +296,7 @@ class EnsembleRunner:
             state = model.run(state, self.steps)
         finally:
             self._unwrap_physics(model)
-        return self._member_result(member, state, list(model.history.precip))
+        return self._member_result(member, state, model)
 
 
 def _loop_shard_worker(conn, runner: EnsembleRunner, shard: int, stride: int):

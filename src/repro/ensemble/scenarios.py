@@ -1,10 +1,7 @@
-"""Registered experiment scenarios: one catalog for serving and ensembles.
+"""Registered experiment scenarios: one catalog, one model assembly.
 
-Before this module, each initial-condition setup lived in whatever file
-first needed it — the serving layer hard-coded ``tropical``/
-``baroclinic``, the Doksuri typhoon and the aquaplanet climate run were
-example-script one-offs.  A :class:`Scenario` packages everything a
-configuration contributes to the *model* and the *state*:
+A :class:`Scenario` packages everything a configuration contributes to
+the *model* and the *state*:
 
 * the initial-condition builder (optionally member-dependent, for
   perturbed-family scenarios),
@@ -14,10 +11,15 @@ configuration contributes to the *model* and the *state*:
 * the solar geometry (``day_of_year``) and suggested defaults (steps,
   scheme).
 
-Every registered scenario is reachable from a
-:class:`~repro.serve.request.ForecastRequest` (the serving layer builds
-models and member states through this registry) and runnable as an
-ensemble through :class:`~repro.ensemble.runner.EnsembleRunner`.
+Every coupled run in the package is assembled in one place,
+:func:`assemble_scenario_model` (:func:`build_scenario_model` is its
+build-the-mesh front): the serving layer, the ensemble runner, the
+Fig. 7 / Fig. 8 experiments, the chaos harness and ``repro simulate``
+all name a registered scenario, so each SST boost and damping
+coefficient is written once, in the catalog below.  The one other
+place a ``GristModel`` is constructed is
+:func:`repro.ml.data.generate_archive`, whose time-varying period SST
+no scenario carries.
 
 Member determinism contract
 ---------------------------
@@ -43,7 +45,7 @@ SPPT_STREAM = 17
 
 def perturbation_noise(shape, seed: int, member: int) -> np.ndarray:
     """The member initial-condition noise field, ``default_rng([seed,
-    member])`` — the exact stream the serving layer has always used."""
+    member])``."""
     rng = np.random.default_rng([seed, member])
     return rng.normal(size=shape)
 
@@ -168,9 +170,7 @@ class Scenario:
     def member_state(
         self, mesh, vcoord, member: int, seed: int, perturbation: float = 0.3
     ):
-        """Base state plus the seeded member theta perturbation —
-        bit-identical to the serving layer's historical construction for
-        ``tropical``/``baroclinic``."""
+        """Base state plus the seeded member theta perturbation."""
         state = self.base_state(mesh, vcoord, member, seed)
         state.theta = state.theta + perturbation * perturbation_noise(
             state.theta.shape, seed, member
@@ -206,10 +206,16 @@ def all_scenarios() -> tuple:
     return tuple(_REGISTRY.values())
 
 
+#: Storm-scale short runs use weaker, storm-permitting dissipation: the
+#: strong climate-run damping would smear the rain band and erase the
+#: resolution sensitivity the Fig. 7 experiment measures.
+STORM_PERMITTING_DAMPING = (
+    ("diffusion_coeff", 0.015), ("divergence_damping", 0.04),
+)
+
 # -- the catalog -----------------------------------------------------------
-# The first two entries predate the registry (serving-layer scenarios);
-# their configuration must stay byte-identical: cache keys, the serve
-# benchmark baseline and the pooled-model contract all depend on it.
+# Cache keys, the serve benchmark baseline and the pooled-model contract
+# depend on the first two entries' configuration staying byte-identical.
 
 register_scenario(Scenario(
     name="tropical",
@@ -233,7 +239,7 @@ register_scenario(Scenario(
     kind="weather",
     builder=_doksuri_state,
     sst_boost=2.0,
-    dycore_kwargs=(("diffusion_coeff", 0.015), ("divergence_damping", 0.04)),
+    dycore_kwargs=STORM_PERMITTING_DAMPING,
     default_steps=24,
 ))
 
@@ -243,7 +249,7 @@ register_scenario(Scenario(
     kind="weather",
     builder=_typhoon_family_state,
     sst_boost=2.0,
-    dycore_kwargs=(("diffusion_coeff", 0.015), ("divergence_damping", 0.04)),
+    dycore_kwargs=STORM_PERMITTING_DAMPING,
     default_steps=24,
 ))
 
@@ -275,24 +281,28 @@ register_scenario(Scenario(
 ))
 
 
-def build_scenario_model(
+def assemble_scenario_model(
     scenario: Scenario | str,
-    level: int,
-    nlev: int,
+    mesh,
+    vcoord,
     scheme_label: str,
     shared_nets: dict | None = None,
+    suite=None,
 ):
-    """Build one runnable model for a scenario.
+    """Assemble one runnable coupled model for a scenario on ``mesh``.
 
-    This is the single model-construction path shared by the serving
-    layer (:func:`repro.serve.pool.build_forecast_model` delegates here)
-    and the ensemble runner.  The physics is wrapped in
+    The one place a coupled model is put together: the scenario's
+    surface, solar geometry and dycore overrides, the Table-2 scaled
+    timesteps for ``(mesh.level, vcoord.nlev)`` and the Table-3 scheme's
+    physics.  ``suite`` replaces the scheme's default physics with the
+    caller's (trained) suite; ML suites are column-wise and
+    resolution-adaptive, so it is rebound to this mesh and surface
+    (section 3.2.2's G6/G8 point).  The physics is wrapped in
     :class:`~repro.resilience.recovery.ResilientPhysics` with no
-    fallback and per-step validation on, exactly as the serving layer
-    has always built models.
+    fallback and every dynamics step is validated, so an unusable
+    tendency or a non-finite state raises
+    :class:`~repro.resilience.recovery.StepFailure`.
     """
-    from repro.dycore.vertical import VerticalCoordinate
-    from repro.grid import build_mesh
     from repro.model.config import TABLE3_SCHEMES, scaled_grid_config
     from repro.model.grist import GristModel
     from repro.physics.column import PhysicsConfig, PhysicsSuite
@@ -302,15 +312,17 @@ def build_scenario_model(
     if isinstance(scenario, str):
         scenario = get_scenario(scenario)
     scheme = TABLE3_SCHEMES[scheme_label]
-    mesh = build_mesh(level)
-    vc = VerticalCoordinate.stretched(nlev)
-    gc = scaled_grid_config(level, nlev)
+    gc = scaled_grid_config(mesh.level, vcoord.nlev)
     surface = scenario.build_surface(mesh)
-    if scheme.ml_physics:
+    if suite is not None:
+        suite.mesh = mesh
+        suite.vcoord = vcoord
+        suite.surface = surface
+    elif scheme.ml_physics:
         from repro.ml.suite import MLPhysicsSuite
 
         suite = MLPhysicsSuite.seeded(
-            mesh, vc, surface,
+            mesh, vcoord, surface,
             precision=PrecisionPolicy(mixed=True) if scheme.mixed_precision else None,
         )
         if shared_nets is not None:
@@ -322,7 +334,7 @@ def build_scenario_model(
             suite.radiation_net = BatchedRadiationNet(rn, r_batcher)
     else:
         suite = PhysicsSuite(
-            mesh, vc, surface,
+            mesh, vcoord, surface,
             config=PhysicsConfig(
                 dt_physics=gc.dt_physics, rad_ratio=gc.radiation_ratio,
                 day_of_year=scenario.day_of_year,
@@ -330,10 +342,28 @@ def build_scenario_model(
         )
     physics = ResilientPhysics(primary=suite, fallback=None, surface=surface)
     return GristModel(
-        mesh, vc, gc, scheme,
+        mesh, vcoord, gc, scheme,
         surface=surface, physics_suite=physics, validate_state=True,
         day_of_year=scenario.day_of_year,
         dycore_kwargs=dict(scenario.dycore_kwargs),
+    )
+
+
+def build_scenario_model(
+    scenario: Scenario | str,
+    level: int,
+    nlev: int,
+    scheme_label: str,
+    shared_nets: dict | None = None,
+):
+    """:func:`assemble_scenario_model` on a freshly built level-``level``
+    mesh and an ``nlev``-layer stretched vertical coordinate."""
+    from repro.dycore.vertical import VerticalCoordinate
+    from repro.grid import build_mesh
+
+    return assemble_scenario_model(
+        scenario, build_mesh(level), VerticalCoordinate.stretched(nlev),
+        scheme_label, shared_nets,
     )
 
 
@@ -341,5 +371,5 @@ __all__ = [
     "FAMILY_STREAM", "SPPT_STREAM", "Scenario",
     "register_scenario", "get_scenario", "scenario_names", "all_scenarios",
     "perturbation_noise", "physics_perturbation_factors",
-    "build_scenario_model",
+    "assemble_scenario_model", "build_scenario_model",
 ]

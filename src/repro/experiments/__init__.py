@@ -9,9 +9,13 @@
   climate runs at two grid levels, scored on the precipitation field;
 * :mod:`repro.experiments.workflow` — the end-to-end ML training
   workflow (archive -> datasets -> trained suite).
+
+The Fig. 7 and Fig. 8 runs name a registered scenario (``doksuri``,
+``aquaplanet``); their models are assembled in one place,
+:func:`repro.ensemble.scenarios.assemble_scenario_model`.
 """
 
-from repro.experiments.climate import north_america_box_mean, run_climate_comparison
+from repro.experiments.climate import north_america_box_mean
 from repro.experiments.doksuri import (
     run_doksuri_case,
     spatial_correlation,
@@ -23,7 +27,6 @@ __all__ = [
     "tropical_cyclone_state",
     "run_doksuri_case",
     "spatial_correlation",
-    "run_climate_comparison",
     "north_america_box_mean",
     "train_ml_suite",
 ]

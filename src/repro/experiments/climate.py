@@ -4,7 +4,10 @@ Fig. 8 shows (a,b) rainfall from a 3-hour high-resolution integration
 with each suite, and (c-f) one-year annual-mean rainfall over North
 America at G6 and G8.  Here the analogue runs the same model with both
 suites at two laptop grid levels and scores the precipitation pattern
-over the idealised "North America" continent box.
+over the idealised "North America" continent box.  Every run is the
+registered ``aquaplanet`` scenario (:mod:`repro.ensemble.scenarios`),
+where the model is assembled; the trained ML suite rides in as
+``suite=``.
 """
 
 from __future__ import annotations
@@ -13,14 +16,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.dycore.state import tropical_profile_state
 from repro.dycore.vertical import VerticalCoordinate
+from repro.ensemble.scenarios import assemble_scenario_model, get_scenario
 from repro.experiments.doksuri import spatial_correlation
 from repro.grid.mesh import Mesh
-from repro.model.config import scaled_grid_config
-from repro.model.grist import GristModel
-from repro.physics.surface import SurfaceModel, idealized_land_mask, idealized_sst
+from repro.resilience.recovery import StepFailure
 
+
+#: Every Fig. 8 run is this registered scenario (warm aquaplanet, +4 K SST).
+AQUAPLANET = get_scenario("aquaplanet")
 
 #: The Fig. 8 diagnostic box (idealised North America).
 NA_BOX = (np.deg2rad(10.0), np.deg2rad(70.0), np.deg2rad(-140.0), np.deg2rad(-50.0))
@@ -49,40 +53,32 @@ class ClimateRunResult:
     stable: bool
 
 
+def _perturbed_aquaplanet_state(mesh, vcoord, seed: int):
+    """The aquaplanet base state plus this module's ``default_rng(seed)``
+    theta noise."""
+    state = AQUAPLANET.base_state(mesh, vcoord)
+    rng = np.random.default_rng(seed)
+    state.theta = state.theta + 0.3 * rng.normal(size=state.theta.shape)
+    return state
+
+
 def run_climate_case(
     mesh: Mesh,
     vcoord: VerticalCoordinate,
     scheme_label: str,
     hours: float,
     physics_suite=None,
-    sst_boost: float = 4.0,
     seed: int = 0,
 ) -> ClimateRunResult:
     """One climate-style run (conventional or ML physics)."""
-    from repro.model.config import TABLE3_SCHEMES
-
-    grid_cfg = scaled_grid_config(mesh.level, vcoord.nlev)
-    scheme = TABLE3_SCHEMES[scheme_label]
-    surface = SurfaceModel(
-        land_mask=idealized_land_mask(mesh.cell_lat, mesh.cell_lon),
-        sst=idealized_sst(mesh.cell_lat) + sst_boost,
+    model = assemble_scenario_model(
+        AQUAPLANET, mesh, vcoord, scheme_label, suite=physics_suite
     )
-    if physics_suite is not None:
-        # The ML suite is column-wise and resolution-adaptive: rebind it
-        # to this run's mesh and surface (section 3.2.2's G6/G8 point).
-        physics_suite.surface = surface
-        physics_suite.mesh = mesh
-        physics_suite.vcoord = vcoord
-    model = GristModel(
-        mesh, vcoord, grid_cfg, scheme, surface=surface, physics_suite=physics_suite
-    )
-    rng = np.random.default_rng(seed)
-    state = tropical_profile_state(mesh, vcoord, 297.0, rh_surface=0.85)
-    state.theta = state.theta + 0.3 * rng.normal(size=state.theta.shape)
+    state = _perturbed_aquaplanet_state(mesh, vcoord, seed)
     stable = True
     try:
         state = model.run_hours(state, hours)
-    except FloatingPointError:
+    except StepFailure:
         stable = False
     precip = (
         model.history.mean_precip()
@@ -103,32 +99,6 @@ def run_climate_case(
     )
 
 
-def run_climate_comparison(
-    mesh: Mesh,
-    vcoord: VerticalCoordinate,
-    ml_suite,
-    hours: float = 48.0,
-    seed: int = 0,
-) -> dict:
-    """Fig. 8-style comparison: conventional vs ML at one grid level.
-
-    Returns both runs plus the precipitation pattern correlation between
-    them (the ML suite reproducing the conventional suite's rainfall
-    pattern is the figure's qualitative claim).
-    """
-    conv = run_climate_case(mesh, vcoord, "DP-PHY", hours, seed=seed)
-    ml = run_climate_case(
-        mesh, vcoord, "DP-ML", hours, physics_suite=ml_suite, seed=seed
-    )
-    corr = spatial_correlation(conv.mean_precip, ml.mean_precip)
-    return {
-        "conventional": conv,
-        "ml": ml,
-        "pattern_correlation": corr,
-        "both_stable": conv.stable and ml.stable,
-    }
-
-
 def short_integration_comparison(
     mesh: Mesh,
     vcoord: VerticalCoordinate,
@@ -145,34 +115,18 @@ def short_integration_comparison(
     time-mean precipitation of each run plus the pattern and zonal-band
     correlations.
     """
-    from repro.model.config import TABLE3_SCHEMES, scaled_grid_config
-    from repro.model.grist import GristModel
+    spin = assemble_scenario_model(AQUAPLANET, mesh, vcoord, "DP-PHY")
+    st0 = spin.run_hours(
+        _perturbed_aquaplanet_state(mesh, vcoord, seed), spinup_hours
+    )
 
-    gc = scaled_grid_config(mesh.level, vcoord.nlev)
-
-    def make_surface():
-        return SurfaceModel(
-            land_mask=idealized_land_mask(mesh.cell_lat, mesh.cell_lon),
-            sst=idealized_sst(mesh.cell_lat) + 4.0,
-        )
-
-    spin = GristModel(mesh, vcoord, gc, TABLE3_SCHEMES["DP-PHY"],
-                      surface=make_surface())
-    rng = np.random.default_rng(seed)
-    st0 = tropical_profile_state(mesh, vcoord, 297.0, rh_surface=0.85)
-    st0.theta = st0.theta + 0.3 * rng.normal(size=st0.theta.shape)
-    st0 = spin.run_hours(st0, spinup_hours)
-
-    conv = GristModel(mesh, vcoord, gc, TABLE3_SCHEMES["DP-PHY"],
-                      surface=make_surface())
+    conv = assemble_scenario_model(AQUAPLANET, mesh, vcoord, "DP-PHY")
     conv.run_hours(st0.copy(), run_hours)
     p_conv = conv.history.mean_precip()
 
-    ml_suite.surface = make_surface()
-    ml_suite.mesh = mesh
-    ml_suite.vcoord = vcoord
-    ml = GristModel(mesh, vcoord, gc, TABLE3_SCHEMES["DP-ML"],
-                    surface=ml_suite.surface, physics_suite=ml_suite)
+    ml = assemble_scenario_model(
+        AQUAPLANET, mesh, vcoord, "DP-ML", suite=ml_suite
+    )
     ml.run_hours(st0.copy(), run_hours)
     p_ml = ml.history.mean_precip()
 

@@ -12,7 +12,9 @@ analogue is an idealised warm-core vortex northwest of the idealised
 continent, integrated at two grid levels plus a finer reference run that
 plays the role of the observations.  The experiment's logic — rain-band
 spatial correlation against the reference increasing with horizontal
-resolution — carries over unchanged.
+resolution — carries over unchanged.  The vortex, its +2 K SST and its
+storm-permitting dissipation are the registered ``doksuri`` scenario
+(:mod:`repro.ensemble.scenarios`), where the model is assembled.
 """
 
 from __future__ import annotations
@@ -25,10 +27,8 @@ from scipy.spatial import cKDTree
 from repro.constants import P0
 from repro.dycore.state import ModelState, tropical_profile_state, _great_circle, _lon
 from repro.dycore.vertical import VerticalCoordinate
+from repro.ensemble.scenarios import build_scenario_model, get_scenario
 from repro.grid.mesh import Mesh
-from repro.model.config import SchemeConfig, scaled_grid_config
-from repro.model.grist import GristModel
-from repro.physics.surface import SurfaceModel, idealized_land_mask, idealized_sst
 
 
 #: Landfall region of the idealised case (the "North China" analogue):
@@ -113,31 +113,16 @@ class DoksuriResult:
 
 
 def run_doksuri_case(
-    level: int,
-    nlev: int = 10,
-    hours: float = 12.0,
-    sst_boost: float = 2.0,
-    seed: int = 0,
+    level: int, nlev: int = 10, hours: float = 12.0
 ) -> DoksuriResult:
-    """Run the idealised typhoon at one grid level; returns rain metrics."""
-    from repro.grid import build_mesh
+    """Run the registered ``doksuri`` scenario at one grid level; returns
+    rain metrics."""
     from repro.dycore.vertical import exner
 
-    mesh = build_mesh(level)
-    vc = VerticalCoordinate.stretched(nlev)
-    grid_cfg = scaled_grid_config(level, nlev)
-    sst = idealized_sst(mesh.cell_lat) + sst_boost
-    surface = SurfaceModel(
-        land_mask=idealized_land_mask(mesh.cell_lat, mesh.cell_lon), sst=sst
-    )
-    model = GristModel(
-        mesh, vc, grid_cfg, SchemeConfig("DP-PHY", False, False), surface=surface,
-        # Storm-scale short runs use weaker, storm-permitting dissipation
-        # (the strong climate-run damping would smear the rain band and
-        # erase the resolution sensitivity this experiment measures).
-        dycore_kwargs=dict(diffusion_coeff=0.015, divergence_damping=0.04),
-    )
-    state = tropical_cyclone_state(mesh, vc)
+    scenario = get_scenario("doksuri")
+    model = build_scenario_model(scenario, level, nlev, "DP-PHY")
+    mesh = model.mesh
+    state = scenario.base_state(mesh, model.vcoord)
     state = model.run_hours(state, hours)
 
     rain = model.history.mean_precip()
@@ -196,16 +181,15 @@ def resolution_comparison(
     ref_level: int = 5,
     nlev: int = 10,
     hours: float = 8.0,
-    seed: int = 0,
 ) -> dict:
     """The Fig. 7 experiment: correlation vs the reference, per resolution.
 
     Returns correlations of the low/high-resolution rain fields against
     the reference ("CMPA") field, all compared on the low-res mesh.
     """
-    low = run_doksuri_case(low_level, nlev, hours, seed=seed)
-    high = run_doksuri_case(high_level, nlev, hours, seed=seed)
-    ref = run_doksuri_case(ref_level, nlev, hours, seed=seed)
+    low = run_doksuri_case(low_level, nlev, hours)
+    high = run_doksuri_case(high_level, nlev, hours)
+    ref = run_doksuri_case(ref_level, nlev, hours)
 
     rain_high_on_low = regrid_to(low.mesh, high.mesh, high.mean_rain)
     rain_ref_on_low = regrid_to(low.mesh, ref.mesh, ref.mean_rain)

@@ -156,12 +156,3 @@ def build_radiation_dataset(
         xs.append(np.concatenate([s.t, s.q, s.tskin[:, None], s.coszr[:, None]], axis=1))
         ys.append(np.stack([s.gsw, s.glw], axis=1))
     return np.concatenate(xs, axis=0), np.concatenate(ys, axis=0)
-
-
-def snapshot_indices_split(
-    n_snapshots: int, steps_per_day: int = 24, seed: int = 0
-) -> tuple[np.ndarray, np.ndarray]:
-    """Table-1 protocol: 3 random test snapshots per day, rest training."""
-    from repro.ml.training import train_test_split_by_day
-
-    return train_test_split_by_day(n_snapshots, steps_per_day, 3, seed)

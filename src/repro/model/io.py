@@ -2,8 +2,7 @@
 
 Restart files (full prognostic state, bit-exact roundtrip) and history
 files (time series of diagnostics) in NumPy's npz container — the
-self-describing stand-in for GRIST's NetCDF output, writable through the
-grouped parallel I/O layer when running decomposed.
+self-describing stand-in for GRIST's NetCDF output.
 """
 
 from __future__ import annotations

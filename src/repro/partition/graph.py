@@ -38,9 +38,6 @@ class CSRGraph:
     def neighbors(self, v: int) -> np.ndarray:
         return self.adjncy[self.xadj[v]: self.xadj[v + 1]]
 
-    def neighbor_weights(self, v: int) -> np.ndarray:
-        return self.ewgt[self.xadj[v]: self.xadj[v + 1]]
-
     def validate(self) -> None:
         """Raise if the CSR structure is not a symmetric simple graph."""
         if self.xadj[0] != 0 or self.xadj[-1] != self.adjncy.size:

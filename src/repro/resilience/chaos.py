@@ -2,9 +2,9 @@
 
 Drives every fault site of the simulated substrate in one run:
 
-* the **coupled model** (:class:`~repro.model.grist.GristModel` with a
-  :class:`~repro.resilience.recovery.ResilientPhysics` suite and
-  per-step state validation) exercises the ML-blowup fallback and the
+* the **coupled model** (the registered ``tropical`` scenario, whose
+  :class:`~repro.resilience.recovery.ResilientPhysics` suite is given a
+  fallback here) exercises the ML-blowup fallback and the
   checkpoint/rollback ladder;
 * a **substrate shadow** runs alongside it each ``substrate_every``
   steps: a decomposed halo exchange over scattered copies of the state
@@ -28,48 +28,25 @@ from repro.obs import MetricsRegistry, Tracer, collecting, set_tracer
 from repro.resilience.faults import FaultPlan, injecting
 from repro.resilience.recovery import (
     CheckpointStore,
-    ResilientPhysics,
     RetryExhausted,
     StepFailure,
 )
 
 
 def _build_model(level: int, nlev: int, seed: int):
-    from repro.dycore.state import tropical_profile_state
-    from repro.dycore.vertical import VerticalCoordinate
-    from repro.grid import build_mesh
-    from repro.model.config import SchemeConfig, scaled_grid_config
-    from repro.model.grist import GristModel
-    from repro.physics.column import PhysicsConfig, PhysicsSuite
-    from repro.physics.surface import (
-        SurfaceModel,
-        idealized_land_mask,
-        idealized_sst,
-    )
+    from repro.ensemble.scenarios import build_scenario_model, get_scenario
+    from repro.physics.column import PhysicsSuite
 
-    mesh = build_mesh(level)
-    vc = VerticalCoordinate.stretched(nlev)
-    gc = scaled_grid_config(level, nlev)
-    surface = SurfaceModel(
-        land_mask=idealized_land_mask(mesh.cell_lat, mesh.cell_lon),
-        sst=idealized_sst(mesh.cell_lat),
+    scenario = get_scenario("tropical")
+    model = build_scenario_model(scenario, level, nlev, "DP-PHY")
+    # Primary and fallback share the model's surface; ResilientPhysics
+    # snapshots the slab around the primary so a degraded step is exactly
+    # the step the fallback alone would have taken.
+    physics = model.physics
+    physics.fallback = PhysicsSuite(
+        model.mesh, model.vcoord, model.surface, config=physics.primary.config
     )
-    pcfg = PhysicsConfig(
-        dt_physics=gc.dt_physics, rad_ratio=gc.radiation_ratio,
-    )
-    # Primary and fallback share one surface; ResilientPhysics snapshots
-    # the slab around the primary so a degraded step is exactly the step
-    # the fallback alone would have taken.
-    physics = ResilientPhysics(
-        primary=PhysicsSuite(mesh, vc, surface, config=pcfg),
-        fallback=PhysicsSuite(mesh, vc, surface, config=pcfg),
-        surface=surface,
-    )
-    model = GristModel(
-        mesh, vc, gc, SchemeConfig("DP-PHY", False, False),
-        surface=surface, physics_suite=physics, validate_state=True,
-    )
-    state = tropical_profile_state(mesh, vc, rh_surface=0.85)
+    state = scenario.base_state(model.mesh, model.vcoord)
     rng = np.random.default_rng(seed)
     state.theta = state.theta + 0.3 * rng.normal(size=state.theta.shape)
     return model, state

@@ -51,10 +51,6 @@ class TargetRegion:
     loops: list = field(default_factory=list)
     workshares: list = field(default_factory=list)
 
-    @property
-    def offloads_to_cpes(self) -> bool:
-        return True
-
 
 @dataclass
 class LaunchPlan:

@@ -46,10 +46,6 @@ class StepExecution:
     def launch_seconds(self) -> float:
         return sum(r.launch_seconds for r in self.runs)
 
-    @property
-    def total_seconds(self) -> float:
-        return self.kernel_seconds + self.launch_seconds
-
     def breakdown(self) -> dict:
         return {
             r.name: r.simulated_seconds for r in self.runs

@@ -1,11 +1,10 @@
 """Tests of the communication layer: messages, halo exchange (with the
-aggregation optimisation), fat-tree model, and grouped I/O."""
+aggregation optimisation) and the fat-tree model."""
 
 import numpy as np
 import pytest
 
 from repro.comm.message import Communicator
-from repro.comm.parallel_io import GroupedIOWriter
 from repro.comm.topology import SUNWAY_TOPOLOGY, FatTreeTopology
 from repro.grid.mesh import build_mesh
 from repro.parallel.exchange import EdgeCellExchanger
@@ -256,31 +255,3 @@ class TestFatTreeTopology:
         t = SUNWAY_TOPOLOGY
         assert t.allreduce_time(2**10) < t.allreduce_time(2**20)
         assert t.allreduce_time(1) == 0.0
-
-
-class TestGroupedIO:
-    def test_roundtrip(self, mesh, subs, tmp_path):
-        rng = np.random.default_rng(5)
-        gfield = rng.normal(size=(mesh.nc, 3))
-        per = [gfield[s.local_cells] for s in subs]
-        w = GroupedIOWriter(subs, str(tmp_path), group_size=2)
-        paths = w.write("T", per)
-        assert len(paths) == w.n_groups == 2
-        back = GroupedIOWriter.read_global(paths, mesh.nc)
-        np.testing.assert_allclose(back, gfield)
-
-    def test_writer_count_scales_with_groups(self, mesh, subs, tmp_path):
-        per = [np.zeros(s.local_cells.size) for s in subs]
-        w_all = GroupedIOWriter(subs, str(tmp_path / "a"), group_size=1)
-        w_grouped = GroupedIOWriter(subs, str(tmp_path / "b"), group_size=4)
-        w_all.write("x", per)
-        w_grouped.write("x", per)
-        assert w_all.write_count == 4
-        assert w_grouped.write_count == 1
-
-    def test_missing_shard_detected(self, mesh, subs, tmp_path):
-        per = [np.zeros(s.local_cells.size) for s in subs]
-        w = GroupedIOWriter(subs, str(tmp_path), group_size=2)
-        paths = w.write("T", per)
-        with pytest.raises(ValueError):
-            GroupedIOWriter.read_global(paths[:1], mesh.nc)

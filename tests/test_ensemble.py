@@ -11,6 +11,8 @@ regression pins of the example scripts against the registry.
 
 from __future__ import annotations
 
+import ast
+import pathlib
 import subprocess
 import sys
 
@@ -22,6 +24,7 @@ from hypothesis import strategies as st
 from repro.dycore.vertical import VerticalCoordinate
 from repro.ensemble import (
     EnsembleRunner,
+    assemble_scenario_model,
     build_scenario_model,
     ensemble_mean,
     ensemble_percentiles,
@@ -110,6 +113,51 @@ class TestScenarioRegistry:
         t0 = trop.base_state(mesh_g2, vc, member=0, seed=0)
         t1 = trop.base_state(mesh_g2, vc, member=1, seed=0)
         assert np.array_equal(t0.theta, t1.theta)
+
+
+# -- one model assembly -----------------------------------------------------
+
+def _constructor_call_sites(class_name: str) -> set:
+    """Files under ``src/repro`` (relative, posix) that call ``class_name(``."""
+    import repro
+
+    root = pathlib.Path(repro.__file__).parent
+    sites = set()
+    for path in root.rglob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call):
+                f = node.func
+                name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
+                if name == class_name:
+                    sites.add(path.relative_to(root).as_posix())
+    return sites
+
+
+class TestOneModelAssembly:
+    def test_coupled_models_are_constructed_in_one_place(self):
+        assert _constructor_call_sites("GristModel") == {
+            "ensemble/scenarios.py", "ml/data.py",
+        }
+        assert _constructor_call_sites("SurfaceModel") == {
+            "ensemble/scenarios.py", "ml/data.py", "model/grist.py",
+            "experiments/workflow.py",
+        }
+
+    @pytest.mark.parametrize("name", scenario_names())
+    def test_build_is_assemble_on_a_fresh_mesh(self, name, mesh_g2):
+        """12 steps at G2L6: two tracer windows and one physics call."""
+        scen = get_scenario(name)
+        vc = VerticalCoordinate.stretched(6)
+        built = build_scenario_model(name, 2, 6, "DP-PHY")
+        assembled = assemble_scenario_model(scen, mesh_g2, vc, "DP-PHY")
+        out_a = built.run(
+            scen.member_state(built.mesh, built.vcoord, member=0, seed=0), 12
+        )
+        out_b = assembled.run(
+            scen.member_state(mesh_g2, vc, member=0, seed=0), 12
+        )
+        assert len(built.history.precip) == len(assembled.history.precip) == 1
+        assert state_digest(out_a) == state_digest(out_b)
 
 
 # -- perturbation determinism (satellite: property-based generators) -------
@@ -429,9 +477,10 @@ class TestExampleRegressionPins:
         assert state_digest(out_a) == state_digest(out_b)
 
     def test_doksuri_example_setup_matches_registry(self, mesh_g3):
-        """examples/typhoon_doksuri.py (via run_doksuri_case): the
-        registry's ``doksuri`` scenario carries the same SST boost,
-        storm-permitting dycore overrides and vortex state."""
+        """The registry's ``doksuri`` scenario carries the Fig. 7 SST
+        boost, storm-permitting dycore overrides and vortex state, and
+        its model is a bitwise passthrough of a bare ``GristModel`` with
+        those settings."""
         from repro.experiments.doksuri import tropical_cyclone_state
         from repro.model import GristModel, scaled_grid_config
         from repro.model.config import SchemeConfig
@@ -453,7 +502,7 @@ class TestExampleRegressionPins:
             tropical_cyclone_state(mesh_g3, vc)
         )
 
-        # Smoke run pin against run_doksuri_case's inline construction.
+        # Smoke run pin against a hand-built, unwrapped model.
         example_model = GristModel(
             mesh_g3, vc, scaled_grid_config(3, NLEV),
             SchemeConfig("DP-PHY", False, False),

@@ -149,6 +149,31 @@ class TestClimateExperiment:
         assert res.global_mean_mm_day >= 0.0
         assert np.isfinite(res.na_box_mean_mm_day)
 
+    def test_unusable_tendencies_flag_the_run_unstable(self, mesh, vc):
+        """A suite returning NaN ``dtheta`` must end the run with
+        ``stable is False`` — the experiment models validate their
+        physics and state, and ``run_climate_case`` catches what they
+        raise."""
+        from dataclasses import replace
+
+        from repro.ensemble.scenarios import get_scenario
+        from repro.physics.column import PhysicsSuite
+
+        class NaNPhysics(PhysicsSuite):
+            def compute(self, state, wind_speed_sfc):
+                tend = super().compute(state, wind_speed_sfc)
+                return replace(
+                    tend, dtheta=np.full_like(tend.dtheta, np.nan)
+                )
+
+        suite = NaNPhysics(
+            mesh, vc, get_scenario("aquaplanet").build_surface(mesh)
+        )
+        res = run_climate_case(
+            mesh, vc, "DP-PHY", hours=3.0, physics_suite=suite
+        )
+        assert res.stable is False
+
     def test_na_box_mean_weighting(self, mesh):
         ones = np.ones(mesh.nc)
         assert north_america_box_mean(mesh, ones) == pytest.approx(1.0)
