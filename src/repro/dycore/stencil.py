@@ -206,7 +206,7 @@ class OperatorCache:
         "edge_gather_w",
         "vertex_edges_idx", "curl_w",
         "cell_vertices_idx", "cell_vertices_valid",
-        "cell_neighbors_idx", "cell_neighbors_pad",
+        "cell_neighbor_lanes",
         "edge_c1", "edge_c2", "edge_v1", "edge_v2",
         "_v2c_weights",
     )
@@ -233,9 +233,13 @@ class OperatorCache:
         self.cell_vertices_idx = np.clip(cv, 0, None)
         self.cell_vertices_valid = cv >= 0
 
-        # The tracer limiter's neighbourhood gather.
-        self.cell_neighbors_idx = np.clip(mesh.cell_neighbors, 0, None)
-        self.cell_neighbors_pad = mesh.cell_neighbors == PAD
+        # The tracer limiter's neighbourhood, lane-major (one contiguous
+        # row per lane); a pad lane names the cell itself, which any
+        # idempotent reduction over "cell and neighbours" folds in anyway.
+        nbrs = mesh.cell_neighbors
+        self.cell_neighbor_lanes = np.ascontiguousarray(
+            np.where(nbrs == PAD, np.arange(mesh.nc)[:, None], nbrs).T
+        )
 
         # Contiguous copies of the hot endpoint columns (the sliced
         # views have stride 2, which slows fancy indexing).

@@ -87,16 +87,17 @@ def tracer_transport_hori_flux_limiter(
 
 
 def _neighbor_extreme(cache: OperatorCache, field: np.ndarray, op) -> np.ndarray:
-    """Element-wise extreme of each cell and its direct neighbours."""
-    vals = field[cache.cell_neighbors_idx]          # (nc, D, nlev)
-    pad = cache.cell_neighbors_pad[..., None]
-    if op is np.maximum:
-        vals = np.where(pad, -np.inf, vals)
-        ext = vals.max(axis=1)
-        return np.maximum(ext, field)
-    vals = np.where(pad, np.inf, vals)
-    ext = vals.min(axis=1)
-    return np.minimum(ext, field)
+    """``op`` (``np.maximum``, ``np.minimum`` or any other associative,
+    commutative and idempotent binary ufunc) folded over each cell's
+    neighbours, lane by lane, then the cell itself; a pad lane reads the
+    cell, so it changes nothing."""
+    lanes = cache.cell_neighbor_lanes
+    ext = field[lanes[0]]
+    nbr = np.empty_like(ext)
+    for lane in lanes[1:]:
+        # Every index is in range; "clip" lets take fill ``nbr`` unbuffered.
+        op(ext, np.take(field, lane, axis=0, out=nbr, mode="clip"), out=ext)
+    return op(ext, field, out=ext)
 
 
 def vertical_tracer_transport(

@@ -338,5 +338,25 @@ class TestNonFiniteGuard:
         core = DynamicalCore(mesh, vc, DycoreConfig(dt=600.0))
         st = isothermal_rest_state(mesh, vc)
         st.ps[:] = np.nan
-        with pytest.raises(FloatingPointError):
+        with pytest.raises(FloatingPointError, match="^ps became non-finite"):
             core.run(st, 1)
+
+    @pytest.mark.parametrize("field", ["u", "theta"])
+    def test_nan_in_one_field_raises_at_that_step_naming_it(self, mesh, vc, field):
+        """Only ``ps`` used to be checked: a NaN confined to ``u`` or
+        ``theta`` ran on until it reached ``ps``.  Here one appears after
+        step 2 of 5 and nowhere else."""
+        core = DynamicalCore(mesh, vc, DycoreConfig(dt=600.0))
+        step, calls = core.step, []
+
+        def step_then_poison(state):
+            out = step(state)
+            calls.append(out.time)
+            if len(calls) == 2:
+                getattr(out, field)[0, 0] = np.nan
+            return out
+
+        core.step = step_then_poison
+        with pytest.raises(FloatingPointError, match=f"^{field} became non-finite at t=1200.0"):
+            core.run(isothermal_rest_state(mesh, vc), 5)
+        assert len(calls) == 2
