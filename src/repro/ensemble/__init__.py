@@ -32,10 +32,10 @@ __all__ = [
     "perturbation_noise", "physics_perturbation_factors",
     "ensemble_mean", "ensemble_spread", "ensemble_percentiles",
     "exceedance_probability", "spread_to_signal", "ensemble_products",
-    "EnsembleRunner", "EnsembleResult", "PerturbedPhysics",
+    "EnsembleRunner", "EnsembleResult",
 ]
 
-_LAZY = ("EnsembleRunner", "EnsembleResult", "PerturbedPhysics")
+_LAZY = ("EnsembleRunner", "EnsembleResult")
 
 
 def __getattr__(name):

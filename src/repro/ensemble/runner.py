@@ -3,22 +3,24 @@
 :class:`EnsembleRunner` executes N ensemble members of a registered
 scenario — perturbed initial conditions (seeded ``[seed, member]``
 theta noise) and optionally perturbed physics (SPPT-style multiplicative
-tendency factors, seeded ``[seed, member, SPPT_STREAM]``) — and derives
-spread/probability products from the member results.
+tendency factors, seeded ``[seed, member, SPPT_STREAM]``, set per member
+on the model's physics slot as ``ResilientPhysics.factors``) — and
+derives spread/probability products from the member results.
 
 ``run()`` is the **per-member loop**: one shared warm model (or a model
 acquired from a serving :class:`~repro.serve.pool.ModelPool` when the
 configs match), reset bit-exactly between members, exactly the serving
 scheduler's member execution.  Stencil plans compile once for the
-shared mesh, not once per member.  ``workers=N`` shards the same loop
-over forked processes, digest-identical to the serial loop.
+shared mesh, not once per member.  ``workers=N`` runs the same loop
+(``_run_shard``) on member-strided shards in forked processes,
+digest-identical to the serial loop.
 """
 
 from __future__ import annotations
 
 import hashlib
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,40 +35,6 @@ from repro.ensemble.scenarios import (
 #: Exceedance thresholds of the default product set.
 PRECIP_THRESHOLD = 1.0 / 86400.0     # 1 mm/day in kg/m^2/s
 WIND_THRESHOLD = 15.0                # m/s
-
-
-class PerturbedPhysics:
-    """SPPT-style multiplicative perturbation around a physics suite.
-
-    Scales the thermodynamic/moisture tendencies by a fixed per-cell
-    factor field (one draw per member); diagnostics (precip, radiation,
-    skin temperature) are reported unscaled.  Delegates through the
-    same ``compute_from_coupler``-preferring protocol the model uses,
-    and exposes the wrapped suite as ``primary`` so the model's
-    snapshot/restore machinery unwraps it transparently.
-    """
-
-    def __init__(self, primary, factors: np.ndarray):
-        self.primary = primary
-        self.factors = np.asarray(factors)
-
-    def _scale(self, tend):
-        f = self.factors[:, None]
-        return replace(
-            tend,
-            dtheta=tend.dtheta * f,
-            dqv=tend.dqv * f,
-            dqc=tend.dqc * f,
-            dqr=tend.dqr * f,
-        )
-
-    def compute(self, state, wind_speed_sfc):
-        return self._scale(self.primary.compute(state, wind_speed_sfc))
-
-    def compute_from_coupler(self, state, fields):
-        if hasattr(self.primary, "compute_from_coupler"):
-            return self._scale(self.primary.compute_from_coupler(state, fields))
-        return self._scale(self.primary.compute(state, fields.wind_speed_sfc))
 
 
 @dataclass(frozen=True)
@@ -162,13 +130,6 @@ class EnsembleRunner:
         )
         return result
 
-    def _wrap_physics(self, model, factors: np.ndarray):
-        model.physics = PerturbedPhysics(model.physics, factors)
-
-    def _unwrap_physics(self, model):
-        if isinstance(model.physics, PerturbedPhysics):
-            model.physics = model.physics.primary
-
     def _products(self, members: tuple) -> dict:
         stacks = {
             "mean_precip": np.stack(
@@ -215,12 +176,8 @@ class EnsembleRunner:
             model = self.pool.acquire(request)
         else:
             model = self._build_model()
-        members = []
         try:
-            for member in range(self.n_members):
-                if member > 0:
-                    model.reset()
-                members.append(self._run_member_shard(model, member))
+            members = [res for _, res in self._run_shard(model, range(self.n_members))]
         finally:
             if self.pool is not None:
                 self.pool.release(request, model)
@@ -283,20 +240,26 @@ class EnsembleRunner:
             )
         return self._result(members, compiles, t0)
 
-    def _run_member_shard(self, model, member: int):
-        """One member of the loop, on an already-warm ``model``."""
-        state = self.scenario.member_state(
-            model.mesh, model.vcoord, member, self.seed, self.perturbation,
-        )
-        if self.physics_perturbation > 0.0:
-            self._wrap_physics(model, physics_perturbation_factors(
-                model.mesh.nc, self.seed, member, self.physics_perturbation,
-            ))
-        try:
-            state = model.run(state, self.steps)
-        finally:
-            self._unwrap_physics(model)
-        return self._member_result(member, state, model)
+    def _run_shard(self, model, members) -> list:
+        """``(member, result)`` for each of ``members``, one after the
+        other on the warm ``model``, reset bit-exactly between them."""
+        out = []
+        for member in members:
+            if out:
+                model.reset()
+            state = self.scenario.member_state(
+                model.mesh, model.vcoord, member, self.seed, self.perturbation,
+            )
+            if self.physics_perturbation > 0.0:
+                model.physics.factors = physics_perturbation_factors(
+                    model.mesh.nc, self.seed, member, self.physics_perturbation,
+                )
+            try:
+                state = model.run(state, self.steps)
+            finally:
+                model.physics.factors = None
+            out.append((member, self._member_result(member, state, model)))
+        return out
 
 
 def _loop_shard_worker(conn, runner: EnsembleRunner, shard: int, stride: int):
@@ -306,12 +269,9 @@ def _loop_shard_worker(conn, runner: EnsembleRunner, shard: int, stride: int):
 
     try:
         c0 = plan_compile_count()
-        model = runner._build_model()
-        out = []
-        for member in range(shard, runner.n_members, stride):
-            if out:
-                model.reset()
-            out.append((member, runner._run_member_shard(model, member)))
+        out = runner._run_shard(
+            runner._build_model(), range(shard, runner.n_members, stride)
+        )
         conn.send(("ok", (out, plan_compile_count() - c0)))
     except Exception as exc:   # report, don't hang the parent's recv
         try:
@@ -323,6 +283,5 @@ def _loop_shard_worker(conn, runner: EnsembleRunner, shard: int, stride: int):
 
 
 __all__ = [
-    "EnsembleResult", "EnsembleRunner", "PerturbedPhysics",
-    "PRECIP_THRESHOLD", "WIND_THRESHOLD",
+    "EnsembleResult", "EnsembleRunner", "PRECIP_THRESHOLD", "WIND_THRESHOLD",
 ]

@@ -340,10 +340,9 @@ def assemble_scenario_model(
                 day_of_year=scenario.day_of_year,
             ),
         )
-    physics = ResilientPhysics(primary=suite, fallback=None, surface=surface)
     return GristModel(
         mesh, vcoord, gc, scheme,
-        surface=surface, physics_suite=physics, validate_state=True,
+        surface=surface, physics_suite=ResilientPhysics(suite), validate_state=True,
         day_of_year=scenario.day_of_year,
         dycore_kwargs=dict(scenario.dycore_kwargs),
     )

@@ -92,7 +92,9 @@ def generate_archive(
 
     The recorded targets (Q1, Q2, gsw, glw) come straight from the
     physics suite at each snapshot, mirroring how the paper's archive
-    pairs coarse-grained states with diagnosed sources.
+    pairs coarse-grained states with diagnosed sources.  The inputs are
+    the model's own coupler fields, and recording leaves the run
+    exactly as an unrecorded one.
     """
     grid_cfg = scaled_grid_config(mesh.level, vcoord.nlev)
     surface = SurfaceModel(
@@ -110,21 +112,22 @@ def generate_archive(
     state.theta = state.theta + 0.5 * rng.normal(size=state.theta.shape)
     state = model.run_hours(state, spinup_hours)
 
-    from repro.physics.radiation import cosine_solar_zenith
-
     snapshots: list[ArchiveSnapshot] = []
     for h in range(n_hours):
         # Update the MJO phase as time advances.
         model.surface.sst = period_sst(mesh, period, time_days=state.time / 86400.0) + 2.0
         state = model.run_hours(state, 1.0)
-        coszr = cosine_solar_zenith(mesh.cell_lat, mesh.cell_lon, state.time)
-        fields = model.coupler.extract(state, model.surface.skin_temperature(), coszr)
+        fields = model.coupling_fields(state)
+        # Recording must not advance the run: the suite call steps the
+        # land slab and the radiation cadence, so bracket it.
+        saved = model.snapshot_mutable()
         tend = model.physics.compute(state, fields.wind_speed_sfc)
+        model.restore_mutable(saved)
         snapshots.append(
             ArchiveSnapshot(
                 time=state.time,
                 u=fields.u, v=fields.v, t=fields.t, q=fields.q, p=fields.p,
-                tskin=fields.tskin.copy(), coszr=coszr,
+                tskin=fields.tskin.copy(), coszr=fields.coszr,
                 q1=tend.q1(fields.exner_mid), q2=tend.q2(),
                 gsw=tend.gsw.copy(), glw=tend.glw.copy(),
             )

@@ -5,12 +5,13 @@
     radiation diagnostic module) ...  They together form the new model
     physics suite"
 
-The suite exposes the same interface as the conventional
-:class:`~repro.physics.column.PhysicsSuite`, so :class:`GristModel`
-swaps them freely (Table 3's -ML schemes).  Alongside the two networks
-it keeps the *conventional physics diagnostic module* (Fig. 3): surface
-fluxes and the land slab stay conventional because the ML radiation
-module feeds them gsw/glw, exactly as in the paper.
+Like the conventional :class:`~repro.physics.column.PhysicsSuite` it
+answers the coupler's one call, ``compute_from_coupler``, so
+:class:`GristModel` swaps them freely (Table 3's -ML schemes).
+Alongside the two networks it keeps the *conventional physics
+diagnostic module* (Fig. 3): surface fluxes and the land slab stay
+conventional because the ML radiation module feeds them gsw/glw,
+exactly as in the paper.
 """
 
 from __future__ import annotations
@@ -124,6 +125,13 @@ class MLPhysicsSuite:
             mesh, vcoord, surface, tn, rn,
             config=config, precision=precision,
         )
+
+    def snapshot(self):
+        """No mutable state of its own (the surface slab snapshots itself)."""
+        return None
+
+    def restore(self, snap) -> None:
+        pass
 
     def compute_from_coupler(self, state, fields: CouplingFields) -> PhysicsTendencies:
         """Suite evaluation from the coupling interface's variable set."""

@@ -17,7 +17,7 @@ from repro.dycore.state import ModelState
 from repro.dycore.vertical import VerticalCoordinate
 from repro.grid.mesh import Mesh
 from repro.model.config import GridConfig, SchemeConfig
-from repro.model.coupler import CouplingInterface
+from repro.model.coupler import CouplingFields, CouplingInterface
 from repro.obs import SpanKind, get_metrics, get_tracer
 from repro.physics.column import PhysicsConfig, PhysicsSuite
 from repro.physics.radiation import cosine_solar_zenith
@@ -57,7 +57,6 @@ class GristModel:
         scheme: SchemeConfig,
         surface: SurfaceModel | None = None,
         physics_suite=None,
-        nonhydrostatic: bool = False,
         day_of_year: float = 200.0,
         dycore_kwargs: dict | None = None,
         validate_state: bool = False,
@@ -73,7 +72,6 @@ class GristModel:
             DycoreConfig(
                 dt=grid_config.dt_dyn,
                 tracer_ratio=grid_config.tracer_ratio,
-                nonhydrostatic=nonhydrostatic,
                 policy=policy,
                 **(dycore_kwargs or {}),
             ),
@@ -118,59 +116,34 @@ class GristModel:
 
     # -- mutable-state snapshot/restore (rollback + warm reuse) ----------
     def _physics_suites(self) -> list:
-        """Every underlying suite, unwrapping wrapper chains.
-
-        Wrappers expose the wrapped suite as ``primary`` (plus an
-        optional ``fallback``); unwrapping is recursive so stacked
-        wrappers — e.g. the ensemble layer's ``PerturbedPhysics`` around
-        the serving layer's ``ResilientPhysics`` — stay snapshot- and
-        reset-transparent.  Order is primary-first depth-first, matching
-        the single-level order snapshots were taken with before.
-        """
-        suites: list = []
-        stack = [self.physics]
-        while stack:
-            phys = stack.pop(0)
-            if phys is None:
-                continue
-            if hasattr(phys, "primary"):
-                stack = [phys.primary, getattr(phys, "fallback", None)] + stack
-            else:
-                suites.append(phys)
-        return suites
+        """The suites in the physics slot: a
+        :class:`~repro.resilience.recovery.ResilientPhysics`' primary and
+        fallback, or the bare suite a model was built with."""
+        phys = self.physics
+        return [
+            s for s in (getattr(phys, "primary", phys), getattr(phys, "fallback", None))
+            if s is not None
+        ]
 
     def snapshot_mutable(self) -> dict:
         """Bit-exact copy of every mutable side store outside the state.
 
         The payload pairs with a :meth:`ModelState.copy` to make a full
         checkpoint: the dycore's step counter and tracer-window flux
-        accumulator, the surface slab and its history, the run history
-        lengths, and each physics suite's radiation-cadence counters.
+        accumulator, the run history lengths, and each owner's own
+        snapshot — the surface slab's and every physics suite's.
         Leaving any of these out desynchronises a restored run from a
         straight-through one (found the hard way by the rollback bitwise
         tests).
         """
-        phys = [
-            (
-                getattr(s, "_step", 0),
-                getattr(s, "_cached_rad", None),
-                {
-                    k: len(v)
-                    for k, v in getattr(s, "history", {}).items()
-                    if isinstance(v, list)
-                },
-            )
-            for s in self._physics_suites()
-        ]
         return {
             "dyn_steps": self._dyn_steps,
             "dycore_steps": self.dycore._steps,
             "flux_sum": self.dycore.flux_acc._sum.copy(),
             "flux_steps": self.dycore.flux_acc._steps,
-            "t_land": self.surface.t_land.copy(),
-            "surface_history": len(self.surface.history),
+            "surface": self.surface.snapshot(),
             "run_history": len(self.history.times),
-            "physics": phys,
+            "physics": [s.snapshot() for s in self._physics_suites()],
         }
 
     def restore_mutable(self, payload: dict) -> None:
@@ -179,23 +152,13 @@ class GristModel:
         self.dycore._steps = payload["dycore_steps"]
         self.dycore.flux_acc._sum[:] = payload["flux_sum"]
         self.dycore.flux_acc._steps = payload["flux_steps"]
-        self.surface.t_land[:] = payload["t_land"]
-        del self.surface.history[payload["surface_history"]:]
+        self.surface.restore(payload["surface"])
         h = self.history
         n = payload["run_history"]
         for lst in (h.times, h.precip, h.gsw, h.glw, h.tskin_mean, h.max_wind):
             del lst[n:]
-        for suite, (step, rad, hist) in zip(
-            self._physics_suites(), payload["physics"]
-        ):
-            if hasattr(suite, "_step"):
-                suite._step = step
-                suite._cached_rad = rad
-            suite_hist = getattr(suite, "history", None)
-            if isinstance(suite_hist, dict):
-                for k, n_kept in hist.items():
-                    if isinstance(suite_hist.get(k), list):
-                        del suite_hist[k][n_kept:]
+        for suite, snap in zip(self._physics_suites(), payload["physics"]):
+            suite.restore(snap)
 
     def reset(self) -> None:
         """Return the model to its as-built state for warm reuse.
@@ -206,6 +169,15 @@ class GristModel:
         """
         self.restore_mutable(self._pristine)
 
+    def coupling_fields(self, state: ModelState) -> CouplingFields:
+        """The coupler's variable set for ``state`` (section 3.2.4), with
+        coszr at the model's day of year."""
+        coszr = cosine_solar_zenith(
+            self.mesh.cell_lat, self.mesh.cell_lon, state.time,
+            self.day_of_year,
+        )
+        return self.coupler.extract(state, self.surface.skin_temperature(), coszr)
+
     def step_physics(self, state: ModelState) -> None:
         """One physics step: extract -> suite -> apply (section 3.2.4)."""
         dt_phy = self.grid_config.dt_physics
@@ -213,16 +185,8 @@ class GristModel:
             "model.physics_step", SpanKind.PHYSICS_STEP,
             ml=bool(self.scheme.ml_physics),
         ):
-            coszr = cosine_solar_zenith(
-                self.mesh.cell_lat, self.mesh.cell_lon, state.time,
-                self.day_of_year,
-            )
-            fields = self.coupler.extract(
-                state, self.surface.skin_temperature(), coszr
-            )
-            tend = self.physics.compute_from_coupler(state, fields) if hasattr(
-                self.physics, "compute_from_coupler"
-            ) else self.physics.compute(state, fields.wind_speed_sfc)
+            fields = self.coupling_fields(state)
+            tend = self.physics.compute_from_coupler(state, fields)
             self.coupler.apply_tendencies(
                 state, tend.dtheta, tend.dqv, tend.dqc, tend.dqr,
                 tend.surface_drag, dt_phy,

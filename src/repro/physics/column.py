@@ -82,7 +82,17 @@ class PhysicsSuite:
         self.config = config or PhysicsConfig()
         self._step = 0
         self._cached_rad = None
-        self.history: dict = {"precip": []}
+
+    def snapshot(self):
+        """The radiation cadence: step count and cached radiation."""
+        return self._step, self._cached_rad
+
+    def restore(self, snap) -> None:
+        self._step, self._cached_rad = snap
+
+    def compute_from_coupler(self, state: ModelState, fields) -> PhysicsTendencies:
+        """The coupling interface's call (section 3.2.4)."""
+        return self.compute(state, fields.wind_speed_sfc)
 
     def compute(self, state: ModelState, wind_speed_sfc: np.ndarray) -> PhysicsTendencies:
         """Full physics step for the current state.

@@ -78,6 +78,15 @@ class SurfaceModel:
             + (1.0 - self.land_mask) * self.albedo_ocean
         )
 
+    def snapshot(self):
+        """Bit-exact copy of the slab's mutable state (:meth:`restore`)."""
+        return self.t_land.copy(), len(self.history)
+
+    def restore(self, snap) -> None:
+        t_land, n_hist = snap
+        self.t_land[:] = t_land
+        del self.history[n_hist:]
+
     def skin_temperature(self) -> np.ndarray:
         return self.land_mask * self.t_land + (1.0 - self.land_mask) * self.sst
 

@@ -39,9 +39,9 @@ def _build_model(level: int, nlev: int, seed: int):
 
     scenario = get_scenario("tropical")
     model = build_scenario_model(scenario, level, nlev, "DP-PHY")
-    # Primary and fallback share the model's surface; ResilientPhysics
-    # snapshots the slab around the primary so a degraded step is exactly
-    # the step the fallback alone would have taken.
+    # Primary and fallback share the surface and class: a degraded step
+    # restores the slab and hands over the radiation cadence, so it is
+    # exactly the step the primary alone would have taken.
     physics = model.physics
     physics.fallback = PhysicsSuite(
         model.mesh, model.vcoord, model.surface, config=physics.primary.config

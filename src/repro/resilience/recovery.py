@@ -132,68 +132,52 @@ def _tendencies_finite(tend) -> bool:
     )
 
 
-class ResilientPhysics:
-    """Physics suite wrapper implementing graceful degradation.
+#: Member spread-to-signal ratio of the primary's tendency ensemble above
+#: which a step degrades to the fallback.
+SPREAD_THRESHOLD = 10.0
 
-    Wraps a primary suite (usually the ML suite) and an optional
-    conventional fallback.  A step degrades to the fallback when:
+
+class ResilientPhysics:
+    """The model's physics slot: one suite plus the per-run hooks.
+
+    Wraps a primary suite and an optional fallback suite.  A step
+    degrades to the fallback when:
 
     * the primary's tendencies go non-finite (including an injected
       ``ML_BLOWUP`` fault), or
     * the primary's tendency ensemble reports a member spread-to-signal
-      ratio above ``spread_threshold`` (ensemble disagreement = the
+      ratio above :data:`SPREAD_THRESHOLD` (ensemble disagreement = the
       extrapolation regime Han et al. 2023 identify as the blow-up
       precursor).
 
-    Because the conventional suite mutates the surface slab, the
-    wrapper snapshots that mutable state before the primary runs and
-    restores it before the fallback, so a degraded step is exactly the
-    step the fallback suite alone would have taken.
+    Before the primary runs, the wrapper snapshots the primary's surface
+    slab and the primary itself.  On degradation it restores the slab,
+    and hands the primary's snapshot to a fallback of the same class
+    (the radiation cadence), so a degraded step is exactly the step the
+    fallback suite alone would have taken.
 
-    ``injector`` scopes fault injection to *this* suite instance: when
-    set, it is consulted instead of the process-wide injector.  The
-    serving layer leans on this for per-request isolation — a poisoned
-    request's injector fires only inside that request's model, while
-    clean requests running concurrently in the same process never see
-    it.  ``None`` (the default) keeps the global-injector behaviour.
+    Three per-run attributes, each set and cleared by its caller:
+    ``fallback``; ``injector``, which scopes fault injection to *this*
+    suite instance (the serving layer's per-request isolation: a
+    poisoned request's injector fires only inside that request's model;
+    ``None`` consults the process-wide injector); and ``factors``,
+    SPPT-style per-cell multipliers of the thermodynamic and moisture
+    tendencies (the ensemble's physics perturbation), applied last,
+    after the health check or fallback.  Diagnostics (precip,
+    radiation, skin temperature) are reported unscaled.
     """
 
-    def __init__(
-        self,
-        primary,
-        fallback=None,
-        surface=None,
-        spread_threshold: float = 10.0,
-        injector=None,
-    ):
+    def __init__(self, primary, fallback=None, injector=None):
         self.primary = primary
         self.fallback = fallback
-        self.surface = surface
-        self.spread_threshold = spread_threshold
         self.injector = injector
+        self.factors = None
         self.fallbacks = 0
 
-    @staticmethod
-    def _call(suite, state, fields):
-        if hasattr(suite, "compute_from_coupler"):
-            return suite.compute_from_coupler(state, fields)
-        return suite.compute(state, fields.wind_speed_sfc)
-
-    def _surface_snapshot(self):
-        if self.surface is None:
-            return None
-        return (self.surface.t_land.copy(), len(self.surface.history))
-
-    def _surface_restore(self, snap) -> None:
-        if snap is None:
-            return
-        t_land, n_hist = snap
-        self.surface.t_land[:] = t_land
-        del self.surface.history[n_hist:]
-
     def compute_from_coupler(self, state, fields):
-        snap = self._surface_snapshot()
-        tend = self._call(self.primary, state, fields)
+        surface = self.primary.surface
+        surface_snap, primary_snap = surface.snapshot(), self.primary.snapshot()
+        tend = self.primary.compute_from_coupler(state, fields)
 
         injector = self.injector if self.injector is not None else get_injector()
         blowup = None
@@ -208,41 +192,36 @@ class ResilientPhysics:
             getattr(self.primary, "tendency_net", None),
             "last_max_spread_ratio", 0.0,
         ) or 0.0
-        healthy = _tendencies_finite(tend) and spread <= self.spread_threshold
-        if healthy:
-            return tend
-
-        if self.fallback is None:
-            raise StepFailure(
-                "physics produced unusable tendencies "
-                f"(finite={_tendencies_finite(tend)}, spread={spread:.2f}) "
-                "and no fallback suite is configured"
-            )
-        self._surface_restore(snap)
-        if hasattr(self.primary, "_cached_rad") and hasattr(
-            self.fallback, "_cached_rad"
-        ):
-            # Mirror the primary's radiation cadence (its compute already
-            # advanced _step by one): the fallback then refreshes or
-            # reuses the cached radiation exactly when the primary did,
-            # so a conventional-primary degraded step is bit-identical
-            # to the clean step.
-            self.fallback._cached_rad = self.primary._cached_rad
-            self.fallback._step = self.primary._step - 1
-        tend = self._call(self.fallback, state, fields)
-        self.fallbacks += 1
-        if injector is not None and blowup is not None:
-            # recover() publishes the recovery.physics_fallback counter
-            # and RECOVERY span itself.
-            injector.recover(FaultKind.ML_BLOWUP, "physics_fallback", site="physics")
-        else:
-            get_metrics().inc("recovery.physics_fallback")
-            tracer = get_tracer()
-            if tracer.enabled:
-                tracer.instant(
-                    "recovery.physics_fallback", SpanKind.RECOVERY,
-                    spread=spread,
+        if not (_tendencies_finite(tend) and spread <= SPREAD_THRESHOLD):
+            if self.fallback is None:
+                raise StepFailure(
+                    "physics produced unusable tendencies "
+                    f"(finite={_tendencies_finite(tend)}, spread={spread:.2f}) "
+                    "and no fallback suite is configured"
                 )
-        if not _tendencies_finite(tend):
-            raise StepFailure("fallback physics also produced non-finite tendencies")
-        return tend
+            surface.restore(surface_snap)
+            if type(self.fallback) is type(self.primary):
+                self.fallback.restore(primary_snap)
+            tend = self.fallback.compute_from_coupler(state, fields)
+            self.fallbacks += 1
+            if injector is not None and blowup is not None:
+                # recover() publishes the recovery.physics_fallback counter
+                # and RECOVERY span itself.
+                injector.recover(FaultKind.ML_BLOWUP, "physics_fallback", site="physics")
+            else:
+                get_metrics().inc("recovery.physics_fallback")
+                tracer = get_tracer()
+                if tracer.enabled:
+                    tracer.instant(
+                        "recovery.physics_fallback", SpanKind.RECOVERY,
+                        spread=spread,
+                    )
+            if not _tendencies_finite(tend):
+                raise StepFailure("fallback physics also produced non-finite tendencies")
+        if self.factors is None:
+            return tend
+        f = self.factors[:, None]
+        return replace(
+            tend, dtheta=tend.dtheta * f, dqv=tend.dqv * f,
+            dqc=tend.dqc * f, dqr=tend.dqr * f,
+        )

@@ -47,6 +47,10 @@ from repro.serve.request import ForecastRequest, state_digest
 #: physics and the surface slab.
 LEVEL, NLEV, STEPS = 3, 6, 13
 
+#: Digest of the 3-member tropical SPPT ensemble at G2L6, 13 steps,
+#: amplitude 0.2 (``test_sppt_digest_pinned``).
+SPPT_DIGEST = "8b586a27cdbf7167a469591ad3a5fee500d8bbeb986ac51696188c727aab330f"
+
 
 def tiny_runner(name: str, **kw) -> EnsembleRunner:
     kw.setdefault("n_members", 2)
@@ -117,19 +121,25 @@ class TestScenarioRegistry:
 
 # -- one model assembly -----------------------------------------------------
 
-def _constructor_call_sites(class_name: str) -> set:
-    """Files under ``src/repro`` (relative, posix) that call ``class_name(``."""
+def _src_trees():
+    """``(path relative to src/repro in posix form, AST)`` per module."""
     import repro
 
     root = pathlib.Path(repro.__file__).parent
-    sites = set()
     for path in root.rglob("*.py"):
-        for node in ast.walk(ast.parse(path.read_text())):
+        yield path.relative_to(root).as_posix(), ast.parse(path.read_text())
+
+
+def _constructor_call_sites(class_name: str) -> set:
+    """Files under ``src/repro`` (relative, posix) that call ``class_name(``."""
+    sites = set()
+    for rel, tree in _src_trees():
+        for node in ast.walk(tree):
             if isinstance(node, ast.Call):
                 f = node.func
                 name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
                 if name == class_name:
-                    sites.add(path.relative_to(root).as_posix())
+                    sites.add(rel)
     return sites
 
 
@@ -158,6 +168,28 @@ class TestOneModelAssembly:
         )
         assert len(built.history.precip) == len(assembled.history.precip) == 1
         assert state_digest(out_a) == state_digest(out_b)
+
+
+class TestOnePhysicsSlot:
+    def test_one_call_protocol_and_owner_snapshots(self):
+        """No module probes a suite for ``compute_from_coupler``, and
+        the radiation cadence is touched only by the suite that owns it."""
+        probes, cadence = set(), set()
+        for rel, tree in _src_trees():
+            for node in ast.walk(tree):
+                if (
+                    isinstance(node, ast.Call)
+                    and getattr(node.func, "id", None) == "hasattr"
+                    and any(
+                        isinstance(a, ast.Constant) and a.value == "compute_from_coupler"
+                        for a in node.args
+                    )
+                ):
+                    probes.add(rel)
+                if isinstance(node, ast.Attribute) and node.attr in ("_step", "_cached_rad"):
+                    cadence.add(rel)
+        assert probes == set()
+        assert cadence == {"physics/column.py"}
 
 
 # -- perturbation determinism (satellite: property-based generators) -------
@@ -359,8 +391,8 @@ class TestMemberEquivalence:
         perturbed = tiny_runner("tropical", physics_perturbation=0.2).run()
         # SPPT actually perturbed the run (it is not a no-op wrapper)...
         assert perturbed.digest() != base.digest()
-        # ...and left the wrapped model reusable: the runner unwraps on
-        # exit, so an unperturbed rerun still matches the baseline.
+        # ...and left the model reusable: the runner clears the physics
+        # slot's factors on exit, so an unperturbed rerun still matches.
         assert tiny_runner("tropical").run().digest() == base.digest()
 
     def test_loop_through_serving_pool_matches_standalone(self):
@@ -405,6 +437,18 @@ class TestForkedLoopWorkers:
         serial = tiny_runner("heatwave", steps=7).run()
         forked = tiny_runner("heatwave", steps=7, workers=8).run()
         assert forked.member_digests() == serial.member_digests()
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_sppt_digest_pinned(self, workers):
+        """`repro ensemble --scenario tropical --members 3 --level 2
+        --nlev 6 --steps 13 --physics-perturbation 0.2`, serial and
+        forked: the SPPT factors scale the physics slot's tendencies
+        after its health check, bit for bit as pinned here."""
+        res = EnsembleRunner(
+            scenario="tropical", n_members=3, level=2, nlev=6, steps=13,
+            physics_perturbation=0.2, workers=workers,
+        ).run()
+        assert res.digest() == SPPT_DIGEST
 
     def test_forked_perturbed_physics_matches_serial(self):
         serial = tiny_runner("tropical", physics_perturbation=0.2).run()

@@ -305,6 +305,30 @@ class TestTable1Data:
             assert arr.shape == shape
             assert np.isfinite(arr).all()
 
+    def test_archive_coszr_is_the_models(self, mesh2, vc):
+        """The radiation net's coszr feature is the sun the recorded
+        suite ran under (the model's day of year), not another season's."""
+        from repro.physics.column import PhysicsConfig
+        from repro.physics.radiation import cosine_solar_zenith
+
+        s = generate_archive(mesh2, vc, TABLE1_PERIODS[2], n_hours=1,
+                             spinup_hours=0.5)[0]
+        expected = cosine_solar_zenith(
+            mesh2.cell_lat, mesh2.cell_lon, s.time, PhysicsConfig().day_of_year
+        )
+        assert np.array_equal(s.coszr, expected)
+
+    def test_recording_leaves_the_run_unperturbed(self, mesh2, vc):
+        """Hour 2 of a run recorded at hour 1 equals hour 2 of a run that
+        was not (a 1 h spin-up records nothing)."""
+        recorded = generate_archive(mesh2, vc, TABLE1_PERIODS[2], n_hours=2,
+                                    spinup_hours=0.0)[1]
+        unrecorded = generate_archive(mesh2, vc, TABLE1_PERIODS[2], n_hours=1,
+                                      spinup_hours=1.0)[0]
+        assert recorded.time == unrecorded.time
+        for name in ("u", "v", "t", "q", "p", "tskin", "q1", "q2", "gsw", "glw"):
+            assert np.array_equal(getattr(recorded, name), getattr(unrecorded, name)), name
+
     def test_dataset_builders(self, mesh2, vc):
         snaps = generate_archive(mesh2, vc, TABLE1_PERIODS[2], n_hours=2,
                                  spinup_hours=0.5)

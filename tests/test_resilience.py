@@ -13,6 +13,7 @@ import pytest
 
 from repro.comm.message import Communicator
 from repro.obs import MetricsRegistry, collecting
+from repro.physics.surface import SurfaceModel
 from repro.resilience.faults import (
     FaultInjector,
     FaultKind,
@@ -279,26 +280,39 @@ class _Tend:
     glw: np.ndarray
 
 
-class _NaNPhysics:
+class _FakeSuite:
+    """The physics-slot protocol: ``compute_from_coupler``, a
+    ``surface`` and its own ``snapshot``/``restore``."""
+
+    def __init__(self, shape):
+        self.surface = SurfaceModel(land_mask=np.zeros(shape[0]), sst=np.full(shape[0], 300.0))
+        self.calls = 0
+
+    def snapshot(self):
+        return None
+
+    def restore(self, snap):
+        pass
+
+    def compute_from_coupler(self, state, fields):
+        self.calls += 1
+        return self.tend
+
+
+class _NaNPhysics(_FakeSuite):
     """Primary suite that always returns a poisoned tendency."""
 
     def __init__(self, shape):
+        super().__init__(shape)
         z = np.zeros(shape)
         self.tend = _Tend(np.full(shape, np.nan), z, z[:, 0], z[:, 0])
 
-    def compute(self, state, wind):
-        return self.tend
 
-
-class _GoodPhysics:
+class _GoodPhysics(_FakeSuite):
     def __init__(self, shape):
+        super().__init__(shape)
         z = np.zeros(shape)
         self.tend = _Tend(z, z, z[:, 0], z[:, 0])
-        self.calls = 0
-
-    def compute(self, state, wind):
-        self.calls += 1
-        return self.tend
 
 
 class _Fields:
@@ -327,7 +341,7 @@ def test_resilient_physics_spread_trigger():
     primary = _GoodPhysics(shape)
     primary.tendency_net = type("N", (), {"last_max_spread_ratio": 99.0})()
     fallback = _GoodPhysics(shape)
-    rp = ResilientPhysics(primary=primary, fallback=fallback, spread_threshold=10.0)
+    rp = ResilientPhysics(primary=primary, fallback=fallback)
     rp.compute_from_coupler(None, _Fields())
     assert rp.fallbacks == 1 and fallback.calls == 1
     primary.tendency_net.last_max_spread_ratio = 1.0
@@ -344,6 +358,42 @@ def test_injected_ml_blowup_poisons_then_recovers():
     assert np.isfinite(tend.dtheta).all()
     assert rp.fallbacks == 1
     assert inj.summary()["recovered_by_action"] == {"physics_fallback": 1}
+
+
+@pytest.mark.parametrize("cadence", ["refresh", "cached"])
+def test_conventional_fallback_takes_the_clean_step(mesh_g2, vcoord8s, cadence):
+    """A conventional primary poisoned by ``ML_BLOWUP`` and a fallback of
+    its class return the clean step's tendencies bit for bit, on a
+    radiation-refresh step and on a cached-radiation step: the fallback
+    is handed the primary's slab and radiation cadence from before it ran."""
+    from repro.ensemble.scenarios import assemble_scenario_model, get_scenario
+    from repro.physics.column import PhysicsSuite
+
+    scen = get_scenario("tropical")
+    plan = FaultPlan("p", (FaultSpec(FaultKind.ML_BLOWUP, at=(0,), max_events=1),))
+
+    def step(poisoned):
+        model = assemble_scenario_model(scen, mesh_g2, vcoord8s, "DP-PHY")
+        physics = model.physics
+        state = scen.member_state(mesh_g2, vcoord8s, 0, 0)
+        fields = model.coupling_fields(state)
+        rad_ratio = physics.primary.config.rad_ratio
+        assert rad_ratio > 1
+        for _ in range(rad_ratio if cadence == "refresh" else 1):
+            physics.primary.compute_from_coupler(state, fields)
+        if poisoned:
+            physics.fallback = PhysicsSuite(
+                mesh_g2, vcoord8s, model.surface, config=physics.primary.config
+            )
+            physics.injector = FaultInjector(plan, seed=0)
+        tend = physics.compute_from_coupler(state, fields)
+        assert physics.fallbacks == int(poisoned)
+        return tend, model.surface.t_land
+
+    (clean, land_clean), (degraded, land_degraded) = step(False), step(True)
+    for name in ("dtheta", "dqv", "dqc", "dqr", "surface_drag", "gsw", "glw", "tskin"):
+        assert np.array_equal(getattr(degraded, name), getattr(clean, name)), name
+    assert np.array_equal(land_degraded, land_clean)
 
 
 # -- checkpoint store ----------------------------------------------------
