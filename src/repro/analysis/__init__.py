@@ -72,7 +72,6 @@ from repro.analysis.races import (
 from repro.analysis.report import LINT_SCHEMA_VERSION
 from repro.analysis.sanitizer import LoopObservation, Sanitizer, ShadowArray
 from repro.analysis.static import (
-    CacheGeometry,
     StaticAnalyzer,
     analyze_plan,
     plan_from_directives,
@@ -113,7 +112,6 @@ __all__ = [
     "LoopObservation",
     "Sanitizer",
     "ShadowArray",
-    "CacheGeometry",
     "StaticAnalyzer",
     "analyze_plan",
     "plan_from_directives",

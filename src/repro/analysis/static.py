@@ -27,36 +27,15 @@ substrate context) and emits the SW001–SW007 diagnostics:
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 
 from repro.analysis.access import AccessSpec, IndexKind, OffloadPlan, PlannedLoop
 from repro.analysis.diagnostics import Diagnostic, Severity
 from repro.precision.policy import GRIST_SENSITIVITY, PrecisionPolicy, is_sensitive
-from repro.sunway.ldcache import LDCache, analytic_loop_hit_ratio, loop_access_stream
+from repro.sunway.ldcache import LDCache, analytic_loop_hit_ratio, loop_hit_ratio
 
 #: Cap on the iteration count replayed through the LDCache simulator —
 #: the hit ratio converges within a few hundred iterations.
 _REPLAY_ITERS = 512
-
-
-@dataclass
-class CacheGeometry:
-    """LDCache geometry the lint replays against (paper defaults)."""
-
-    size_bytes: int = 128 * 1024
-    ways: int = 4
-    line_bytes: int = 256
-
-    @property
-    def n_sets(self) -> int:
-        return self.size_bytes // (self.ways * self.line_bytes)
-
-    @property
-    def way_bytes(self) -> int:
-        return self.n_sets * self.line_bytes
-
-    def set_of(self, base: int) -> int:
-        return (base // self.line_bytes) % self.n_sets
 
 
 class StaticAnalyzer:
@@ -64,11 +43,11 @@ class StaticAnalyzer:
 
     def __init__(
         self,
-        cache: CacheGeometry | None = None,
+        cache: LDCache | None = None,
         ldm_bytes: int = 256 * 1024,
         policy: PrecisionPolicy | None = None,
     ):
-        self.cache = cache or CacheGeometry()
+        self.cache = cache or LDCache()
         self.ldm_bytes = ldm_bytes
         self.sensitivity = (policy.sensitivity if policy is not None
                             else GRIST_SENSITIVITY)
@@ -206,8 +185,9 @@ class StaticAnalyzer:
             worst, distributed=True, elem_bytes=elem_bytes,
             line_bytes=self.cache.line_bytes, ways=self.cache.ways,
         )
-        measured = self._replay_hit_ratio(
-            [bases[n] for n in names], lp.n_iters, elem_bytes
+        measured = loop_hit_ratio(
+            [bases[n] for n in names], min(lp.n_iters, _REPLAY_ITERS),
+            elem_bytes, cache=self.cache,
         )
         return [Diagnostic(
             rule="SW004",
@@ -231,13 +211,6 @@ class StaticAnalyzer:
                        "or stage the arrays into LDM with omnicopy",
             },
         )]
-
-    def _replay_hit_ratio(self, bases: list, n_iters: int, elem_bytes: int) -> float:
-        cache = LDCache(self.cache.size_bytes, self.cache.ways, self.cache.line_bytes)
-        stream = loop_access_stream(bases, min(n_iters, _REPLAY_ITERS), elem_bytes)
-        # Batch replay is bitwise-equal to the scalar loop and keeps the
-        # simulated ratio cheap on large annotated loops.
-        return cache.run_batch(stream).hit_ratio
 
     # -- SW005: LDM budget -----------------------------------------------
     def _check_ldm_budget(self, plan: OffloadPlan, lp: PlannedLoop) -> list:

@@ -216,9 +216,7 @@ def _cmd_serve(args) -> int:
     prev_tracer = set_tracer(tracer) if tracer is not None else None
     try:
         with collecting(MetricsRegistry(enabled=True)) as metrics:
-            pool = ModelPool(
-                max_models=args.pool, batch_ml=not args.no_batch,
-            )
+            pool = ModelPool(max_models=args.pool)
             t0 = time.perf_counter()
             with ForecastScheduler(max_workers=args.workers, pool=pool) as sched:
                 jobs = []
@@ -280,11 +278,6 @@ def _cmd_serve(args) -> int:
         print(f"  cache: {c['hits']} hits / {c['misses']} misses   "
               f"pool: built {p['built']}, reused {p['reused']}, "
               f"recycled {p['recycled']}")
-        for key, nets in p["batchers"].items():
-            for name, b in nets.items():
-                print(f"  batcher {name}: stacking={b['stacking']} "
-                      f"mean batch {b['mean_batch_size']:.2f} "
-                      f"({b['stacked_items']}/{b['items']} stacked)")
         if args.poison:
             print(f"  poisoned {args.poison} request(s) with plan "
                   f"{args.poison_plan!r}: isolated errors = "
@@ -542,8 +535,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--ensemble", type=int, default=1,
                     help="ensemble members per request")
     sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--no-batch", action="store_true",
-                    help="disable cross-request ML inference batching")
     sp.add_argument("--poison", type=int, default=0,
                     help="inject a fault plan into the first N requests to "
                          "demonstrate per-request isolation")

@@ -286,7 +286,6 @@ def assemble_scenario_model(
     mesh,
     vcoord,
     scheme_label: str,
-    shared_nets: dict | None = None,
     suite=None,
 ):
     """Assemble one runnable coupled model for a scenario on ``mesh``.
@@ -325,13 +324,6 @@ def assemble_scenario_model(
             mesh, vcoord, surface,
             precision=PrecisionPolicy(mixed=True) if scheme.mixed_precision else None,
         )
-        if shared_nets is not None:
-            from repro.serve.batch import BatchedRadiationNet, BatchedTendencyNet
-
-            tn, t_batcher = shared_nets["tendency"]
-            rn, r_batcher = shared_nets["radiation"]
-            suite.tendency_net = BatchedTendencyNet(tn, t_batcher)
-            suite.radiation_net = BatchedRadiationNet(rn, r_batcher)
     else:
         suite = PhysicsSuite(
             mesh, vcoord, surface,
@@ -353,7 +345,6 @@ def build_scenario_model(
     level: int,
     nlev: int,
     scheme_label: str,
-    shared_nets: dict | None = None,
 ):
     """:func:`assemble_scenario_model` on a freshly built level-``level``
     mesh and an ``nlev``-layer stretched vertical coordinate."""
@@ -362,7 +353,7 @@ def build_scenario_model(
 
     return assemble_scenario_model(
         scenario, build_mesh(level), VerticalCoordinate.stretched(nlev),
-        scheme_label, shared_nets,
+        scheme_label,
     )
 
 

@@ -61,7 +61,6 @@ class SpanKind(Enum):
     CHECKPOINT = "checkpoint"
     # serving layer (forecast-as-a-service)
     SERVE_REQUEST = "serve_request"   # one forecast request, submit->result
-    SERVE_BATCH = "serve_batch"       # one coalesced ML inference forward
     # misc
     INSTANT = "instant"
 
@@ -87,7 +86,6 @@ _CATEGORY = {
     SpanKind.RECOVERY: "resilience",
     SpanKind.CHECKPOINT: "resilience",
     SpanKind.SERVE_REQUEST: "serve",
-    SpanKind.SERVE_BATCH: "serve",
     SpanKind.INSTANT: "misc",
 }
 

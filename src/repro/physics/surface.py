@@ -12,7 +12,7 @@ longwave, sensible and latent heat).  The skin temperature it produces
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -63,7 +63,6 @@ class SurfaceModel:
     albedo_land: float = 0.22
     emissivity: float = 0.98
     beta_land: float = 0.5            # soil moisture availability
-    history: list = field(default_factory=list)
 
     def __post_init__(self) -> None:
         self.land_mask = np.asarray(self.land_mask, dtype=np.float64)
@@ -80,12 +79,10 @@ class SurfaceModel:
 
     def snapshot(self):
         """Bit-exact copy of the slab's mutable state (:meth:`restore`)."""
-        return self.t_land.copy(), len(self.history)
+        return self.t_land.copy()
 
     def restore(self, snap) -> None:
-        t_land, n_hist = snap
-        self.t_land[:] = t_land
-        del self.history[n_hist:]
+        self.t_land[:] = snap
 
     def skin_temperature(self) -> np.ndarray:
         return self.land_mask * self.t_land + (1.0 - self.land_mask) * self.sst

@@ -7,10 +7,8 @@ concurrently from one process by a :class:`ForecastScheduler` that
 * shares warm :class:`~repro.model.grist.GristModel` instances across
   requests through a bounded :class:`ModelPool` (tainted instances are
   recycled, never reused);
-* coalesces ML-physics inference from co-scheduled requests into single
-  stacked forward passes (one GEMM per layer) via the
-  :class:`InferenceBatcher` (with a bitwise-safety probe that falls back
-  to sequential execution whenever stacking would change bits);
+* runs each request's ML physics through its pooled model's own nets,
+  exactly as a batch run does (one GEMM per layer over all columns);
 * answers repeat ``(seed, config)`` requests from a content-addressed
   :class:`ResultCache`;
 * isolates failures per request: an injected fault (PR 4's resilience
@@ -22,7 +20,6 @@ concurrently from one process by a :class:`ForecastScheduler` that
 ``serve_g3_mix`` workload records its goodput and latency.
 """
 
-from repro.serve.batch import BatchedRadiationNet, BatchedTendencyNet, InferenceBatcher
 from repro.serve.cache import ResultCache
 from repro.serve.pool import ModelPool, build_forecast_model, make_member_state
 from repro.serve.request import (
@@ -35,14 +32,11 @@ from repro.serve.request import (
 from repro.serve.scheduler import ForecastJob, ForecastScheduler, run_serial_oracle
 
 __all__ = [
-    "BatchedRadiationNet",
-    "BatchedTendencyNet",
     "ForecastError",
     "ForecastJob",
     "ForecastRequest",
     "ForecastResult",
     "ForecastScheduler",
-    "InferenceBatcher",
     "MemberResult",
     "ModelPool",
     "ResultCache",

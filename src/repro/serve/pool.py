@@ -15,20 +15,16 @@ hands each request exclusive use of one instance:
   capacity slot freed, and the next request for that configuration gets
   a freshly built replacement.  Clean releases reset and requeue.
 
-ML configurations share one set of seeded network weights per model key
-(the warm part that actually costs memory), fronted by the
-:class:`~repro.serve.batch.InferenceBatcher` proxies so concurrent
-requests coalesce their forward passes.
+A pooled ML model keeps the seeded nets its own assembly builds, so a
+served request runs the same forward passes as a batch run of that
+configuration.
 """
 
 from __future__ import annotations
 
 import threading
 
-from repro.model.config import TABLE3_SCHEMES
 from repro.obs import get_metrics
-from repro.precision.policy import PrecisionPolicy
-from repro.serve.batch import InferenceBatcher
 from repro.serve.request import ForecastRequest
 
 
@@ -51,10 +47,7 @@ def make_member_state(model, request: ForecastRequest, member: int):
     )
 
 
-def build_forecast_model(
-    model_key: tuple,
-    shared_nets: dict | None = None,
-):
+def build_forecast_model(model_key: tuple):
     """Build one servable model for ``model_key``.
 
     The dycore compiles to the one production stencil backend
@@ -73,11 +66,6 @@ def build_forecast_model(
     :class:`~repro.resilience.recovery.StepFailure` the scheduler turns
     into a structured per-request error instead of a crashed server.
 
-    ``shared_nets`` (ML keys only) carries the pool's per-key shared
-    networks and batchers: ``{"tendency": (net, batcher), "radiation":
-    (net, batcher)}``.  When given, the suite's nets are the batching
-    proxies over those shared weights.
-
     The scenario component of the key now matters: construction goes
     through the scenario registry
     (:func:`~repro.ensemble.scenarios.build_scenario_model`), which
@@ -88,88 +76,24 @@ def build_forecast_model(
     from repro.ensemble.scenarios import build_scenario_model
 
     level, nlev, scheme_label, scenario = model_key
-    return build_scenario_model(
-        scenario, level, nlev, scheme_label, shared_nets=shared_nets
-    )
+    return build_scenario_model(scenario, level, nlev, scheme_label)
 
 
 class ModelPool:
     """Thread-safe bounded pool of warm models, keyed by model config."""
 
-    def __init__(
-        self,
-        max_models: int = 4,
-        batch_ml: bool = True,
-        max_batch: int = 4,
-        batch_window_seconds: float = 1e-3,
-    ):
+    def __init__(self, max_models: int = 4):
         if max_models < 1:
             raise ValueError("max_models must be >= 1")
         self.max_models = max_models
-        self.batch_ml = batch_ml
-        self.max_batch = max_batch
-        self.batch_window_seconds = batch_window_seconds
         self._cond = threading.Condition()
         self._idle: dict[tuple, list] = {}
         self._total = 0
-        self._shared_nets: dict[tuple, dict] = {}
         self.built = 0
         self.reused = 0
         self.recycled = 0
         self.evicted = 0
         self.acquire_waits = 0
-
-    # -- shared networks per ML model key --------------------------------
-    def _nets_for(self, model_key: tuple):
-        """The per-key shared (net, batcher) pairs, built on first use.
-
-        The seeded construction is deterministic, so the shared nets are
-        bit-identical to the ones a standalone model build would get —
-        pooled and serial-oracle runs therefore use the same weights.
-        """
-        scheme = TABLE3_SCHEMES[model_key[2]]
-        if not (scheme.ml_physics and self.batch_ml):
-            return None
-        shared = self._shared_nets.get(model_key)
-        if shared is None:
-            from repro.dycore.vertical import VerticalCoordinate
-            from repro.ml.radiation_net import RadiationMLP
-            from repro.ml.suite import MLPhysicsSuite
-            from repro.ml.tendency_net import TendencyCNN
-
-            # Build one throwaway seeded suite to get nets with the
-            # exact construction (weights + normalizers + precision);
-            # mesh/surface are only stored on the suite, never touched.
-            vc = VerticalCoordinate.stretched(model_key[1])
-            tmp = MLPhysicsSuite.seeded(
-                None, vc, surface=None,
-                precision=(
-                    PrecisionPolicy(mixed=True)
-                    if scheme.mixed_precision else None
-                ),
-            )
-            tn: TendencyCNN = tmp.tendency_net
-            rn: RadiationMLP = tmp.radiation_net
-            shared = {
-                "tendency": (
-                    tn,
-                    InferenceBatcher(
-                        tn.predict, max_batch=self.max_batch,
-                        window_seconds=self.batch_window_seconds,
-                        name="tendency",
-                    ),
-                ),
-                "radiation": (
-                    rn,
-                    InferenceBatcher(
-                        rn.predict, max_batch=self.max_batch,
-                        window_seconds=self.batch_window_seconds,
-                        name="radiation",
-                    ),
-                ),
-            }
-            self._shared_nets[model_key] = shared
-        return shared
 
     # -- lifecycle -------------------------------------------------------
     def acquire(self, request: ForecastRequest, timeout: float | None = None):
@@ -206,11 +130,8 @@ class ModelPool:
                         f"no pooled model became available within {timeout}s"
                     )
         # Build outside the lock — mesh construction is the slow part.
-        shared = None
         try:
-            with self._cond:
-                shared = self._nets_for(key)
-            model = build_forecast_model(key, shared_nets=shared)
+            model = build_forecast_model(key)
         except BaseException:
             with self._cond:
                 self._total -= 1
@@ -247,11 +168,7 @@ class ModelPool:
                 "recycled": self.recycled,
                 "evicted": self.evicted,
                 "acquire_waits": self.acquire_waits,
-                "batchers": {
-                    str(key): {
-                        name: pair[1].stats()
-                        for name, pair in shared.items()
-                    }
-                    for key, shared in self._shared_nets.items()
-                },
+                # Always empty: bench/probes.py still reads it for its
+                # serve.batch.* rows until the benchmark drops them.
+                "batchers": {},
             }

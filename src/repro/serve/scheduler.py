@@ -30,8 +30,8 @@ model is recycled by the pool instead of being reused.
 Bitwise contract: a job's member results are bit-identical to running
 the same members serially through a freshly built ``GristModel``
 (:func:`run_serial_oracle`) — warm reuse resets bit-exactly, chunked
-stepping is the same step sequence, and the ML batcher only stacks when
-its probe proved stacking changes no bits.
+stepping is the same step sequence, and a pooled ML model runs the same
+seeded nets a fresh build gets.
 """
 
 from __future__ import annotations
@@ -325,7 +325,7 @@ class ForecastScheduler:
 
 def run_serial_oracle(request: ForecastRequest) -> ForecastResult:
     """The bitwise reference: every member on a freshly built model,
-    no pool, no batching, no cache — what the concurrency tests compare
+    no pool, no cache — what the concurrency tests compare
     scheduler output against."""
     from repro.serve.pool import build_forecast_model
 

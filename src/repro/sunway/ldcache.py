@@ -74,6 +74,10 @@ class LDCache:
         """Bytes covered by one way (the alignment hazard size, 32 KB)."""
         return self.n_sets * self.line_bytes
 
+    def set_of(self, addr: int) -> int:
+        """Cache set the byte address ``addr`` maps to."""
+        return (addr // self.line_bytes) % self.n_sets
+
     def reset(self) -> None:
         self._tags.fill(-1)
         self._age.fill(0)

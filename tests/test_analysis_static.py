@@ -21,11 +21,11 @@ from repro.analysis.diagnostics import (
     rank,
 )
 from repro.analysis.static import (
-    CacheGeometry,
     StaticAnalyzer,
     analyze_plan,
     plan_from_directives,
 )
+from repro.sunway.ldcache import LDCache
 
 
 class TestIndexLanguage:
@@ -151,7 +151,7 @@ class TestRules:
         assert any(d.rule == "SW003" for d in analyze_plan(plan))
 
     def test_sw004_needs_aligned_bases(self):
-        geo = CacheGeometry()
+        geo = LDCache()
         names = [f"a{k}" for k in range(6)]
         spec = AccessSpec.of(*(
             [ArrayAccess(n, mode="r", index="i") for n in names[:-1]]

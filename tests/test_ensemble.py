@@ -169,6 +169,32 @@ class TestOneModelAssembly:
         assert len(built.history.precip) == len(assembled.history.precip) == 1
         assert state_digest(out_a) == state_digest(out_b)
 
+    def test_assembly_builds_its_own_nets(self):
+        """A served model is assembled exactly like a batch one: the
+        assembly imports nothing from the serving layer and no function
+        takes nets to swap into the suite it builds."""
+        serve_imports, shared_params = [], []
+        for rel, tree in _src_trees():
+            for node in ast.walk(tree):
+                if rel == "ensemble/scenarios.py":
+                    if isinstance(node, ast.ImportFrom):
+                        mods = [node.module or ""]
+                    elif isinstance(node, ast.Import):
+                        mods = [a.name for a in node.names]
+                    else:
+                        mods = []
+                    serve_imports += [
+                        m for m in mods
+                        if m == "repro.serve" or m.startswith("repro.serve.")
+                    ]
+                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    a = node.args
+                    if any(p.arg == "shared_nets"
+                           for p in a.posonlyargs + a.args + a.kwonlyargs):
+                        shared_params.append(f"{rel}::{node.name}")
+        assert serve_imports == []
+        assert shared_params == []
+
 
 class TestOnePhysicsSlot:
     def test_one_call_protocol_and_owner_snapshots(self):

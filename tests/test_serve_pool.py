@@ -109,7 +109,7 @@ class TestPoolLifecycle:
 
         monkeypatch.setattr(
             "repro.serve.pool.build_forecast_model",
-            lambda key, shared_nets=None: object(),
+            lambda key: object(),
         )
         pool = ModelPool(max_models=64)
         n, cycles = 8, 500

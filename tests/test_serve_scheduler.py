@@ -7,7 +7,7 @@ The serving layer's headline contracts, exercised end to end:
 * **bitwise** — every concurrent result is bit-identical to running the
   same request serially on a freshly built model
   (:func:`run_serial_oracle`), across warm pool reuse, chunked
-  stepping, and (for ML schemes) cross-request inference batching;
+  stepping, and (for ML schemes) concurrent inference on pooled nets;
 * **cancellation** — cancelling jobs mid-flight never corrupts the
   pool: later requests on the same instances stay bitwise clean;
 * **cache** — a hit is byte-identical to the cold run and flagged.
@@ -88,9 +88,9 @@ class TestExactlyOnceBitwise:
         assert len(set(member_digests)) == 3   # members truly distinct
 
     def test_ml_scheme_with_batching_bitwise(self):
-        """MIX-ML requests through the shared batching nets stay bitwise
-        identical to the serial oracle (steps chosen so ML physics
-        actually fires)."""
+        """Concurrent MIX-ML requests, each on its pooled model's own
+        seeded nets, stay bitwise identical to the serial oracle (steps
+        chosen so ML physics actually fires)."""
         requests = [_tiny(seed=s, steps=12, scheme="MIX-ML")
                     for s in range(3)]
         oracles = {r.cache_key(): run_serial_oracle(r) for r in requests}
