@@ -387,7 +387,8 @@ def _cmd_profile(args) -> int:
     else:
         cfg = result["config"]
         print(f"profiled G{cfg['level']} ({cfg['cells']} cells, "
-              f"nlev {cfg['nlev']}, {cfg['stencil_backend']} stencils): "
+              f"nlev {cfg['nlev']}, {cfg['stencil_backend']} stencils, "
+              f"{cfg['stage_lanes']} stage lane(s)): "
               f"{cfg['steps']} steps, {result['n_spans']} spans")
         if result["sdpd_traced"] is not None:
             print(f"traced speed: {result['sdpd_traced']:.1f} SDPD "

@@ -8,6 +8,15 @@ acoustic w–phi adjustment of :mod:`repro.dycore.hevi`.  Tracers advance
 on a longer timestep from accumulated mass fluxes (Table 2 uses
 dyn:trac = 4 s : 30 s at G12).
 
+On a host with a spare CPU and fields of at least
+:data:`LANE_MIN_POINTS` points, a step runs on two lanes: one helper
+thread, alive only inside :meth:`DynamicalCore.step`, takes the
+independent half of each RK stage (the terms that read only ``u`` and
+``theta``) and every second tracer, the way the paper's SWGOMP offload
+runs a kernel on the CPE team while the MPE carries on.  Every array
+is computed by the same function and every sum is taken in the same
+order on one lane or two, so the bits are the same.
+
 The precision policy threads through every term so the MIX
 configurations (Table 3) run genuinely reduced precision with the
 sensitive terms (PGF, gravity/implicit solve, mass-flux accumulation)
@@ -16,7 +25,11 @@ pinned to double.
 
 from __future__ import annotations
 
+import contextvars
+import os
 import time
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -47,6 +60,61 @@ SSP_RK_SCHEDULE = {
     2: (((1.0,), 1.0), ((0.5, 0.5), 1.0)),
     3: (((1.0,), 1.0), ((0.5, 0.5), 0.5), ((1 / 6, 1 / 6, 2 / 3), 1.0)),
 }
+
+
+#: Fewest field points (``nc * nlev``) for which a core steps on two
+#: lanes, set on a 2-CPU host.  G4 steps gain from G4L8 (20,496 points,
+#: 1.2-1.3x) up; at 12.8k points G4L5 gains 1.1-1.4x but G3L20 only
+#: 1.04x, and a G3L10 step (6,420) is no faster, so G3 stays on one lane.
+#: Each stage pays a thread hand-off whatever the mesh size.
+LANE_MIN_POINTS = 2**14
+
+
+def step_lanes(nc: int, nlev: int) -> int:
+    """How many lanes a core with ``nc`` cells and ``nlev`` levels steps
+    on: 2 when this process may run on at least two CPUs and the fields
+    have at least :data:`LANE_MIN_POINTS` points, else 1."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    return 2 if cpus >= 2 and nc * nlev >= LANE_MIN_POINTS else 1
+
+
+class _Deferred:
+    """A piece of one-lane step work: it runs, untraced, on the calling
+    thread when its ``result()`` is asked for."""
+
+    __slots__ = ("_fn", "_args")
+
+    def __init__(self, fn, args):
+        self._fn, self._args = fn, args
+
+    def result(self):
+        return self._fn(*self._args)
+
+
+class _Lane:
+    """Where a step puts the independent half of its work.
+
+    With no pool (one lane) each piece is deferred to its join.  With the
+    step's one-thread pool each piece starts at once on the helper thread,
+    in a copy of the submitter's context (its NumPy error state included),
+    as one ``LANE`` span on ``cpe=1``; an exception, or a warning that the
+    filters turn into one, comes back through ``result()``."""
+
+    def __init__(self, pool: ThreadPoolExecutor | None = None):
+        self._pool = pool
+
+    def submit(self, span: str, fn, *args):
+        if self._pool is None:
+            return _Deferred(fn, args)
+        return self._pool.submit(contextvars.copy_context().run, _traced, span, fn, *args)
+
+
+def _traced(span: str, fn, *args):
+    with get_tracer().span(span, SpanKind.LANE, cpe=1):
+        return fn(*args)
+
+
+_ONE_LANE = _Lane()
 
 
 @dataclass
@@ -173,8 +241,42 @@ class DynamicalCore:
         # nu lap_e(u) + nu_div grad(div u), compiled for these coefficients.
         self._diffusion = self.kernels.diffusion_operator(self._nu, self._nu_div)
         self._steps = 0
+        # Where the independent half of the step work runs: the helper
+        # thread while a two-lane step is in progress, else the caller.
+        self._lane = _ONE_LANE
+
+    @property
+    def lanes(self) -> int:
+        """1 or 2: how many lanes :meth:`step` runs on (:func:`step_lanes`)."""
+        return step_lanes(self.mesh.nc, self.vcoord.nlev)
+
+    @contextmanager
+    def _step_lanes(self):
+        """The helper thread, for one step.  It exists only in here, so no
+        forked child can inherit it, and it is joined before the step
+        returns or raises."""
+        if self.lanes == 1:
+            yield
+            return
+        with ThreadPoolExecutor(1, thread_name_prefix="dycore-lane") as pool:
+            self._lane = _Lane(pool)
+            try:
+                yield
+            finally:
+                self._lane = _ONE_LANE
 
     # -- tendency evaluation ------------------------------------------------
+    def _u_theta_terms(self, u: np.ndarray, theta: np.ndarray) -> tuple:
+        """The stage's terms that read only ``u`` and ``theta``: Coriolis,
+        KE gradient, momentum diffusion and the theta Laplacian."""
+        pol, k = self.config.policy, self.kernels
+        return (
+            tend.calc_coriolis_term(self.mesh, u, pol, kernels=k),
+            tend.tend_grad_ke_at_edge(self.mesh, u, pol, kernels=k),
+            k.momentum_diffusion(u, self._diffusion),
+            k.laplacian_cell(theta),
+        )
+
     def compute_tendencies(self, state: ModelState) -> Tendencies:
         """One RK stage's tendencies, each intermediate computed once.
 
@@ -187,9 +289,17 @@ class DynamicalCore:
         bitwise): each sum is taken in its operands' promoted dtype, in the
         order Coriolis, KE gradient, PGF, vertical advection, diffusion;
         every returned tendency is float64.
+
+        The terms that read only ``u`` and ``theta`` (:meth:`_u_theta_terms`)
+        go to the step's lane when the stage starts; this thread computes
+        the mass, PGF and vertical-advection chain meanwhile and joins
+        before the first sum, so one lane or two give the same bits.
         """
         mesh, vc, pol, k = self.mesh, self.vcoord, self.config.policy, self.kernels
         theta = state.theta
+        u_theta = self._lane.submit(
+            "dycore.rk_stage.lane", self._u_theta_terms, state.u, theta
+        )
         dpi = state.dpi()
         p_int = vc.pressure_interfaces(state.ps)
         p_mid = layer_mean(p_int)
@@ -208,19 +318,11 @@ class DynamicalCore:
         total = D.sum(axis=1)
         M = tend.vertical_mass_flux(mesh, vc.b_interfaces, D, total=total)
 
-        # Momentum: each term summed over a fresh operand of the promoted dtype.
-        u_tend = tend.calc_coriolis_term(mesh, state.u, pol, kernels=k)
-        ke = tend.tend_grad_ke_at_edge(mesh, state.u, pol, kernels=k)
-        u_tend = tend.promoted(np.add, u_tend, ke)
         theta_e = k.cell_to_edge(pol.cast("pressure_gradient", theta))
         pgf = tend.pressure_gradient_force(
             mesh, theta, p_mid, phi_mid, pol, kernels=k, theta_e=theta_e
         )
-        u_tend = tend.promoted(np.add, u_tend, pgf)
         vadv = tend.vertical_advection_edge(mesh, M, dpi, state.u, dpi_e, kernels=k)
-        u_tend = tend.promoted(np.add, u_tend, vadv)
-        u_diffusion = k.momentum_diffusion(state.u, self._diffusion)
-        u_tend = tend.promoted(np.add, u_tend, u_diffusion)
 
         # Potential temperature in flux form (F is returned, so never written).
         if pol.ns != theta_e.dtype:
@@ -228,7 +330,14 @@ class DynamicalCore:
         theta_flux = tend.promoted(np.multiply, F, theta_e, reuse=(theta_e,))
         theta_mass_tend = tend.vertical_advection_cell(M, theta)
         theta_mass_tend -= k.divergence(theta_flux)
-        diffusion = k.laplacian_cell(theta)
+
+        # The join.  Momentum: each term summed over a fresh operand of the
+        # promoted dtype.
+        coriolis, ke, u_diffusion, diffusion = u_theta.result()
+        u_tend = tend.promoted(np.add, coriolis, ke)
+        u_tend = tend.promoted(np.add, u_tend, pgf)
+        u_tend = tend.promoted(np.add, u_tend, vadv)
+        u_tend = tend.promoted(np.add, u_tend, u_diffusion)
         diffusion *= self._nu * dpi
         theta_mass_tend += diffusion
         return Tendencies(
@@ -251,7 +360,8 @@ class DynamicalCore:
         dt = self.config.dt
         tracer = get_tracer()
         wall0 = time.perf_counter()
-        with tracer.span("dycore.step", SpanKind.DYN_STEP, step=self._steps):
+        with tracer.span("dycore.step", SpanKind.DYN_STEP, step=self._steps), \
+                self._step_lanes():
             tds: list[Tendencies] = []
             s1 = state.copy()   # the state returned; the input stays untouched
             for k, (weights, frac) in enumerate(
@@ -311,7 +421,8 @@ class DynamicalCore:
         state.theta[:, :nsp] = th_sp + dt * nu * self.kernels.laplacian_cell(th_sp)
 
     def _tracer_step(self, old: ModelState, new: ModelState) -> None:
-        """Advance all tracers over the elapsed tracer window."""
+        """Advance all tracers over the elapsed tracer window; every
+        second tracer runs on the step's lane."""
         dt_trac = self.config.dt * self.flux_acc.steps
         F = self.flux_acc.mean()
         self.flux_acc.reset()
@@ -323,13 +434,23 @@ class DynamicalCore:
         dpi_old = old.dpi()
         ps_mid = old.ps - dt_trac * total
         dpi_new = vc.dpi(ps_mid)
-        for name, q in new.tracers.items():
-            q1 = tracer_transport_hori_flux_limiter(
-                mesh, q, F, dpi_old, dpi_new, dt_trac, self.config.policy,
-                kernels=self.kernels,
-            )
-            q2 = vertical_tracer_transport(q1, M, dpi_new, dpi_new, dt_trac)
-            new.tracers[name] = np.maximum(q2, 0.0)
+
+        def advance(qs: list) -> list:
+            out = []
+            for q in qs:
+                q1 = tracer_transport_hori_flux_limiter(
+                    mesh, q, F, dpi_old, dpi_new, dt_trac, self.config.policy,
+                    kernels=self.kernels,
+                )
+                q2 = vertical_tracer_transport(q1, M, dpi_new, dpi_new, dt_trac)
+                out.append(np.maximum(q2, 0.0))
+            return out
+
+        names, qs = list(new.tracers), list(new.tracers.values())
+        odd = self._lane.submit("dycore.tracer_step.lane", advance, qs[1::2])
+        even = advance(qs[0::2])
+        new.tracers.update(zip(names[1::2], odd.result()))
+        new.tracers.update(zip(names[0::2], even))
 
     # -- diagnostics -----------------------------------------------------------
     def diagnostics(self, state: ModelState) -> dict:

@@ -26,6 +26,7 @@ Export formats:
 
 from __future__ import annotations
 
+import itertools
 import json
 import time
 from contextlib import contextmanager
@@ -55,6 +56,7 @@ class SpanKind(Enum):
     SPONGE = "sponge"
     TRACER_STEP = "tracer_step"
     PHYSICS_STEP = "physics_step"
+    LANE = "lane"                     # a step's work on its helper lane (cpe=1)
     # resilience (fault injection & recovery ladder)
     FAULT = "fault"
     RECOVERY = "recovery"
@@ -82,6 +84,7 @@ _CATEGORY = {
     SpanKind.SPONGE: "model",
     SpanKind.TRACER_STEP: "model",
     SpanKind.PHYSICS_STEP: "model",
+    SpanKind.LANE: "model",
     SpanKind.FAULT: "resilience",
     SpanKind.RECOVERY: "resilience",
     SpanKind.CHECKPOINT: "resilience",
@@ -181,7 +184,10 @@ class Tracer:
         self.events: list[Span] = []      # completed spans, close order
         self.listeners: list = []
         self._clock = clock
-        self._seq = 0
+        # next() on a count is one C call, so threads that share the
+        # tracer (serve's schedulers, a dycore step's helper lane) never
+        # draw the same seq; a read-then-increment of an int could.
+        self._seq = itertools.count()
 
     # -- recording -------------------------------------------------------
     def span(
@@ -197,11 +203,10 @@ class Tracer:
         if not self.enabled:
             return _NULL_SPAN
         sp = Span(
-            name=name, kind=kind, seq=self._seq, t0=self._clock(),
+            name=name, kind=kind, seq=next(self._seq), t0=self._clock(),
             sim_seconds=sim_seconds, rank=rank, cpe=cpe, args=args,
         )
         sp._tracer = self  # type: ignore[attr-defined]
-        self._seq += 1
         for lis in self.listeners:
             open_cb = getattr(lis, "on_span_open", None)
             if open_cb is not None:
@@ -249,7 +254,7 @@ class Tracer:
 
     def clear(self) -> None:
         self.events.clear()
-        self._seq = 0
+        self._seq = itertools.count()
 
     def span_sequence(self, kinds: set[SpanKind] | None = None) -> list[tuple[str, str]]:
         """(kind value, name) pairs in *open* order — the golden-trace view."""

@@ -177,6 +177,7 @@ def run_profile(
             "dt_dyn": gc.dt_dyn, "tracer_ratio": gc.tracer_ratio,
             "cells": mesh.nc, "edges": mesh.ne,
             "stencil_backend": dycore.config.stencil_backend,
+            "stage_lanes": dycore.lanes,
         },
         "tracer": tracer,
         "n_spans": len(tracer),

@@ -1,6 +1,8 @@
 """Unit tests of the span tracer (repro.obs.trace)."""
 
 import json
+import sys
+import threading
 
 import pytest
 
@@ -61,6 +63,32 @@ class TestSpanRecording:
         t.clear()
         assert len(t) == 0
         assert t.span_sequence() == []
+
+    def test_seq_unique_across_threads(self):
+        """Threads sharing one tracer (serve's schedulers, a dycore
+        step's helper lane) each draw a distinct seq, even when the
+        interpreter switches threads between reading and bumping it."""
+        t = Tracer()
+        n_threads, n_spans = 4, 20_000
+
+        def emit():
+            for _ in range(n_spans):
+                with t.span("s", SpanKind.CHUNK):
+                    pass
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=emit) for _ in range(n_threads)]
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(th.is_alive() for th in threads)
+        seqs = sorted(s.seq for s in t.events)
+        assert seqs == list(range(n_threads * n_spans))
 
 
 class TestDisabledTracer:

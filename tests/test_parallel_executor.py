@@ -16,7 +16,8 @@ import threading
 import numpy as np
 import pytest
 
-from repro.dycore.solver import SSP_RK_SCHEDULE, DycoreConfig
+from repro.dycore import solver
+from repro.dycore.solver import SSP_RK_SCHEDULE, DycoreConfig, DynamicalCore
 from repro.dycore.state import baroclinic_wave_state
 from repro.dycore.stencil import BACKENDS
 from repro.dycore.vertical import VerticalCoordinate
@@ -226,6 +227,46 @@ class TestMidStepWorkerDeath:
             killer.cancel()
             killer.join(10)
             victim.kill()             # never leave it stopped
+
+
+def _os_threads() -> int | None:
+    """This process's OS thread count, as Linux reports it (what
+    Python 3.12's multi-threaded-fork warning reads); None elsewhere."""
+    try:
+        with open("/proc/self/stat") as fh:
+            return int(fh.read().rsplit(")", 1)[1].split()[17])
+    except OSError:
+        return None
+
+
+class TestForkAfterTwoLaneStep:
+    """A two-lane step's helper thread lives only inside
+    ``DynamicalCore.step``: after one, the process has the threads it had
+    before, so the rank executor and the ensemble runner fork no helper
+    thread and give their serial results."""
+
+    @pytest.mark.skipif(
+        len(os.sched_getaffinity(0)) < 2, reason="two lanes need two CPUs"
+    )
+    def test_forks_after_a_two_lane_step(self, mesh, vc, monkeypatch):
+        from repro.ensemble import EnsembleRunner
+        from tests.test_ensemble import SPPT_DIGEST
+
+        before = threading.active_count(), _os_threads()
+        monkeypatch.setattr(solver, "LANE_MIN_POINTS", 0)
+        core = DynamicalCore(mesh, vc, DycoreConfig(dt=600.0))
+        assert core.lanes == 2
+        core.step(baroclinic_wave_state(mesh, vc))
+        assert (threading.active_count(), _os_threads()) == before
+
+        for a, b in zip(_run(mesh, vc, workers=2), _run(mesh, vc, workers=1)):
+            assert np.array_equal(a, b)
+        res = EnsembleRunner(
+            scenario="tropical", n_members=3, level=2, nlev=6, steps=13,
+            physics_perturbation=0.2, workers=2,
+        ).run()
+        assert res.digest() == SPPT_DIGEST
+        assert threading.active_count() == before[0]
 
 
 class TestShmArena:
