@@ -1,118 +1,34 @@
 """swlint: static analyzers + runtime sanitizers for the substrate.
 
-The correctness-tooling layer, two rule families:
+The correctness-tooling layer: one program model, two rule families.
 
-* **SW001–SW007** — one offload plan at a time.  A kernel declares
-  *what* it touches (:class:`AccessSpec`); the static analyzer
-  (:class:`StaticAnalyzer`) checks an :class:`OffloadPlan` of such
-  loops against the paper's hard-won offloading rules (races,
-  ``nowait`` hazards, launch order, LDCache thrash, LDM budget,
-  precision demotion, halo reach); the runtime :class:`Sanitizer`
-  executes the loops chunk-by-chunk through the real job server and
-  stamps each suspected race CONFIRMED or FALSE_POSITIVE from the
-  observed per-chunk index sets.
+* **SW001–SW007** — one offload launch at a time.  A kernel declares
+  *what* it touches (:class:`~repro.analysis.access.AccessSpec`);
+  :class:`~repro.analysis.static.StaticAnalyzer` checks an
+  :class:`~repro.analysis.access.OffloadPlan` of such loops against the
+  paper's offloading rules (races, ``nowait`` hazards, launch order,
+  LDCache thrash, LDM budget, precision demotion, halo reach).
 * **RD001–RD005** — the whole parallel layer.  A
-  :class:`ParallelPlan` declares rank-step phases, exchange-plan index
-  sets, shared-arena extents and barriers; the
-  :class:`StaticRaceAnalyzer` checks the happens-before graph (races on
-  arena slots, halo read-before-recv, in-flight pack-buffer reuse,
-  missing stage barriers, order-sensitive reductions) and the
-  :class:`RaceSanitizer` replays the plan — or a real driver run via
-  :func:`sanitize_run` — to settle every verdict.
+  :class:`~repro.analysis.parallel_plan.ParallelPlan` declares
+  rank-step phases, exchange-plan index sets, shared-arena extents and
+  barriers; :func:`~repro.analysis.races.analyze_parallel_plan` checks
+  it (races on arena slots, halo read-before-recv, in-flight
+  pack-buffer reuse, missing stage barriers, order-sensitive
+  reductions).
 
-Both families share one core: one ordering relation
-(:class:`HappensBefore`) and one conflict pass
-(:func:`repro.analysis.races.unordered_conflicts`), called with
-declared indices by the static RD checker, with observed indices by the
-RD replay, and with one lane per executed chunk for SW001's verdict.
+Both families read one model: a ``ParallelPlan``, its ordering relation
+(``HappensBefore``) and one conflict pass
+(:func:`~repro.analysis.races.unordered_conflicts`).  An offload launch
+enters it through one view (``OffloadPlan.as_parallel_plan``: each loop
+two chunk ops on lanes of their own, barriers where OpenMP puts them),
+so SW001 and SW002 are readings of the same pass.  The sanitizers
+(:mod:`repro.analysis.sanitizer`) observe what really ran — executed
+chunks through the same view, or a replay of a plan's observed index
+sets — and one :func:`~repro.analysis.sanitizer.verify` stamps every
+verdict.  The known-bad plans of both families live in
+:mod:`repro.analysis.corpus`.
 
 ``repro lint`` (and ``--parallel``) drives both passes over the repo's
-annotated kernels, the real step plan, and the known-bad corpora.
+annotated kernels, the real step plan and the corpora
+(:mod:`repro.analysis.report`).
 """
-
-from repro.analysis.access import (
-    AccessSpec,
-    ArrayAccess,
-    IndexExpr,
-    IndexKind,
-    OffloadPlan,
-    PlannedLoop,
-    parse_index,
-)
-from repro.analysis.corpus import KNOWN_BAD_CORPUS, CorpusCase
-from repro.analysis.diagnostics import (
-    CONFIRMED,
-    FALSE_POSITIVE,
-    RULES,
-    Diagnostic,
-    Severity,
-    rank,
-)
-from repro.analysis.parallel_plan import (
-    DRIVER,
-    Access,
-    HappensBefore,
-    OpKind,
-    ParallelPlan,
-    PlanOp,
-)
-from repro.analysis.race_corpus import KNOWN_RACY_PLANS
-from repro.analysis.race_sanitizer import (
-    RaceEvent,
-    RaceReplay,
-    RaceSanitizer,
-    RunSanitizeReport,
-    sanitize_run,
-)
-from repro.analysis.races import (
-    StaticRaceAnalyzer,
-    analyze_parallel_plan,
-    build_step_plan,
-)
-from repro.analysis.report import LINT_SCHEMA_VERSION
-from repro.analysis.sanitizer import LoopObservation, Sanitizer, ShadowArray
-from repro.analysis.static import (
-    StaticAnalyzer,
-    analyze_plan,
-    plan_from_directives,
-)
-
-__all__ = [
-    "AccessSpec",
-    "ArrayAccess",
-    "IndexExpr",
-    "IndexKind",
-    "OffloadPlan",
-    "PlannedLoop",
-    "parse_index",
-    "KNOWN_BAD_CORPUS",
-    "CorpusCase",
-    "CONFIRMED",
-    "FALSE_POSITIVE",
-    "RULES",
-    "Diagnostic",
-    "Severity",
-    "rank",
-    "DRIVER",
-    "Access",
-    "HappensBefore",
-    "OpKind",
-    "ParallelPlan",
-    "PlanOp",
-    "KNOWN_RACY_PLANS",
-    "RaceEvent",
-    "RaceReplay",
-    "RaceSanitizer",
-    "RunSanitizeReport",
-    "sanitize_run",
-    "StaticRaceAnalyzer",
-    "analyze_parallel_plan",
-    "build_step_plan",
-    "LINT_SCHEMA_VERSION",
-    "LoopObservation",
-    "Sanitizer",
-    "ShadowArray",
-    "StaticAnalyzer",
-    "analyze_plan",
-    "plan_from_directives",
-]

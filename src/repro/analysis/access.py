@@ -24,6 +24,12 @@ GRIST's offloaded loops:
 These four shapes are enough to express every kernel in
 :mod:`repro.dycore.kernels` and every hazard in the paper's sections
 3.3.1/3.3.3/3.4.2.
+
+:meth:`OffloadPlan.as_parallel_plan` is the one place an offload launch
+becomes a :class:`~repro.analysis.parallel_plan.ParallelPlan`, so the
+SW race rules and the sanitizer's observed chunks go through the same
+conflict pass as the RD rules (:func:`chunk_plan`,
+:func:`loop_conflicts`).
 """
 
 from __future__ import annotations
@@ -31,6 +37,9 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from enum import Enum
+
+from repro.analysis.parallel_plan import Access, HappensBefore, OpKind, ParallelPlan, PlanOp
+from repro.analysis.races import unordered_conflicts
 
 
 class IndexKind(Enum):
@@ -154,27 +163,16 @@ class AccessSpec:
         return tuple(a for a in self.arrays if a.writes)
 
     @property
-    def read_names(self) -> set:
-        return {a.name for a in self.reads}
-
-    @property
-    def write_names(self) -> set:
-        return {a.name for a in self.writes}
-
-    def streamed_arrays(self) -> tuple:
+    def arrays_per_iteration(self) -> int:
         """Arrays walked once per iteration — the LDCache working set.
 
         GLOBAL accesses (whole-array reductions) stream too; every kind
         of per-iteration touch occupies cache ways.
         """
-        return self.arrays
-
-    @property
-    def arrays_per_iteration(self) -> int:
-        return len(self.streamed_arrays())
+        return len(self.arrays)
 
     def bytes_per_iteration(self) -> int:
-        return sum(a.bytes_per_elem for a in self.streamed_arrays())
+        return sum(a.bytes_per_elem for a in self.arrays)
 
 
 @dataclass(frozen=True)
@@ -218,8 +216,64 @@ class OffloadPlan:
     #: ``Subdomain.halo_rings``).
     halo_width: int = 1
 
-    def loop(self, name: str) -> PlannedLoop:
-        for lp in self.loops:
-            if lp.name == name:
-                return lp
-        raise KeyError(name)
+    def as_parallel_plan(self) -> ParallelPlan:
+        """The one view of this launch as a :class:`ParallelPlan`.
+
+        Each loop is two chunk ops on lanes of their own.  A ``LOCAL``
+        (``"i"``) access charges the chunk's own index, every other
+        index shape the whole array.  A loop without ``nowait`` ends in
+        a BARRIER, and so does a change of ``region`` (the end-target
+        barrier), so :func:`loop_conflicts` reads SW001 and SW002 off
+        the same conflict pass the RD rules use.
+        """
+        loops = []
+        for lp, nxt in zip(self.loops, self.loops[1:] + [None]):
+            chunks = [
+                [Access(a.name, a.mode, (c,) if a.expr.chunk_local else None)
+                 for a in lp.access.arrays]
+                for c in (0, 1)
+            ]
+            barrier = not lp.nowait or (nxt is not None and nxt.region != lp.region)
+            loops.append((lp.name, chunks, barrier))
+        return chunk_plan(self.name, loops)
+
+
+def chunk_plan(name: str, loops) -> ParallelPlan:
+    """Offload loops as a :class:`ParallelPlan`, one op per chunk.
+
+    ``loops`` lists ``(loop name, accesses of each chunk, ends in a
+    barrier)`` in program order.  Every chunk is a COMPUTE op named
+    ``loop#c`` on a lane of its own: chunks of one loop run
+    concurrently on the CPE array, and only barriers order loops.
+    :meth:`OffloadPlan.as_parallel_plan` feeds it declared chunks, the
+    sanitizer's :class:`~repro.analysis.sanitizer.LoopObservation` the
+    executed ones with their recorded index sets.
+    """
+    ops = []
+    for loop, chunks, barrier in loops:
+        ops += [
+            PlanOp(f"{loop}#{c}", OpKind.COMPUTE, lane=len(ops) + c, accesses=acc)
+            for c, acc in enumerate(chunks)
+        ]
+        if barrier:
+            ops.append(PlanOp(f"{loop}#end", OpKind.BARRIER))
+    return ParallelPlan(name=name, ops=ops)
+
+
+def loop_conflicts(view: ParallelPlan) -> dict:
+    """SW001 and SW002 read off the one conflict pass over a chunk view.
+
+    Returns ``{(first loop, later loop): {array: shared indices}}``: a
+    pair of one loop is a cross-chunk race (SW001), a pair of two loops
+    a dependence the missing barrier leaves unordered (SW002).  Shared
+    indices are empty where an access charges the whole array.
+    """
+    hb = HappensBefore(view)
+    out: dict = {}
+    for _, array, a, b, _, shared in unordered_conflicts(
+        view, hb, lambda acc: acc.indices
+    ):
+        first, later = sorted((a.name, b.name), key=hb.index.get)
+        pair = (first.rpartition("#")[0], later.rpartition("#")[0])
+        out.setdefault(pair, {}).setdefault(array, set()).update(shared or ())
+    return out

@@ -54,7 +54,6 @@ RULES: dict = {
 #: Sanitizer verdicts.
 CONFIRMED = "CONFIRMED"
 FALSE_POSITIVE = "FALSE_POSITIVE"
-UNVERIFIED = None
 
 
 @dataclass
@@ -69,7 +68,7 @@ class Diagnostic:
     severity: Severity | None = None     # defaults to the rule's severity
     details: dict = field(default_factory=dict)
     #: None until the sanitizer checks it; then CONFIRMED/FALSE_POSITIVE.
-    verdict: str | None = UNVERIFIED
+    verdict: str | None = None
 
     def __post_init__(self) -> None:
         if self.rule not in RULES:
@@ -101,14 +100,3 @@ def rank(diagnostics: list) -> list:
         diagnostics,
         key=lambda d: (-int(d.severity), d.rule, d.plan, d.loop, d.array),
     )
-
-
-def errors(diagnostics: list) -> list:
-    return [d for d in diagnostics if d.severity is Severity.ERROR]
-
-
-def by_rule(diagnostics: list) -> dict:
-    out: dict = {}
-    for d in diagnostics:
-        out.setdefault(d.rule, []).append(d)
-    return out

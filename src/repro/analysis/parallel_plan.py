@@ -1,10 +1,11 @@
-"""Declarative model of one parallel rank-step for race analysis.
+"""The one program model both analyzers read.
 
-A :class:`ParallelPlan` is to the RD race analyzer what an
-:class:`~repro.analysis.access.OffloadPlan` is to swlint: a declared
-description of *what runs where and in what order* that the static
-checker reasons over and the dynamic sanitizer replays.  It models one
-(or a few) timestep(s) of the parallel layer:
+A :class:`ParallelPlan` is a declared description of *what runs where
+and in what order* that the static checkers reason over and the
+sanitizers replay.  It models one (or a few) timestep(s) of the
+parallel layer, and an offload launch enters it through one view
+(:meth:`~repro.analysis.access.OffloadPlan.as_parallel_plan`, each
+chunk a COMPUTE op on a lane of its own):
 
 * **ops** (:class:`PlanOp`) — pack/unpack of a compiled exchange plan,
   a rank's tendency evaluation, the driver's RK apply, a barrier, a
@@ -134,14 +135,6 @@ class PlanOp:
     def __post_init__(self) -> None:
         object.__setattr__(self, "accesses", tuple(self.accesses))
 
-    @property
-    def reads(self) -> tuple:
-        return tuple(a for a in self.accesses if a.reads)
-
-    @property
-    def writes(self) -> tuple:
-        return tuple(a for a in self.accesses if a.writes)
-
 
 @dataclass
 class ParallelPlan:
@@ -237,7 +230,6 @@ class HappensBefore:
                     "schedule; the op list must be a topological order"
                 )
             preds[ib].append(ia)
-        self.preds = preds
         reach = [0] * n
         for i in range(n):
             m = 0

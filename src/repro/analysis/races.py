@@ -1,9 +1,16 @@
-"""Static happens-before race & determinism checker (RD001-RD005).
+"""The one conflict pass, and the RD001-RD005 checker built on it.
 
-Where swlint (SW rules) checks one offloaded loop nest, the RD family
-checks the *parallel layer*: a :class:`~repro.analysis.parallel_plan.
-ParallelPlan` of rank-step phases, compiled exchange-plan index sets,
-shared-arena slots and barriers.  The rules:
+:func:`unordered_conflicts` finds every pair of accesses that conflict
+with no happens-before path between their ops.  It is the core both
+rule families read: :func:`analyze_parallel_plan` with declared
+indices, the replay with observed ones, and the SW rules through the
+chunk view of an offload launch
+(:meth:`~repro.analysis.access.OffloadPlan.as_parallel_plan`).
+
+The RD family checks the *parallel layer*: a
+:class:`~repro.analysis.parallel_plan.ParallelPlan` of rank-step
+phases, compiled exchange-plan index sets, shared-arena slots and
+barriers.  The rules:
 
 * **RD001** — write-write conflict on overlapping arena slots: two ops
   write intersecting index sets of one resource (or byte-aliased arena
@@ -43,10 +50,6 @@ from repro.analysis.parallel_plan import (
 
 #: Tendency-slot component names, in :class:`_TendencySlot` field order.
 SLOT_COMPONENTS = ("ps", "u", "theta_mass", "flux_edge")
-
-
-def _pair_key(a: str, b: str, resource: str, rule: str) -> tuple:
-    return (rule, frozenset((a, b)), resource)
 
 
 def classify_conflict(writer: PlanOp, other: PlanOp, other_writes: bool) -> str:
@@ -113,270 +116,261 @@ def unordered_conflicts(plan: ParallelPlan, hb: HappensBefore, index_set):
         yield rule, resource, writer, other, o_writes, shared
 
 
-class StaticRaceAnalyzer:
+def analyze_parallel_plan(plan: ParallelPlan) -> list:
     """Run the full RD001-RD005 pass over a :class:`ParallelPlan`."""
+    hb = HappensBefore(plan)
+    seen: set = set()
+    by_res: dict = {}
+    for op in plan.ops:
+        for acc in op.accesses:
+            by_res.setdefault(acc.resource, []).append((op, acc))
+    return (
+        _check_conflicts(plan, hb, seen)
+        + _check_stale_halo(plan, hb, seen, by_res)
+        + _check_pack_reuse(plan, hb, seen, by_res)
+        + _check_reductions(plan)
+    )
 
-    def analyze(self, plan: ParallelPlan) -> list:
-        hb = HappensBefore(plan)
-        diags: list = []
-        seen: set = set()
-        diags += self._check_conflicts(plan, hb, seen)
-        diags += self._check_stale_halo(plan, hb, seen)
-        diags += self._check_pack_reuse(plan, hb, seen)
-        diags += self._check_reductions(plan)
-        return diags
 
-    @staticmethod
-    def _by_resource(plan: ParallelPlan) -> dict:
-        out: dict = {}
-        for op in plan.ops:
-            for acc in op.accesses:
-                out.setdefault(acc.resource, []).append((op, acc))
-        return out
+# -- unordered conflicts over declared indices (RD001-RD004) ----------
+def _check_conflicts(plan, hb, seen) -> list:
+    diags = []
+    for rule, resource, writer, other, other_writes, _ in unordered_conflicts(
+        plan, hb, lambda acc: acc.indices
+    ):
+        key = (rule, frozenset((writer.name, other.name)), resource)
+        if key in seen:
+            continue
+        seen.add(key)
+        diags.append(   # byte-aliased pairs come back on "ra~rb"
+            _alias_diag(plan, resource, writer, other)
+            if "~" in resource else
+            _conflict_diag(
+                plan, rule, resource, writer, other, other_writes
+            )
+        )
+    return diags
 
-    # -- unordered conflicts over declared indices (RD001-RD004) ----------
-    def _check_conflicts(self, plan, hb, seen) -> list:
-        diags = []
-        for rule, resource, writer, other, other_writes, _ in unordered_conflicts(
-            plan, hb, lambda acc: acc.indices
-        ):
-            key = _pair_key(writer.name, other.name, resource, rule)
+
+def _conflict_diag(plan, rule, resource, writer, other, other_writes):
+    what = {
+        "RD001": "both write it with no happens-before path",
+        "RD002": "the read can run before the unpack delivers "
+                 "the halo payload",
+        "RD003": "the pack can rewrite the zero-copy send buffer "
+                 "while the previous unpack still reads it",
+        "RD004": "the phases are dependent but unordered (missing "
+                 "inter-stage barrier)",
+    }[rule]
+    return Diagnostic(
+        rule=rule,
+        plan=plan.name,
+        loop=f"{writer.name}|{other.name}",
+        array=resource,
+        message=(
+            f"ops {writer.name!r} ({writer.kind.value}, lane "
+            f"{writer.lane}) and {other.name!r} ({other.kind.value}, "
+            f"lane {other.lane}) conflict on {resource!r}: {what}"
+        ),
+        details={
+            "ops": sorted((writer.name, other.name)),
+            "resource": resource,
+            "writer": writer.name,
+            "kinds": sorted((writer.kind.value, other.kind.value)),
+            "write_write": other_writes,
+            "fix": {
+                "RD001": "give each writer a private slot, or order "
+                         "them with a barrier/sync edge",
+                "RD002": "add a sync edge from the unpack to the "
+                         "consumer (complete the exchange first)",
+                "RD003": "double-buffer the pack buffer or delay the "
+                         "repack until the matching unpack drained it",
+                "RD004": "insert the inter-stage barrier (executor "
+                         "round) between the dependent phases",
+            }[rule],
+        },
+    )
+
+
+def _alias_diag(plan, resource, op_a, op_b):
+    ra, rb = resource.split("~")
+    oa, la = plan.arena[ra]
+    ob, lb = plan.arena[rb]
+    return Diagnostic(
+        rule="RD001",
+        plan=plan.name,
+        loop=f"{op_a.name}|{op_b.name}",
+        array=resource,
+        message=(
+            f"arena slots {ra!r} [{oa}:{oa + la}) and "
+            f"{rb!r} [{ob}:{ob + lb}) alias overlapping "
+            f"bytes and ops {op_a.name!r}/{op_b.name!r} "
+            "touch them unordered (at least one writes)"
+        ),
+        details={
+            "ops": sorted((op_a.name, op_b.name)),
+            "resource": resource,
+            "extents": {ra: [oa, la], rb: [ob, lb]},
+            "fix": "re-carve the arena so slots are "
+                   "disjoint (one take() per slot, no "
+                   "manual offsets)",
+        },
+    )
+
+
+# -- RD002: stale halo (no completed exchange before the read) --------
+def _check_stale_halo(plan, hb, seen, by_res) -> list:
+    diags = []
+    for resource, halo_idx in plan.halo_recv.items():
+        touches = by_res.get(resource, ())
+        writers = [
+            (op, acc) for op, acc in touches
+            if acc.writes and indices_intersect(acc.indices, halo_idx)
+        ]
+        for op_r, acc_r in touches:
+            if not acc_r.reads or op_r.kind is not OpKind.COMPUTE:
+                # Only stencil consumers (tendency/sponge rounds)
+                # need fresh halos.  Packs read the send (owned)
+                # set, and saves/applies merely transport base
+                # values that a later unpack refreshes before any
+                # compute reads them.
+                continue
+            if not indices_intersect(acc_r.indices, halo_idx):
+                continue
+            if any(
+                op_w.kind is OpKind.UNPACK
+                and not hb.ordered(op_w.name, op_r.name)
+                for op_w, _ in writers
+            ):
+                # An unpack exists but races the read: that is the
+                # pairwise RD002 conflict's territory, not a
+                # missing/overwritten exchange.
+                continue
+            before = [
+                (op_w, acc_w) for op_w, acc_w in writers
+                if op_w.name != op_r.name
+                and hb.before(op_w.name, op_r.name)
+            ]
+            # Maximal happens-before writers: not overwritten by a
+            # later happens-before writer.
+            maximal = [
+                (op_w, acc_w) for op_w, acc_w in before
+                if not any(
+                    hb.before(op_w.name, op_v.name)
+                    for op_v, _ in before
+                    if op_v.name != op_w.name
+                )
+            ]
+            stale = [op_w for op_w, _ in maximal
+                     if op_w.kind is not OpKind.UNPACK]
+            if before and not stale:
+                continue
+            key = ("RD002-stale", op_r.name, resource)
             if key in seen:
                 continue
             seen.add(key)
-            diags.append(   # byte-aliased pairs come back on "ra~rb"
-                self._alias_diag(plan, resource, writer, other)
-                if "~" in resource else
-                self._conflict_diag(
-                    plan, rule, resource, writer, other, other_writes
-                )
+            reason = (
+                f"the freshest happens-before writers "
+                f"({sorted(op.name for op in stale)!r}) are not "
+                "exchange unpacks — the halo is stale"
+                if before else
+                "no exchange unpack happens-before it at all"
             )
-        return diags
+            diags.append(Diagnostic(
+                rule="RD002",
+                plan=plan.name,
+                loop=op_r.name,
+                array=resource,
+                message=(
+                    f"op {op_r.name!r} reads halo indices of "
+                    f"{resource!r} but {reason}"
+                ),
+                details={
+                    "op": op_r.name,
+                    "resource": resource,
+                    "stale_writers": sorted(op.name for op in stale),
+                    "fix": "exchange (pack/send/recv/unpack) this "
+                           "field before the consuming phase",
+                },
+            ))
+    return diags
 
-    @staticmethod
-    def _conflict_diag(plan, rule, resource, writer, other, other_writes):
-        what = {
-            "RD001": "both write it with no happens-before path",
-            "RD002": "the read can run before the unpack delivers "
-                     "the halo payload",
-            "RD003": "the pack can rewrite the zero-copy send buffer "
-                     "while the previous unpack still reads it",
-            "RD004": "the phases are dependent but unordered (missing "
-                     "inter-stage barrier)",
-        }[rule]
-        return Diagnostic(
-            rule=rule,
-            plan=plan.name,
-            loop=f"{writer.name}|{other.name}",
-            array=resource,
-            message=(
-                f"ops {writer.name!r} ({writer.kind.value}, lane "
-                f"{writer.lane}) and {other.name!r} ({other.kind.value}, "
-                f"lane {other.lane}) conflict on {resource!r}: {what}"
-            ),
-            details={
-                "ops": sorted((writer.name, other.name)),
-                "resource": resource,
-                "writer": writer.name,
-                "kinds": sorted((writer.kind.value, other.kind.value)),
-                "write_write": other_writes,
-                "fix": {
-                    "RD001": "give each writer a private slot, or order "
-                             "them with a barrier/sync edge",
-                    "RD002": "add a sync edge from the unpack to the "
-                             "consumer (complete the exchange first)",
-                    "RD003": "double-buffer the pack buffer or delay the "
-                             "repack until the matching unpack drained it",
-                    "RD004": "insert the inter-stage barrier (executor "
-                             "round) between the dependent phases",
-                }[rule],
-            },
-        )
 
-    @staticmethod
-    def _alias_diag(plan, resource, op_a, op_b):
-        ra, rb = resource.split("~")
-        oa, la = plan.arena[ra]
-        ob, lb = plan.arena[rb]
-        return Diagnostic(
-            rule="RD001",
-            plan=plan.name,
-            loop=f"{op_a.name}|{op_b.name}",
-            array=resource,
-            message=(
-                f"arena slots {ra!r} [{oa}:{oa + la}) and "
-                f"{rb!r} [{ob}:{ob + lb}) alias overlapping "
-                f"bytes and ops {op_a.name!r}/{op_b.name!r} "
-                "touch them unordered (at least one writes)"
-            ),
-            details={
-                "ops": sorted((op_a.name, op_b.name)),
-                "resource": resource,
-                "extents": {ra: [oa, la], rb: [ob, lb]},
-                "fix": "re-carve the arena so slots are "
-                       "disjoint (one take() per slot, no "
-                       "manual offsets)",
-            },
-        )
-
-    # -- RD002: stale halo (no completed exchange before the read) --------
-    def _check_stale_halo(self, plan, hb, seen) -> list:
-        diags = []
-        by_res = self._by_resource(plan)
-        for resource, halo_idx in plan.halo_recv.items():
-            touches = by_res.get(resource, ())
-            writers = [
-                (op, acc) for op, acc in touches
-                if acc.writes and indices_intersect(acc.indices, halo_idx)
-            ]
-            for op_r, acc_r in touches:
-                if not acc_r.reads or op_r.kind is not OpKind.COMPUTE:
-                    # Only stencil consumers (tendency/sponge rounds)
-                    # need fresh halos.  Packs read the send (owned)
-                    # set, and saves/applies merely transport base
-                    # values that a later unpack refreshes before any
-                    # compute reads them.
-                    continue
-                if not indices_intersect(acc_r.indices, halo_idx):
-                    continue
-                if any(
-                    op_w.kind is OpKind.UNPACK
-                    and not hb.ordered(op_w.name, op_r.name)
-                    for op_w, _ in writers
-                ):
-                    # An unpack exists but races the read: that is the
-                    # pairwise RD002 conflict's territory, not a
-                    # missing/overwritten exchange.
-                    continue
-                before = [
-                    (op_w, acc_w) for op_w, acc_w in writers
-                    if op_w.name != op_r.name
-                    and hb.before(op_w.name, op_r.name)
-                ]
-                # Maximal happens-before writers: not overwritten by a
-                # later happens-before writer.
-                maximal = [
-                    (op_w, acc_w) for op_w, acc_w in before
-                    if not any(
-                        hb.before(op_w.name, op_v.name)
-                        for op_v, _ in before
-                        if op_v.name != op_w.name
-                    )
-                ]
-                stale = [op_w for op_w, _ in maximal
-                         if op_w.kind is not OpKind.UNPACK]
-                if before and not stale:
-                    continue
-                key = ("RD002-stale", op_r.name, resource)
+# -- RD003: pack overwrites a payload the unpack has not drained ------
+def _check_pack_reuse(plan, hb, seen, by_res) -> list:
+    diags = []
+    for resource, touches in by_res.items():
+        unpacks = [(op, acc) for op, acc in touches
+                   if op.kind is OpKind.UNPACK and acc.reads]
+        packs = [(op, acc) for op, acc in touches
+                 if op.kind is OpKind.PACK and acc.writes]
+        for op_u, _ in unpacks:
+            for op_p, _ in packs:
+                if op_p.epoch <= op_u.epoch:
+                    continue   # the producer or an earlier epoch
+                if hb.before(op_u.name, op_p.name):
+                    continue   # drained before the repack: safe
+                key = ("RD003", frozenset((op_u.name, op_p.name)), resource)
                 if key in seen:
                     continue
                 seen.add(key)
-                reason = (
-                    f"the freshest happens-before writers "
-                    f"({sorted(op.name for op in stale)!r}) are not "
-                    "exchange unpacks — the halo is stale"
-                    if before else
-                    "no exchange unpack happens-before it at all"
-                )
                 diags.append(Diagnostic(
-                    rule="RD002",
+                    rule="RD003",
                     plan=plan.name,
-                    loop=op_r.name,
+                    loop=f"{op_p.name}|{op_u.name}",
                     array=resource,
                     message=(
-                        f"op {op_r.name!r} reads halo indices of "
-                        f"{resource!r} but {reason}"
+                        f"pack {op_p.name!r} (epoch {op_p.epoch}) "
+                        f"rewrites {resource!r} before unpack "
+                        f"{op_u.name!r} (epoch {op_u.epoch}) drains "
+                        "the in-flight zero-copy payload"
                     ),
                     details={
-                        "op": op_r.name,
+                        "ops": sorted((op_p.name, op_u.name)),
                         "resource": resource,
-                        "stale_writers": sorted(op.name for op in stale),
-                        "fix": "exchange (pack/send/recv/unpack) this "
-                               "field before the consuming phase",
+                        "pack_epoch": op_p.epoch,
+                        "unpack_epoch": op_u.epoch,
+                        "fix": "order the repack after the matching "
+                               "unpack, or double-buffer",
                     },
                 ))
-        return diags
-
-    # -- RD003: pack overwrites a payload the unpack has not drained ------
-    def _check_pack_reuse(self, plan, hb, seen) -> list:
-        diags = []
-        by_res = self._by_resource(plan)
-        for resource, touches in by_res.items():
-            unpacks = [(op, acc) for op, acc in touches
-                       if op.kind is OpKind.UNPACK and acc.reads]
-            packs = [(op, acc) for op, acc in touches
-                     if op.kind is OpKind.PACK and acc.writes]
-            for op_u, _ in unpacks:
-                for op_p, _ in packs:
-                    if op_p.epoch <= op_u.epoch:
-                        continue   # the producer or an earlier epoch
-                    if hb.before(op_u.name, op_p.name):
-                        continue   # drained before the repack: safe
-                    key = _pair_key(op_u.name, op_p.name, resource, "RD003")
-                    if key in seen:
-                        continue
-                    seen.add(key)
-                    diags.append(Diagnostic(
-                        rule="RD003",
-                        plan=plan.name,
-                        loop=f"{op_p.name}|{op_u.name}",
-                        array=resource,
-                        message=(
-                            f"pack {op_p.name!r} (epoch {op_p.epoch}) "
-                            f"rewrites {resource!r} before unpack "
-                            f"{op_u.name!r} (epoch {op_u.epoch}) drains "
-                            "the in-flight zero-copy payload"
-                        ),
-                        details={
-                            "ops": sorted((op_p.name, op_u.name)),
-                            "resource": resource,
-                            "pack_epoch": op_p.epoch,
-                            "unpack_epoch": op_u.epoch,
-                            "fix": "order the repack after the matching "
-                                   "unpack, or double-buffer",
-                        },
-                    ))
-        return diags
-
-    # -- RD005: order-sensitive ops without a tolerance contract ----------
-    def _check_reductions(self, plan) -> list:
-        """Any op *declared* order-sensitive — a collective reduction, or
-        a compute pass whose scatter-accumulate order changes under
-        renumbering — must carry an explicit tolerance contract."""
-        diags = []
-        for op in plan.ops:
-            if op.kind not in (OpKind.REDUCE, OpKind.COMPUTE):
-                continue
-            if not op.order_sensitive or op.tolerance is not None:
-                continue
-            what = (
-                "reduction" if op.kind is OpKind.REDUCE
-                else "compute pass"
-            )
-            diags.append(Diagnostic(
-                rule="RD005",
-                plan=plan.name,
-                loop=op.name,
-                array=",".join(a.resource for a in op.accesses),
-                message=(
-                    f"{what} {op.name!r} is order-sensitive (float "
-                    "summation order differs across rank counts or mesh "
-                    "renumberings) but declares no tolerance contract — "
-                    "results are not reproducible across decompositions"
-                ),
-                details={
-                    "op": op.name,
-                    "fix": "declare tolerance=... (the explicit contract) "
-                           "or use an order-invariant evaluation "
-                           "(reference backend / fixed-order summation)",
-                },
-            ))
-        return diags
+    return diags
 
 
-def analyze_parallel_plan(plan: ParallelPlan) -> list:
-    """Convenience one-shot: ``StaticRaceAnalyzer().analyze(plan)``."""
-    return StaticRaceAnalyzer().analyze(plan)
+# -- RD005: order-sensitive ops without a tolerance contract ----------
+def _check_reductions(plan) -> list:
+    """Any op *declared* order-sensitive — a collective reduction, or
+    a compute pass whose scatter-accumulate order changes under
+    renumbering — must carry an explicit tolerance contract."""
+    diags = []
+    for op in plan.ops:
+        if op.kind not in (OpKind.REDUCE, OpKind.COMPUTE):
+            continue
+        if not op.order_sensitive or op.tolerance is not None:
+            continue
+        what = (
+            "reduction" if op.kind is OpKind.REDUCE
+            else "compute pass"
+        )
+        diags.append(Diagnostic(
+            rule="RD005",
+            plan=plan.name,
+            loop=op.name,
+            array=",".join(a.resource for a in op.accesses),
+            message=(
+                f"{what} {op.name!r} is order-sensitive (float "
+                "summation order differs across rank counts or mesh "
+                "renumberings) but declares no tolerance contract — "
+                "results are not reproducible across decompositions"
+            ),
+            details={
+                "op": op.name,
+                "fix": "declare tolerance=... (the explicit contract) "
+                       "or use an order-invariant evaluation "
+                       "(reference backend / fixed-order summation)",
+            },
+        ))
+    return diags
 
 
 # ---------------------------------------------------------------------------
@@ -384,8 +378,9 @@ def analyze_parallel_plan(plan: ParallelPlan) -> list:
 # ---------------------------------------------------------------------------
 # What each driver phase reads and writes is stated here once;
 # :func:`build_step_plan` (declared, from the schedule table) and
-# :meth:`repro.analysis.race_sanitizer.RunObserver.to_plan` (observed,
+# :meth:`repro.analysis.sanitizer.RunObserver.to_plan` (observed,
 # from the span stream) both assemble their plans from these.
+
 
 def _rank_fields(rank: int, fields, mode: str) -> list:
     return [Access(f"rank{rank}.{f}", mode=mode) for f in fields]

@@ -11,9 +11,10 @@ Sections:
   :data:`repro.analysis.corpus.KNOWN_BAD_CORPUS`; every case must keep
   producing its expected rule IDs, and runnable cases get their
   diagnostics verified by the sanitizer (CONFIRMED / FALSE_POSITIVE);
+  both corpora go through one loop, :func:`lint_cases`;
 * **parallel** (``--parallel``) — the RD race & determinism pass: the
   step plan of a real (tiny) :class:`DistributedDycore` must analyze
-  clean, every :data:`repro.analysis.race_corpus.KNOWN_RACY_PLANS` case
+  clean, every :data:`repro.analysis.corpus.KNOWN_RACY_PLANS` case
   must keep its expected rules and replay verdict, and a one-step
   ``workers=2`` run is dynamically sanitized through the observed span
   stream.
@@ -26,11 +27,14 @@ order), so CI can diff reports across runs byte for byte.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 from repro.analysis.access import OffloadPlan, PlannedLoop
-from repro.analysis.corpus import KNOWN_BAD_CORPUS
-from repro.analysis.diagnostics import CONFIRMED, FALSE_POSITIVE, Severity, rank
-from repro.analysis.sanitizer import Sanitizer
-from repro.analysis.static import StaticAnalyzer, analyze_plan
+from repro.analysis.corpus import KNOWN_BAD_CORPUS, KNOWN_RACY_PLANS
+from repro.analysis.diagnostics import CONFIRMED, FALSE_POSITIVE, Diagnostic, Severity, rank
+from repro.analysis.races import analyze_parallel_plan
+from repro.analysis.sanitizer import RaceReplay, Sanitizer, sanitize_run, verify
+from repro.analysis.static import analyze_plan
 from repro.sunway.allocator import PoolAllocator
 
 #: Version of the ``repro lint --json`` document layout.  Bump on any
@@ -50,7 +54,6 @@ def partition_halo_width(level: int = 2, nparts: int = 4) -> int:
 def build_kernel_plan(
     n_iters: int = 100_000,
     distribute_addresses: bool = True,
-    halo_width: int | None = None,
 ) -> OffloadPlan:
     """One offload plan covering every annotated registered kernel.
 
@@ -74,51 +77,42 @@ def build_kernel_plan(
             bases[key] = alloc.malloc(n_iters * acc.bytes_per_elem, key)
         # Namespace the array names per kernel so unrelated kernels do
         # not alias in the base-address table.
-        ns_access = spec.access.__class__(
-            arrays=tuple(
-                acc.__class__(
-                    name=f"{name}.{acc.name}", mode=acc.mode, index=acc.index,
-                    bytes_per_elem=acc.bytes_per_elem, term=acc.term,
-                )
-                for acc in spec.access.arrays
-            ),
-            loop_var=spec.access.loop_var,
-        )
+        ns_access = replace(spec.access, arrays=tuple(
+            replace(acc, name=f"{name}.{acc.name}") for acc in spec.access.arrays
+        ))
         loops.append(PlannedLoop(
             name=name,
             access=ns_access,
             n_iters=n_iters,
             ldm_staged=spec.ldm_staged,
         ))
-    if halo_width is None:
-        halo_width = partition_halo_width()
     return OffloadPlan(
         loops=loops, name="registered_kernels",
-        array_bases=bases, halo_width=halo_width,
+        array_bases=bases, halo_width=partition_halo_width(),
     )
 
 
-def lint_kernels(analyzer: StaticAnalyzer | None = None) -> list:
-    analyzer = analyzer or StaticAnalyzer()
-    return analyzer.analyze(build_kernel_plan())
+def lint_kernels() -> list:
+    return analyze_plan(build_kernel_plan())
 
 
-def lint_cases(cases, analyze, verify) -> list:
-    """The one corpus loop: one result dict per :class:`CorpusCase`.
+def lint_cases(cases, analyze, observe) -> dict:
+    """The one corpus loop: a section with one result per :class:`CorpusCase`.
 
     ``analyze(built)`` returns the static diagnostics of whatever the
-    case's factory built; ``verify(built, diags)`` (``None`` = static
-    only) stamps their verdicts, and a case that pins an
-    ``expect_verdict`` then needs it on every expected rule.
+    case's factory built; ``observe(built)`` (``None`` = static only)
+    returns the ``(events, covered)`` :func:`verify` stamps their
+    verdicts from, and a case that pins an ``expect_verdict`` then
+    needs it on every expected rule.
     """
     results = []
     for case in cases:
         built = case.build()
         diags = analyze(built)
-        if verify is not None:
-            verify(built, diags)
+        if observe is not None:
+            verify(diags, *observe(built))
         found = {d.rule for d in diags}
-        pinned = verify is not None and case.expect_verdict is not None
+        pinned = observe is not None and case.expect_verdict is not None
         result = {
             "name": case.name,
             "expected_rules": sorted(case.expect_rules),
@@ -134,17 +128,8 @@ def lint_cases(cases, analyze, verify) -> list:
         if case.expect_verdict is None:   # no pin, no key (the SW corpus)
             del result["expected_verdict"]
         results.append(result)
-    return results
-
-
-def _verify_offload(built, diags) -> None:
-    plan, arrays = built
-    if plan.server_initialized:
-        Sanitizer(n_cpes=64).verify(plan, arrays, diags)
-    elif any(d.rule == "SW003" for d in diags):
-        # The launch-order case has nothing runnable, but the
-        # runtime condition itself is checkable.
-        Sanitizer(n_cpes=8).verify(plan, arrays, diags)
+    return {"cases": results,
+            "all_expected_found": all(c["ok"] for c in results)}
 
 
 def lint_parallel(sanitize: bool = True, workers: int = 2) -> dict:
@@ -154,9 +139,6 @@ def lint_parallel(sanitize: bool = True, workers: int = 2) -> dict:
     statically, and when ``sanitize`` a one-step run must replay clean
     through the observed span stream.
     """
-    from repro.analysis.race_corpus import KNOWN_RACY_PLANS
-    from repro.analysis.race_sanitizer import RaceSanitizer, sanitize_run
-    from repro.analysis.races import analyze_parallel_plan
     from repro.dycore.solver import DycoreConfig
     from repro.dycore.state import baroclinic_wave_state
     from repro.dycore.vertical import VerticalCoordinate
@@ -181,9 +163,8 @@ def lint_parallel(sanitize: bool = True, workers: int = 2) -> dict:
         driver.close()
     corpus = lint_cases(
         KNOWN_RACY_PLANS.values(), analyze_parallel_plan,
-        RaceSanitizer().verify if sanitize else None,
+        (lambda plan: RaceReplay(plan).observe()) if sanitize else None,
     )
-    corpus_ok = all(c["ok"] for c in corpus)
     plan_errors = [d for d in plan_diags if d.severity is Severity.ERROR]
     run_clean = run_report is None or run_report["clean"]
     return {
@@ -194,9 +175,9 @@ def lint_parallel(sanitize: bool = True, workers: int = 2) -> dict:
             "diagnostics": plan_diags,
             "n_error": len(plan_errors),
         },
-        "race_corpus": {"cases": corpus, "all_expected_found": corpus_ok},
+        "race_corpus": corpus,
         "dynamic_run": run_report,
-        "ok": not plan_errors and corpus_ok and run_clean,
+        "ok": not plan_errors and corpus["all_expected_found"] and run_clean,
     }
 
 
@@ -205,9 +186,9 @@ def lint_all(sanitize: bool = True, parallel: bool = False) -> dict:
     kernel_diags = rank(lint_kernels())
     corpus = lint_cases(
         KNOWN_BAD_CORPUS.values(), lambda built: analyze_plan(built[0]),
-        _verify_offload if sanitize else None,
+        (lambda built: Sanitizer().observe(*built)) if sanitize else None,
     )
-    all_diags = kernel_diags + [d for c in corpus for d in c["diagnostics"]]
+    all_diags = kernel_diags + [d for c in corpus["cases"] for d in c["diagnostics"]]
     par = lint_parallel(sanitize=sanitize) if parallel else None
     if par is not None:
         all_diags = all_diags + par["step_plan"]["diagnostics"] + [
@@ -216,13 +197,12 @@ def lint_all(sanitize: bool = True, parallel: bool = False) -> dict:
     confirmed = sum(1 for d in all_diags if d.verdict == CONFIRMED)
     false_pos = sum(1 for d in all_diags if d.verdict == FALSE_POSITIVE)
     kernel_errors = [d for d in kernel_diags if d.severity is Severity.ERROR]
-    corpus_ok = all(c["ok"] for c in corpus)
     result = {
         "kernels": {
             "diagnostics": kernel_diags,
             "n_error": len(kernel_errors),
         },
-        "corpus": {"cases": corpus, "all_expected_found": corpus_ok},
+        "corpus": corpus,
         "summary": {
             "diagnostics": len(all_diags),
             "errors": sum(1 for d in all_diags if d.severity is Severity.ERROR),
@@ -230,7 +210,7 @@ def lint_all(sanitize: bool = True, parallel: bool = False) -> dict:
             "info": sum(1 for d in all_diags if d.severity is Severity.INFO),
             "confirmed": confirmed,
             "false_positives": false_pos,
-            "strict_ok": not kernel_errors and corpus_ok
+            "strict_ok": not kernel_errors and corpus["all_expected_found"]
             and (par is None or par["ok"]),
         },
     }
@@ -239,45 +219,20 @@ def lint_all(sanitize: bool = True, parallel: bool = False) -> dict:
     return result
 
 
-def _corpus_json(section: dict) -> dict:
-    return {
-        "cases": [
-            {**c, "diagnostics": [d.to_dict() for d in c["diagnostics"]]}
-            for c in section["cases"]
-        ],
-        "all_expected_found": section["all_expected_found"],
-    }
-
-
 def to_json(result: dict) -> dict:
     """JSON-serialisable copy of a :func:`lint_all` result.
 
     Carries ``schema_version`` and preserves the deterministic ordering
     (rank-sorted diagnostics, fixed case order) so CI diffs are stable.
     """
-    out = {
-        "schema_version": LINT_SCHEMA_VERSION,
-        "kernels": {
-            "diagnostics": [d.to_dict() for d in result["kernels"]["diagnostics"]],
-            "n_error": result["kernels"]["n_error"],
-        },
-        "corpus": _corpus_json(result["corpus"]),
-        "summary": result["summary"],
-    }
-    if "parallel" in result:
-        par = result["parallel"]
-        out["parallel"] = {
-            "step_plan": {
-                **par["step_plan"],
-                "diagnostics": [
-                    d.to_dict() for d in par["step_plan"]["diagnostics"]
-                ],
-            },
-            "race_corpus": _corpus_json(par["race_corpus"]),
-            "dynamic_run": par["dynamic_run"],
-            "ok": par["ok"],
-        }
-    return out
+    def plain(x):
+        if isinstance(x, Diagnostic):
+            return x.to_dict()
+        if isinstance(x, dict):
+            return {k: plain(v) for k, v in x.items()}
+        return [plain(v) for v in x] if isinstance(x, list) else x
+
+    return {"schema_version": LINT_SCHEMA_VERSION, **plain(result)}
 
 
 def _fmt_diag(d) -> str:
@@ -300,14 +255,17 @@ def _corpus_lines(title: str, section: dict, missing: str) -> list:
     return lines
 
 
+def _plan_lines(header: str, diags: list, clean: str) -> list:
+    return [header] + ([_fmt_diag(d) for d in diags] or [f"  clean: {clean}"])
+
+
 def render_human(result: dict) -> str:
     """Severity-ranked human report."""
-    lines = []
     k = result["kernels"]
-    lines.append(f"== registered kernels ({k['n_error']} error(s)) ==")
-    if not k["diagnostics"]:
-        lines.append("  clean: no diagnostics")
-    lines.extend(_fmt_diag(d) for d in k["diagnostics"])
+    lines = _plan_lines(
+        f"== registered kernels ({k['n_error']} error(s)) ==",
+        k["diagnostics"], "no diagnostics",
+    )
     lines.append("")
     lines += _corpus_lines(
         "known-bad corpus", result["corpus"], "MISSING EXPECTED RULES"
@@ -316,13 +274,11 @@ def render_human(result: dict) -> str:
         par = result["parallel"]
         sp = par["step_plan"]
         lines.append("")
-        lines.append(
+        lines += _plan_lines(
             f"== parallel step plan ({sp['workers']} worker(s), "
-            f"{sp['ops']} ops, {sp['n_error']} error(s)) =="
+            f"{sp['ops']} ops, {sp['n_error']} error(s)) ==",
+            sp["diagnostics"], "no RD diagnostics",
         )
-        if not sp["diagnostics"]:
-            lines.append("  clean: no RD diagnostics")
-        lines.extend(_fmt_diag(d) for d in sp["diagnostics"])
         lines.append("")
         lines += _corpus_lines(
             "known-racy corpus", par["race_corpus"],

@@ -1,19 +1,33 @@
-"""Runtime sanitizer: execute a plan's loops and verify static verdicts.
+"""Runtime sanitizers: observe what really ran and stamp the verdicts.
 
-The static analyzer can only *suspect* a cross-chunk race (an indirect
-scatter might happen to be disjoint).  The sanitizer settles it: it runs
-each loop's body chunk-by-chunk through the real
-:class:`~repro.sunway.swgomp.JobServer`, with every array wrapped in a
-lightweight :class:`ShadowArray` that records the per-chunk read/write
-index sets.  Chunk boundaries come from the runtime's own trace stream:
-the sanitizer subscribes to the job server's CHUNK spans
-(:mod:`repro.obs.trace`), so it brackets exactly what the tracer says
-executed.  Two chunks writing the same element — or one writing what
-another reads — is an *observed* race, found by the RD analyzer's
-conflict pass (:func:`repro.analysis.races.unordered_conflicts`) with
-one lane per executed chunk; a suspected race with disjoint observed
-sets is a false positive.  :func:`verify` stamps each diagnostic's ``verdict``
-accordingly, closing the static/dynamic feedback loop.
+The static passes can only *suspect* a hazard: an indirect scatter
+might happen to be disjoint, a conservatively declared whole-array
+write might touch half the array.  This module observes, in two ways,
+and :func:`verify` — the one verdict stamper — marks each diagnostic
+``CONFIRMED`` when an observed :class:`RaceEvent` has its identity
+(rule, op set, resource) and ``FALSE_POSITIVE`` when the run could
+have observed it but did not.
+
+* **Offload launches** (:class:`Sanitizer`): each runnable loop body
+  runs chunk by chunk through the real
+  :class:`~repro.sunway.swgomp.JobServer`, with every array wrapped in
+  a :class:`ShadowArray` that records per-chunk read/write index sets.
+  Chunks are bracketed by the job server's CHUNK spans
+  (:mod:`repro.obs.trace`).  The executed chunks go through the same
+  view the static pass uses (:func:`~repro.analysis.access.chunk_plan`)
+  and the same conflict pass, so an observed SW001 race is two chunks
+  touching one element, at least one writing.  SW003 is observed by
+  launching on a cold job server, SW006 from the live dtypes.
+* **The parallel layer** (:class:`RaceReplay`): the RD conflict pass
+  over a :class:`ParallelPlan`'s observed index sets
+  (:meth:`Access.runtime_indices`), then one walk of the schedule for
+  the checks that need state: halo freshness (RD002), pack-buffer
+  content epochs (RD003, even when fully ordered) and both-ways
+  reduction evaluation (RD005).  :func:`sanitize_run` rebuilds the
+  observed plan of a **real**
+  :class:`~repro.parallel.driver.DistributedDycore` run from its span
+  stream, out of the declared step plan's own op constructors, and
+  replays it; a chaos-free ``workers=2`` run must replay clean.
 """
 
 from __future__ import annotations
@@ -22,17 +36,19 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.analysis.access import OffloadPlan, PlannedLoop
+from repro.analysis.access import OffloadPlan, PlannedLoop, chunk_plan, loop_conflicts
 from repro.analysis.diagnostics import CONFIRMED, FALSE_POSITIVE
-from repro.analysis.parallel_plan import (
-    Access,
-    HappensBefore,
-    OpKind,
-    ParallelPlan,
-    PlanOp,
+from repro.analysis.parallel_plan import Access, HappensBefore, OpKind, ParallelPlan
+from repro.analysis.races import (
+    apply_op,
+    driver_plan,
+    pack_op,
+    round_ops,
+    save_op,
+    unordered_conflicts,
+    unpack_op,
 )
-from repro.analysis.races import unordered_conflicts
-from repro.obs import SpanKind, Tracer
+from repro.obs import SpanKind, Tracer, set_tracer
 from repro.precision.policy import is_sensitive
 from repro.sunway.arch import CoreGroup
 from repro.sunway.swgomp import JobServer, SWGOMPError, TargetRegion
@@ -42,15 +58,13 @@ def _flat_indices(key, length: int) -> np.ndarray:
     """Normalise a first-axis index key to a flat int64 index array."""
     if isinstance(key, tuple):
         key = key[0] if key else slice(None)
-    if isinstance(key, (int, np.integer)):
-        k = int(key)
-        return np.array([k % length if k < 0 else k], dtype=np.int64)
     if isinstance(key, slice):
         return np.arange(*key.indices(length), dtype=np.int64)
-    arr = np.asarray(key)
-    if arr.dtype == bool:
-        return np.nonzero(arr.ravel())[0].astype(np.int64)
-    return arr.ravel().astype(np.int64)
+    flat = np.asarray(key).ravel()
+    if flat.dtype == bool:
+        return np.nonzero(flat)[0].astype(np.int64)
+    flat = flat.astype(np.int64)
+    return np.where(flat < 0, flat + length, flat)   # NumPy's wrap-around
 
 
 class ShadowArray:
@@ -80,7 +94,9 @@ class ShadowArray:
 
     def __array__(self, dtype=None, copy=None):
         self._recorder.record_read(self.name, np.arange(len(self.data)))
-        return np.asarray(self.data, dtype=dtype)
+        if copy is None:    # NumPy < 2 never passes ``copy``
+            return np.asarray(self.data, dtype=dtype)
+        return np.asarray(self.data, dtype=dtype, copy=copy)
 
     def __getitem__(self, key):
         self._recorder.record_read(self.name, _flat_indices(key, len(self.data)))
@@ -100,6 +116,14 @@ class ChunkLog:
     end: int
     reads: dict = field(default_factory=dict)     # name -> set[int]
     writes: dict = field(default_factory=dict)
+
+    def accesses(self) -> list:
+        """The recorded touches as plan accesses, one per array and mode."""
+        return [
+            Access(name, mode, list(idx))
+            for mode, touched in (("r", self.reads), ("w", self.writes))
+            for name, idx in touched.items()
+        ]
 
 
 class _Recorder:
@@ -147,36 +171,80 @@ class LoopObservation:
     loop: str
     chunks: list
 
-    def race_indices(self, name: str) -> set:
-        """Elements of ``name`` two chunks touch, at least one writing.
+    def races(self) -> dict:
+        """``{array: elements}`` two chunks touch, at least one writing.
 
-        The chunks of one loop run concurrently on the CPE array, so each
-        is one op on a lane of its own — no barrier, no edge — and the
-        RD conflict pass over the observed index sets does the rest.
+        The chunks of one loop run concurrently on the CPE array: the
+        loop's view (:func:`~repro.analysis.access.chunk_plan`) puts each
+        on a lane of its own with no barrier, and the one conflict pass
+        over the recorded index sets does the rest.
         """
-        plan = ParallelPlan(name=self.loop, ops=[
-            PlanOp(name=f"chunk{c}", kind=OpKind.COMPUTE, lane=c, accesses=[
-                Access(name, mode=mode, indices=sorted(touched.get(name, ())))
-                for mode, touched in (("r", log.reads), ("w", log.writes))
-            ])
-            for c, log in enumerate(self.chunks)
+        view = chunk_plan(self.loop, [
+            (self.loop, [log.accesses() for log in self.chunks], False)
         ])
-        races: set = set()
-        for *_, shared in unordered_conflicts(
-            plan, HappensBefore(plan), lambda acc: acc.indices
-        ):
-            races |= shared
-        return races
+        return loop_conflicts(view).get((self.loop, self.loop), {})
+
+    def race_indices(self, name: str) -> set:
+        """Elements of ``name`` two chunks touch, at least one writing."""
+        return self.races().get(name, set())
+
+
+@dataclass(frozen=True)
+class RaceEvent:
+    """One observed hazard, identified like the diagnostic it confirms."""
+
+    rule: str
+    ops: frozenset          # one or two op (or loop) names
+    resource: str
+    detail: str = ""
+    indices: frozenset = frozenset()    # SW001: the elements raced on
+
+
+def _identity(d) -> tuple:
+    """The op set and candidate resources a diagnostic names."""
+    det = d.details
+    if "ops" in det:
+        return frozenset(det["ops"]), (det["resource"],)
+    if "op" in det:
+        return frozenset((det["op"],)), (det.get("resource"), d.array)
+    return frozenset((d.loop,)), (d.array,)
+
+
+def verify(diagnostics: list, events: list, covered) -> list:
+    """Stamp verdicts onto ``diagnostics`` from observed ``events``.
+
+    The one verdict stamper of both rule families.  A diagnostic the
+    observation ``covered`` is CONFIRMED when an event has its rule,
+    op set and resource, and FALSE_POSITIVE otherwise; the rest keep
+    their ``None`` verdict (statically suspected, dynamically
+    unchecked).  SW001 verdicts record the observed race indices, RD
+    verdicts the number of events the replay observed.
+    """
+    seen = {(ev.rule, ev.ops, ev.resource): ev for ev in events}
+    for d in diagnostics:
+        if not covered(d):
+            continue
+        ops, resources = _identity(d)
+        hit = next(
+            (seen[k] for k in ((d.rule, ops, r) for r in resources) if k in seen),
+            None,
+        )
+        d.verdict = FALSE_POSITIVE if hit is None else CONFIRMED
+        if d.rule == "SW001":
+            races = sorted(hit.indices) if hit else []
+            d.details["observed_race_indices"] = races[:16]
+            d.details["observed_race_count"] = len(races)
+        elif d.rule.startswith("RD"):
+            d.details["observed_events"] = len(events)
+    return diagnostics
 
 
 class Sanitizer:
     """Execute a plan's runnable loops on the simulated CPE array."""
 
-    def __init__(self, n_cpes: int = 64, server: JobServer | None = None):
-        if server is None:
-            server = JobServer(CoreGroup(n_cpes=n_cpes))
-            server.init_from_mpe()
-        self.server = server
+    def __init__(self, n_cpes: int = 64):
+        self.server = JobServer(CoreGroup(n_cpes=n_cpes))
+        self.server.init_from_mpe()
 
     def run_loop(self, lp: PlannedLoop, arrays: dict) -> LoopObservation:
         """Run one loop body chunk-by-chunk, recording access sets."""
@@ -211,52 +279,261 @@ class Sanitizer:
             if lp.body is not None
         }
 
-    # -- verdict stamping --------------------------------------------------
-    def verify(self, plan: OffloadPlan, arrays: dict, diagnostics: list) -> list:
-        """Stamp CONFIRMED/FALSE_POSITIVE verdicts onto ``diagnostics``.
+    def observe(self, plan: OffloadPlan, arrays: dict) -> tuple:
+        """Run ``plan``'s runnable loops; return ``(events, covered)``.
 
-        * SW001 — confirmed iff the observed per-chunk index sets of the
-          flagged array actually overlap across chunks;
-        * SW003 — confirmed by attempting the launch on an uninitialised
-          job server and catching :class:`SWGOMPError`;
-        * SW006 — confirmed iff the live array really is narrower than
-          float64 for a sensitive term.
-
-        Diagnostics for loops without a runnable body keep a ``None``
-        verdict (statically suspected, dynamically unchecked).
+        The events come from three sources: each executed loop's chunk
+        view (SW001), a launch on a cold job server (SW003) and the live
+        dtypes of ``arrays`` (SW006).  ``covered`` tells :func:`verify`
+        which diagnostics they settle: SW001 of a loop that ran, SW003,
+        and SW006 of an array passed in.
         """
-        observations = self.run_plan(plan, arrays)
-        for d in diagnostics:
-            if d.rule == "SW001":
-                obs = observations.get(d.loop)
-                if obs is None:
-                    continue
-                races = obs.race_indices(d.array)
-                d.verdict = CONFIRMED if races else FALSE_POSITIVE
-                d.details["observed_race_indices"] = sorted(races)[:16]
-                d.details["observed_race_count"] = len(races)
-            elif d.rule == "SW003":
-                d.verdict = (
-                    CONFIRMED if self._confirm_uninitialised_launch()
-                    else FALSE_POSITIVE
-                )
-            elif d.rule == "SW006":
-                arr = arrays.get(d.array)
-                if arr is None:
-                    continue
-                demoted = np.asarray(arr).dtype.itemsize < 8
-                d.verdict = (
-                    CONFIRMED
-                    if demoted and is_sensitive(d.details.get("term", ""))
-                    else FALSE_POSITIVE
-                )
-        return diagnostics
+        runs = self.run_plan(plan, arrays)
+        events = [
+            RaceEvent("SW001", frozenset((name,)), array, indices=frozenset(idx))
+            for name, obs in runs.items() for array, idx in obs.races().items()
+        ]
+        if not plan.server_initialized and plan.loops and _cold_launch_raises():
+            events.append(RaceEvent("SW003", frozenset((plan.loops[0].name,)), ""))
+        events += [
+            RaceEvent("SW006", frozenset((lp.name,)), acc.name)
+            for lp in plan.loops for acc in lp.access.arrays
+            if acc.term is not None and acc.name in arrays
+            and np.asarray(arrays[acc.name]).dtype.itemsize < 8
+            and is_sensitive(acc.term)
+        ]
 
-    @staticmethod
-    def _confirm_uninitialised_launch() -> bool:
-        cold = JobServer(CoreGroup(n_cpes=8))
-        try:
-            TargetRegion(cold)
-        except SWGOMPError:
-            return True
-        return False
+        def covered(d) -> bool:
+            return (d.rule == "SW003" or (d.rule == "SW001" and d.loop in runs)
+                    or (d.rule == "SW006" and d.array in arrays))
+
+        return events, covered
+
+
+def _cold_launch_raises() -> bool:
+    """Does the runtime refuse a launch before ``init_from_mpe``?"""
+    try:
+        TargetRegion(JobServer(CoreGroup(n_cpes=8)))
+    except SWGOMPError:
+        return True
+    return False
+
+
+def _linear_sum(values) -> float:
+    total = 0.0
+    for v in values:
+        total = total + v
+    return total
+
+
+def _tree_sum(values) -> float:
+    vals = list(values)
+    if not vals:
+        return 0.0
+    while len(vals) > 1:
+        vals = [
+            vals[i] + vals[i + 1] if i + 1 < len(vals) else vals[i]
+            for i in range(0, len(vals), 2)
+        ]
+    return vals[0]
+
+
+class RaceReplay:
+    """Replay a plan's schedule over its observed index sets."""
+
+    def __init__(self, plan: ParallelPlan):
+        self.plan = plan
+        self._events: dict = {}          # (rule, ops, resource) -> first event
+
+    def _emit(self, rule, ops, resource, detail="") -> None:
+        ops = frozenset(ops)
+        self._events.setdefault((rule, ops, resource), RaceEvent(rule, ops, resource, detail))
+
+    def observe(self) -> tuple:
+        """``(events, covered)`` for :func:`verify`; a replay covers
+        every RD rule."""
+        return self.run(), lambda d: d.rule.startswith("RD")
+
+    def run(self) -> list:
+        plan = self.plan
+        for rule, resource, writer, other, _, _ in unordered_conflicts(
+            plan, HappensBefore(plan), lambda acc: acc.runtime_indices()
+        ):
+            self._emit(
+                rule, (writer.name, other.name), resource,
+                "unordered conflicting access observed",
+            )
+
+        halo = {r: set(idx) for r, idx in plan.halo_recv.items()}
+        fresh: dict = {r: set() for r in halo}
+        buf_epoch: dict = {}             # buffer resource -> (epoch, pack op)
+        for op in plan.ops:
+            if op.kind is OpKind.REDUCE or (
+                op.kind is OpKind.COMPUTE and op.order_sensitive
+            ):
+                self._replay_reduce(op)
+            for acc in op.accesses:
+                rt = acc.runtime_indices()
+                idx = None if rt is None else set(rt)
+                self._replay_halo_freshness(op, acc, idx, halo, fresh)
+                self._replay_buffer_epoch(op, acc, buf_epoch)
+        return list(self._events.values())
+
+    # -- stateful checks ---------------------------------------------------
+    def _replay_halo_freshness(self, op, acc, idx, halo, fresh) -> None:
+        res = acc.resource
+        if res not in halo:
+            return
+        h = halo[res]
+        if acc.writes:
+            written = h if idx is None else (idx & h)
+            if op.kind is OpKind.UNPACK:
+                fresh[res] |= written
+            else:
+                fresh[res] -= written
+        if acc.reads and op.kind is OpKind.COMPUTE:
+            read = h if idx is None else (idx & h)
+            stale = read - fresh[res]
+            if stale:
+                self._emit(
+                    "RD002", (op.name,), res,
+                    f"{len(stale)} halo indices read stale "
+                    f"(e.g. {sorted(stale)[:4]})",
+                )
+
+    def _replay_buffer_epoch(self, op, acc, buf_epoch) -> None:
+        if op.kind is OpKind.PACK and acc.writes:
+            buf_epoch[acc.resource] = (op.epoch, op.name)
+        elif op.kind is OpKind.UNPACK and acc.reads:
+            content = buf_epoch.get(acc.resource)
+            if content is not None and content[0] != op.epoch:
+                self._emit(
+                    "RD003", (content[1], op.name), acc.resource,
+                    f"unpack of epoch {op.epoch} drained epoch "
+                    f"{content[0]} content",
+                )
+
+    def _replay_reduce(self, op) -> None:
+        if not op.order_sensitive or op.tolerance is not None:
+            return
+        resource = ",".join(a.resource for a in op.accesses)
+        if not op.values:
+            # Declared order-sensitive with nothing to evaluate: the
+            # declaration stands, the hazard is real.
+            self._emit("RD005", (op.name,), resource,
+                       "order-sensitive op, no tolerance contract")
+            return
+        lin, tree = _linear_sum(op.values), _tree_sum(op.values)
+        if lin != tree:
+            self._emit(
+                "RD005", (op.name,), resource,
+                f"linear={lin!r} != tree={tree!r} "
+                "(summation order changes the bits)",
+            )
+
+
+# ---------------------------------------------------------------------------
+# Real-run sanitizing: observed plan from the span stream
+# ---------------------------------------------------------------------------
+
+class RunObserver:
+    """Tracer listener rebuilding the observed plan of a driver run.
+
+    Turns the per-pair pack/unpack instants (clock edges with their
+    exchange epoch), the executors' EXEC_ROUND spans (the barrier
+    rounds bracketing the concurrent per-rank evaluations) and the
+    driver's save/apply spans into plan ops, in emission order, through
+    the declared step plan's own op constructors.
+    """
+
+    def __init__(self, driver):
+        self.driver = driver
+        self._ann = driver._exchanger.access_annotations()
+        self._fields = list(driver._exchanger.registered_fields())
+        self._ops: list = []
+        self._edges: list = []
+        self._counts = {"round": 0, "save": 0, "apply": 0}
+
+    def _label(self, what: str) -> str:
+        self._counts[what] += 1
+        return f"{what}{self._counts[what]}"
+
+    def on_span_open(self, span) -> None:
+        ann, fields, nranks = self._ann, self._fields, self.driver.nparts
+        args = span.args
+        if span.kind in (SpanKind.HALO_PACK, SpanKind.HALO_UNPACK):
+            pair = (span.rank, args.get("neighbor"))
+            if not span.name.endswith(".pair") or pair not in ann:
+                return
+            if span.kind is SpanKind.HALO_PACK:
+                self._ops.append(pack_op(ann, *pair, args["epoch"]))
+            elif pair[::-1] in ann:
+                op, edge = unpack_op(ann, *pair, args["epoch"])
+                self._ops.append(op)
+                if any(o.name == edge[0] for o in self._ops):
+                    self._edges.append(edge)
+        elif span.kind is SpanKind.EXEC_ROUND:
+            kind = args.get("op")
+            self._ops.extend(round_ops(
+                f"{self._label('round')}.{kind}", nranks, fields,
+                args.get("slot") if kind == "tend" else None,
+            ))
+        elif span.kind is SpanKind.RK_STAGE and args.get("op") == "save":
+            self._ops.append(save_op(self._label("save"), nranks, fields))
+        elif span.kind is SpanKind.RK_STAGE and args.get("op") == "apply":
+            self._ops.append(apply_op(
+                self._label("apply"), nranks, fields, args.get("slots", ()),
+            ))
+
+    def to_plan(self, name: str = "observed_run") -> ParallelPlan:
+        return driver_plan(self.driver, name, self._ops, self._edges)
+
+
+@dataclass
+class RunSanitizeReport:
+    """Outcome of sanitizing a real driver run."""
+
+    plan: ParallelPlan
+    events: list = field(default_factory=list)
+
+    @property
+    def clean(self) -> bool:
+        return not self.events
+
+    def to_dict(self) -> dict:
+        return {
+            "plan": self.plan.name,
+            "ops": len(self.plan.ops),
+            "clean": self.clean,
+            "events": [
+                {
+                    "rule": ev.rule,
+                    "ops": sorted(ev.ops),
+                    "resource": ev.resource,
+                    "detail": ev.detail,
+                }
+                for ev in self.events
+            ],
+        }
+
+
+def sanitize_run(driver, steps: int = 1) -> RunSanitizeReport:
+    """Step a scattered driver under the observer and replay the result.
+
+    Installs a listener-only tracer (nothing is retained) for the run,
+    rebuilds the observed :class:`ParallelPlan` from the span stream and
+    replays it.  A chaos-free run on the current lockstep
+    implementation must report ``clean``.
+    """
+    if driver._exchanger is None:
+        raise RuntimeError("scatter a state first")
+    observer = RunObserver(driver)
+    tracer = Tracer(enabled=True, record=False)
+    tracer.add_listener(observer)
+    prev = set_tracer(tracer)
+    try:
+        driver.run(steps)
+    finally:
+        set_tracer(prev)
+    plan = observer.to_plan()
+    return RunSanitizeReport(plan=plan, events=RaceReplay(plan).run())

@@ -8,7 +8,14 @@ substrate context) and emits the SW001–SW007 diagnostics:
   at a non-chunk-local index (offset, indirect scatter, or whole-array
   accumulation), so two chunks can touch the same element;
 * **SW002** ``nowait`` hazards: a loop drops its barrier while a later
-  loop in the same target region depends on its writes;
+  loop it is not ordered with (same target region, no barrier between)
+  depends on its writes or writes what it reads;
+
+SW001 and SW002 are read off the RD rules' conflict pass on the plan's
+chunk view (:func:`~repro.analysis.access.loop_conflicts`): a conflict
+between two chunks of one loop is SW001, between chunks of two loops
+SW002.  The other five rules are per-loop property checks:
+
 * **SW003** launches before ``init_from_mpe`` (the runtime counterpart
   is :class:`~repro.sunway.swgomp.SWGOMPError`);
 * **SW004** LDCache thrashing: more same-indexed arrays than cache ways
@@ -28,7 +35,7 @@ from __future__ import annotations
 
 from collections import Counter
 
-from repro.analysis.access import AccessSpec, IndexKind, OffloadPlan, PlannedLoop
+from repro.analysis.access import AccessSpec, IndexKind, OffloadPlan, PlannedLoop, loop_conflicts
 from repro.analysis.diagnostics import Diagnostic, Severity
 from repro.precision.policy import GRIST_SENSITIVITY, PrecisionPolicy, is_sensitive
 from repro.sunway.ldcache import LDCache, analytic_loop_hit_ratio, loop_hit_ratio
@@ -66,13 +73,14 @@ class StaticAnalyzer:
                     "SWGOMPError for the same condition"
                 ),
             ))
+        conflicts = loop_conflicts(plan.as_parallel_plan())
         for lp in plan.loops:
-            diags.extend(self._check_races(plan, lp))
+            diags.extend(self._check_races(plan, lp, conflicts))
             diags.extend(self._check_thrash(plan, lp))
             diags.extend(self._check_ldm_budget(plan, lp))
             diags.extend(self._check_precision(plan, lp))
             diags.extend(self._check_halo(plan, lp))
-        diags.extend(self._check_nowait(plan))
+        diags.extend(self._check_nowait(plan, conflicts))
         return diags
 
     # -- SW001: cross-chunk races ----------------------------------------
@@ -91,12 +99,14 @@ class StaticAnalyzer:
         ),
     }
 
-    def _check_races(self, plan: OffloadPlan, lp: PlannedLoop) -> list:
+    def _check_races(self, plan: OffloadPlan, lp: PlannedLoop, conflicts) -> list:
+        """SW001 for each array two chunks of ``lp`` conflict on."""
         out = []
+        raced = conflicts.get((lp.name, lp.name), {})
         for acc in lp.access.writes:
-            kind = acc.expr.kind
-            if kind is IndexKind.LOCAL:
+            if acc.name not in raced:
                 continue
+            kind = acc.expr.kind
             reason = self._RACE_REASON[kind].format(
                 index=acc.index, var=lp.access.loop_var
             )
@@ -120,19 +130,12 @@ class StaticAnalyzer:
         return out
 
     # -- SW002: nowait hazards -------------------------------------------
-    def _check_nowait(self, plan: OffloadPlan) -> list:
+    def _check_nowait(self, plan: OffloadPlan, pair_conflicts) -> list:
+        """SW002 for each pair of loops whose chunks conflict unordered."""
         out = []
         for i, first in enumerate(plan.loops):
-            if not first.nowait:
-                continue
             for later in plan.loops[i + 1:]:
-                if later.region != first.region:
-                    continue   # the end-target barrier synchronises regions
-                conflicts = sorted(
-                    (first.access.write_names
-                     & (later.access.read_names | later.access.write_names))
-                    | (first.access.read_names & later.access.write_names)
-                )
+                conflicts = sorted(pair_conflicts.get((first.name, later.name), ()))
                 if not conflicts:
                     continue
                 out.append(Diagnostic(
@@ -154,7 +157,7 @@ class StaticAnalyzer:
         k = lp.access.arrays_per_iteration
         if k <= self.cache.ways or lp.ldm_staged:
             return []
-        names = [a.name for a in lp.access.streamed_arrays()]
+        names = [a.name for a in lp.access.arrays]
         bases = plan.array_bases or {}
         known = [n for n in names if n in bases]
         if len(known) < len(names):
@@ -176,7 +179,7 @@ class StaticAnalyzer:
         worst = max(set_load.values())
         if worst <= self.cache.ways:
             return []
-        elem_bytes = min(a.bytes_per_elem for a in lp.access.streamed_arrays())
+        elem_bytes = min(a.bytes_per_elem for a in lp.access.arrays)
         predicted = analytic_loop_hit_ratio(
             worst, distributed=False, elem_bytes=elem_bytes,
             line_bytes=self.cache.line_bytes, ways=self.cache.ways,

@@ -1,6 +1,7 @@
 """Tests of the `repro lint` command and the report driver."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -97,6 +98,16 @@ class TestParallelLint:
         a = json.dumps(to_json(lint_all(sanitize=False)), sort_keys=False)
         b = json.dumps(to_json(lint_all(sanitize=False)), sort_keys=False)
         assert a == b
+
+    def test_output_matches_committed_oracle(self, par_result):
+        """The analyzer's whole output, byte for byte: what
+        `repro lint --strict --parallel --json` and `repro lint
+        --parallel` print, minus print's trailing newline."""
+        data = Path(__file__).parent / "data"
+        assert json.dumps(to_json(par_result), indent=2) == (
+            data / "lint_parallel.json").read_text().removesuffix("\n")
+        assert render_human(par_result) == (
+            data / "lint_parallel.txt").read_text().removesuffix("\n")
 
     def test_human_report_mentions_parallel_sections(self, par_result):
         text = render_human(par_result)

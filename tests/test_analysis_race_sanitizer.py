@@ -6,16 +6,16 @@ import os
 import numpy as np
 import pytest
 
-from repro.analysis.race_corpus import KNOWN_RACY_PLANS
-from repro.analysis.race_sanitizer import (
+from repro.analysis.corpus import KNOWN_RACY_PLANS
+from repro.analysis.races import analyze_parallel_plan, build_step_plan
+from repro.analysis.sanitizer import (
     RaceReplay,
-    RaceSanitizer,
     RunObserver,
     _linear_sum,
     _tree_sum,
     sanitize_run,
+    verify,
 )
-from repro.analysis.races import analyze_parallel_plan, build_step_plan
 from repro.dycore.solver import DycoreConfig
 from repro.dycore.state import baroclinic_wave_state
 from repro.dycore.vertical import VerticalCoordinate
@@ -43,7 +43,7 @@ class TestReplayVerdicts:
         event; FALSE_POSITIVE cases must be demoted."""
         case = KNOWN_RACY_PLANS[name]
         plan = case.build()
-        diags = RaceSanitizer().verify(plan, analyze_parallel_plan(plan))
+        diags = verify(analyze_parallel_plan(plan), *RaceReplay(plan).observe())
         expected = [d for d in diags if d.rule in case.expect_rules]
         assert expected, name
         assert all(d.verdict == case.expect_verdict for d in expected), [
@@ -93,7 +93,7 @@ class TestReplayVerdicts:
 
         plan = KNOWN_RACY_PLANS["benign_reduction"].build()
         sw = Diagnostic(rule="SW001", message="unrelated")
-        out = RaceSanitizer().verify(plan, [sw])
+        out = verify([sw], *RaceReplay(plan).observe())
         assert out[0].verdict is None
 
 

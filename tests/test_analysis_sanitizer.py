@@ -7,7 +7,7 @@ import pytest
 from repro.analysis.access import AccessSpec, ArrayAccess, OffloadPlan, PlannedLoop
 from repro.analysis.corpus import KNOWN_BAD_CORPUS
 from repro.analysis.diagnostics import CONFIRMED, FALSE_POSITIVE
-from repro.analysis.sanitizer import Sanitizer, ShadowArray, _Recorder
+from repro.analysis.sanitizer import Sanitizer, ShadowArray, _Recorder, verify
 from repro.analysis.static import analyze_plan
 from repro.sunway.arch import CoreGroup
 from repro.sunway.swgomp import JobServer, SWGOMPError, TargetRegion
@@ -47,6 +47,22 @@ class TestShadowArray:
         np.testing.assert_allclose(sh[1:3], [1.0, 2.0])
         sh[0] = 7.0
         assert sh.data[0] == 7.0
+
+    def test_records_negative_fancy_indices_wrapped(self):
+        """A negative entry of an index array or list hits the same
+        element as its wrapped scalar, so the overlap is seen."""
+        sh, rec = self._shadow(8)
+        sh[np.array([-1, 2])] = 0.0
+        sh[[-3]] = 0.0
+        assert rec._current.writes["x"] == {7, 2, 5}
+
+    def test_array_copy_does_not_share_memory(self):
+        sh, rec = self._shadow(4)
+        out = np.array(sh, copy=True)
+        assert not np.shares_memory(out, sh.data)
+        out[0] = -1.0
+        assert sh.data[0] == 0.0
+        assert rec._current.reads["x"] == {0, 1, 2, 3}
 
     def test_no_recording_outside_chunk(self):
         sh, rec = self._shadow(4)
@@ -112,7 +128,7 @@ class TestVerification:
         """The headline feedback loop: static SW001 -> observed race."""
         plan, arrays = KNOWN_BAD_CORPUS["racy_flux_accumulation"].build()
         diags = analyze_plan(plan)
-        Sanitizer(n_cpes=8).verify(plan, arrays, diags)
+        verify(diags, *Sanitizer(n_cpes=8).observe(plan, arrays))
         sw001 = [d for d in diags if d.rule == "SW001"]
         assert len(sw001) == 1
         assert sw001[0].verdict == CONFIRMED
@@ -122,7 +138,7 @@ class TestVerification:
         plan, arrays = _disjoint_scatter_plan()
         diags = analyze_plan(plan)
         assert any(d.rule == "SW001" for d in diags)   # statically suspect
-        Sanitizer(n_cpes=8).verify(plan, arrays, diags)
+        verify(diags, *Sanitizer(n_cpes=8).observe(plan, arrays))
         sw001 = [d for d in diags if d.rule == "SW001"]
         assert sw001[0].verdict == FALSE_POSITIVE
         assert sw001[0].details["observed_race_count"] == 0
@@ -139,14 +155,14 @@ class TestVerification:
     def test_preinit_launch_confirmed(self):
         plan, arrays = KNOWN_BAD_CORPUS["preinit_launch"].build()
         diags = analyze_plan(plan)
-        Sanitizer(n_cpes=8).verify(plan, arrays, diags)
+        verify(diags, *Sanitizer(n_cpes=8).observe(plan, arrays))
         sw003 = [d for d in diags if d.rule == "SW003"]
         assert sw003[0].verdict == CONFIRMED
 
     def test_demoted_pressure_gradient_confirmed(self):
         plan, arrays = KNOWN_BAD_CORPUS["demoted_pressure_gradient"].build()
         diags = analyze_plan(plan)
-        Sanitizer(n_cpes=8).verify(plan, arrays, diags)
+        verify(diags, *Sanitizer(n_cpes=8).observe(plan, arrays))
         for d in diags:
             if d.rule == "SW006":
                 assert d.verdict == CONFIRMED
@@ -156,7 +172,7 @@ class TestVerification:
         plan, arrays = KNOWN_BAD_CORPUS["demoted_pressure_gradient"].build()
         arrays = {k: v.astype(np.float64) for k, v in arrays.items()}
         diags = analyze_plan(plan)
-        Sanitizer(n_cpes=8).verify(plan, arrays, diags)
+        verify(diags, *Sanitizer(n_cpes=8).observe(plan, arrays))
         assert all(
             d.verdict == FALSE_POSITIVE for d in diags if d.rule == "SW006"
         )
@@ -164,7 +180,7 @@ class TestVerification:
     def test_loop_without_body_stays_unverified(self):
         plan, arrays = KNOWN_BAD_CORPUS["halo_overreach"].build()
         diags = analyze_plan(plan)
-        Sanitizer(n_cpes=8).verify(plan, arrays, diags)
+        verify(diags, *Sanitizer(n_cpes=8).observe(plan, arrays))
         assert all(d.verdict is None for d in diags)
 
     def test_run_loop_requires_body(self):

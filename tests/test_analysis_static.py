@@ -12,19 +12,8 @@ from repro.analysis.access import (
     parse_index,
 )
 from repro.analysis.corpus import KNOWN_BAD_CORPUS
-from repro.analysis.diagnostics import (
-    RULES,
-    Diagnostic,
-    Severity,
-    by_rule,
-    errors,
-    rank,
-)
-from repro.analysis.static import (
-    StaticAnalyzer,
-    analyze_plan,
-    plan_from_directives,
-)
+from repro.analysis.diagnostics import RULES, Diagnostic, Severity, rank
+from repro.analysis.static import analyze_plan, plan_from_directives
 from repro.sunway.ldcache import LDCache
 
 
@@ -96,8 +85,8 @@ class TestRuleCatalog:
             Diagnostic(rule="SW001", message="err"),
         ]
         assert [d.rule for d in rank(ds)] == ["SW001", "SW004"]
-        assert [d.rule for d in errors(ds)] == ["SW001"]
-        assert set(by_rule(ds)) == {"SW001", "SW004"}
+        assert [d.rule for d in ds if d.severity is Severity.ERROR] == ["SW001"]
+        assert {d.rule for d in ds} == {"SW001", "SW004"}
 
 
 def _single_loop_plan(access, **plan_kwargs):
@@ -142,6 +131,27 @@ class TestRules:
         # The end-target barrier synchronises regions: Fig. 4's own
         # `end do nowait` must not be a false positive.
         assert all(d.rule != "SW002" for d in analyze_plan(split))
+
+    def test_sw002_later_barrier_orders_a_nowait_loop(self):
+        """A (nowait) -> B -> C in one region: B's closing barrier orders
+        A before C, as in OpenMP, so only A against B is a hazard."""
+        def loop(name, *accesses, nowait=False):
+            return PlannedLoop(name=name, access=AccessSpec.of(*accesses),
+                               n_iters=64, nowait=nowait)
+
+        def sw002(b_reads_x):
+            b_reads = [ArrayAccess("x", mode="r", index="i")] if b_reads_x else []
+            plan = OffloadPlan(name="chain", loops=[
+                loop("a", ArrayAccess("x", mode="w", index="i"), nowait=True),
+                loop("b", *b_reads, ArrayAccess("y", mode="w", index="i")),
+                loop("c", ArrayAccess("x", mode="r", index="nbr(i)"),
+                     ArrayAccess("z", mode="w", index="i")),
+            ])
+            return [(d.loop, d.details["dependent_loop"], d.array)
+                    for d in analyze_plan(plan) if d.rule == "SW002"]
+
+        assert sw002(b_reads_x=True) == [("a", "b", "x")]
+        assert sw002(b_reads_x=False) == []
 
     def test_sw003_uninitialised_server(self):
         plan = _single_loop_plan(
@@ -271,7 +281,7 @@ class TestOwnKernelsClean:
         from repro.analysis.report import build_kernel_plan
 
         diags = analyze_plan(build_kernel_plan())
-        assert errors(diags) == []
+        assert [d for d in diags if d.severity is Severity.ERROR] == []
 
     def test_every_major_kernel_is_annotated(self):
         from repro.dycore.kernels import MAJOR_KERNELS

@@ -157,8 +157,8 @@ def test_replace_keeps_race_annotations_and_verdicts_stable(mesh_g1, seed):
         ParallelPlan,
         PlanOp,
     )
-    from repro.analysis.race_sanitizer import RaceSanitizer
     from repro.analysis.races import analyze_parallel_plan
+    from repro.analysis.sanitizer import RaceReplay, verify
 
     def snapshot(ex):
         out = {}
@@ -199,7 +199,7 @@ def test_replace_keeps_race_annotations_and_verdicts_stable(mesh_g1, seed):
 
     def verdicts(ex):
         plan = racy_plan(ex)
-        diags = RaceSanitizer().verify(plan, analyze_parallel_plan(plan))
+        diags = verify(analyze_parallel_plan(plan), *RaceReplay(plan).observe())
         return sorted((d.rule, d.verdict) for d in diags)
 
     rng = np.random.default_rng(seed)
