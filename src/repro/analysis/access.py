@@ -197,9 +197,8 @@ class PlannedLoop:
 class OffloadPlan:
     """Everything the static analyzer needs about one launch.
 
-    This is the analyzer-facing form of a parsed SWGOMP
-    :class:`~repro.sunway.directives.LaunchPlan`: the distributed loops
-    in program order with their access specs, plus the substrate context
+    The distributed loops of one SWGOMP launch in program order with
+    their declared access specs, plus the substrate context
     (CPE count, LDCache geometry defaults live in the analyzer; array
     base addresses come from the pool allocator; the halo width comes
     from the partition).

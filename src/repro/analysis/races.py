@@ -488,7 +488,7 @@ def build_step_plan(driver, name: str = "rk_step") -> ParallelPlan:
     Saves, exchange pack/unpack loops and RK applies run on the
     :data:`DRIVER` lane; tendency (and sponge) evaluations run on rank
     lanes bracketed by the executor's broadcast/reply barriers.  The
-    stage sequence is :data:`repro.dycore.solver.SSP_RK_SCHEDULE` — the
+    stage sequence is :data:`repro.dycore.solver.SSP_RK3` — the
     table the driver itself steps through: stage ``k`` exchanges, writes
     slot ``k - 1`` and applies slots ``0..k-1``.
 
@@ -497,7 +497,7 @@ def build_step_plan(driver, name: str = "rk_step") -> ParallelPlan:
     extents from :meth:`DistributedDycore.arena_layout`.
     """
     # Imported lazily: repro.dycore.kernels imports repro.analysis.access.
-    from repro.dycore.solver import SSP_RK_SCHEDULE
+    from repro.dycore.solver import SSP_RK3
 
     if driver._exchanger is None:
         raise RuntimeError("scatter a state first (no exchanger compiled)")
@@ -515,12 +515,11 @@ def build_step_plan(driver, name: str = "rk_step") -> ParallelPlan:
             edges.append(edge)
 
     ops.append(save_op("save", nranks, fields))
-    stages = SSP_RK_SCHEDULE[driver.config.rk_stages]
-    for stage in range(1, len(stages) + 1):
+    for stage in range(1, len(SSP_RK3) + 1):
         add_exchange(epoch=stage)
         ops.extend(round_ops(f"tend.s{stage}", nranks, fields, stage - 1, stage))
         ops.append(apply_op(f"apply.s{stage}", nranks, fields, range(stage), stage))
     if driver.config.sponge_levels > 0:
-        add_exchange(epoch=len(stages) + 1)
-        ops.extend(round_ops("sponge", nranks, fields, None, len(stages) + 1))
+        add_exchange(epoch=len(SSP_RK3) + 1)
+        ops.extend(round_ops("sponge", nranks, fields, None, len(SSP_RK3) + 1))
     return driver_plan(driver, name, ops, edges)

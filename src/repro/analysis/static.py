@@ -35,7 +35,7 @@ from __future__ import annotations
 
 from collections import Counter
 
-from repro.analysis.access import AccessSpec, IndexKind, OffloadPlan, PlannedLoop, loop_conflicts
+from repro.analysis.access import IndexKind, OffloadPlan, PlannedLoop, loop_conflicts
 from repro.analysis.diagnostics import Diagnostic, Severity
 from repro.precision.policy import GRIST_SENSITIVITY, PrecisionPolicy, is_sensitive
 from repro.sunway.ldcache import LDCache, analytic_loop_hit_ratio, loop_hit_ratio
@@ -307,39 +307,3 @@ def analyze_plan(plan: OffloadPlan, **kwargs) -> list:
     """Convenience one-shot: ``StaticAnalyzer(**kwargs).analyze(plan)``."""
     return StaticAnalyzer(**kwargs).analyze(plan)
 
-
-def plan_from_directives(
-    source: str,
-    access_by_var: dict,
-    n_iters_by_var: dict | None = None,
-    name: str = "directives",
-    **plan_kwargs,
-) -> OffloadPlan:
-    """Build an :class:`OffloadPlan` from SWGOMP directive source.
-
-    The parsed :class:`~repro.sunway.directives.LaunchPlan` supplies the
-    region/loop structure and ``nowait`` flags; ``access_by_var`` maps
-    each distributed loop's variable to its declared
-    :class:`AccessSpec` (loops without a declared spec are skipped —
-    they cannot be analysed).
-    """
-    from repro.sunway.directives import parse_directives
-
-    launch = parse_directives(source)
-    n_iters_by_var = n_iters_by_var or {}
-    loops = []
-    for r, target in enumerate(launch.targets):
-        for loop in target.loops:
-            spec = access_by_var.get(loop.variable)
-            if spec is None:
-                continue
-            if not isinstance(spec, AccessSpec):
-                raise TypeError(f"access_by_var[{loop.variable!r}] must be AccessSpec")
-            loops.append(PlannedLoop(
-                name=f"line{loop.line}:{loop.variable}",
-                access=spec,
-                n_iters=int(n_iters_by_var.get(loop.variable, 1024)),
-                nowait=loop.nowait,
-                region=r,
-            ))
-    return OffloadPlan(loops=loops, name=name, **plan_kwargs)

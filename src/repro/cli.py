@@ -184,7 +184,6 @@ def _cmd_chaos(args) -> int:
         plan=args.plan, level=args.level, nlev=args.nlev, steps=args.steps,
         seed=args.seed, checkpoint_every=args.checkpoint_every,
         include_baseline=not args.no_baseline, tracer=tracer,
-        workers=args.workers,
     )
     if args.trace_out:
         tracer.write_chrome_trace(args.trace_out)
@@ -371,8 +370,7 @@ def _cmd_profile(args) -> int:
 
     result = run_profile(
         level=args.level, nlev=args.nlev, steps=args.steps, seed=args.seed,
-        compare_model=args.compare_model, ranks=args.ranks,
-        workers=args.workers,
+        compare_model=args.compare_model,
     )
     tracer = result.pop("tracer")
     if args.trace_out:
@@ -399,15 +397,6 @@ def _cmd_profile(args) -> int:
             print(f"{key:42s} {st['count']:7d} "
                   f"{st['wall_seconds'] * 1e3:10.3f} "
                   f"{st['sim_seconds'] * 1e3:10.3f}")
-        if "distributed" in result:
-            d = result["distributed"]
-            line = (f"distributed: {d['ranks']} ranks x {d['workers']} "
-                    f"worker(s), {d['steps']} steps in "
-                    f"{d['wall_seconds']:.3f}s")
-            if "bitwise_vs_serial" in d:
-                line += (f" (serial {d['serial_wall_seconds']:.3f}s, "
-                         f"bitwise equal: {d['bitwise_vs_serial']})")
-            print(line)
         if args.compare_model:
             print(f"\n{'kernel':38s} {'elems':>9s} {'predicted us':>13s} "
                   f"{'traced us':>11s} {'rel err':>8s}")
@@ -505,9 +494,6 @@ def build_parser() -> argparse.ArgumentParser:
                     help="skip the fault-free twin / drift comparison")
     sp.add_argument("--json", action="store_true",
                     help="machine-readable JSON instead of the report")
-    sp.add_argument("--workers", type=int, default=1,
-                    help="rank-stepping worker processes: >1 adds a "
-                         "parallel-vs-serial bitwise check to the shadow")
     sp.add_argument("--trace-out", default=None,
                     help="write the Chrome trace-event JSON here")
     sp.set_defaults(func=_cmd_chaos)
@@ -593,12 +579,6 @@ def build_parser() -> argparse.ArgumentParser:
                     help="reconcile traced kernel costs vs the timer model")
     sp.add_argument("--max-error", type=float, default=0.25,
                     help="fail if any kernel's relative error exceeds this")
-    sp.add_argument("--ranks", type=int, default=1,
-                    help="also wall-clock a DistributedDycore over this "
-                         "many simulated ranks (default 1: skip)")
-    sp.add_argument("--workers", type=int, default=1,
-                    help="rank-stepping worker processes for --ranks; >1 "
-                         "adds a bitwise serial-vs-parallel check")
     sp.set_defaults(func=_cmd_profile)
     return p
 

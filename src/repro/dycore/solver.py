@@ -1,12 +1,11 @@
 """The dynamical core driver: explicit horizontal RK + implicit vertical.
 
 One :meth:`DynamicalCore.step` advances the prognostic state by the
-dynamics timestep using the SSP Runge–Kutta scheme of
-``SSP_RK_SCHEDULE`` (3 stages by default) over the horizontally
-explicit terms, followed (in nonhydrostatic mode) by the implicit
-acoustic w–phi adjustment of :mod:`repro.dycore.hevi`.  Tracers advance
-on a longer timestep from accumulated mass fluxes (Table 2 uses
-dyn:trac = 4 s : 30 s at G12).
+dynamics timestep using the three-stage SSP Runge–Kutta scheme
+``SSP_RK3`` over the horizontally explicit terms, followed (in
+nonhydrostatic mode) by the implicit acoustic w–phi adjustment of
+:mod:`repro.dycore.hevi`.  Tracers advance on a longer timestep from
+accumulated mass fluxes (Table 2 uses dyn:trac = 4 s : 30 s at G12).
 
 On a host with a spare CPU and fields of at least
 :data:`LANE_MIN_POINTS` points, a step runs on two lanes: one helper
@@ -48,18 +47,16 @@ from repro.grid.mesh import Mesh
 from repro.obs import SpanKind, get_metrics, get_tracer
 from repro.precision.policy import PrecisionPolicy
 
-#: The SSP-RK increment schedules, by stage count: one ``(combine
-#: weights, dt fraction)`` row per stage.  Stage ``k`` evaluates the
-#: tendency at the current state, combines the tendencies so far with
-#: its weights and restarts from the step's base state over
-#: ``fraction * dt`` (a single-weight row applies its tendency as is).
-#: The serial step, the distributed step and the race analyzer's
-#: declared step plan are all loops over these rows.
-SSP_RK_SCHEDULE = {
-    1: (((1.0,), 1.0),),
-    2: (((1.0,), 1.0), ((0.5, 0.5), 1.0)),
-    3: (((1.0,), 1.0), ((0.5, 0.5), 0.5), ((1 / 6, 1 / 6, 2 / 3), 1.0)),
-}
+#: The SSP-RK3 increment schedule: one ``(combine weights, dt
+#: fraction)`` row per stage.  Stage ``k`` evaluates the tendency at the
+#: current state, combines the tendencies so far with its weights and
+#: restarts from the step's base state over ``fraction * dt`` (a
+#: single-weight row applies its tendency as is).  The serial step, the
+#: distributed step and the race analyzer's declared step plan are all
+#: loops over these rows.  Three stages, because SSP-RK3 is stable for
+#: the oscillatory inertia-gravity modes that Heun's RK2 weakly
+#: amplifies and forward Euler amplifies outright.
+SSP_RK3 = (((1.0,), 1.0), ((0.5, 0.5), 0.5), ((1 / 6, 1 / 6, 2 / 3), 1.0))
 
 
 #: Fewest field points (``nc * nlev``) for which a core steps on two
@@ -137,9 +134,6 @@ class DycoreConfig:
     #: top sponge) is the standard countermeasure and kills it.
     divergence_damping: float = 0.15
     policy: PrecisionPolicy = field(default_factory=PrecisionPolicy)
-    #: 3 = SSP-RK3 (default; stable for the oscillatory inertia-gravity
-    #: modes Heun's RK2 weakly amplifies), 2 = Heun, 1 = forward Euler.
-    rk_stages: int = 3
     #: Rayleigh sponge at the model top: number of damped levels and the
     #: damping timescale at the lid (relaxing winds and theta anomalies;
     #: every real core carries one — grid-scale divergent modes otherwise
@@ -153,11 +147,6 @@ class DycoreConfig:
     stencil_backend: str = DEFAULT_BACKEND
 
     def __post_init__(self) -> None:
-        if self.rk_stages not in SSP_RK_SCHEDULE:
-            raise ValueError(
-                f"rk_stages must be one of {sorted(SSP_RK_SCHEDULE)}, "
-                f"got {self.rk_stages!r}"
-            )
         if not self.dt > 0:
             raise ValueError(f"dt must be > 0, got {self.dt!r}")
         if self.tracer_ratio < 1:
@@ -349,13 +338,11 @@ class DynamicalCore:
 
     # -- time stepping -------------------------------------------------------
     def step(self, state: ModelState) -> ModelState:
-        """Advance one dynamics step (SSP-RK + implicit vertical).
+        """Advance one dynamics step (SSP-RK3 + implicit vertical).
 
-        SSP-RK3 (default) in its equivalent increment form: the final
-        update is ``state + dt * (1/6 L(s0) + 1/6 L(s1) + 2/3 L(s2))``
-        with ``s1 = s0 + dt L(s0)`` and
-        ``s2 = s0 + dt/4 (L(s0) + L(s1))`` — stable for the oscillatory
-        inertia-gravity modes that plain Heun weakly amplifies.
+        SSP-RK3 in its equivalent increment form: the final update is
+        ``state + dt * (1/6 L(s0) + 1/6 L(s1) + 2/3 L(s2))`` with
+        ``s1 = s0 + dt L(s0)`` and ``s2 = s0 + dt/4 (L(s0) + L(s1))``.
         """
         dt = self.config.dt
         tracer = get_tracer()
@@ -364,9 +351,7 @@ class DynamicalCore:
                 self._step_lanes():
             tds: list[Tendencies] = []
             s1 = state.copy()   # the state returned; the input stays untouched
-            for k, (weights, frac) in enumerate(
-                SSP_RK_SCHEDULE[self.config.rk_stages], 1
-            ):
+            for k, (weights, frac) in enumerate(SSP_RK3, 1):
                 with tracer.span("dycore.rk_stage", SpanKind.RK_STAGE, stage=k):
                     tds.append(self.compute_tendencies(s1))
                 rk_update(s1, state, tds, weights, frac * dt)

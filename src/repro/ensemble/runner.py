@@ -7,13 +7,12 @@ tendency factors, seeded ``[seed, member, SPPT_STREAM]``, set per member
 on the model's physics slot as ``ResilientPhysics.factors``) — and
 derives spread/probability products from the member results.
 
-``run()`` is the **per-member loop**: one shared warm model (or a model
-acquired from a serving :class:`~repro.serve.pool.ModelPool` when the
-configs match), reset bit-exactly between members, exactly the serving
-scheduler's member execution.  Stencil plans compile once for the
-shared mesh, not once per member.  ``workers=N`` runs the same loop
-(``_run_shard``) on member-strided shards in forked processes,
-digest-identical to the serial loop.
+``run()`` is the **per-member loop**: one shared warm model, reset
+bit-exactly between members, exactly the serving scheduler's member
+execution.  Stencil plans compile once for the shared mesh, not once
+per member.  ``workers=N`` runs the same loop (``_run_shard``) on
+member-strided shards in forked processes, digest-identical to the
+serial loop.
 """
 
 from __future__ import annotations
@@ -78,7 +77,6 @@ class EnsembleRunner:
         scheme: str | None = None,
         perturbation: float = 0.3,
         physics_perturbation: float = 0.0,
-        pool=None,
         workers: int = 1,
     ):
         self.scenario = (
@@ -94,28 +92,9 @@ class EnsembleRunner:
         self.scheme = self.scenario.default_scheme if scheme is None else scheme
         self.perturbation = perturbation
         self.physics_perturbation = physics_perturbation
-        self.pool = pool
         if workers < 1:
             raise ValueError("workers must be >= 1")
-        if workers > 1 and pool is not None:
-            raise ValueError(
-                "workers > 1 forks member-sharded processes and cannot "
-                "share a serving ModelPool; pass pool=None"
-            )
         self.workers = workers
-
-    # -- serving-schema view ---------------------------------------------
-    def request(self):
-        """This ensemble as a :class:`ForecastRequest` (the pool key and
-        the cache-addressable identity of the unperturbed-physics run)."""
-        from repro.serve.request import ForecastRequest
-
-        return ForecastRequest(
-            level=self.level, nlev=self.nlev, steps=self.steps,
-            scenario=self.scenario.name, ensemble_size=self.n_members,
-            seed=self.seed, scheme=self.scheme,
-            perturbation=self.perturbation,
-        )
 
     # -- internals -------------------------------------------------------
     def _member_result(self, member: int, state, model):
@@ -170,17 +149,8 @@ class EnsembleRunner:
             return self._run_loop_forked()
         t0 = time.perf_counter()
         c0 = plan_compile_count()
-        request = None
-        if self.pool is not None:
-            request = self.request()
-            model = self.pool.acquire(request)
-        else:
-            model = self._build_model()
-        try:
-            members = [res for _, res in self._run_shard(model, range(self.n_members))]
-        finally:
-            if self.pool is not None:
-                self.pool.release(request, model)
+        model = self._build_model()
+        members = [res for _, res in self._run_shard(model, range(self.n_members))]
         return self._result(members, plan_compile_count() - c0, t0)
 
     def _run_loop_forked(self) -> EnsembleResult:

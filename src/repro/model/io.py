@@ -13,15 +13,22 @@ import os
 import numpy as np
 
 from repro.dycore.state import ModelState
-from repro.dycore.vertical import VerticalCoordinate
+from repro.dycore.vertical import HybridVerticalCoordinate, VerticalCoordinate
 from repro.grid.mesh import Mesh
 
 RESTART_FORMAT_VERSION = 1
 
 
 def save_state(path: str, state: ModelState) -> None:
-    """Write a restart file; the mesh is referenced by level, not stored."""
-    tracers = {f"tracer_{k}": v for k, v in state.tracers.items()}
+    """Write a restart file; the mesh is referenced by level, not stored.
+
+    A hybrid coordinate also stores its A and B interfaces, so it comes
+    back as the same class with the same layer masses.
+    """
+    arrays = {f"tracer_{k}": v for k, v in state.tracers.items()}
+    if isinstance(state.vcoord, HybridVerticalCoordinate):
+        arrays.update(a_interfaces=state.vcoord.a_interfaces,
+                      b_interfaces=state.vcoord.b_interfaces)
     np.savez_compressed(
         path,
         format_version=RESTART_FORMAT_VERSION,
@@ -38,7 +45,7 @@ def save_state(path: str, state: ModelState) -> None:
         phi=state.phi,
         phi_surface=state.phi_surface,
         tracer_names=json.dumps(sorted(state.tracers)),
-        **tracers,
+        **arrays,
     )
 
 
@@ -58,9 +65,15 @@ def load_state(path: str, mesh: Mesh | None = None) -> ModelState:
             raise ValueError(
                 f"mesh level {mesh.level} does not match restart level {level}"
             )
-        vcoord = VerticalCoordinate(
-            sigma_interfaces=f["sigma_interfaces"].copy(), ptop=float(f["ptop"])
-        )
+        if "a_interfaces" in f.files:
+            vcoord = HybridVerticalCoordinate(
+                f["a_interfaces"].copy(), f["b_interfaces"].copy(),
+                ptop=float(f["ptop"]),
+            )
+        else:
+            vcoord = VerticalCoordinate(
+                sigma_interfaces=f["sigma_interfaces"].copy(), ptop=float(f["ptop"])
+            )
         names = json.loads(str(f["tracer_names"]))
         tracers = {k: f[f"tracer_{k}"].copy() for k in names}
         state = ModelState(
@@ -96,13 +109,13 @@ class HistoryWriter:
         self._flushes = 0
 
     def record(self, time: float, **fields) -> None:
-        """Record one output step's scalars/arrays."""
+        """Record one output step's scalars/arrays; every step after the
+        first must name the same fields.  A rejected call stores nothing."""
+        if self._times and set(fields) != set(self._series):
+            raise ValueError("all fields must be recorded at every step")
         self._times.append(time)
         for k, v in fields.items():
             self._series.setdefault(k, []).append(np.asarray(v))
-        lengths = {len(v) for v in self._series.values()}
-        if lengths and lengths != {len(self._times)}:
-            raise ValueError("all fields must be recorded at every step")
 
     @property
     def n_records(self) -> int:

@@ -1,7 +1,7 @@
 """The distributed dycore driver.
 
 Runs the serial :class:`~repro.dycore.solver.DynamicalCore`'s own code
-— ``compute_tendencies``, the ``SSP_RK_SCHEDULE`` loop and the in-place
+— ``compute_tendencies``, the ``SSP_RK3`` loop and the in-place
 ``rk_update`` — rank-by-rank over one list of rank-local model states,
 with aggregated halo exchanges between stages: the execution pattern of
 the paper's parallelization facilitation layer.  Owned-entity results
@@ -17,7 +17,7 @@ from dataclasses import replace
 import numpy as np
 
 from repro.comm.message import Communicator
-from repro.dycore.solver import SSP_RK_SCHEDULE, DycoreConfig, DynamicalCore, rk_update
+from repro.dycore.solver import SSP_RK3, DycoreConfig, DynamicalCore, rk_update
 from repro.dycore.state import ModelState
 from repro.dycore.vertical import VerticalCoordinate
 from repro.grid.mesh import Mesh
@@ -39,10 +39,10 @@ from repro.resilience.recovery import RetryPolicy
 class DistributedDycore:
     """Hydrostatic dycore stepped across N simulated ranks.
 
-    Tracers and the nonhydrostatic vertical solve are column-local and
-    therefore trivially decomposable; this driver runs neither (a
-    nonhydrostatic config is refused) and focuses on the halo-coupled
-    horizontal dynamics, which is where the communication pattern lives.
+    It steps the halo-coupled horizontal dynamics only.  Rank states
+    carry no tracers (horizontal tracer transport would need its own
+    halo exchange of q and the accumulated mass flux), no physics runs,
+    and a nonhydrostatic config is refused.
     """
 
     def __init__(
@@ -222,7 +222,7 @@ class DistributedDycore:
     # -- stepping ------------------------------------------------------------
     def step(self) -> None:
         """One SSP-RK dynamics step across all ranks: the serial solver's
-        loop over ``SSP_RK_SCHEDULE`` and its ``rk_update``, per rank, so
+        loop over ``SSP_RK3`` and its ``rk_update``, per rank, so
         results are bitwise equal."""
         if self._states is None:
             raise RuntimeError("scatter a state first")
@@ -235,9 +235,7 @@ class DistributedDycore:
                 np.copyto(base.theta, st.theta)
                 base.time = st.time
         per_stage: list[list] = []
-        for k, (weights, frac) in enumerate(
-            SSP_RK_SCHEDULE[self.config.rk_stages], 1
-        ):
+        for k, (weights, frac) in enumerate(SSP_RK3, 1):
             # Halo exchange, then the executor's per-rank evaluation
             # (serial loop or forked workers — identical results) into
             # the stage's own tendency slot.
@@ -258,11 +256,6 @@ class DistributedDycore:
     def run(self, n_steps: int) -> None:
         for _ in range(n_steps):
             self.step()
-
-    @property
-    def halo_rings(self) -> int:
-        """Declared halo depth of the decomposition (for SW007 lint)."""
-        return min((lm.halo_rings for lm in self.locals), default=0)
 
     # -- statistics ----------------------------------------------------------
     def comm_stats(self) -> dict:

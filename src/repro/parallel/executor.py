@@ -43,7 +43,7 @@ import weakref
 
 import numpy as np
 
-from repro.dycore.solver import SSP_RK_SCHEDULE, Tendencies
+from repro.dycore.solver import SSP_RK3, Tendencies
 from repro.obs import SpanKind, get_tracer
 
 
@@ -215,9 +215,9 @@ class ProcessRankExecutor:
     (finalizers run atexit) even if nobody called :meth:`close`.
     """
 
-    #: One output slot per stage of the longest SSP-RK schedule (RK3
-    #: holds t1/t2/t3 simultaneously).
-    N_SLOTS = max(SSP_RK_SCHEDULE)
+    #: One output slot per SSP-RK3 stage (the last stage combines all
+    #: three tendencies).
+    N_SLOTS = len(SSP_RK3)
 
     def __init__(self, cores: list, states: list, slots: list, workers: int):
         import multiprocessing as mp

@@ -116,8 +116,6 @@ def run_profile(
     seed: int = 0,
     compare_model: bool = False,
     precision: Precision = Precision.MIXED,
-    ranks: int = 1,
-    workers: int = 1,
 ) -> dict:
     """Instrumented dycore run + optional model reconciliation.
 
@@ -130,12 +128,7 @@ def run_profile(
     ``aggregate``       per-(kind, name) span statistics;
     ``metrics``         the metrics-registry snapshot;
     ``reconciliation``  per-kernel predicted-vs-traced table (only when
-                        ``compare_model``);
-    ``distributed``     wall-clock of the same steps through a
-                        ``ranks``-way :class:`DistributedDycore` with
-                        ``workers`` rank-stepping processes, plus a
-                        bitwise serial-vs-parallel check (only when
-                        ``ranks > 1``).
+                        ``compare_model``).
     """
     import numpy as np
 
@@ -189,62 +182,4 @@ def run_profile(
         result["max_relative_error"] = max(
             (r.relative_error for r in recon), default=0.0
         )
-    if ranks > 1:
-        result["distributed"] = _profile_distributed(
-            mesh, vc, gc, seed, steps, ranks, workers
-        )
     return result
-
-
-def _profile_distributed(
-    mesh, vc, gc, seed: int, steps: int, ranks: int, workers: int,
-) -> dict:
-    """Wall-clock a DistributedDycore over the profile state.
-
-    Steps the same perturbed tropical state through a ``ranks``-way
-    decomposition with ``workers`` rank-stepping processes; when
-    ``workers > 1`` a serial-executor twin runs the same steps and the
-    gathered prognostic fields must match bitwise.
-    """
-    import time
-
-    import numpy as np
-
-    from repro.dycore.solver import DycoreConfig
-    from repro.dycore.state import tropical_profile_state
-    from repro.parallel.driver import DistributedDycore
-
-    def _initial_state():
-        state = tropical_profile_state(mesh, vc, rh_surface=0.85)
-        rng = np.random.default_rng(seed)
-        state.theta = state.theta + 0.3 * rng.normal(size=state.theta.shape)
-        return state
-
-    cfg = DycoreConfig(dt=gc.dt_dyn, tracer_ratio=gc.tracer_ratio)
-
-    def _run(n_workers: int):
-        d = DistributedDycore(
-            mesh, vc, cfg, nparts=ranks, seed=seed, workers=n_workers,
-        )
-        d.scatter(_initial_state())
-        t0 = time.perf_counter()
-        d.run(steps)
-        wall = time.perf_counter() - t0
-        fields = d.gather()
-        d.close()
-        return fields, wall
-
-    fields, wall = _run(workers)
-    out = {
-        "ranks": ranks,
-        "workers": workers,
-        "steps": steps,
-        "wall_seconds": wall,
-    }
-    if workers > 1:
-        serial_fields, ref_wall = _run(1)
-        out["serial_wall_seconds"] = ref_wall
-        out["bitwise_vs_serial"] = bool(
-            all(np.array_equal(a, b) for a, b in zip(fields, serial_fields))
-        )
-    return out

@@ -60,7 +60,7 @@ class _SubstrateShadow:
     the shared injector occurrence counters.
     """
 
-    def __init__(self, model, state, nparts: int, seed: int, workers: int = 1):
+    def __init__(self, model, state, nparts: int, seed: int):
         from repro.comm.message import Communicator
         from repro.parallel.exchange import EdgeCellExchanger
         from repro.parallel.localmesh import build_local_meshes
@@ -94,32 +94,6 @@ class _SubstrateShadow:
         self.exchanges = 0
         self.kernel_steps = 0
         self.dma_copies = 0
-        # With workers > 1 the shadow additionally steps a parallel
-        # DistributedDycore next to a serial twin and demands bitwise
-        # agreement — the rank-executor equivalent of the CRC'd halo
-        # check above.  Default (workers=1) adds nothing, keeping the
-        # seeded-determinism replay contract byte-for-byte unchanged.
-        self.workers = workers
-        self.parallel_steps = 0
-        self._twin_serial = None
-        self._twin_parallel = None
-        if workers > 1:
-            from repro.parallel.driver import DistributedDycore
-
-            cfg = model.dycore.config
-            self._twin_serial = DistributedDycore(
-                mesh, model.vcoord, cfg, nparts=nparts, seed=seed
-            )
-            self._twin_parallel = DistributedDycore(
-                mesh, model.vcoord, cfg, nparts=nparts, seed=seed,
-                workers=workers,
-            )
-            self._twin_serial.scatter(state)
-            self._twin_parallel.scatter(state)
-
-    def close(self) -> None:
-        if self._twin_parallel is not None:
-            self._twin_parallel.close()
 
     def step(self) -> None:
         from repro.sunway.dma import MemorySpace, omnicopy
@@ -146,19 +120,6 @@ class _SubstrateShadow:
             dst_space=MemorySpace.LDM, src_space=MemorySpace.MAIN,
         )
         self.dma_copies += 1
-        # Parallel-vs-serial rank stepping (only when workers > 1).
-        if self._twin_parallel is not None:
-            self._twin_serial.step()
-            self._twin_parallel.step()
-            for a, b in zip(
-                self._twin_serial.gather(), self._twin_parallel.gather()
-            ):
-                if not np.array_equal(a, b):
-                    raise StepFailure(
-                        "parallel rank executor diverged bitwise from the "
-                        "serial twin"
-                    )
-            self.parallel_steps += 1
 
 
 def _snapshot(model, state) -> dict:
@@ -184,13 +145,10 @@ def _integrate(
     substrate_every: int,
     nparts: int,
     max_rollbacks: int,
-    workers: int = 1,
 ) -> dict:
     """One chaos integration under ``plan``; returns state + accounting."""
     model, state = _build_model(level, nlev, seed)
-    shadow = _SubstrateShadow(
-        model, state, nparts=nparts, seed=seed, workers=workers
-    )
+    shadow = _SubstrateShadow(model, state, nparts=nparts, seed=seed)
     store = CheckpointStore(keep=3)
     survived = True
     failure = None
@@ -215,11 +173,8 @@ def _integrate(
                 state = _restore(model, payload)
                 step = ck_step
     summary = inj.summary()
-    shadow.close()
     return {
         "state": state,
-        "workers": workers,
-        "parallel_rank_steps": shadow.parallel_steps,
         "survived": survived and summary["n_unrecovered"] == 0,
         "failure": failure,
         "steps_completed": step,
@@ -247,17 +202,12 @@ def run_chaos(
     max_rollbacks: int = 8,
     include_baseline: bool = True,
     tracer: Tracer | None = None,
-    workers: int = 1,
 ) -> dict:
     """Run a chaos integration and report survival, recovery and drift.
 
     ``include_baseline`` re-runs the identical configuration under the
     empty plan and reports the faulted run's drift against it; because
     every recovery rung is bit-exact, a surviving run's drift is zero.
-
-    ``workers > 1`` additionally steps a parallel ``DistributedDycore``
-    against a serial twin inside the substrate shadow each shadow step
-    and fails the run on any bitwise divergence.
     """
     if isinstance(plan, str):
         plan = FaultPlan.named(plan)
@@ -267,7 +217,6 @@ def run_chaos(
             result = _integrate(
                 plan, level, nlev, steps, seed,
                 checkpoint_every, substrate_every, nparts, max_rollbacks,
-                workers=workers,
             )
         snap = metrics.snapshot()
         # Host wall-clock histograms vary run to run; everything else in
@@ -294,7 +243,6 @@ def run_chaos(
         baseline = _integrate(
             FaultPlan.named("none"), level, nlev, steps, seed,
             checkpoint_every, substrate_every, nparts, max_rollbacks,
-            workers=workers,
         )
         bstate = baseline["state"]
         report["drift"] = {

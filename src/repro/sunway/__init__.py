@@ -17,12 +17,16 @@ optimisations act on:
   team-head CPEs, team heads spawn team members (Fig. 5), with
   parallel-for/workshare scheduling;
 * :mod:`repro.sunway.kernel` — a roofline kernel-timing model with
-  cache-hit feedback, used by Fig. 9 and the scaling model.
+  cache-hit feedback, used by Fig. 9 and the scaling model;
+* :mod:`repro.sunway.execution` — the registered dycore kernels run as
+  SWGOMP target regions over the simulated CPEs (section 3.3.4).
+
+Offload plans are declared as access specs (:mod:`repro.analysis.access`)
+and checked by ``repro lint``.
 """
 
 from repro.sunway.allocator import PoolAllocator
 from repro.sunway.arch import SW26010P, CoreGroup
-from repro.sunway.directives import DirectiveError, LaunchPlan, parse_directives
 from repro.sunway.dma import MemorySpace, omnicopy
 from repro.sunway.execution import SWGOMPExecutor
 from repro.sunway.kernel import Engine, KernelSpec, KernelTimer, Precision
@@ -44,8 +48,5 @@ __all__ = [
     "KernelTimer",
     "Engine",
     "Precision",
-    "parse_directives",
-    "LaunchPlan",
-    "DirectiveError",
     "SWGOMPExecutor",
 ]

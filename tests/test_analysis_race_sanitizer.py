@@ -154,15 +154,12 @@ class TestRealRunSanitize:
 
     @pytest.mark.parametrize("workers", [1, pytest.param(2, marks=needs_fork)])
     @pytest.mark.parametrize("sponge", [0, 2])
-    @pytest.mark.parametrize("rk", [1, 2, 3])
-    def test_observed_plan_matches_declared_schedule(
-        self, mesh, vc, rk, sponge, workers
-    ):
+    def test_observed_plan_matches_declared_schedule(self, mesh, vc, sponge, workers):
         """Every observed step is, op for op, the one declared step:
         kind, lane, epoch, accesses and delivery edges (exchange epochs
         relative to the step's first exchange — the exchanger's counter
         runs on across steps), plus the plan-level halo sets and arena."""
-        cfg = DycoreConfig(dt=600.0, sponge_levels=sponge, rk_stages=rk)
+        cfg = DycoreConfig(dt=600.0, sponge_levels=sponge)
         d = DistributedDycore(mesh, vc, cfg, nparts=4, workers=workers)
         try:
             d.scatter(baroclinic_wave_state(mesh, vc))

@@ -246,8 +246,8 @@ class TestRealStepPlan:
     def vc(self):
         return VerticalCoordinate.uniform(4)
 
-    def _driver(self, mesh, vc, workers=1, sponge=0, rk=3):
-        cfg = DycoreConfig(dt=600.0, sponge_levels=sponge, rk_stages=rk)
+    def _driver(self, mesh, vc, workers=1, sponge=0):
+        cfg = DycoreConfig(dt=600.0, sponge_levels=sponge)
         d = DistributedDycore(mesh, vc, cfg, nparts=4, workers=workers)
         d.scatter(baroclinic_wave_state(mesh, vc))
         return d
@@ -259,14 +259,11 @@ class TestRealStepPlan:
         with pytest.raises(RuntimeError, match="scatter"):
             build_step_plan(d)
 
-    @pytest.mark.parametrize("workers,sponge,rk", [
-        (1, 0, 3), (2, 2, 3), (1, 0, 2), (1, 0, 1),
-    ])
-    def test_current_lockstep_schedule_is_clean(self, mesh, vc,
-                                                workers, sponge, rk):
+    @pytest.mark.parametrize("workers,sponge", [(1, 0), (2, 2)])
+    def test_current_lockstep_schedule_is_clean(self, mesh, vc, workers, sponge):
         """The acceptance gate: the real (race-free) schedule must
         produce zero RD diagnostics in every configuration."""
-        d = self._driver(mesh, vc, workers=workers, sponge=sponge, rk=rk)
+        d = self._driver(mesh, vc, workers=workers, sponge=sponge)
         try:
             diags = analyze_parallel_plan(build_step_plan(d))
         finally:

@@ -13,7 +13,7 @@ from repro.analysis.access import (
 )
 from repro.analysis.corpus import KNOWN_BAD_CORPUS
 from repro.analysis.diagnostics import RULES, Diagnostic, Severity, rank
-from repro.analysis.static import analyze_plan, plan_from_directives
+from repro.analysis.static import analyze_plan
 from repro.sunway.ldcache import LDCache
 
 
@@ -234,25 +234,6 @@ class TestRules:
         wide = _single_loop_plan(spec, halo_width=2)
         assert any(d.rule == "SW007" for d in analyze_plan(narrow))
         assert all(d.rule != "SW007" for d in analyze_plan(wide))
-
-
-class TestPlanFromDirectives:
-    def test_nowait_and_regions_carried_over(self):
-        src = (
-            "!$omp target\n!$omp parallel\n"
-            "!$omp do\ndo ie = 1, ne\nend do\n!$omp end do nowait\n"
-            "!$omp do\ndo je = 1, ne\nend do\n!$omp end do\n"
-            "!$omp end parallel\n!$omp end target\n"
-        )
-        spec_w = AccessSpec.of(ArrayAccess("ke", mode="w", index="i"))
-        spec_r = AccessSpec.of(
-            ArrayAccess("ke", mode="r", index="i"),
-            ArrayAccess("out", mode="w", index="i"),
-        )
-        plan = plan_from_directives(src, {"ie": spec_w, "je": spec_r})
-        assert [lp.nowait for lp in plan.loops] == [True, False]
-        assert [lp.region for lp in plan.loops] == [0, 0]
-        assert any(d.rule == "SW002" for d in analyze_plan(plan))
 
 
 class TestCorpus:

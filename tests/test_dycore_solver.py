@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from repro.dycore import tendencies as tnd
 from repro.dycore.kernels import MAJOR_KERNELS, n_elements, sample_fields
-from repro.dycore.solver import SSP_RK_SCHEDULE, DycoreConfig, DynamicalCore, rk_update
+from repro.dycore.solver import DycoreConfig, DynamicalCore, Tendencies, rk_update
 from repro.dycore.state import (
     baroclinic_wave_state,
     isothermal_rest_state,
@@ -264,17 +264,6 @@ class TestKernelRegistry:
 
 
 class TestConfigValidation:
-    @pytest.mark.parametrize("rk", [0, 4, -1])
-    def test_unknown_rk_stage_count_rejected(self, rk):
-        """Only the stage counts the schedule table declares exist; 4
-        used to run RK3 silently and 0 forward Euler."""
-        with pytest.raises(ValueError, match="rk_stages"):
-            DycoreConfig(rk_stages=rk)
-
-    @pytest.mark.parametrize("rk", [1, 2, 3])
-    def test_declared_rk_stage_counts_accepted(self, rk):
-        assert DycoreConfig(rk_stages=rk).rk_stages == rk
-
     def test_unknown_stencil_backend_rejected_at_construction(self):
         """A typo fails here, before a distributed driver has
         partitioned the graph and built every local mesh."""
@@ -296,6 +285,36 @@ class TestConfigValidation:
             DycoreConfig(**{field: value})
 
 
+class TestRkSchedule:
+    """What the one schedule computes: on ``u' = lambda * u`` with every
+    other tendency zero, one step multiplies ``u`` by SSP-RK3's stability
+    polynomial ``1 + z + z^2/2 + z^3/6``, ``z = lambda * dt``."""
+
+    @pytest.mark.parametrize("z", [-0.1, -1.0, -2.0, -2.5])
+    def test_linear_tendency_gives_rk3_polynomial(self, mesh, vc, z):
+        dt = 300.0
+        core = DynamicalCore(
+            mesh, vc, DycoreConfig(dt=dt, sponge_levels=0, tracer_ratio=10**6)
+        )
+        lam = z / dt
+
+        def linear(state):
+            return Tendencies(
+                ps=np.zeros_like(state.ps), u=lam * state.u,
+                theta_mass=np.zeros_like(state.theta),
+                flux_edge=np.zeros_like(state.u),
+            )
+
+        core.compute_tendencies = linear
+        st = solid_body_rotation_state(mesh, vc)
+        out = core.step(st)
+        expect = st.u * (1.0 + z + z**2 / 2 + z**3 / 6)
+        np.testing.assert_allclose(
+            out.u, expect, rtol=1e-13, atol=1e-14 * np.abs(st.u).max()
+        )
+        np.testing.assert_array_equal(out.ps, st.ps)
+
+
 class TestStepLeavesInputAlone:
     """``step`` updates one copy of its input in place; the input itself
     must come back byte-identical and share no memory with the result."""
@@ -307,14 +326,11 @@ class TestStepLeavesInputAlone:
         return named
 
     @pytest.mark.parametrize("nonhydrostatic", [False, True], ids=["hydrostatic", "NH"])
-    @pytest.mark.parametrize("rk", sorted(SSP_RK_SCHEDULE))
     def test_input_untouched_result_unaliased_and_reproducible(
-        self, mesh, vc, rk, nonhydrostatic
+        self, mesh, vc, nonhydrostatic
     ):
         # tracer_ratio=1: the tracer step (which reads the input's ps) runs too.
-        cfg = DycoreConfig(
-            dt=300.0, rk_stages=rk, nonhydrostatic=nonhydrostatic, tracer_ratio=1
-        )
+        cfg = DycoreConfig(dt=300.0, nonhydrostatic=nonhydrostatic, tracer_ratio=1)
         state = solid_body_rotation_state(mesh, vc)
         assert state.tracers
         before = {k: a.tobytes() for k, a in self._arrays(state).items()}

@@ -4,7 +4,7 @@ implicit solver."""
 import numpy as np
 import pytest
 
-from repro.constants import GRAVITY, P0, R_DRY
+from repro.constants import GRAVITY, P0
 from repro.dycore.hevi import (
     GAMMA,
     acoustic_timescale,
@@ -185,3 +185,85 @@ class TestDiscreteBalance:
         phi = discrete_balanced_phi(dpi, theta, np.zeros(4), vc.ptop)
         res = hydrostatic_residual(dpi, phi, theta)
         assert np.abs(res).max() < 1e-10
+
+
+class TestHybridVerticalCoordinate:
+    def setup_method(self):
+        from repro.dycore.vertical import HybridVerticalCoordinate
+
+        self.hv = HybridVerticalCoordinate.standard(10)
+
+    def test_boundary_identities(self):
+        np.testing.assert_allclose(self.hv.b_interfaces[0], 0.0)
+        np.testing.assert_allclose(self.hv.b_interfaces[-1], 1.0)
+        np.testing.assert_allclose(self.hv.a_interfaces[-1], 0.0)
+        assert self.hv.a_interfaces[0] == self.hv.ptop
+
+    def test_pressure_bracket(self):
+        ps = np.array([1.0e5, 9.2e4])
+        p = self.hv.pressure_interfaces(ps)
+        np.testing.assert_allclose(p[:, 0], self.hv.ptop)
+        np.testing.assert_allclose(p[:, -1], ps)
+        assert np.all(np.diff(p, axis=1) > 0)
+
+    def test_mass_closure(self):
+        ps = np.array([1.0e5, 8.5e4])
+        np.testing.assert_allclose(
+            self.hv.dpi(ps).sum(axis=1), ps - self.hv.ptop
+        )
+
+    def test_upper_levels_pressure_like(self):
+        """B ~ 0 aloft: upper interfaces don't move with ps."""
+        p_hi = self.hv.pressure_interfaces(np.array([1.0e5]))
+        p_lo = self.hv.pressure_interfaces(np.array([9.0e4]))
+        assert abs(p_hi[0, 2] - p_lo[0, 2]) < 1.0        # fixed aloft
+        assert p_hi[0, -1] - p_lo[0, -1] == pytest.approx(1.0e4)
+
+    def test_degenerate_sigma_equivalence(self):
+        """A = ptop(1-s), B = s reproduces the pure sigma coordinate."""
+        from repro.dycore.vertical import (
+            HybridVerticalCoordinate,
+            VerticalCoordinate,
+        )
+
+        s = np.linspace(0.0, 1.0, 9)
+        sig = VerticalCoordinate(s, ptop=225.0)
+        hyb = HybridVerticalCoordinate(225.0 * (1.0 - s), s)
+        ps = np.array([1.0e5, 9.5e4, 8.0e4])
+        np.testing.assert_allclose(
+            hyb.pressure_interfaces(ps), sig.pressure_interfaces(ps)
+        )
+        np.testing.assert_allclose(hyb.dpi(ps), sig.dpi(ps))
+
+    def test_invalid_boundaries_rejected(self):
+        from repro.dycore.vertical import HybridVerticalCoordinate
+
+        s = np.linspace(0.0, 1.0, 5)
+        with pytest.raises(ValueError):
+            HybridVerticalCoordinate(225.0 * (1.0 - s), s * 0.9)   # B(end) != 1
+        with pytest.raises(ValueError):
+            HybridVerticalCoordinate(np.ones(5) * 100.0, s)        # A(end) != 0
+
+    def test_model_runs_on_hybrid(self):
+        from repro.dycore.solver import DycoreConfig, DynamicalCore
+        from repro.dycore.state import solid_body_rotation_state
+        from repro.grid.mesh import build_mesh
+
+        mesh = build_mesh(2)
+        st = solid_body_rotation_state(mesh, self.hv)
+        core = DynamicalCore(mesh, self.hv, DycoreConfig(dt=600.0))
+        m0 = st.total_dry_mass()
+        st2 = core.run(st, 12)
+        assert np.isfinite(st2.ps).all()
+        assert st2.total_dry_mass() == pytest.approx(m0, rel=1e-13)
+
+    def test_vertical_mass_flux_boundaries_on_hybrid(self):
+        from repro.dycore.tendencies import vertical_mass_flux
+        from repro.grid.mesh import build_mesh
+
+        mesh = build_mesh(1)
+        rng = np.random.default_rng(0)
+        D = rng.normal(size=(mesh.nc, self.hv.nlev))
+        M = vertical_mass_flux(mesh, self.hv.b_interfaces, D)
+        np.testing.assert_allclose(M[:, 0], 0.0, atol=1e-12)
+        np.testing.assert_allclose(M[:, -1], 0.0, atol=1e-12)

@@ -421,17 +421,6 @@ class TestMemberEquivalence:
         # slot's factors on exit, so an unperturbed rerun still matches.
         assert tiny_runner("tropical").run().digest() == base.digest()
 
-    def test_loop_through_serving_pool_matches_standalone(self):
-        """An EnsembleRunner handed a warm ModelPool produces the same
-        bits as one building its own model."""
-        from repro.serve import ModelPool
-
-        pool = ModelPool(max_models=1)
-        pooled = tiny_runner("tropical", pool=pool).run()
-        standalone = tiny_runner("tropical").run()
-        assert pooled.member_digests() == standalone.member_digests()
-        assert pool.stats()["built"] == 1
-
     def test_cross_process_run_digest(self):
         """The whole ensemble run — not just the inputs — is
         reproducible from a fresh interpreter."""
@@ -482,12 +471,6 @@ class TestForkedLoopWorkers:
             "tropical", physics_perturbation=0.2, workers=2
         ).run()
         assert forked.member_digests() == serial.member_digests()
-
-    def test_workers_reject_shared_pool(self):
-        from repro.serve import ModelPool
-
-        with pytest.raises(ValueError, match="pool"):
-            tiny_runner("tropical", workers=2, pool=ModelPool(max_models=1))
 
     def test_workers_must_be_positive(self):
         with pytest.raises(ValueError, match="workers"):
@@ -596,14 +579,6 @@ class TestExampleRegressionPins:
 # -- serving-layer integration ---------------------------------------------
 
 class TestServingIntegration:
-    def test_runner_request_roundtrip(self):
-        runner = tiny_runner("heatwave", n_members=3, seed=9)
-        req = runner.request()
-        assert req.scenario == "heatwave"
-        assert req.ensemble_size == 3
-        assert req.seed == 9
-        assert req.model_key() == (LEVEL, NLEV, "DP-PHY", "heatwave")
-
     def test_scheduler_serves_new_scenarios(self):
         """A registered scenario is a first-class serving citizen: the
         scheduler runs it and its members match the ensemble loop."""

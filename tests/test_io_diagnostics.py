@@ -7,7 +7,7 @@ import pytest
 from repro.dycore.diagnostics import BudgetMonitor, compute_budgets
 from repro.dycore.solver import DycoreConfig, DynamicalCore
 from repro.dycore.state import solid_body_rotation_state, tropical_profile_state
-from repro.dycore.vertical import VerticalCoordinate
+from repro.dycore.vertical import HybridVerticalCoordinate, VerticalCoordinate
 from repro.grid.mesh import build_mesh
 from repro.model.io import HistoryWriter, load_state, save_state
 
@@ -36,6 +36,7 @@ class TestRestart:
         for k in st.tracers:
             np.testing.assert_array_equal(back.tracers[k], st.tracers[k])
         assert back.time == st.time
+        assert type(back.vcoord) is VerticalCoordinate
         assert back.vcoord.nlev == vc.nlev
         np.testing.assert_array_equal(
             back.vcoord.sigma_interfaces, vc.sigma_interfaces
@@ -77,6 +78,21 @@ class TestRestart:
         back = load_state(path)
         assert back.mesh.nc == mesh.nc
 
+    def test_hybrid_coordinate_roundtrip(self, mesh, tmp_path):
+        """A hybrid-coordinate restart comes back hybrid, with the same
+        A and B interfaces and so the same layer masses at any ps."""
+        hv = HybridVerticalCoordinate.standard(8)
+        st = tropical_profile_state(mesh, hv)
+        st.ps = st.ps - 3000.0 * np.random.default_rng(1).random(mesh.nc)
+        path = str(tmp_path / "hybrid.npz")
+        save_state(path, st)
+        back = load_state(path, mesh)
+        assert type(back.vcoord) is HybridVerticalCoordinate
+        for name in ("a_interfaces", "b_interfaces", "sigma_interfaces"):
+            assert getattr(back.vcoord, name).tobytes() == getattr(hv, name).tobytes()
+        assert back.vcoord.ptop == hv.ptop
+        assert back.vcoord.dpi(back.ps).tobytes() == hv.dpi(st.ps).tobytes()
+
 
 class TestHistoryWriter:
     def test_record_flush_read(self, tmp_path):
@@ -98,6 +114,21 @@ class TestHistoryWriter:
         w.record(0.0, a=1.0)
         with pytest.raises(ValueError):
             w.record(1.0, b=2.0)
+
+    def test_rejected_record_leaves_writer_usable(self, tmp_path):
+        """A rejected record stores nothing, so the next valid one is
+        accepted and the series stay aligned."""
+        w = HistoryWriter(str(tmp_path))
+        w.record(0.0, a=1.0)
+        with pytest.raises(ValueError):
+            w.record(1.0, a=2.0, b=3.0)
+        with pytest.raises(ValueError):
+            w.record(1.0)
+        w.record(2.0, a=4.0)
+        assert w.n_records == 2
+        times, a = HistoryWriter.read_series([w.flush()], "a")
+        np.testing.assert_array_equal(times, [0.0, 2.0])
+        np.testing.assert_array_equal(a, [1.0, 4.0])
 
     def test_flush_resets(self, tmp_path):
         w = HistoryWriter(str(tmp_path))

@@ -1,12 +1,10 @@
 """Tests of the distributed-memory execution layer: local meshes,
 cell+edge aggregated exchange, and serial-equivalence of the driver."""
 
-import itertools
-
 import numpy as np
 import pytest
 
-from repro.dycore.solver import SSP_RK_SCHEDULE, DycoreConfig, DynamicalCore
+from repro.dycore.solver import DycoreConfig, DynamicalCore
 from repro.dycore.state import baroclinic_wave_state, solid_body_rotation_state
 from repro.dycore.stencil import BACKENDS
 from repro.dycore.vertical import VerticalCoordinate
@@ -306,13 +304,13 @@ class TestSerialEquivalence:
 
     @pytest.mark.parametrize("nparts", [1, 2, 4, 7])
     def test_solid_body_bitwise(self, mesh, nparts):
-        """Every ``SSP_RK_SCHEDULE`` row: the single-weight row RK1 and
-        each first stage take, and both combined rows."""
+        """Every ``SSP_RK3`` row: the single-weight first row and both
+        combined rows."""
         vc = VerticalCoordinate.uniform(5)
         st0 = solid_body_rotation_state(mesh, vc)
-        for backend, rk in itertools.product(BACKENDS, SSP_RK_SCHEDULE):
-            tag = f"{backend} rk_stages={rk}"
-            cfg = DycoreConfig(dt=600.0, stencil_backend=backend, rk_stages=rk)
+        for backend in BACKENDS:
+            tag = backend
+            cfg = DycoreConfig(dt=600.0, stencil_backend=backend)
             serial = DynamicalCore(mesh, vc, cfg)
             s = st0.copy()
             for _ in range(4):

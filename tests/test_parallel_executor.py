@@ -8,7 +8,6 @@ matches bit for bit.  These tests fork real worker processes; they are
 skipped on platforms without ``fork``.
 """
 
-import itertools
 import os
 import signal
 import threading
@@ -17,7 +16,7 @@ import numpy as np
 import pytest
 
 from repro.dycore import solver
-from repro.dycore.solver import SSP_RK_SCHEDULE, DycoreConfig, DynamicalCore
+from repro.dycore.solver import DycoreConfig, DynamicalCore
 from repro.dycore.state import baroclinic_wave_state
 from repro.dycore.stencil import BACKENDS
 from repro.dycore.vertical import VerticalCoordinate
@@ -59,22 +58,21 @@ class TestBitwiseEquality:
     keep the test ids stable)."""
 
     def test_two_workers_match_serial_bitwise(self, mesh, vc):
-        for backend, rk in itertools.product(BACKENDS, SSP_RK_SCHEDULE):
-            kw = dict(stencil_backend=backend, rk_stages=rk)
-            serial = _run(mesh, vc, workers=1, **kw)
-            parallel = _run(mesh, vc, workers=2, **kw)
+        for backend in BACKENDS:
+            serial = _run(mesh, vc, workers=1, stencil_backend=backend)
+            parallel = _run(mesh, vc, workers=2, stencil_backend=backend)
             for a, b in zip(serial, parallel):
-                assert np.array_equal(a, b), f"{backend} rk_stages={rk}"
+                assert np.array_equal(a, b), backend
 
     def test_three_workers_with_sponge_match_serial_bitwise(self, mesh, vc):
         """Uneven rank deal (4 ranks over 3 workers) plus the sponge
         command path, which writes state in the workers."""
-        for backend, rk in itertools.product(BACKENDS, SSP_RK_SCHEDULE):
-            kw = dict(sponge=2, stencil_backend=backend, rk_stages=rk)
+        for backend in BACKENDS:
+            kw = dict(sponge=2, stencil_backend=backend)
             serial = _run(mesh, vc, workers=1, **kw)
             parallel = _run(mesh, vc, workers=3, **kw)
             for a, b in zip(serial, parallel):
-                assert np.array_equal(a, b), f"{backend} rk_stages={rk}"
+                assert np.array_equal(a, b), backend
 
 
 class TestExecutorLifecycle:
