@@ -29,7 +29,6 @@ import numpy as np
 
 from repro.dycore.stencil import (
     BACKENDS,
-    BITWISE,
     STENCILS,
     OperatorCache,
     StencilSpec,
@@ -39,7 +38,7 @@ from repro.dycore.stencil import (
 from repro.grid.mesh import Mesh, PAD  # noqa: F401  (re-export: PAD)
 
 __all__ = [
-    "OperatorCache", "StencilSpec", "STENCILS", "BACKENDS", "BITWISE",
+    "OperatorCache", "StencilSpec", "STENCILS", "BACKENDS",
     "compiled_kernels", "traffic_factor",
     "divergence", "gradient", "curl", "cell_to_edge",
     "cell_to_edge_upwind", "vertex_to_edge", "vertex_to_cell",

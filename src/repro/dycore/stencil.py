@@ -44,15 +44,14 @@ state, so cores of different backends can share one mesh.  The
 ``ops.*(mesh, …, backend=)`` wrappers of :mod:`repro.dycore.operators`
 are the same lookup per call, for tests, probes and diagnostics.
 
-Backend contract: each spec's ``tolerance`` is its float64
-fused-vs-reference bound — ``0.0`` means bitwise (the fused form performs
-the identical operations in the identical order), a positive value is
-scaled-infinity-norm, ``max|fused - ref| <= tolerance * max|ref|`` (a
-normalisation folded into the weights, or a summation reordered).  A
-float32 field (MIX's ``ns`` terms) runs the same kernels through float32
-tables and returns float32, within :data:`FLOAT32_TOLERANCE` of
-``reference`` (which promotes through its float64 weights).  Any other
-dtype, or ``ndim > 2``, raises ``TypeError``.
+Backend contract: fused agrees with ``reference`` per kernel and dtype
+under the ``operator`` row of the test suite's contract table — bitwise
+where the fused form performs the identical operations in the identical
+order, a scaled-infinity-norm bound where a normalisation is folded into
+the weights or a summation reordered.  A float32 field (MIX's ``ns``
+terms) runs the same kernels through float32 tables and returns float32
+(``reference`` promotes through its float64 weights).  Any other dtype,
+or ``ndim > 2``, raises ``TypeError``.
 
 Thread-safety: compilation is guarded by a module lock and plans are
 **immutable after publish** — every table, the fused plan's per-dtype
@@ -72,13 +71,6 @@ from scipy.sparse import csr_matrix
 from repro.grid.mesh import Mesh, PAD
 from repro.obs import get_metrics
 
-#: Contract value meaning "fused must equal reference bitwise".
-BITWISE = 0.0
-
-#: The float32 contract of every operator: scaled-inf-norm bound of
-#: fused against ``reference`` on the same float32 field.
-FLOAT32_TOLERANCE = 1e-6
-
 #: The dtypes the precision policies use; every per-dtype table is built
 #: for exactly these at compile time.
 POLICY_DTYPES = (np.dtype(np.float64), np.dtype(np.float32))
@@ -95,9 +87,7 @@ class StencilSpec:
 
     ``gathers``/``weights`` name the per-mesh index and weight tables the
     compiled plan materialises; ``arithmetic`` is the combine/reduce
-    expression in index notation.  ``tolerance`` is the fused-backend
-    float64 contract (:data:`BITWISE` or a scaled-inf-norm bound).
-    ``ref_passes``/``fused_passes`` count full memory passes over
+    expression in index notation.  ``ref_passes``/``fused_passes`` count full memory passes over
     output-sized arrays per call — the per-kernel hook the performance
     model uses to credit the fused backend.  A CSR SpMM is 2 (one read
     of the field's neighbourhood, one write, no gather transient); each
@@ -109,7 +99,6 @@ class StencilSpec:
     gathers: tuple[str, ...]
     weights: tuple[str, ...]
     arithmetic: str
-    tolerance: float = BITWISE
     ref_passes: int = 2
     fused_passes: int = 2
 
@@ -119,43 +108,43 @@ _W6 = ("div_w", "curl_w", "cell_area", "vertex_area", "de", "le")
 
 #: The compiled stencil registry: every public operator in
 #: :mod:`repro.dycore.operators`.  Fields in declaration order; the last
-#: three are ``tolerance, ref_passes, fused_passes``.
+#: two are ``ref_passes, fused_passes``.
 STENCILS: dict[str, StencilSpec] = {
     s.name: s
     for s in (
         StencilSpec("divergence", ("cell_edges",), ("div_w", "cell_area"),
                     "div_i = (1/A_i) sum_k F[ce(i,k)] * sign(i,k) * le(i,k)",
-                    1e-12, 5, 2),
+                    5, 2),
         StencilSpec("gradient", ("edge_cells",), ("de",),
-                    "g_e = (psi[c2(e)] - psi[c1(e)]) / de_e", BITWISE, 3, 3),
+                    "g_e = (psi[c2(e)] - psi[c1(e)]) / de_e", 3, 3),
         StencilSpec("curl", ("vertex_edges",), ("curl_w", "vertex_area"),
                     "zeta_v = (1/A_v) sum_k u[ve(v,k)] * sign(v,k) * de(v,k)",
-                    1e-12, 4, 2),
+                    4, 2),
         StencilSpec("cell_to_edge", ("edge_cells",), (),
-                    "f_e = 0.5 (psi[c1(e)] + psi[c2(e)])", BITWISE, 3, 2),
+                    "f_e = 0.5 (psi[c1(e)] + psi[c2(e)])", 3, 2),
         StencilSpec("cell_to_edge_upwind", ("edge_cells",), (),
-                    "f_e = psi[c1] if u_e >= 0 else psi[c2]", BITWISE, 3, 3),
+                    "f_e = psi[c1] if u_e >= 0 else psi[c2]", 3, 3),
         StencilSpec("vertex_to_edge", ("edge_vertices",), (),
-                    "f_e = 0.5 (psi[v1(e)] + psi[v2(e)])", BITWISE, 3, 2),
+                    "f_e = 0.5 (psi[v1(e)] + psi[v2(e)])", 3, 2),
         StencilSpec("vertex_to_cell", ("cell_vertices",), ("v2c_mask", "v2c_count"),
-                    "f_i = sum_k psi[cv(i,k)] m(i,k) / n_i", 1e-12, 5, 2),
+                    "f_i = sum_k psi[cv(i,k)] m(i,k) / n_i", 5, 2),
         StencilSpec("reconstruct_cell_vectors", ("cell_edges",), ("cell_recon",),
-                    "U_i = sum_k R(i,:,k) u[ce(i,k)]", 1e-12, 4, 2),
+                    "U_i = sum_k R(i,:,k) u[ce(i,k)]", 4, 2),
         StencilSpec("tangential_velocity", ("cell_edges", "edge_cells"),
                     ("cell_recon", "edge_tangent"),
-                    "vt_e = 0.5 (U[c1] + U[c2]) . t_e", 1e-12, 5, 2),
+                    "vt_e = 0.5 (U[c1] + U[c2]) . t_e", 5, 2),
         StencilSpec("kinetic_energy", ("cell_edges",), ("cell_recon",),
-                    "K_i = 0.5 |U_i|^2", 1e-12, 4, 3),
+                    "K_i = 0.5 |U_i|^2", 4, 3),
         StencilSpec("laplacian_cell", ("edge_cells", "cell_edges"),
                     ("de", "div_w", "cell_area"),
-                    "lap = (div . 1/de)(diff psi)", 1e-11, 8, 4),
+                    "lap = (div . 1/de)(diff psi)", 8, 4),
         StencilSpec("laplacian_edge", _E4, _W6,
-                    "lap = grad(div(u)) - curl(curl(u))", 1e-11, 15, 2),
+                    "lap = grad(div(u)) - curl(curl(u))", 15, 2),
         StencilSpec("vorticity_edge", ("vertex_edges", "edge_vertices"),
                     ("curl_w", "vertex_area"),
-                    "zeta_e = 0.5 (curl(u)[v1(e)] + curl(u)[v2(e)])", 1e-11, 6, 2),
+                    "zeta_e = 0.5 (curl(u)[v1(e)] + curl(u)[v2(e)])", 6, 2),
         StencilSpec("momentum_diffusion", _E4, _W6,
-                    "d = nu lap_e(u) + nu_div grad(div(u))", 1e-11, 20, 2),
+                    "d = nu lap_e(u) + nu_div grad(div(u))", 20, 2),
     )
 }
 

@@ -13,8 +13,9 @@ Bitwise contract
 ----------------
 Both executors run the *same* ``DynamicalCore.compute_tendencies`` /
 ``_apply_sponge`` code on the driver's one list of rank states, so their
-results are bitwise identical; the equality test in
-``tests/test_parallel_executor.py`` pins it.  The mechanism:
+results are bitwise identical — the ``ranks`` row of the test suite's
+contract table, over both backends, both precisions, one and two workers
+and the sponge.  The mechanism:
 
 * all per-rank prognostic arrays (``ps``, ``u``, ``theta``,
   ``phi_surface``) and three tendency output slots per rank live in one

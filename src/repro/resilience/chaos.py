@@ -12,12 +12,14 @@ Drives every fault site of the simulated substrate in one run:
   (straggler/failed CPE chunks), and one MAIN->LDM omnicopy staging
   (DMA errors).  The shadow never mutates model state, so with an
   empty fault plan the chaos run is bitwise identical to a plain
-  integration — the regression contract the determinism tests pin.
+  integration.
 
 The report compares the faulted run against a fault-free twin with the
 same seed: a surviving run must recover *every* injected fault, and —
-because every recovery rung restores bit-exact data — ends bitwise
-identical to the twin.
+because every recovery rung restores bit-exact data — ends with the
+twin's ``state_digest`` (every prognostic field, byte for byte).  The
+zero-fault run against a plain integration is the ``observer`` row of
+the test suite's contract table, the rollback replay its ``replay`` row.
 """
 
 from __future__ import annotations
@@ -240,6 +242,8 @@ def run_chaos(
         **result,
     }
     if include_baseline:
+        from repro.serve.request import state_digest
+
         baseline = _integrate(
             FaultPlan.named("none"), level, nlev, steps, seed,
             checkpoint_every, substrate_every, nparts, max_rollbacks,
@@ -250,17 +254,7 @@ def run_chaos(
             "u_max_abs": float(np.abs(state.u - bstate.u).max()),
             "theta_max_abs": float(np.abs(state.theta - bstate.theta).max()),
         }
-        report["bitwise_identical"] = bool(
-            np.array_equal(state.ps, bstate.ps)
-            and np.array_equal(state.u, bstate.u)
-            and np.array_equal(state.theta, bstate.theta)
-            and np.array_equal(state.w, bstate.w)
-            and np.array_equal(state.phi, bstate.phi)
-            and all(
-                np.array_equal(state.tracers[k], bstate.tracers[k])
-                for k in state.tracers
-            )
-        )
+        report["bitwise_identical"] = state_digest(state) == state_digest(bstate)
     return report
 
 

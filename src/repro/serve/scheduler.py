@@ -31,7 +31,9 @@ Bitwise contract: a job's member results are bit-identical to running
 the same members serially through a freshly built ``GristModel``
 (:func:`run_serial_oracle`) — warm reuse resets bit-exactly, chunked
 stepping is the same step sequence, and a pooled ML model runs the same
-seeded nets a fresh build gets.
+seeded nets a fresh build gets.  Pooled, warm-reset and cached results
+against the oracle are the ``served`` row of the test suite's contract
+table.
 """
 
 from __future__ import annotations
@@ -325,8 +327,7 @@ class ForecastScheduler:
 
 def run_serial_oracle(request: ForecastRequest) -> ForecastResult:
     """The bitwise reference: every member on a freshly built model,
-    no pool, no cache — what the concurrency tests compare
-    scheduler output against."""
+    no pool, no cache — the oracle of the ``served`` contract row."""
     from repro.serve.pool import build_forecast_model
 
     members = []

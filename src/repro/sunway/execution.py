@@ -4,8 +4,9 @@ This is the glue the paper's section 3.3.4 describes ("Applying OpenMP
 Offload in GRIST"): each registered kernel becomes a target region whose
 loop is distributed over the 64 CPEs, costed by the roofline/LDCache
 timing model.  The result is a *measured* (simulated) per-step CG time
-with per-kernel breakdown — used to cross-validate the analytic
-:class:`~repro.perf.model.PerformanceModel` and to study schedules and
+with per-kernel breakdown — held against the analytic
+:class:`~repro.perf.model.PerformanceModel` by the ``executor_vs_analytic``
+row of the test suite's contract table, and used to study schedules and
 team shapes.
 """
 
@@ -146,40 +147,3 @@ class SWGOMPExecutor:
             )
         ex.utilization = self.server.utilization()
         return ex
-
-    def validate_against_perf_model(self, grid_label: str = "G6") -> dict:
-        """Compare the executed kernel time with the analytic model.
-
-        Returns both values and their ratio; the test suite requires
-        them to agree within the reuse-factor band, tying the Fig. 9
-        machinery to the Figs. 10-11 machinery.
-        """
-        from repro.model.config import TABLE2_GRIDS
-        from repro.perf.model import PerformanceModel
-
-        ex = self.execute_step(run_numpy=False)
-        grid = TABLE2_GRIDS[grid_label]
-        # Scale the analytic model to this mesh's size: use nprocs such
-        # that cells/CG equals the local mesh size.
-        nprocs = max(1, round(grid.cells / self.mesh.nc))
-        pm = PerformanceModel()
-        analytic = pm._kernel_time(grid, nprocs, self.precision, self.nlev)
-        # The perf model multiplies by work_multiplier and a reuse factor;
-        # normalise both out for the comparison.
-        analytic_single = analytic / pm.params.work_multiplier
-        reuse = pm._reuse_factor(grid.cells / nprocs, self.nlev, 5.0)
-        indirect = pm.params.indirect_bandwidth_fraction
-        executed = ex.kernel_seconds
-        return {
-            "executed_seconds": executed,
-            "analytic_seconds": analytic_single,
-            "ratio": analytic_single / max(executed, 1e-30),
-            # The analytic model adds the indirect-gather bandwidth
-            # derating and the LDCache reuse factor on top of the raw
-            # roofline the executor charges; their quotient is the
-            # expected ratio (memory-bound kernels dominate).
-            "expected_ratio": reuse / indirect,
-            "reuse_factor": reuse,
-            "indirect_fraction": indirect,
-            "utilization": ex.utilization,
-        }

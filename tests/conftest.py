@@ -1,9 +1,11 @@
-"""Shared fixtures: session-scoped meshes and vertical coordinates.
+"""Shared fixtures: session-scoped meshes and vertical coordinates, and
+one marker per row of the contract table (``tests/contracts.py``).
 
 Mesh construction is deterministic and nothing in ``repro`` writes to a
 mesh beyond memoising its compiled stencil plans (a core of either
-backend leaves it as it found it), so instances are shared across tests;
-a test that edits mesh arrays builds its own.
+backend leaves it as it found it), so instances are shared across tests
+and with the contract table; a test that edits mesh arrays builds its
+own.
 """
 
 from __future__ import annotations
@@ -15,7 +17,13 @@ import numpy as np
 import pytest
 
 from repro.dycore.vertical import VerticalCoordinate
-from repro.grid import build_mesh
+from tests import contracts
+
+
+def pytest_configure(config):
+    for row in contracts.ROWS.values():
+        candidate, oracle = row.paths
+        config.addinivalue_line("markers", f"{row.name}: contract row, {candidate} vs {oracle}")
 
 
 @contextlib.contextmanager
@@ -41,17 +49,17 @@ def deadline():
 
 @pytest.fixture(scope="session")
 def mesh_g1():
-    return build_mesh(1)
+    return contracts.mesh(1)
 
 
 @pytest.fixture(scope="session")
 def mesh_g2():
-    return build_mesh(2)
+    return contracts.mesh(2)
 
 
 @pytest.fixture(scope="session")
 def mesh_g3():
-    return build_mesh(3)
+    return contracts.mesh(3)
 
 
 @pytest.fixture(scope="session")

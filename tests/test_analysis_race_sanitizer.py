@@ -3,7 +3,6 @@ known-racy corpus, and clean sanitizing of a real driver run."""
 
 import os
 
-import numpy as np
 import pytest
 
 from repro.analysis.corpus import KNOWN_RACY_PLANS
@@ -21,6 +20,7 @@ from repro.dycore.state import baroclinic_wave_state
 from repro.dycore.vertical import VerticalCoordinate
 from repro.grid.mesh import build_mesh
 from repro.parallel.driver import DistributedDycore
+from tests import contracts
 
 
 class TestSumHelpers:
@@ -112,10 +112,9 @@ class TestRealRunSanitize:
         return VerticalCoordinate.uniform(4)
 
     def _driver(self, mesh, vc, workers=1, sponge=0):
+        """The 4-rank baroclinic driver, scattered; closed on exit."""
         cfg = DycoreConfig(dt=600.0, sponge_levels=sponge)
-        d = DistributedDycore(mesh, vc, cfg, nparts=4, workers=workers)
-        d.scatter(baroclinic_wave_state(mesh, vc))
-        return d
+        return contracts.ranked(mesh, vc, cfg, baroclinic_wave_state(mesh, vc), workers=workers)
 
     def test_unscattered_driver_rejected(self, mesh, vc):
         d = DistributedDycore(
@@ -125,11 +124,8 @@ class TestRealRunSanitize:
             sanitize_run(d)
 
     def test_serial_run_is_clean(self, mesh, vc):
-        d = self._driver(mesh, vc)
-        try:
+        with self._driver(mesh, vc) as d:
             report = sanitize_run(d, steps=1)
-        finally:
-            d.close()
         assert report.clean
         assert report.plan.ops
         blob = report.to_dict()
@@ -139,11 +135,8 @@ class TestRealRunSanitize:
     def test_workers2_run_is_clean(self, mesh, vc):
         """The CI acceptance gate: a chaos-free workers=2 run observed
         through the span stream replays with zero race events."""
-        d = self._driver(mesh, vc, workers=2, sponge=2)
-        try:
+        with self._driver(mesh, vc, workers=2, sponge=2) as d:
             report = sanitize_run(d, steps=2)
-        finally:
-            d.close()
         assert report.clean, report.to_dict()["events"]
         # The observed plan really covers the run: 2 steps x (save +
         # 3 stages + sponge), with the arena layout attached.
@@ -159,14 +152,9 @@ class TestRealRunSanitize:
         kind, lane, epoch, accesses and delivery edges (exchange epochs
         relative to the step's first exchange — the exchanger's counter
         runs on across steps), plus the plan-level halo sets and arena."""
-        cfg = DycoreConfig(dt=600.0, sponge_levels=sponge)
-        d = DistributedDycore(mesh, vc, cfg, nparts=4, workers=workers)
-        try:
-            d.scatter(baroclinic_wave_state(mesh, vc))
+        with self._driver(mesh, vc, workers, sponge) as d:
             declared = build_step_plan(d)
             observed = sanitize_run(d, steps=2).plan
-        finally:
-            d.close()
 
         def shape(ops, edges):
             first = min(op.epoch for op in ops if op.epoch)
@@ -192,41 +180,24 @@ class TestRealRunSanitize:
         from repro.obs import get_tracer
 
         before = get_tracer()
-        d = self._driver(mesh, vc)
-        try:
+        with self._driver(mesh, vc) as d:
             sanitize_run(d, steps=1)
-        finally:
-            d.close()
         assert get_tracer() is before
 
-    @needs_fork
-    def test_bitwise_equality_with_sanitizer_attached(self, mesh, vc):
-        """Acceptance criterion: serial vs workers=2 stays bitwise equal
-        when the run is observed and replayed by the sanitizer."""
-        results = []
-        for workers in (1, 2):
-            d = self._driver(mesh, vc, workers=workers, sponge=2)
-            try:
-                report = sanitize_run(d, steps=3)
-                assert report.clean
-                results.append(d.gather())
-            finally:
-                d.close()
-        for a, b in zip(*results):
-            assert np.array_equal(a, b)
+    test_bitwise_equality_with_sanitizer_attached = contracts.collect(
+        "observer", needs_fork, observer="sanitizer")
 
     def test_observer_ignores_unrelated_spans(self, mesh, vc):
         from repro.obs import SpanKind, Tracer, set_tracer
 
-        d = self._driver(mesh, vc)
-        observer = RunObserver(d)
         tracer = Tracer(enabled=True, record=False)
-        tracer.add_listener(observer)
-        prev = set_tracer(tracer)
-        try:
-            with tracer.span("unrelated", SpanKind.RK_STAGE, op="other"):
-                pass
-        finally:
-            set_tracer(prev)
-            d.close()
+        with self._driver(mesh, vc) as d:
+            observer = RunObserver(d)
+            tracer.add_listener(observer)
+            prev = set_tracer(tracer)
+            try:
+                with tracer.span("unrelated", SpanKind.RK_STAGE, op="other"):
+                    pass
+            finally:
+                set_tracer(prev)
         assert observer.to_plan().ops == []

@@ -2,55 +2,25 @@
 
 The paper's year-scale runs are restartable and auditable only because
 the whole stack replays bit-identically from a seed.  These tests pin
-that contract at three levels: the coupled model, the chaos harness
-(fault-injected *and* zero-fault), and the codebase itself (no unseeded
-RNG anywhere).
+that contract at three levels: the coupled model and the chaos harness
+(fault-injected *and* zero-fault) — the ``replay`` and ``observer`` rows
+of ``tests/contracts.py`` — and the codebase itself (no unseeded RNG
+anywhere).
 """
 
 import re
 from pathlib import Path
 
-import numpy as np
 import pytest
 
-from repro.obs import MetricsRegistry, collecting
+from tests import contracts
 
 REPO = Path(__file__).resolve().parent.parent
 
-STATE_FIELDS = ("ps", "u", "theta", "w", "phi")
 
-
-def _states_equal(a, b) -> bool:
-    return all(
-        np.array_equal(getattr(a, f), getattr(b, f)) for f in STATE_FIELDS
-    ) and all(np.array_equal(a.tracers[k], b.tracers[k]) for k in a.tracers)
-
-
-def _coupled_run(mesh, vcoord, seed: int, steps: int):
-    from repro.dycore.state import tropical_profile_state
-    from repro.model.config import SchemeConfig, scaled_grid_config
-    from repro.model.grist import GristModel
-
-    gc = scaled_grid_config(2, 8)
-    model = GristModel(mesh, vcoord, gc, SchemeConfig("DP-PHY", False, False))
-    state = tropical_profile_state(mesh, vcoord, rh_surface=0.85)
-    rng = np.random.default_rng(seed)
-    state.theta = state.theta + 0.3 * rng.normal(size=state.theta.shape)
-    with collecting(MetricsRegistry(enabled=True)) as metrics:
-        state = model.run(state, steps)
-    counters = {k: c.value for k, c in metrics.counters.items()}
-    return state, counters
-
-
-def test_coupled_run_bitwise_deterministic(mesh_g2, vcoord8s):
-    """Two runs with identical config and seed replay bit-identically —
-    state arrays and metrics counters."""
-    a, ca = _coupled_run(mesh_g2, vcoord8s, seed=7, steps=13)
-    b, cb = _coupled_run(mesh_g2, vcoord8s, seed=7, steps=13)
-    assert _states_equal(a, b)
-    assert ca == cb
-    c, _ = _coupled_run(mesh_g2, vcoord8s, seed=8, steps=13)
-    assert not _states_equal(a, c)
+#: The ``replay`` row's rerun case: state arrays and metrics counters
+#: (and a different seed gives a different state).
+test_coupled_run_bitwise_deterministic = contracts.collect("replay", replay="rerun")
 
 
 @pytest.mark.slow
@@ -86,39 +56,15 @@ def test_chaos_smoke_recovers_everything_and_replays():
     assert r2 == {k: r1[k] for k in r2}      # rerun-deterministic report
 
 
-@pytest.mark.slow
-@pytest.mark.chaos
-def test_zero_fault_chaos_bitwise_identical_to_plain_run():
-    """The chaos harness under the empty plan — shadow substrate,
-    checkpoints and all — must not perturb the model by a single bit."""
-    from repro.resilience import chaos
-    from repro.resilience.faults import FaultPlan
+#: The chaos harness under the empty plan — shadow substrate,
+#: checkpoints and all — does not perturb the model by a single bit.
+test_zero_fault_chaos_bitwise_identical_to_plain_run = contracts.collect(
+    "observer", pytest.mark.slow, pytest.mark.chaos, observer="chaos")
 
-    faulted = chaos._integrate(
-        FaultPlan.named("none"), level=3, nlev=8, steps=13, seed=0,
-        checkpoint_every=6, substrate_every=4, nparts=4, max_rollbacks=8,
-    )
-    assert faulted["survived"]
-    assert faulted["faults"]["n_fired"] == 0
-
-    model, state = chaos._build_model(3, 8, seed=0)
-    state = model.run(state, 13)
-    assert _states_equal(faulted["state"], state)
-
-
-@pytest.mark.chaos
-def test_rollback_restores_bitwise():
-    """Checkpoint -> advance -> restore must reproduce the checkpointed
-    trajectory bit-exactly (counters, surface slab, history included)."""
-    from repro.resilience import chaos
-
-    model, state = chaos._build_model(2, 8, seed=0)
-    state = model.run(state, 3)
-    snap = chaos._snapshot(model, state)
-    ahead = model.run(state.copy(), 5)
-    restored = chaos._restore(model, snap)
-    replay = model.run(restored, 5)
-    assert _states_equal(ahead, replay)
+#: Checkpoint -> advance -> restore reproduces the checkpointed
+#: trajectory bit-exactly (counters, surface slab, history included).
+test_rollback_restores_bitwise = contracts.collect("replay", pytest.mark.chaos,
+                                                   replay="rollback")
 
 
 UNSEEDED_PATTERNS = [

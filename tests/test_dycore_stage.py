@@ -5,28 +5,21 @@ The oracles below are the previous implementations, verbatim: the stage
 body (``p_mid`` from its own ``p_int``, ``D.sum`` twice, theta
 interpolated twice, every term summed into a fresh array), the
 slice/cumsum column operators, the ``where``-padded neighbourhood
-reduce and the generator-sum RK combine.  Every comparison is of the
-bytes (equal dtypes and shapes, then ``tobytes``, so a flipped sign of
-zero fails too), on {``reference``, ``fused``} × {DP, MIX} where a policy
-applies, and on every one-term sensitivity map of the precision
-ablation.
+reduce and the generator-sum RK combine.  Every comparison is the
+``stage`` row's bound of ``tests/contracts.py`` (equal dtypes, shapes
+and bytes, so a flipped sign of zero fails too); the whole stage against
+its oracle is that row, on {``reference``, ``fused``} × {DP, MIX} and on
+every one-term sensitivity map of the precision ablation.
 """
+
+import functools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.constants import CP_DRY
 from repro.dycore import tendencies as tend
-from repro.dycore.solver import (
-    SSP_RK3,
-    DycoreConfig,
-    DynamicalCore,
-    Tendencies,
-    _weighted,
-    rk_update,
-)
+from repro.dycore.solver import SSP_RK3, Tendencies, _weighted, rk_update
 from repro.dycore.state import tropical_profile_state
 from repro.dycore.stencil import OperatorCache, compiled_kernels
 from repro.dycore.tracer import _neighbor_extreme
@@ -40,14 +33,16 @@ from repro.dycore.vertical import (
     layer_mean,
 )
 from repro.grid.mesh import PAD
-from repro.precision.policy import GRIST_SENSITIVITY, PrecisionPolicy, TermSensitivity
+from repro.precision.policy import PrecisionPolicy
+from tests import contracts
 
 BACKENDS = ("reference", "fused")
 DTYPES = (np.float64, np.float32)
 
+#: candidate, oracle -> raises unless the bytes agree
+same = functools.partial(contracts.agree, "stage")
 
-def _same(a, b):
-    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+pytestmark = pytest.mark.stage
 
 
 # -- the previous implementations, verbatim (the oracles) --------------------
@@ -189,69 +184,15 @@ def _old_compute_tendencies(core, state):
 # -- the stage ----------------------------------------------------------------
 
 class TestStageMatchesOracle:
-    _cores: dict = {}
+    test_bitwise_equal = contracts.collect("stage", mode="hydrostatic", precision=("DP", "MIX"))
+    test_nonhydrostatic_bitwise_equal = contracts.collect("stage", mode="nonhydrostatic")
+    test_one_term_sensitivity_maps = contracts.collect("stage", precision=contracts.ONE_TERM_MAPS)
 
-    @classmethod
-    def _core(cls, mesh, backend, policy, nonhydrostatic=False):
-        key = (mesh.level, backend, repr(policy), nonhydrostatic)
-        if key not in cls._cores:
-            cls._cores[key] = DynamicalCore(
-                mesh, VerticalCoordinate.stretched(8),
-                DycoreConfig(dt=300.0, stencil_backend=backend, nonhydrostatic=nonhydrostatic,
-                             policy=policy),
-            )
-        return cls._cores[key]
-
-    @staticmethod
-    def _state(core, seed, speed, dtheta):
-        state = tropical_profile_state(core.mesh, core.vcoord)
-        rng = np.random.default_rng(seed)
-        state.u = speed * rng.normal(size=state.u.shape)
-        state.theta = state.theta + dtheta * rng.normal(size=state.theta.shape)
-        return state
-
-    @staticmethod
-    def _assert_same(new, old):
-        for name in ("ps", "u", "theta_mass", "flux_edge"):
-            a, b = getattr(new, name), getattr(old, name)
-            assert _same(a, b), (name, a.dtype, b.dtype, float(np.abs(a - b).max()))
-
-    @pytest.mark.parametrize("mixed", [False, True], ids=["DP", "MIX"])
-    @pytest.mark.parametrize("backend", BACKENDS)
-    @pytest.mark.parametrize("level", [2, 3])
-    @given(seed=st.integers(0, 2**31 - 1), speed=st.floats(0.5, 30.0),
-           dtheta=st.floats(0.0, 5.0))
-    @settings(max_examples=10, deadline=None)
-    def test_bitwise_equal(self, mesh_g2, mesh_g3, level, backend, mixed, seed, speed, dtheta):
-        core = self._core(mesh_g2 if level == 2 else mesh_g3, backend, PrecisionPolicy(mixed=mixed))
-        state = self._state(core, seed, speed, dtheta)
-        self._assert_same(core.compute_tendencies(state), _old_compute_tendencies(core, state))
-
-    @pytest.mark.parametrize("mixed", [False, True], ids=["DP", "MIX"])
-    def test_nonhydrostatic_bitwise_equal(self, mesh_g2, mixed):
-        core = self._core(mesh_g2, "fused", PrecisionPolicy(mixed=mixed), nonhydrostatic=True)
-        state = self._state(core, 7, 10.0, 1.0)
-        self._assert_same(core.compute_tendencies(state), _old_compute_tendencies(core, state))
-
-    @pytest.mark.parametrize("sens", list(TermSensitivity), ids=lambda s: f"only-{s.value}")
-    @pytest.mark.parametrize("term", sorted(GRIST_SENSITIVITY))
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_one_term_sensitivity_maps(self, mesh_g2, backend, term, sens):
-        """The precision ablation's maps (MIX with one term insensitive and
-        the rest sensitive) and their inverses: any term may be the one
-        float32 or the one float64 operand of an accumulation, and every
-        sum must still be taken in the promoted dtype."""
-        other = next(s for s in TermSensitivity if s is not sens)
-        pol = PrecisionPolicy(mixed=True)
-        pol.sensitivity = {k: sens if k == term else other for k in GRIST_SENSITIVITY}
-        core = self._core(mesh_g2, backend, pol)
-        state = self._state(core, 5, 10.0, 1.0)
-        self._assert_same(core.compute_tendencies(state), _old_compute_tendencies(core, state))
-
-    def test_input_state_untouched(self, mesh_g2):
+    def test_input_state_untouched(self):
         """The in-place terms write only into the stage's own arrays."""
-        core = self._core(mesh_g2, "fused", PrecisionPolicy())
-        state = self._state(core, 3, 10.0, 1.0)
+        core = contracts.lane_core(2)
+        state = tropical_profile_state(core.mesh, core.vcoord)
+        state.u = 10.0 * np.random.default_rng(3).normal(size=state.u.shape)
         before = [a.tobytes() for a in (state.ps, state.u, state.theta, state.phi)]
         core.compute_tendencies(state)
         assert before == [a.tobytes() for a in (state.ps, state.u, state.theta, state.phi)]
@@ -280,7 +221,7 @@ class TestColumnOperators:
         ops = column_operators(self.NLEV, np.dtype(dtype))
         for name, (extra, slice_form) in SLICE_FORMS.items():
             f = rng.normal(size=leading + (self.NLEV + extra,)).astype(dtype)
-            assert _same(apply_column(f, getattr(ops, name)), slice_form(f)), name
+            same({name: apply_column(f, getattr(ops, name))}, {name: slice_form(f)})
 
     @pytest.mark.parametrize("dtype", DTYPES)
     def test_transposes_scatter_to_layers(self, dtype):
@@ -291,21 +232,21 @@ class TestColumnOperators:
         up[:, 1:] = g                    # g_{k-1}
         down = np.zeros_like(up)
         down[:, :-1] = g                 # g_k
-        assert _same(apply_column(g, ops.interior_sum.T), up + down)
-        assert _same(apply_column(g, ops.layer_diff.T), up - down)
+        same(apply_column(g, ops.interior_sum.T), up + down)
+        same(apply_column(g, ops.layer_diff.T), up - down)
 
     def test_single_layer_column(self):
         """One layer has no interior interface: the layer operators are
         empty, as the slice forms are."""
         f = np.ones((4, 1))
         ops = column_operators(1)
-        assert _same(apply_column(f, ops.layer_diff), f[:, 1:] - f[:, :-1])
-        assert _same(apply_column(f[:, :0], ops.interior_sum.T), np.zeros((4, 1)))
+        same(apply_column(f, ops.layer_diff), f[:, 1:] - f[:, :-1])
+        same(apply_column(f[:, :0], ops.interior_sum.T), np.zeros((4, 1)))
 
     def test_non_contiguous_input(self):
         f = np.random.default_rng(2).normal(size=(300, self.NLEV + 2))[:, 1:-1]
         ops = column_operators(self.NLEV)
-        assert _same(apply_column(f, ops.layer_diff), f[:, 1:] - f[:, :-1])
+        same(apply_column(f, ops.layer_diff), f[:, 1:] - f[:, :-1])
 
     def test_matrices_cached_and_read_only(self):
         ops = column_operators(self.NLEV, np.dtype(np.float32))
@@ -330,9 +271,9 @@ class TestColumnOperators:
     def test_pressure_mid_is_the_slice_mean(self, vc):
         ps = np.random.default_rng(3).uniform(9.0e4, 1.05e5, size=50)
         pi = vc.pressure_interfaces(ps)
-        assert _same(vc.pressure_mid(ps), 0.5 * (pi[..., :-1] + pi[..., 1:]))
-        assert _same(layer_mean(pi), vc.pressure_mid(ps))
-        assert _same(vc.pressure_mid(ps[0]), 0.5 * (pi[0, :-1] + pi[0, 1:]))
+        same(vc.pressure_mid(ps), 0.5 * (pi[..., :-1] + pi[..., 1:]))
+        same(layer_mean(pi), vc.pressure_mid(ps))
+        same(vc.pressure_mid(ps[0]), 0.5 * (pi[0, :-1] + pi[0, 1:]))
 
 
 # -- the column terms ----------------------------------------------------------
@@ -353,9 +294,9 @@ class TestColumnTermsMatchOracle:
     def test_vertical_mass_flux(self, mesh_g3, column, vc, dtype):
         D = column[2].astype(dtype)
         old = _old_vertical_mass_flux(vc.b_interfaces, D)
-        assert _same(tend.vertical_mass_flux(mesh_g3, vc.b_interfaces, D), old)
+        same(tend.vertical_mass_flux(mesh_g3, vc.b_interfaces, D), old)
         total = D.sum(axis=1)
-        assert _same(tend.vertical_mass_flux(mesh_g3, vc.b_interfaces, D, total=total), old)
+        same(tend.vertical_mass_flux(mesh_g3, vc.b_interfaces, D, total=total), old)
 
     @pytest.mark.parametrize("m_dtype", DTYPES)
     @pytest.mark.parametrize("f_dtype", DTYPES)
@@ -363,7 +304,7 @@ class TestColumnTermsMatchOracle:
         vc, state, D = column
         M = _old_vertical_mass_flux(vc.b_interfaces, D.astype(m_dtype))
         field = state.theta.astype(f_dtype)
-        assert _same(tend.vertical_advection_cell(M, field), _old_vertical_advection_cell(M, field))
+        same(tend.vertical_advection_cell(M, field), _old_vertical_advection_cell(M, field))
 
     @pytest.mark.parametrize("m_dtype", DTYPES)
     @pytest.mark.parametrize("backend", BACKENDS)
@@ -375,8 +316,8 @@ class TestColumnTermsMatchOracle:
         dpi = state.dpi()
         dpi_e = k.cell_to_edge(dpi)
         old = _old_vertical_advection_edge(M, u, dpi_e, k)
-        assert _same(tend.vertical_advection_edge(mesh_g3, M, dpi, u, dpi_e, kernels=k), old)
-        assert _same(tend.vertical_advection_edge(mesh_g3, M, dpi, u, kernels=k), old)
+        same(tend.vertical_advection_edge(mesh_g3, M, dpi, u, dpi_e, kernels=k), old)
+        same(tend.vertical_advection_edge(mesh_g3, M, dpi, u, kernels=k), old)
 
     @pytest.mark.parametrize("vc", [VerticalCoordinate.stretched(10),
                                     HybridVerticalCoordinate.standard(10)],
@@ -387,13 +328,13 @@ class TestColumnTermsMatchOracle:
         p_int = vc.pressure_interfaces(state.ps)
         phi_s = np.random.default_rng(14).uniform(0.0, 2.0e4, size=mesh_g3.nc)
         old = _old_geopotential_interfaces(phi_s, theta, p_int)
-        assert _same(geopotential_interfaces(phi_s, theta, p_int), old)
+        same(geopotential_interfaces(phi_s, theta, p_int), old)
         # One column (1-D fields) and a float32 theta.
         col = np.asarray(phi_s[0])
-        assert _same(geopotential_interfaces(col, theta[0], p_int[0]),
+        same(geopotential_interfaces(col, theta[0], p_int[0]),
                      _old_geopotential_interfaces(col, theta[0], p_int[0]))
         th32 = theta.astype(np.float32)
-        assert _same(geopotential_interfaces(phi_s, th32, p_int),
+        same(geopotential_interfaces(phi_s, th32, p_int),
                      _old_geopotential_interfaces(phi_s, th32, p_int))
 
     @pytest.mark.parametrize("mixed", [False, True], ids=["DP", "MIX"])
@@ -405,15 +346,15 @@ class TestColumnTermsMatchOracle:
         k, pol = compiled_kernels(mesh_g3, backend), PrecisionPolicy(mixed=mixed)
         u = np.random.default_rng(15).normal(size=(mesh_g3.ne, vc.nlev)) * 10.0
         cor = tend.calc_coriolis_term(mesh_g3, u, pol, kernels=k)
-        assert _same(cor, _old_calc_coriolis_term(mesh_g3, u, pol, k))
+        same(cor, _old_calc_coriolis_term(mesh_g3, u, pol, k))
         ke = _old_tend_grad_ke_at_edge(mesh_g3, u, pol, k)
-        assert _same(tend.tend_grad_ke_at_edge(mesh_g3, u, pol, kernels=k), ke)
+        same(tend.tend_grad_ke_at_edge(mesh_g3, u, pol, kernels=k), ke)
         p_mid, phi_mid = state.p_mid(), layer_mean(state.phi)
         old = _old_pressure_gradient_force(mesh_g3, state.theta, p_mid, phi_mid, pol, k)
-        assert _same(tend.pressure_gradient_force(
+        same(tend.pressure_gradient_force(
             mesh_g3, state.theta, p_mid, phi_mid, pol, kernels=k), old)
         theta_e = k.cell_to_edge(state.theta)
-        assert _same(tend.pressure_gradient_force(
+        same(tend.pressure_gradient_force(
             mesh_g3, state.theta, p_mid, phi_mid, pol, kernels=k, theta_e=theta_e), old)
 
 
@@ -425,9 +366,9 @@ class TestColumnTermsMatchOracle:
         a, b = (rng.normal(size=(50, 4)).astype(d) for d in (a_dtype, b_dtype))
         expected = ufunc(a, b)
         out = tend.promoted(ufunc, a.copy(), b.copy())
-        assert _same(out, expected)
+        same(out, expected)
         out = tend.promoted(ufunc, a, b, reuse=(b,))
-        assert _same(out, expected)
+        same(out, expected)
         assert (out is b) == (b.dtype == expected.dtype)
 
 
@@ -449,8 +390,8 @@ class TestNeighborExtreme:
         for field in self._fields(mesh_g3, 0):
             new = _neighbor_extreme(cache, field, op)
             old = _old_neighbor_extreme(mesh_g3, field, op)
-            assert _same(new, old)
-            assert _same(new[pent], old[pent])
+            same(new, old)
+            same(new[pent], old[pent])
 
     @pytest.mark.parametrize("op", [np.maximum, np.minimum], ids=["max", "min"])
     def test_pads_anywhere_on_a_restricted_mesh(self, mesh_g3, op):
@@ -461,7 +402,7 @@ class TestNeighborExtreme:
         assert pads[:, :-1].any()
         cache = OperatorCache(sub)
         for field in self._fields(sub, 1):
-            assert _same(_neighbor_extreme(cache, field, op), _old_neighbor_extreme(sub, field, op))
+            same(_neighbor_extreme(cache, field, op), _old_neighbor_extreme(sub, field, op))
 
     def test_lane_table_points_pads_at_the_cell(self, mesh_g3):
         lanes = OperatorCache(mesh_g3).cell_neighbor_lanes
@@ -497,13 +438,13 @@ class TestRkUpdateMatchesOracle:
         rk_update(new, base, tds, weights, dt)
         _old_rk_update(old, base, tds, weights, dt)
         for name in ("ps", "u", "theta"):
-            assert _same(getattr(new, name), getattr(old, name)), name
+            same({name: getattr(new, name)}, {name: getattr(old, name)})
         assert new.time == old.time
         # The step's flux accumulation sums the same weights.
-        assert _same(np.asarray(_weighted(tds, weights, "flux_edge")),
+        same(np.asarray(_weighted(tds, weights, "flux_edge")),
                      np.asarray(_old_weighted(tds, weights, "flux_edge")))
         # ... and leaves the tendencies it read alone.
-        assert _same(tds[0].u, self._tendencies(mesh_g2, vc.nlev, 30).u)
+        same(tds[0].u, self._tendencies(mesh_g2, vc.nlev, 30).u)
 
     @pytest.mark.parametrize("stage", [2, 3])
     def test_negative_zero_terms_sum_to_positive_zero(self, mesh_g2, stage):
@@ -517,8 +458,9 @@ class TestRkUpdateMatchesOracle:
         tds = [self._tendencies(mesh_g2, vc.nlev, 40 + j) for j in range(len(weights))]
         for t in tds:
             t.u = np.full_like(t.u, -0.0)
-        assert _same(_weighted(tds, weights, "u"), _old_weighted(tds, weights, "u"))
+        same(_weighted(tds, weights, "u"), _old_weighted(tds, weights, "u"))
         new, old = base.copy(), base.copy()
         rk_update(new, base, tds, weights, frac * 300.0)
         _old_rk_update(old, base, tds, weights, frac * 300.0)
-        assert _same(new.u, old.u) and not np.signbit(new.u).any()
+        same(new.u, old.u)
+        assert not np.signbit(new.u).any()

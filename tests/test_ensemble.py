@@ -40,6 +40,7 @@ from repro.ensemble import (
 )
 from repro.ensemble.scenarios import Scenario
 from repro.serve.request import ForecastRequest, state_digest
+from tests import contracts
 
 #: The tiny-but-real run every integration test uses: G3, 6 levels, 13
 #: dynamics steps — crosses the tracer (ratio 6) and physics (ratio 12)
@@ -167,7 +168,7 @@ class TestOneModelAssembly:
             scen.member_state(mesh_g2, vc, member=0, seed=0), 12
         )
         assert len(built.history.precip) == len(assembled.history.precip) == 1
-        assert state_digest(out_a) == state_digest(out_b)
+        contracts.bitwise(out_a, out_b)
 
     def test_assembly_builds_its_own_nets(self):
         """A served model is assembled exactly like a batch one: the
@@ -439,19 +440,14 @@ class TestMemberEquivalence:
 
 class TestForkedLoopWorkers:
     """``workers > 1`` shards the loop oracle across forked processes;
-    the contract is digest-identity with the serial loop."""
+    the contract is the ``ensemble`` row (``tests/contracts.py``)."""
 
-    def test_forked_loop_matches_serial_digests(self):
-        serial = tiny_runner("tropical", n_members=3).run()
-        forked = tiny_runner("tropical", n_members=3, workers=2).run()
-        assert forked.member_digests() == serial.member_digests()
-        assert forked.digest() == serial.digest()
-        assert len(set(forked.member_digests())) == 3
+    test_forked_loop_matches_serial_digests = contracts.collect(
+        "ensemble", physics_perturbation=0.0)
 
     def test_workers_clamped_to_member_count(self):
-        serial = tiny_runner("heatwave", steps=7).run()
-        forked = tiny_runner("heatwave", steps=7, workers=8).run()
-        assert forked.member_digests() == serial.member_digests()
+        contracts.agree("ensemble", tiny_runner("heatwave", steps=7, workers=8).run(),
+                        tiny_runner("heatwave", steps=7).run())
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_sppt_digest_pinned(self, workers):
@@ -465,12 +461,8 @@ class TestForkedLoopWorkers:
         ).run()
         assert res.digest() == SPPT_DIGEST
 
-    def test_forked_perturbed_physics_matches_serial(self):
-        serial = tiny_runner("tropical", physics_perturbation=0.2).run()
-        forked = tiny_runner(
-            "tropical", physics_perturbation=0.2, workers=2
-        ).run()
-        assert forked.member_digests() == serial.member_digests()
+    test_forked_perturbed_physics_matches_serial = contracts.collect(
+        "ensemble", physics_perturbation=0.2)
 
     def test_workers_must_be_positive(self):
         with pytest.raises(ValueError, match="workers"):
@@ -527,7 +519,7 @@ class TestExampleRegressionPins:
         state_b = scen.member_state(mesh_g3, vc, member=0, seed=0)
         out_a = example_model.run(state_a, STEPS)
         out_b = registry_model.run(state_b, STEPS)
-        assert state_digest(out_a) == state_digest(out_b)
+        contracts.bitwise(out_a, out_b)
 
     def test_doksuri_example_setup_matches_registry(self, mesh_g3):
         """The registry's ``doksuri`` scenario carries the Fig. 7 SST
@@ -573,7 +565,7 @@ class TestExampleRegressionPins:
             scen.base_state(mesh_g3, VerticalCoordinate.stretched(NLEV)),
             STEPS,
         )
-        assert state_digest(out_a) == state_digest(out_b)
+        contracts.bitwise(out_a, out_b)
 
 
 # -- serving-layer integration ---------------------------------------------

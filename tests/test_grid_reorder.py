@@ -5,6 +5,7 @@ import pytest
 
 from repro.grid.mesh import PAD, build_mesh
 from repro.grid.reorder import bandwidth, bfs_cell_order, reorder_mesh
+from tests import contracts
 
 
 @pytest.fixture(scope="module")
@@ -73,17 +74,8 @@ class TestReorderMesh:
             new.vertex_area, mesh.vertex_area[perms["vertex"]]
         )
 
-    def test_operators_equivalent_after_reorder(self, mesh):
-        """Divergence commutes with renumbering."""
-        from repro.dycore.operators import divergence
-
-        new, perms = reorder_mesh(mesh)
-        rng = np.random.default_rng(0)
-        flux_old = rng.normal(size=mesh.ne)
-        flux_new = flux_old[perms["edge"]]
-        div_old = divergence(mesh, flux_old)
-        div_new = divergence(new, flux_new)
-        np.testing.assert_allclose(div_new, div_old[perms["cell"]], atol=1e-18)
+    test_operators_equivalent_after_reorder = contracts.collect(
+        "reorder", operator="divergence")
 
     def test_rejects_bad_permutation(self, mesh):
         with pytest.raises(ValueError):

@@ -10,6 +10,7 @@ from repro.dycore.state import solid_body_rotation_state, tropical_profile_state
 from repro.dycore.vertical import HybridVerticalCoordinate, VerticalCoordinate
 from repro.grid.mesh import build_mesh
 from repro.model.io import HistoryWriter, load_state, save_state
+from tests import contracts
 
 
 @pytest.fixture(scope="module")
@@ -29,12 +30,7 @@ class TestRestart:
         path = str(tmp_path / "restart.npz")
         save_state(path, st)
         back = load_state(path, mesh)
-        np.testing.assert_array_equal(back.ps, st.ps)
-        np.testing.assert_array_equal(back.u, st.u)
-        np.testing.assert_array_equal(back.theta, st.theta)
-        np.testing.assert_array_equal(back.phi, st.phi)
-        for k in st.tracers:
-            np.testing.assert_array_equal(back.tracers[k], st.tracers[k])
+        contracts.agree("replay", back, st)
         assert back.time == st.time
         assert type(back.vcoord) is VerticalCoordinate
         assert back.vcoord.nlev == vc.nlev
@@ -42,26 +38,7 @@ class TestRestart:
             back.vcoord.sigma_interfaces, vc.sigma_interfaces
         )
 
-    def test_restart_continues_identically(self, mesh, vc, tmp_path):
-        """run(6) == run(3) -> save -> load -> run(3)."""
-        st0 = solid_body_rotation_state(mesh, vc)
-        core_a = DynamicalCore(mesh, vc, DycoreConfig(dt=600.0, tracer_ratio=100))
-        s = st0.copy()
-        for _ in range(6):
-            s = core_a.step(s)
-
-        core_b = DynamicalCore(mesh, vc, DycoreConfig(dt=600.0, tracer_ratio=100))
-        t = st0.copy()
-        for _ in range(3):
-            t = core_b.step(t)
-        path = str(tmp_path / "mid.npz")
-        save_state(path, t)
-        t2 = load_state(path, mesh)
-        core_c = DynamicalCore(mesh, vc, DycoreConfig(dt=600.0, tracer_ratio=100))
-        for _ in range(3):
-            t2 = core_c.step(t2)
-        np.testing.assert_array_equal(t2.ps, s.ps)
-        np.testing.assert_array_equal(t2.u, s.u)
+    test_restart_continues_identically = contracts.collect("replay", replay="restart")
 
     def test_mesh_mismatch_rejected(self, mesh, vc, tmp_path):
         st = tropical_profile_state(mesh, vc)
@@ -149,15 +126,7 @@ class TestGlobalBudgets:
         # Earth's atmosphere: ~5.2e18 kg.
         assert 4.0e18 < b.dry_mass < 6.0e18
 
-    def test_mass_conserved_exactly_over_run(self, mesh, vc):
-        st = solid_body_rotation_state(mesh, vc)
-        core = DynamicalCore(mesh, vc, DycoreConfig(dt=600.0))
-        mon = BudgetMonitor()
-        mon.record(st)
-        for _ in range(3):
-            st = core.run(st, 6)
-            mon.record(st)
-        assert mon.relative_drift("dry_mass") < 1e-13
+    test_mass_conserved_exactly_over_run = contracts.collect("dry_mass")
 
     def test_energy_drift_bounded(self, mesh, vc):
         """Total energy drifts only through explicit diffusion: small."""
@@ -201,11 +170,4 @@ class TestSWGOMPExecutor:
         step = ex.execute_step(schedule="dynamic", run_numpy=False)
         assert step.kernel_seconds > 0
 
-    def test_validates_against_perf_model(self, mesh):
-        """Ties the Fig. 9 machinery to the Figs. 10-11 machinery: the
-        analytic/executed ratio equals the reuse/indirect quotient."""
-        from repro.sunway.execution import SWGOMPExecutor
-
-        ex = SWGOMPExecutor(build_mesh(3), nlev=8)
-        v = ex.validate_against_perf_model("G6")
-        assert v["ratio"] == pytest.approx(v["expected_ratio"], rel=0.25)
+    test_validates_against_perf_model = contracts.collect("executor_vs_analytic")

@@ -17,14 +17,9 @@ import numpy as np
 import pytest
 
 from repro.sunway.ldcache import LDCache, loop_access_stream
+from tests import contracts
 
-#: (size_bytes, ways, line_bytes) geometries, including the real LDCache.
-GEOMETRIES = [
-    (128 * 1024, 4, 256),        # the configured LDCache (128 sets)
-    (8 * 1024, 2, 64),           # small: evicts quickly
-    (4 * 1024, 1, 128),          # direct-mapped degenerate case
-    (16 * 1024, 8, 64),          # high associativity
-]
+GEOMETRIES = contracts.LDCACHE_GEOMETRIES
 
 
 def random_streams(seed: int, n_cases: int = 6):
@@ -119,57 +114,28 @@ def test_single_set_thrash_evicts_round_robin():
     assert cache.occupancy() == cache.ways
 
 
-@pytest.mark.parametrize("geometry", GEOMETRIES)
-@pytest.mark.parametrize("seed", range(8))
-def test_batch_replay_bitwise_matches_scalar(geometry, seed):
-    """``run_batch`` is a pure reimplementation of ``run``: for any
-    stream it must produce identical stats *and* identical final
-    tag/age arrays — the scalar loop is the oracle."""
-    size, ways, line = geometry
-    for stream, _span in random_streams(seed):
-        scalar = LDCache(size_bytes=size, ways=ways, line_bytes=line)
-        batch = LDCache(size_bytes=size, ways=ways, line_bytes=line)
-        s_stats = scalar.run(stream)
-        b_stats = batch.run_batch(stream)
-
-        assert b_stats.accesses == s_stats.accesses
-        assert b_stats.hits == s_stats.hits
-        assert b_stats.misses == s_stats.misses
-        assert b_stats.evictions == s_stats.evictions
-        assert np.array_equal(batch._tags, scalar._tags)
-        assert np.array_equal(batch._age, scalar._age)
+test_batch_replay_bitwise_matches_scalar = contracts.collect("ldcache")
 
 
+@pytest.mark.ldcache
 def test_batch_replay_bitwise_on_fig6_thrashing_stream():
     """The Fig. 6 hazard — 5 way-aligned arrays in a 4-way cache — is
     the pathological all-miss case for the lockstep replay rounds."""
-    cache = LDCache()
-    stream = loop_access_stream(
-        [i * cache.way_bytes for i in range(5)], 2000
-    )
-    scalar, batch = LDCache(), LDCache()
-    s_stats = scalar.run(stream)
-    b_stats = batch.run_batch(stream)
-    assert (b_stats.accesses, b_stats.hits, b_stats.evictions) == \
-        (s_stats.accesses, s_stats.hits, s_stats.evictions)
-    assert np.array_equal(batch._tags, scalar._tags)
-    assert np.array_equal(batch._age, scalar._age)
-    # The five cyclically accessed way-aligned arrays must thrash.
-    assert s_stats.hit_ratio < 0.05
+    way = LDCache().way_bytes
+    stream = loop_access_stream([i * way for i in range(5)], 2000)
+    batch, scalar = contracts.ldcache_replay((), [stream])
+    contracts.agree("ldcache", batch, scalar)
+    accesses, hits, _, _ = scalar["stats"]
+    assert hits / accesses < 0.05       # the five arrays must thrash
 
 
+@pytest.mark.ldcache
 def test_batch_replay_accumulates_across_calls():
     """Stats accumulate over successive run_batch calls exactly as the
     scalar path accumulates over successive run calls."""
     rng = np.random.default_rng(7)
-    scalar, batch = LDCache(), LDCache()
-    for _ in range(3):
-        stream = rng.integers(0, 1 << 18, size=500)
-        scalar.run(stream)
-        batch.run_batch(stream)
-    assert batch.stats.hits == scalar.stats.hits
-    assert batch.stats.evictions == scalar.stats.evictions
-    assert np.array_equal(batch._tags, scalar._tags)
+    streams = [rng.integers(0, 1 << 18, size=500) for _ in range(3)]
+    contracts.agree("ldcache", *contracts.ldcache_replay((), streams))
 
 
 def test_batch_replay_empty_stream_is_noop():

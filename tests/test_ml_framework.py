@@ -12,6 +12,7 @@ from repro.ml.layers import Conv1D, Dense, ReLU
 from repro.ml.network import ResUnit, Sequential, gradient_check
 from repro.ml.optimizer import SGD, Adam
 from repro.ml.training import Normalizer, Trainer, train_test_split_by_day
+from tests import contracts
 
 
 class TestDense:
@@ -220,19 +221,7 @@ class TestCastNetwork:
         for p in clone.params().values():
             assert p.dtype == np.float32
 
-    def test_float32_forward_close_to_float64(self):
-        from repro.ml.network import FLOAT32_TOLERANCE, cast_network
-
-        rng = np.random.default_rng(2)
-        net = Sequential(Conv1D(3, 8, 3, rng), ReLU(), Conv1D(8, 2, 3, rng))
-        x = rng.normal(size=(6, 3, 10))
-        y64 = net.forward(x, train=False)
-        y32 = cast_network(net, np.float32).forward(
-            x.astype(np.float32), train=False
-        )
-        assert y32.dtype == np.float32
-        scale = np.max(np.abs(y64))
-        assert np.max(np.abs(y32 - y64)) / scale < FLOAT32_TOLERANCE
+    test_float32_forward_close_to_float64 = contracts.collect("net_f32", net="conv")
 
 
 class TestOptimizers:

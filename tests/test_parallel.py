@@ -15,6 +15,12 @@ from repro.parallel.localmesh import build_local_meshes
 from repro.partition.decomposition import decompose
 from repro.partition.graph import mesh_cell_graph
 from repro.partition.metis import partition_graph
+from tests import contracts
+from tests.contracts import RANKED, gathered, ranked_run
+
+
+def _serial(state):
+    return {k: getattr(state, k) for k in RANKED}
 
 
 @pytest.fixture(scope="module")
@@ -297,10 +303,12 @@ class TestExchangePlans:
         assert ex.plan_compilations == 2
 
 
+@pytest.mark.ranks
 class TestSerialEquivalence:
-    """Rank-independence is pinned per stencil backend by name (the
-    loops keep the test ids stable), so neither the ``reference`` oracle
-    nor the ``fused`` default holds it only while it is the default."""
+    """The ``ranks`` row (``tests/contracts.py``) over rank counts, step
+    counts and plan reuse, per stencil backend by name (the loops keep
+    the test ids stable); its 4-rank matrix runs in
+    ``test_contracts.py``."""
 
     @pytest.mark.parametrize("nparts", [1, 2, 4, 7])
     def test_solid_body_bitwise(self, mesh, nparts):
@@ -309,55 +317,24 @@ class TestSerialEquivalence:
         vc = VerticalCoordinate.uniform(5)
         st0 = solid_body_rotation_state(mesh, vc)
         for backend in BACKENDS:
-            tag = backend
             cfg = DycoreConfig(dt=600.0, stencil_backend=backend)
-            serial = DynamicalCore(mesh, vc, cfg)
-            s = st0.copy()
-            for _ in range(4):
-                s = serial.step(s)
-            dist = DistributedDycore(mesh, vc, cfg, nparts=nparts)
-            dist.scatter(st0)
-            dist.run(4)
-            ps, u, theta = dist.gather()
-            np.testing.assert_array_equal(ps, s.ps, err_msg=tag)
-            np.testing.assert_array_equal(u, s.u, err_msg=tag)
-            np.testing.assert_array_equal(theta, s.theta, err_msg=tag)
-            # A single rank has no neighbour: it never sends.
-            assert (dist.comm_stats()["messages"] == 0) == (nparts == 1)
+            s = DynamicalCore(mesh, vc, cfg).run(st0.copy(), 4)
+            with contracts.ranked(mesh, vc, cfg, st0, nparts=nparts) as dist:
+                dist.run(4)
+                contracts.agree("ranks", gathered(dist), _serial(s))
+                # A single rank has no neighbour: it never sends.
+                assert (dist.comm_stats()["messages"] == 0) == (nparts == 1)
 
     def test_baroclinic_wave_bitwise(self, mesh):
         vc = VerticalCoordinate.uniform(5)
         st0 = baroclinic_wave_state(mesh, vc)
         for backend in BACKENDS:
             cfg = DycoreConfig(dt=450.0, stencil_backend=backend)
-            serial = DynamicalCore(mesh, vc, cfg)
-            s = st0.copy()
-            for _ in range(6):
-                s = serial.step(s)
-            dist = DistributedDycore(mesh, vc, cfg, nparts=5)
-            dist.scatter(st0)
-            dist.run(6)
-            ps, u, theta = dist.gather()
-            np.testing.assert_array_equal(ps, s.ps, err_msg=backend)
-            np.testing.assert_array_equal(u, s.u, err_msg=backend)
+            contracts.agree("ranks", ranked_run(mesh, vc, cfg, st0, steps=6, nparts=5),
+                            _serial(DynamicalCore(mesh, vc, cfg).run(st0.copy(), 6)))
 
-    def test_mixed_precision_distributed(self, mesh):
-        """The MIX policy decomposes identically too."""
-        from repro.precision.policy import PrecisionPolicy
-
-        vc = VerticalCoordinate.uniform(5)
-        cfg = DycoreConfig(dt=600.0, policy=PrecisionPolicy(mixed=True))
-        st0 = solid_body_rotation_state(mesh, vc)
-        serial = DynamicalCore(mesh, vc, cfg)
-        s = st0.copy()
-        for _ in range(3):
-            s = serial.step(s)
-        dist = DistributedDycore(mesh, vc, cfg, nparts=4)
-        dist.scatter(st0)
-        dist.run(3)
-        ps, u, theta = dist.gather()
-        np.testing.assert_array_equal(ps, s.ps)
-        np.testing.assert_array_equal(u, s.u)
+    test_mixed_precision_distributed = contracts.collect(
+        "ranks", backend="fused", precision="MIX", workers=1, sponge=0, scenario="solid-body")
 
     def test_bitwise_across_plan_reuse_checkpoints(self, mesh):
         """(c) equality holds at successive checkpoints of ONE distributed
@@ -365,18 +342,13 @@ class TestSerialEquivalence:
         all steps without drift."""
         vc = VerticalCoordinate.uniform(5)
         st0 = solid_body_rotation_state(mesh, vc)
-        serial = DynamicalCore(mesh, vc, DycoreConfig(dt=600.0))
-        dist = DistributedDycore(mesh, vc, DycoreConfig(dt=600.0), nparts=4)
-        dist.scatter(st0)
-        s = st0.copy()
-        for _ in range(3):
-            s = serial.run(s, 2)
-            dist.run(2)
-            ps, u, theta = dist.gather()
-            np.testing.assert_array_equal(ps, s.ps)
-            np.testing.assert_array_equal(u, s.u)
-            np.testing.assert_array_equal(theta, s.theta)
-        assert dist._exchanger.plan_compilations == 1
+        serial, s = DynamicalCore(mesh, vc, DycoreConfig(dt=600.0)), st0.copy()
+        with contracts.ranked(mesh, vc, serial.config, st0) as dist:
+            for _ in range(3):
+                s = serial.run(s, 2)
+                dist.run(2)
+                contracts.agree("ranks", gathered(dist), _serial(s))
+            assert dist._exchanger.plan_compilations == 1
 
     def test_requires_scatter_first(self, mesh):
         vc = VerticalCoordinate.uniform(5)

@@ -9,6 +9,7 @@ import numpy as np
 
 from repro.serve import ForecastRequest, ResultCache
 from repro.serve.request import ForecastError, ForecastResult, MemberResult
+from tests import contracts
 
 
 def _result(request: ForecastRequest, status: str = "ok",
@@ -36,7 +37,7 @@ class TestResultCache:
         hit = cache.get(key)
         # The hit IS the stored result: byte-identity is structural.
         assert hit is stored
-        assert hit.digest() == stored.digest()
+        contracts.bitwise(hit, stored)
         assert cache.stats()["hits"] == 1
         assert cache.stats()["misses"] == 1
 

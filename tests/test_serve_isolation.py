@@ -21,6 +21,7 @@ from repro.serve import (
     ModelPool,
     run_serial_oracle,
 )
+from tests import contracts
 
 pytestmark = [pytest.mark.chaos, pytest.mark.slow]
 
@@ -54,7 +55,7 @@ class TestFaultIsolation:
         assert bad.members == ()
         for res in results:
             assert res.ok
-            assert res.digest() == oracles[res.key].digest()
+            contracts.agree("served", res, oracles[res.key])
         assert stats["errors"] == 1 and stats["completed"] == 3
         assert stats["pool"]["recycled"] == 1
 
@@ -69,7 +70,7 @@ class TestFaultIsolation:
             assert bad.result(timeout=240).status == "error"
             res = sched.submit(req).result(timeout=240)
         assert res.ok
-        assert res.digest() == oracle.digest()
+        contracts.agree("served", res, oracle)
         stats = pool.stats()
         assert stats["recycled"] == 1
         assert stats["built"] == 2
@@ -87,7 +88,7 @@ class TestFaultIsolation:
             # ...and the error must not have evicted/poisoned the entry:
             warm = sched.submit(req).result(timeout=240)
         assert warm.ok and warm.cache_hit
-        assert warm.digest() == clean.digest()
+        contracts.agree("served", warm, clean)
 
     def test_empty_plan_is_not_poison(self):
         req = _req(seed=10)
@@ -97,7 +98,7 @@ class TestFaultIsolation:
                 timeout=240
             )
         assert res.ok
-        assert res.digest() == run_serial_oracle(req).digest()
+        contracts.agree("served", res, run_serial_oracle(req))
 
     def test_unknown_plan_name_rejected_at_submit(self):
         with ForecastScheduler(max_workers=1,

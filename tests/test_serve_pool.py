@@ -19,6 +19,7 @@ from repro.serve import (
     make_member_state,
 )
 from repro.serve.request import state_digest
+from tests import contracts
 
 REQ = ForecastRequest(level=2, nlev=8, steps=4)
 
@@ -144,14 +145,13 @@ class TestWarmReuseBitwise:
         bitwise identical, and identical to a freshly built model."""
         fresh = build_forecast_model(REQ.model_key())
         ref = fresh.run(make_member_state(fresh, REQ, 0), REQ.steps)
-        ref_digest = state_digest(ref)
 
         warm = build_forecast_model(REQ.model_key())
         first = warm.run(make_member_state(warm, REQ, 0), REQ.steps)
-        assert state_digest(first) == ref_digest
+        contracts.agree("served", first, ref)
         warm.reset()
         second = warm.run(make_member_state(warm, REQ, 0), REQ.steps)
-        assert state_digest(second) == ref_digest
+        contracts.agree("served", second, ref)
 
     def test_reset_covers_different_followup_request(self):
         """A warm model that already served one request serves a
@@ -159,17 +159,13 @@ class TestWarmReuseBitwise:
         to a cold model."""
         other = ForecastRequest(level=2, nlev=8, steps=6, seed=9)
         cold = build_forecast_model(other.model_key())
-        ref = state_digest(
-            cold.run(make_member_state(cold, other, 0), other.steps)
-        )
+        ref = cold.run(make_member_state(cold, other, 0), other.steps)
 
         warm = build_forecast_model(REQ.model_key())
         warm.run(make_member_state(warm, REQ, 0), REQ.steps)
         warm.reset()
-        got = state_digest(
-            warm.run(make_member_state(warm, other, 0), other.steps)
-        )
-        assert got == ref
+        got = warm.run(make_member_state(warm, other, 0), other.steps)
+        contracts.agree("served", got, ref)
 
     def test_member_states_deterministic_and_distinct(self):
         model = build_forecast_model(REQ.model_key())

@@ -18,7 +18,6 @@ from __future__ import annotations
 import random
 import time
 
-import numpy as np
 import pytest
 
 from repro.serve import (
@@ -27,6 +26,7 @@ from repro.serve import (
     ModelPool,
     run_serial_oracle,
 )
+from tests import contracts
 
 pytestmark = pytest.mark.slow
 
@@ -55,11 +55,7 @@ class TestExactlyOnceBitwise:
 
         assert [r.status for r in results] == ["ok"] * len(requests)
         for res in results:
-            assert res.digest() == oracles[res.key].digest()
-            # Field-level check on one member, not just the digest.
-            oracle_fields = oracles[res.key].members[0].fields
-            for name, arr in res.members[0].fields.items():
-                assert np.array_equal(arr, oracle_fields[name]), name
+            contracts.agree("served", res, oracles[res.key])
         assert stats["submitted"] == len(requests)
         assert stats["completed"] == len(requests)
         assert stats["errors"] == 0 and stats["cancellations"] == 0
@@ -83,7 +79,7 @@ class TestExactlyOnceBitwise:
                                pool=ModelPool(max_models=1)) as sched:
             res = sched.submit(req).result(timeout=240)
         assert res.ok and len(res.members) == 3
-        assert res.digest() == oracle.digest()
+        contracts.agree("served", res, oracle)
         member_digests = [m.digest for m in res.members]
         assert len(set(member_digests)) == 3   # members truly distinct
 
@@ -100,7 +96,7 @@ class TestExactlyOnceBitwise:
                        for j in sched.map(requests)]
         for res in results:
             assert res.ok
-            assert res.digest() == oracles[res.key].digest()
+            contracts.agree("served", res, oracles[res.key])
 
 
 class TestCancellation:
@@ -137,7 +133,7 @@ class TestCancellation:
             probe = _tiny(seed=77, steps=6)
             res = sched.submit(probe).result(timeout=120)
         assert res.ok
-        assert res.digest() == run_serial_oracle(probe).digest()
+        contracts.agree("served", res, run_serial_oracle(probe))
 
     def test_cancelled_results_not_cached(self):
         with ForecastScheduler(max_workers=1,
@@ -162,9 +158,7 @@ class TestCache:
             stats = sched.stats()
         assert cold.ok and not cold.cache_hit
         assert warm.ok and warm.cache_hit
-        assert warm.digest() == cold.digest()
-        for name, arr in warm.members[0].fields.items():
-            assert np.array_equal(arr, cold.members[0].fields[name])
+        contracts.agree("served", warm, cold)
         assert stats["cache_hits"] == 1
 
     def test_distinct_configs_never_cross_hit(self):

@@ -3,15 +3,12 @@ operator-cache/hot-loop bugfix regressions.
 
 * the ``reference`` backend is pinned **bitwise** against inline copies
   of the pre-refactor eager-NumPy operators (the goldens);
-* the ``fused`` backend is pinned against ``reference`` per kernel and
-  per dtype: float64 under the spec's declared contract — bitwise for
-  the two-point difference/mean kernels, a scaled-inf-norm tolerance
-  where the precomposed matrix folds a normalisation into the weights or
-  reorders a summation — and float32 under ``FLOAT32_TOLERANCE``;
-* the two traps of the precomposed form are pinned: every plan method is
-  bitwise rank-independent on owned entities, and the operators that
-  annihilate constants return exact zeros;
-* the mimetic identities re-run per backend;
+* the ``fused`` backend against ``reference`` per kernel and dtype is
+  the ``operator`` row of ``tests/contracts.py``, whole runs are its
+  ``dycore_backend`` and ``coupled_backend`` rows, and the mimetic
+  identities and exact annihilation of constants its ``mimetic`` and
+  ``annihilation`` rows — collected here under their old test ids;
+* every plan method is bitwise rank-independent on owned entities;
 * the operator cache compiles exactly once under thread hammering and is
   immutable after publish;
 * the three named hot-loop bugfixes each carry a regression test.
@@ -29,85 +26,17 @@ from repro.dycore import stencil as stc
 from repro.dycore import tendencies as tend
 from repro.grid.mesh import PAD, build_mesh
 from repro.precision.policy import NS, PrecisionPolicy
+from tests import contracts
+from tests.contracts import OPERATORS, call_operator, operator_fields
 
 BACKENDS = sorted(stc.BACKENDS)
+
+pytestmark = pytest.mark.operator
 
 
 @pytest.fixture(scope="module")
 def mesh3():
     return build_mesh(3)
-
-
-@pytest.fixture(scope="module")
-def mesh4():
-    return build_mesh(4)
-
-
-def _fields(mesh, seed, nlev, dtype=np.float64):
-    rng = np.random.default_rng(seed)
-    shape = (nlev,) if nlev else ()
-    return {
-        "edge": rng.normal(size=(mesh.ne,) + shape).astype(dtype),
-        "cell": rng.normal(size=(mesh.nc,) + shape).astype(dtype),
-        "vertex": rng.normal(size=(mesh.nv,) + shape).astype(dtype),
-    }
-
-
-#: public operator -> (input staggering kinds; a float is passed as is)
-OPERATORS = {
-    "divergence": ("edge",),
-    "gradient": ("cell",),
-    "curl": ("edge",),
-    "cell_to_edge": ("cell",),
-    "cell_to_edge_upwind": ("cell", "edge"),
-    "vertex_to_edge": ("vertex",),
-    "vertex_to_cell": ("vertex",),
-    "reconstruct_cell_vectors": ("edge",),
-    "tangential_velocity": ("edge",),
-    "kinetic_energy": ("edge",),
-    "laplacian_cell": ("cell",),
-    "laplacian_edge": ("edge",),
-    "vorticity_edge": ("edge",),
-    "momentum_diffusion": ("edge", 3.0e5, 1.1e6),
-}
-
-#: staggering of each operator's result (the rank-independence test
-#: compares on the owned entities of that kind)
-OUTPUT_KIND = {
-    "divergence": "cell", "gradient": "edge", "curl": "vertex",
-    "cell_to_edge": "edge", "cell_to_edge_upwind": "edge",
-    "vertex_to_edge": "edge", "vertex_to_cell": "cell",
-    "reconstruct_cell_vectors": "cell", "tangential_velocity": "edge",
-    "kinetic_energy": "cell", "laplacian_cell": "cell",
-    "laplacian_edge": "edge", "vorticity_edge": "edge",
-    "momentum_diffusion": "edge",
-}
-
-
-def _call(name, mesh, fields, backend):
-    fn = getattr(ops, name)
-    args = [fields[k] if isinstance(k, str) else k for k in OPERATORS[name]]
-    return fn(mesh, *args, backend=backend)
-
-
-def _assert_contract(name, mesh, seed, nlev):
-    """Fused vs reference on the same fields, once per policy dtype:
-    float64 under the spec's own contract, float32 under the one
-    ``FLOAT32_TOLERANCE`` — and the fused result keeps its input dtype."""
-    for dtype in (np.float64, np.float32):
-        f = _fields(mesh, seed, nlev, dtype)
-        ref = _call(name, mesh, f, "reference")
-        fused = _call(name, mesh, f, "fused")
-        assert fused.dtype == dtype, f"{name}: {dtype.__name__} in, {fused.dtype} out"
-        tol = stc.STENCILS[name].tolerance if dtype is np.float64 else stc.FLOAT32_TOLERANCE
-        if tol == stc.BITWISE:
-            assert np.array_equal(ref, fused), f"{name}: fused not bitwise"
-        else:
-            bound = tol * max(float(np.abs(ref).max()), 1e-300)
-            err = float(np.abs(fused - ref).max())
-            assert err <= bound, (
-                f"{name}[{dtype.__name__}]: |fused-ref|={err:.3e} > {bound:.3e}"
-            )
 
 
 # -- pre-refactor goldens (the old eager implementations, verbatim) --------
@@ -166,7 +95,7 @@ class TestReferenceMatchesPreRefactorGoldens:
 
     @pytest.mark.parametrize("nlev", [0, 5])
     def test_gather_reduce_operators(self, mesh3, nlev):
-        f = _fields(mesh3, 11, nlev)
+        f = operator_fields(mesh3, 11, nlev)
         np.testing.assert_array_equal(
             ops.divergence(mesh3, f["edge"], backend="reference"),
             _legacy_divergence(mesh3, f["edge"]),
@@ -186,7 +115,7 @@ class TestReferenceMatchesPreRefactorGoldens:
 
     @pytest.mark.parametrize("nlev", [0, 5])
     def test_point_operators(self, mesh3, nlev):
-        f = _fields(mesh3, 12, nlev)
+        f = operator_fields(mesh3, 12, nlev)
         c = stc.mesh_cache(mesh3)
         de = mesh3.de.reshape((-1,) + (1,) * (f["cell"].ndim - 1))
         np.testing.assert_array_equal(
@@ -208,29 +137,22 @@ class TestReferenceMatchesPreRefactorGoldens:
 
 
 class TestBackendEquivalence:
-    """Fused vs reference under each kernel's declared contract, for
-    both policy dtypes, 1-D and 2-D fields."""
+    """The ``operator`` row (fused vs reference, both policy dtypes, 1-D
+    and 2-D fields) at G3 and G4, and on random G2 fields."""
 
-    @pytest.mark.parametrize("name", sorted(OPERATORS))
-    @pytest.mark.parametrize("nlev", [0, 6])
-    def test_g3(self, mesh3, name, nlev):
-        _assert_contract(name, mesh3, 21, nlev)
-
-    @pytest.mark.parametrize("name", sorted(OPERATORS))
-    def test_g4(self, mesh4, name):
-        _assert_contract(name, mesh4, 22, 8)
+    test_g3 = contracts.collect("operator", level=3)
+    test_g4 = contracts.collect("operator", level=4)
 
     @given(st.integers(min_value=0, max_value=10**6))
     @settings(max_examples=15, deadline=None)
     def test_property_randomized(self, seed):
-        mesh = build_mesh(2)
         for name in OPERATORS:
-            _assert_contract(name, mesh, seed, 4)
+            contracts.check("operator", dict(level=2, nlev=4, operator=name, seed=seed))
 
     def test_fused_returns_fresh_arrays(self, mesh3):
         """The plan holds no scratch to alias: consecutive calls return
         distinct arrays (the solver keeps stage tendencies)."""
-        f = _fields(mesh3, 23, 6)
+        f = operator_fields(mesh3, 23, 6)
         a = ops.divergence(mesh3, f["edge"], backend="fused")
         b = ops.divergence(mesh3, 2.0 * f["edge"], backend="fused")
         assert a is not b
@@ -241,7 +163,7 @@ class TestBackendEquivalence:
         """(The id predates the per-dtype tables and is pinned.)  Fused
         float32 ``cell_to_edge`` delegates nowhere, yet still equals the
         reference bitwise: the same operations in the same order."""
-        f32 = _fields(mesh3, 24, 5, np.float32)["cell"]
+        f32 = operator_fields(mesh3, 24, 5, np.float32)["cell"]
         ref = ops.cell_to_edge(mesh3, f32, backend="reference")
         fused = ops.cell_to_edge(mesh3, f32, backend="fused")
         assert fused.dtype == np.float32
@@ -249,35 +171,34 @@ class TestBackendEquivalence:
 
     @pytest.mark.parametrize("name", sorted(OPERATORS))
     def test_unsupported_inputs_raise(self, mesh3, name):
-        """float32 in -> float32 out is part of ``_assert_contract``; a
+        """float32 in -> float32 out is part of the ``operator`` row; a
         dtype that is neither policy dtype, or ``ndim == 3``, is a
         ``TypeError`` naming the fused kernel that refused it."""
-        f = _fields(mesh3, 26, 5)
+        f = operator_fields(mesh3, 26, 5)
         for bad in (
             {k: v.astype(np.float16) for k, v in f.items()},
             {k: v.astype(np.int64) for k, v in f.items()},
             {k: v[..., None] for k, v in f.items()},
         ):
             with pytest.raises(TypeError, match=r"^fused \w+: expected"):
-                _call(name, mesh3, bad, "fused")
+                call_operator(name, mesh3, bad, "fused")
 
     @pytest.mark.parametrize("name", sorted(OPERATORS))
     def test_interleaved_dtypes_never_share_scratch(self, mesh3, name):
         """f64, f32, f64 on one plan (the id predates the stateless
         plan): the float32 call in the middle leaves the float64 result
         unchanged."""
-        f64 = _fields(mesh3, 27, 5)
-        f32 = _fields(mesh3, 28, 5, np.float32)
-        first = _call(name, mesh3, f64, "fused")
-        middle = _call(name, mesh3, f32, "fused")
-        third = _call(name, mesh3, f64, "fused")
+        f64 = operator_fields(mesh3, 27, 5)
+        f32 = operator_fields(mesh3, 28, 5, np.float32)
+        first = call_operator(name, mesh3, f64, "fused")
+        middle = call_operator(name, mesh3, f32, "fused")
+        third = call_operator(name, mesh3, f64, "fused")
         assert middle.dtype == np.float32
-        assert first.dtype == third.dtype == np.float64
-        np.testing.assert_array_equal(first, third)
+        contracts.bitwise(third, first)
 
     def test_optional_accelerators_degrade_silently(self, mesh3):
         """The fused backend needs nothing beyond NumPy."""
-        f = _fields(mesh3, 25, 4)
+        f = operator_fields(mesh3, 25, 4)
         out = ops.laplacian_edge(mesh3, f["edge"], backend="fused")
         assert np.isfinite(out).all()
 
@@ -302,33 +223,21 @@ class TestPrecomposedOperatorTraps:
     def test_rank_independent_on_owned_entities(self, mesh3, decomposition, name, dtype):
         """Each fused plan method on every rank-local mesh equals the
         global result bitwise wherever the rank owns the full stencil."""
-        f = _fields(mesh3, 61, 5, dtype)
-        want = _call(name, mesh3, f, "fused")
+        f = operator_fields(mesh3, 61, 5, dtype)
+        want = call_operator(name, mesh3, f, "fused")
         for lm in decomposition:
             ids = {"cell": lm.cells, "edge": lm.edges, "vertex": lm.vertices}
-            got = _call(name, lm.mesh, {k: f[k][ids[k]] for k in f}, "fused")
+            got = call_operator(name, lm.mesh, {k: f[k][ids[k]] for k in f}, "fused")
             cv = lm.mesh.cell_vertices[: lm.n_owned_cells]
             owned = {
                 "cell": np.arange(lm.n_owned_cells),
                 "edge": np.arange(lm.n_owned_edges),
                 "vertex": np.unique(cv[cv != PAD]),
-            }[OUTPUT_KIND[name]]
-            assert got.dtype == dtype
-            np.testing.assert_array_equal(
-                got[owned], want[ids[OUTPUT_KIND[name]][owned]],
-                err_msg=f"{name}[{dtype.__name__}] differs on rank {lm.rank}",
-            )
+            }[OPERATORS[name][1]]
+            contracts.bitwise({f"rank{lm.rank}": got[owned]},
+                              {f"rank{lm.rank}": want[ids[OPERATORS[name][1]][owned]]})
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
-    @pytest.mark.parametrize("nlev", [0, 5])
-    def test_constants_are_annihilated_exactly(self, mesh3, backend, dtype, nlev):
-        """``gradient`` and ``laplacian_cell`` of a constant are exact
-        zeros — difference before scale — not zeros to round-off."""
-        const = np.full((mesh3.nc,) + ((nlev,) if nlev else ()), 300.1, dtype=dtype)
-        for name in ("gradient", "laplacian_cell"):
-            out = getattr(ops, name)(mesh3, const, backend=backend)
-            assert not out.any(), f"{name}[{dtype.__name__}] left round-off"
+    test_constants_are_annihilated_exactly = contracts.collect("annihilation")
 
     def test_both_dtypes_share_one_unsorted_index_array(self, mesh3):
         """``indptr``/``indices`` are shared by the float64 and float32
@@ -347,39 +256,9 @@ class TestPrecomposedOperatorTraps:
 
 
 class TestMimeticIdentitiesPerBackend:
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_area_weighted_divergence_sums_to_zero(self, mesh3, backend):
-        rng = np.random.default_rng(31)
-        flux = rng.normal(size=(mesh3.ne, 4))
-        div = ops.divergence(mesh3, flux, backend=backend)
-        total = (div * mesh3.cell_area[:, None]).sum(axis=0)
-        np.testing.assert_allclose(
-            total, 0.0, atol=1e-6 * mesh3.cell_area.mean()
-        )
-
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_curl_of_gradient_vanishes(self, mesh3, backend):
-        rng = np.random.default_rng(32)
-        psi = rng.normal(size=mesh3.nc)
-        g = ops.gradient(mesh3, psi, backend=backend)
-        zeta = ops.curl(mesh3, g, backend=backend)
-        scale = np.abs(g).max() / mesh3.de.mean()
-        np.testing.assert_allclose(zeta, 0.0, atol=1e-10 * scale)
-
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_constant_fields(self, mesh3, backend):
-        np.testing.assert_allclose(
-            ops.gradient(mesh3, np.full(mesh3.nc, 7.5), backend=backend),
-            0.0, atol=1e-18,
-        )
-        np.testing.assert_allclose(
-            ops.vertex_to_cell(mesh3, np.full(mesh3.nv, 2.0), backend=backend),
-            2.0,
-        )
-        np.testing.assert_allclose(
-            ops.cell_to_edge(mesh3, np.full(mesh3.nc, 3.0), backend=backend),
-            3.0,
-        )
+    test_area_weighted_divergence_sums_to_zero = contracts.collect("mimetic", identity="div_sum")
+    test_curl_of_gradient_vanishes = contracts.collect("mimetic", identity="curl_grad")
+    test_constant_fields = contracts.collect("mimetic", identity="constants")
 
 
 class TestOperatorCacheThreadSafety:
@@ -448,7 +327,7 @@ class TestGatherEdgesPadWeight:
 
     @pytest.mark.parametrize("nlev", [0, 5])
     def test_matches_legacy_scatter(self, mesh3, nlev):
-        f = _fields(mesh3, 41, nlev)
+        f = operator_fields(mesh3, 41, nlev)
         got = stc.compiled_kernels(mesh3).gather_edges(f["edge"])
         np.testing.assert_array_equal(got, _legacy_gather_edges(mesh3, f["edge"]))
 
@@ -485,9 +364,7 @@ class TestPrimalFluxHalfConstant:
         old = (
             w1 * dpi[c1].astype(dt) + (1.0 - w1) * dpi[c2].astype(dt)
         ) * u.astype(dt)
-        new = tend.primal_normal_flux_edge(mesh3, dpi, u, policy)
-        assert new.dtype == old.dtype
-        np.testing.assert_array_equal(new, old)
+        contracts.bitwise(tend.primal_normal_flux_edge(mesh3, dpi, u, policy), old)
 
     def test_degenerate_zero_length_edge_stays_finite(self):
         mesh = build_mesh(1)
@@ -547,75 +424,14 @@ class TestBackendSelection:
         assert sorted(shared._stencil_plans) == BACKENDS
         for backend, core in cores.items():
             assert core.kernels is stc.compiled_kernels(shared, backend)
-            got, alone = evolve(core), evolve(core_on(build_mesh(2), backend))
-            for name, a in alone.items():
-                assert np.array_equal(got[name], a), f"{backend}: {name}"
+            contracts.bitwise(evolve(core), evolve(core_on(build_mesh(2), backend)))
         assert set(vars(shared)) - bare == {"_op_cache", "_stencil_plans"}
 
 
 class TestSolverPerBackend:
-    def test_fused_step_tracks_reference_step(self):
-        from repro.dycore.solver import DycoreConfig, DynamicalCore
-        from repro.dycore.state import solid_body_rotation_state
-        from repro.dycore.vertical import VerticalCoordinate
-
-        vc = VerticalCoordinate.uniform(6)
-        mesh = build_mesh(2)
-        states = {}
-        for backend in BACKENDS:
-            core = DynamicalCore(
-                mesh, vc, DycoreConfig(dt=300.0, stencil_backend=backend)
-            )
-            state = solid_body_rotation_state(mesh, vc)
-            for _ in range(3):
-                state = core.step(state)
-            states[backend] = state
-        ref, fus = states["reference"], states["fused"]
-        for name in ("ps", "u", "theta"):
-            a, b = getattr(ref, name), getattr(fus, name)
-            scale = max(float(np.abs(a).max()), 1e-300)
-            assert float(np.abs(a - b).max()) <= 1e-9 * scale, name
-
-    @pytest.mark.parametrize("scheme", ["DP-PHY", "MIX-PHY"])
-    def test_coupled_default_tracks_reference_oracle(self, scheme):
-        """The default (fused) coupled model against the reference
-        oracle over four tracer and two physics steps.  DP differs only
-        by summation order; MIX runs its ``ns`` terms in float32 on the
-        fused path where the oracle promotes them through float64
-        weights, so it is held to the float32 bound (measured 2.4e-8 on
-        ``u``, <= 1e-11 elsewhere)."""
-        from repro.dycore.state import tropical_profile_state
-        from repro.dycore.vertical import VerticalCoordinate
-        from repro.model.config import TABLE3_SCHEMES, scaled_grid_config
-        from repro.model.grist import GristModel
-
-        vc = VerticalCoordinate.stretched(10)
-        gc = scaled_grid_config(3, 10)
-        assert (gc.tracer_ratio, gc.physics_ratio) == (6, 12)
-        mesh = build_mesh(3)
-        states = {}
-        for kwargs in ({}, {"stencil_backend": "reference"}):
-            model = GristModel(
-                mesh, vc, gc, TABLE3_SCHEMES[scheme], dycore_kwargs=kwargs
-            )
-            backend = model.dycore.config.stencil_backend
-            assert model.coupler.kernels is model.dycore.kernels
-            assert model.dycore.kernels.backend == backend
-            states[backend] = model.run(tropical_profile_state(mesh, vc), 24)
-        ref, fus = states["reference"], states["fused"]
-        tol, mass_tol = {
-            "DP-PHY": (1e-10, 1e-14),
-            "MIX-PHY": (stc.FLOAT32_TOLERANCE, 1e-12),
-        }[scheme]
-        fields = {n: (getattr(ref, n), getattr(fus, n))
-                  for n in ("ps", "u", "theta", "w", "phi")}
-        fields.update({n: (ref.tracers[n], fus.tracers[n]) for n in ref.tracers})
-        for name, (a, b) in fields.items():
-            scale = max(float(np.abs(a).max()), 1e-300)
-            assert float(np.abs(a - b).max()) <= tol * scale, name
-        assert fus.total_dry_mass() == pytest.approx(
-            ref.total_dry_mass(), rel=mass_tol
-        )
+    test_fused_step_tracks_reference_step = contracts.collect(
+        "dycore_backend", precision="DP", mode="hydrostatic")
+    test_coupled_default_tracks_reference_oracle = contracts.collect("coupled_backend")
 
     @pytest.mark.parametrize("case", ["baroclinic", "tropical"])
     def test_mix_long_run_stays_finite_and_conserves_mass(self, case):
@@ -724,7 +540,4 @@ class TestServeWarmPlansReuse:
         second = again.run(make_member_state(again, req, 0), req.steps)
         pool.release(req, again)
         assert pool.built == 1 and pool.reused == 1
-        for name in ("ps", "u", "theta"):
-            assert np.array_equal(
-                getattr(first, name), getattr(second, name)
-            ), f"warm fused rerun not bitwise for {name}"
+        contracts.bitwise(second, first)
