@@ -8,9 +8,9 @@ parallel layer, and an offload launch enters it through one view
 chunk a COMPUTE op on a lane of its own):
 
 * **ops** (:class:`PlanOp`) — pack/unpack of a compiled exchange plan,
-  a rank's tendency evaluation, the driver's RK apply, a barrier, a
-  collective reduction — each on an execution *lane* (a rank/worker, or
-  :data:`DRIVER` for the sequential driver process);
+  a rank's RK stage, a barrier, a collective reduction — each on an
+  execution *lane* (a rank/worker, or :data:`DRIVER` for the sequential
+  driver process);
 * **accesses** (:class:`Access`) — which named resource each op reads
   or writes, optionally restricted to a first-axis index set (the
   compiled send/recv index arrays of an
@@ -39,15 +39,15 @@ from enum import Enum
 import numpy as np
 
 #: Lane id of the sequential driver process (program order across all
-#: driver-side ops: saves, applies, and — in the current lockstep
-#: implementation — the exchange pack/unpack loops).
+#: driver-side ops: in the current lockstep implementation, the exchange
+#: pack/unpack loops).
 DRIVER = -1
 
 
 class OpKind(Enum):
     """What one op of a parallel plan does."""
 
-    COMPUTE = "compute"    # a rank's tendency/sponge evaluation
+    COMPUTE = "compute"    # a rank's RK stage or sponge
     PACK = "pack"          # gather into a persistent wire buffer
     UNPACK = "unpack"      # scatter a received payload into halo entities
     APPLY = "apply"        # RK apply: rewrite prognostics from tendencies

@@ -23,8 +23,8 @@ barriers.  The rules:
   rewritten by a later pack before (or concurrently with) the unpack
   that drains the previous epoch's payload;
 * **RD004** — missing inter-stage barrier: dependent RK phases (a
-  tendency evaluation and the apply that consumes its slot, or the
-  apply and the next stage's evaluation) are not ordered;
+  rank's stage and the exchange or next stage that reads what it
+  wrote) are not ordered;
 * **RD005** — order-sensitive reduction: a collective whose float
   summation order differs across rank counts, declared without a
   tolerance contract.
@@ -47,10 +47,6 @@ from repro.analysis.parallel_plan import (
     PlanOp,
     indices_intersect,
 )
-
-#: Tendency-slot component names, in :class:`_TendencySlot` field order.
-SLOT_COMPONENTS = ("ps", "u", "theta_mass", "flux_edge")
-
 
 def classify_conflict(writer: PlanOp, other: PlanOp, other_writes: bool) -> str:
     """RD rule id for one unordered conflicting access pair."""
@@ -229,9 +225,9 @@ def _check_stale_halo(plan, hb, seen, by_res) -> list:
         ]
         for op_r, acc_r in touches:
             if not acc_r.reads or op_r.kind is not OpKind.COMPUTE:
-                # Only stencil consumers (tendency/sponge rounds)
+                # Only stencil consumers (stage/sponge rounds)
                 # need fresh halos.  Packs read the send (owned)
-                # set, and saves/applies merely transport base
+                # set, and driver-side applies merely transport
                 # values that a later unpack refreshes before any
                 # compute reads them.
                 continue
@@ -386,12 +382,6 @@ def _rank_fields(rank: int, fields, mode: str) -> list:
     return [Access(f"rank{rank}.{f}", mode=mode) for f in fields]
 
 
-def _slot_accesses(rank: int, slot: int, mode: str) -> list:
-    return [
-        Access(f"rank{rank}.slot{slot}.{c}", mode=mode) for c in SLOT_COMPONENTS
-    ]
-
-
 def pack_op(ann: dict, rank: int, nbr: int, epoch: int) -> PlanOp:
     """The driver gathers ``rank``'s send sets into the pair's buffer."""
     pair = ann[(rank, nbr)]
@@ -421,53 +411,22 @@ def unpack_op(ann: dict, rank: int, nbr: int, epoch: int) -> tuple:
     return op, (f"e{epoch}.pack.{nbr}to{rank}", op.name)
 
 
-def round_ops(
-    label: str, nranks: int, fields: list, slot: int | None, stage: int = 0
-) -> list:
+def round_ops(label: str, nranks: int, fields: list, stage: int = 0) -> list:
     """One executor round: barrier, a COMPUTE per rank lane, barrier.
 
-    Every rank reads its prognostics (and ``phi_surface``); a tendency
-    round writes the rank's output ``slot``, the sponge round
-    (``slot=None``) damps the prognostics in place.
+    Every rank reads its prognostics and ``phi_surface`` and rewrites
+    its prognostics in place: an RK stage (its base and tendencies are
+    private to the rank) or the sponge.
     """
-    ops = [PlanOp(name=f"{label}.begin", kind=OpKind.BARRIER)]
+    ops = [PlanOp(name=f"{label}.begin", kind=OpKind.BARRIER, stage=stage)]
     for r in range(nranks):
         ops.append(PlanOp(
             name=f"{label}.rank{r}", kind=OpKind.COMPUTE, lane=r, stage=stage,
-            accesses=_rank_fields(r, fields + ["phi_surface"], "r") + (
-                _rank_fields(r, fields, "w") if slot is None
-                else _slot_accesses(r, slot, "w")
-            ),
+            accesses=_rank_fields(r, fields + ["phi_surface"], "r")
+            + _rank_fields(r, fields, "w"),
         ))
-    ops.append(PlanOp(name=f"{label}.end", kind=OpKind.BARRIER))
+    ops.append(PlanOp(name=f"{label}.end", kind=OpKind.BARRIER, stage=stage))
     return ops
-
-
-def save_op(name: str, nranks: int, fields: list) -> PlanOp:
-    """The driver copies the step's base state (RK increments build on it)."""
-    return PlanOp(
-        name=name, kind=OpKind.APPLY, lane=DRIVER,
-        accesses=[
-            a for r in range(nranks) for a in _rank_fields(r, fields, "r")
-        ] + [Access(f"rank{r}.saved", mode="w") for r in range(nranks)],
-    )
-
-
-def apply_op(
-    name: str, nranks: int, fields: list, slots, stage: int = 0
-) -> PlanOp:
-    """The driver rewrites the prognostics from the base state and the
-    tendency ``slots`` combined so far."""
-    accesses = []
-    for r in range(nranks):
-        accesses.append(Access(f"rank{r}.saved", mode="r"))
-        for s in slots:
-            accesses += _slot_accesses(r, s, "r")
-        accesses += _rank_fields(r, fields, "w")
-    return PlanOp(
-        name=name, kind=OpKind.APPLY, lane=DRIVER, stage=stage,
-        accesses=accesses,
-    )
 
 
 def driver_plan(driver, name: str, ops: list, edges: list) -> ParallelPlan:
@@ -485,12 +444,11 @@ def driver_plan(driver, name: str, ops: list, edges: list) -> ParallelPlan:
 def build_step_plan(driver, name: str = "rk_step") -> ParallelPlan:
     """Derive the :class:`ParallelPlan` of one RK step of ``driver``.
 
-    Saves, exchange pack/unpack loops and RK applies run on the
-    :data:`DRIVER` lane; tendency (and sponge) evaluations run on rank
-    lanes bracketed by the executor's broadcast/reply barriers.  The
-    stage sequence is :data:`repro.dycore.solver.SSP_RK3` — the
-    table the driver itself steps through: stage ``k`` exchanges, writes
-    slot ``k - 1`` and applies slots ``0..k-1``.
+    Exchange pack/unpack loops run on the :data:`DRIVER` lane; the RK
+    stages (and the sponge) run on rank lanes bracketed by the
+    executor's broadcast/reply barriers.  The stage sequence is
+    :data:`repro.dycore.solver.SSP_RK3` — the table the driver itself
+    steps through: stage ``k`` exchanges, then runs one round.
 
     Index sets come from the compiled
     :class:`~repro.parallel.exchange.ExchangePlan`\\ s; arena byte
@@ -514,12 +472,10 @@ def build_step_plan(driver, name: str = "rk_step") -> ParallelPlan:
             ops.append(op)
             edges.append(edge)
 
-    ops.append(save_op("save", nranks, fields))
     for stage in range(1, len(SSP_RK3) + 1):
         add_exchange(epoch=stage)
-        ops.extend(round_ops(f"tend.s{stage}", nranks, fields, stage - 1, stage))
-        ops.append(apply_op(f"apply.s{stage}", nranks, fields, range(stage), stage))
+        ops.extend(round_ops(f"stage.s{stage}", nranks, fields, stage))
     if driver.config.sponge_levels > 0:
         add_exchange(epoch=len(SSP_RK3) + 1)
-        ops.extend(round_ops("sponge", nranks, fields, None, len(SSP_RK3) + 1))
+        ops.extend(round_ops("sponge", nranks, fields, len(SSP_RK3) + 1))
     return driver_plan(driver, name, ops, edges)

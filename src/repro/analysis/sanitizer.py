@@ -40,11 +40,9 @@ from repro.analysis.access import OffloadPlan, PlannedLoop, chunk_plan, loop_con
 from repro.analysis.diagnostics import CONFIRMED, FALSE_POSITIVE
 from repro.analysis.parallel_plan import Access, HappensBefore, OpKind, ParallelPlan
 from repro.analysis.races import (
-    apply_op,
     driver_plan,
     pack_op,
     round_ops,
-    save_op,
     unordered_conflicts,
     unpack_op,
 )
@@ -440,10 +438,10 @@ class RunObserver:
     """Tracer listener rebuilding the observed plan of a driver run.
 
     Turns the per-pair pack/unpack instants (clock edges with their
-    exchange epoch), the executors' EXEC_ROUND spans (the barrier
-    rounds bracketing the concurrent per-rank evaluations) and the
-    driver's save/apply spans into plan ops, in emission order, through
-    the declared step plan's own op constructors.
+    exchange epoch) and the executors' EXEC_ROUND spans (the barrier
+    rounds bracketing the concurrent per-rank stages and sponges) into
+    plan ops, in emission order, through the declared step plan's own
+    op constructors.
     """
 
     def __init__(self, driver):
@@ -452,11 +450,7 @@ class RunObserver:
         self._fields = list(driver._exchanger.registered_fields())
         self._ops: list = []
         self._edges: list = []
-        self._counts = {"round": 0, "save": 0, "apply": 0}
-
-    def _label(self, what: str) -> str:
-        self._counts[what] += 1
-        return f"{what}{self._counts[what]}"
+        self._rounds = 0
 
     def on_span_open(self, span) -> None:
         ann, fields, nranks = self._ann, self._fields, self.driver.nparts
@@ -473,16 +467,10 @@ class RunObserver:
                 if any(o.name == edge[0] for o in self._ops):
                     self._edges.append(edge)
         elif span.kind is SpanKind.EXEC_ROUND:
-            kind = args.get("op")
+            self._rounds += 1
             self._ops.extend(round_ops(
-                f"{self._label('round')}.{kind}", nranks, fields,
-                args.get("slot") if kind == "tend" else None,
-            ))
-        elif span.kind is SpanKind.RK_STAGE and args.get("op") == "save":
-            self._ops.append(save_op(self._label("save"), nranks, fields))
-        elif span.kind is SpanKind.RK_STAGE and args.get("op") == "apply":
-            self._ops.append(apply_op(
-                self._label("apply"), nranks, fields, args.get("slots", ()),
+                f"round{self._rounds}.{args.get('op')}", nranks, fields,
+                args.get("stage", 0),
             ))
 
     def to_plan(self, name: str = "observed_run") -> ParallelPlan:

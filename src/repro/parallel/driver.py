@@ -12,22 +12,18 @@ serial runs as the same computation.
 
 from __future__ import annotations
 
-from dataclasses import replace
-
 import numpy as np
 
 from repro.comm.message import Communicator
-from repro.dycore.solver import SSP_RK3, DycoreConfig, DynamicalCore, rk_update
+from repro.dycore.solver import SSP_RK3, DycoreConfig, DynamicalCore
 from repro.dycore.state import ModelState
 from repro.dycore.vertical import VerticalCoordinate
 from repro.grid.mesh import Mesh
-from repro.obs import SpanKind, get_tracer
 from repro.parallel.exchange import EdgeCellExchanger
 from repro.parallel.executor import (
     ProcessRankExecutor,
     SerialRankExecutor,
     _ShmArena,
-    _TendencySlot,
 )
 from repro.parallel.localmesh import LocalMesh, build_local_meshes
 from repro.partition.decomposition import decompose
@@ -83,10 +79,8 @@ class DistributedDycore:
         ]
         #: The rank states: one local ``ModelState`` per rank (owned +
         #: halo entities), written in place only — the exchanger, the
-        #: executors, ``rk_update`` and ``gather`` all use this one list.
+        #: executors and ``gather`` all use this one list.
         self._states: list[ModelState] | None = None
-        #: Per-rank buffers holding the step's base ``ps``/``u``/``theta``.
-        self._base: list[ModelState] | None = None
         self._exchanger: EdgeCellExchanger | None = None
         self._executor = None
         #: The shared mmap arena (forked execution only), kept alive
@@ -97,15 +91,24 @@ class DistributedDycore:
     def scatter(self, state: ModelState) -> None:
         """Distribute a global state onto the ranks.
 
-        With ``workers > 1`` the per-rank prognostic arrays (and three
-        tendency output slots per rank) are placed in one shared
+        On a live driver whose executor is healthy the state is copied
+        into the existing rank arrays: the workers, the shared arena and
+        the exchanger stay.  Otherwise (first call, after :meth:`close`
+        or a failed round) the rank states are built afresh; with
+        ``workers > 1`` their prognostic arrays are placed in one shared
         anonymous mmap, and the worker processes are forked at the end —
         after the exchanger is built on the rank states — so everything
         they inherit aliases the shared arena.
         """
-        if self._executor is not None:
-            self._executor.close()
-            self._executor = None
+        self._check(state)
+        if self._executor is not None and self._executor.healthy:
+            for lm, st in zip(self.locals, self._states):
+                for f in ("ps", "theta", "phi_surface"):
+                    getattr(st, f)[...] = getattr(state, f)[lm.cells]
+                st.u[...] = state.u[lm.edges]
+                st.time = state.time
+            return
+        self.close()
         nlev = self.vcoord.nlev
         self._states = [
             ModelState(
@@ -122,54 +125,48 @@ class DistributedDycore:
             )
             for lm in self.locals
         ]
-        slots = self._to_shared() if self.workers > 1 else None
+        if self.workers > 1:
+            self._to_shared()
         ex = EdgeCellExchanger(self.locals, self.comm, retry=self.retry)
         ex.register_cell("ps", [s.ps for s in self._states])
         ex.register_cell("theta", [s.theta for s in self._states])
         ex.register_edge("u", [s.u for s in self._states])
         self._exchanger = ex
-        self._base = [
-            replace(s, ps=np.empty_like(s.ps), u=np.empty_like(s.u), theta=np.empty_like(s.theta))
-            for s in self._states
-        ]
         if self.workers > 1:
             self._executor = ProcessRankExecutor(
-                self.cores, self._states, slots, self.workers
+                self.cores, self._states, self.workers
             )
         else:
             self._executor = SerialRankExecutor(self.cores, self._states)
 
-    def _to_shared(self) -> list[list[_TendencySlot]]:
-        """Rehome the rank states' arrays into one shared arena; build
-        the tendency output slots beside them."""
-        nlev = self.vcoord.nlev
+    def _check(self, state: ModelState) -> None:
+        """Refuse a state whose fields do not fit this driver's mesh and
+        vertical coordinate (naming the first field that does not)."""
+        nc, ne, nlev = self.mesh.nc, self.mesh.ne, self.vcoord.nlev
+        want = {
+            "ps": (nc,), "u": (ne, nlev), "theta": (nc, nlev),
+            "phi_surface": (nc,),
+        }
+        for f, shape in want.items():
+            got = np.shape(getattr(state, f))
+            if got != shape:
+                raise ValueError(
+                    f"scatter: state.{f} has shape {got}, but this driver's "
+                    f"G{self.mesh.level} mesh with {nlev} levels needs {shape}"
+                )
+
+    def _to_shared(self) -> None:
+        """Rehome the rank states' arrays into one shared arena."""
         fields = ("ps", "u", "theta", "phi_surface")
-        shapes: list[tuple[int, ...]] = []
-        for st in self._states:
-            shapes += [getattr(st, f).shape for f in fields]
-            # three tendency slots: ps, u, theta_mass, flux_edge each
-            shapes += (
-                [st.ps.shape, st.u.shape, st.theta.shape, st.u.shape]
-                * ProcessRankExecutor.N_SLOTS
-            )
-        arena = self._arena = _ShmArena(_ShmArena.nbytes(shapes))
-        slots: list[list[_TendencySlot]] = [
-            [] for _ in range(ProcessRankExecutor.N_SLOTS)
-        ]
+        arena = self._arena = _ShmArena(_ShmArena.nbytes(
+            [getattr(st, f).shape for st in self._states for f in fields]
+        ))
         for lm, st in zip(self.locals, self._states):
-            r = lm.rank
             for f in fields:
                 local = getattr(st, f)
-                shared = arena.take(local.shape, name=f"rank{r}.{f}")
+                shared = arena.take(local.shape, name=f"rank{lm.rank}.{f}")
                 np.copyto(shared, local)
                 setattr(st, f, shared)
-            for k, slot in enumerate(slots):
-                slot.append(
-                    _TendencySlot(
-                        arena, lm.n_cells, lm.n_edges, nlev, name=f"rank{r}.slot{k}"
-                    )
-                )
-        return slots
 
     def arena_layout(self) -> dict:
         """Byte extents of the shared arena's named slots.
@@ -221,37 +218,20 @@ class DistributedDycore:
 
     # -- stepping ------------------------------------------------------------
     def step(self) -> None:
-        """One SSP-RK dynamics step across all ranks: the serial solver's
-        loop over ``SSP_RK3`` and its ``rk_update``, per rank, so
-        results are bitwise equal."""
+        """One SSP-RK dynamics step across all ranks: per stage a halo
+        exchange, then one executor round in which every rank runs the
+        serial solver's stage (``compute_tendencies`` and ``rk_update``),
+        so results are bitwise equal."""
         if self._states is None:
             raise RuntimeError("scatter a state first")
-        dt = self.config.dt
-        tracer = get_tracer()
-        with tracer.span("driver.save", SpanKind.RK_STAGE, op="save"):
-            for st, base in zip(self._states, self._base):
-                np.copyto(base.ps, st.ps)
-                np.copyto(base.u, st.u)
-                np.copyto(base.theta, st.theta)
-                base.time = st.time
-        per_stage: list[list] = []
-        for k, (weights, frac) in enumerate(SSP_RK3, 1):
-            # Halo exchange, then the executor's per-rank evaluation
-            # (serial loop or forked workers — identical results) into
-            # the stage's own tendency slot.
+        for k in range(1, len(SSP_RK3) + 1):
             self._exchanger.exchange()
-            per_stage.append(self._executor.compute_tendencies(slot=k - 1))
-            with tracer.span(
-                "driver.apply", SpanKind.RK_STAGE, op="apply",
-                stage=k, slots=tuple(range(k)),
-            ):
-                for st, base, *tds in zip(self._states, self._base, *per_stage):
-                    rk_update(st, base, tds, weights, frac * dt)
+            self._executor.stage(k)
         if self.config.sponge_levels > 0:
             # Refresh halos so the sponge's Laplacians see the same
             # neighbour values as the serial solver, then damp per rank.
             self._exchanger.exchange()
-            self._executor.sponge(dt)
+            self._executor.sponge(self.config.dt)
 
     def run(self, n_steps: int) -> None:
         for _ in range(n_steps):

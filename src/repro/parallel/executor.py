@@ -1,8 +1,8 @@
 """Rank executors: serial and multiprocess stepping of decomposed ranks.
 
 Between halo exchanges the simulated MPI ranks are data-independent —
-each rank's tendency evaluation reads only its own local arrays (owned +
-halo entities, refreshed by the exchanger before every evaluation).
+each rank's RK stage reads only its own local arrays (owned + halo
+entities, refreshed by the exchanger before every stage).
 :class:`SerialRankExecutor` steps them in a loop in the driver process
 (the historical behaviour and the bitwise reference);
 :class:`ProcessRankExecutor` steps them on persistent forked worker
@@ -11,29 +11,29 @@ overlap the per-rank NumPy work.
 
 Bitwise contract
 ----------------
-Both executors run the *same* ``DynamicalCore.compute_tendencies`` /
-``_apply_sponge`` code on the driver's one list of rank states, so their
+Both executors run the *same* per-rank stage (:class:`_Rank`: the
+serial solver's ``compute_tendencies`` and ``rk_update``) and
+``_apply_sponge`` on the driver's one list of rank states, so their
 results are bitwise identical — the ``ranks`` row of the test suite's
 contract table, over both backends, both precisions, one and two workers
 and the sponge.  The mechanism:
 
 * all per-rank prognostic arrays (``ps``, ``u``, ``theta``,
-  ``phi_surface``) and three tendency output slots per rank live in one
-  anonymous ``mmap`` arena (``MAP_SHARED``) carved into NumPy views;
+  ``phi_surface``) live in one anonymous ``mmap`` arena
+  (``MAP_SHARED``) carved into NumPy views;
 * workers are forked *after* :meth:`DistributedDycore.scatter`, so they
   inherit the cores, local meshes and rank states aliasing the shared
-  arrays — parent-side writes (``rk_update``, halo unpack) are visible
-  to workers and worker-side writes (tendencies, sponge updates) are
+  arrays — parent-side writes (halo unpack, a re-scatter) are visible
+  to workers and worker-side writes (the stage update, the sponge) are
   visible to the parent with no pickling of field data;
-* three output slots exist because an SSP-RK3 step holds all of
-  ``t1``/``t2``/``t3`` live at once; the driver names the slot of each
-  tendency call (stage ``k`` writes slot ``k - 1``).
+* each rank's step base and stage tendencies are private to the process
+  that steps the rank: they never cross a process boundary.
 
-Workers execute the pure NumPy tendency code only; tracing spans and
+Workers execute the pure NumPy stage code only; tracing spans and
 metrics emitted inside a worker stay in that worker (the driver-side
-spans — halo exchange, apply — are unaffected).  Fork start method is
-required (Linux); callers must ``close()`` the executor (or the driver)
-to reap the workers.
+spans — halo exchange, executor rounds — are unaffected).  Fork start
+method is required (Linux); callers must ``close()`` the executor (or
+the driver) to reap the workers.
 """
 
 from __future__ import annotations
@@ -41,10 +41,11 @@ from __future__ import annotations
 import mmap
 import os
 import weakref
+from dataclasses import replace
 
 import numpy as np
 
-from repro.dycore.solver import SSP_RK3, Tendencies
+from repro.dycore.solver import SSP_RK3, rk_update
 from repro.obs import SpanKind, get_tracer
 
 
@@ -85,26 +86,45 @@ class _ShmArena:
         return int(sum(np.prod(s, dtype=np.int64) for s in shapes)) * 8
 
 
-class _TendencySlot:
-    """Shared-memory destination for one rank's Tendencies (same four
-    attribute names, so ``rk_update`` reads it where it lies)."""
+class _Rank:
+    """One rank's RK step: its core, its state and the step's private base
+    ``ps``/``u``/``theta`` and tendencies.
 
-    def __init__(
-        self, arena: _ShmArena, nc: int, ne: int, nlev: int, name: str = ""
-    ):
-        def _n(comp: str) -> str | None:
-            return f"{name}.{comp}" if name else None
+    :meth:`stage` is the serial solver's stage body (``DynamicalCore.step``)
+    on the rank: stage 1 saves the base, every stage evaluates the
+    tendencies and updates the state in place.
+    """
 
-        self.ps = arena.take((nc,), name=_n("ps"))
-        self.u = arena.take((ne, nlev), name=_n("u"))
-        self.theta_mass = arena.take((nc, nlev), name=_n("theta_mass"))
-        self.flux_edge = arena.take((ne, nlev), name=_n("flux_edge"))
+    def __init__(self, core, state):
+        self.core = core
+        self.state = state
+        self.base = replace(
+            state, ps=np.empty_like(state.ps), u=np.empty_like(state.u),
+            theta=np.empty_like(state.theta),
+        )
+        self.tds: list = []
 
-    def store(self, td: Tendencies) -> None:
-        self.ps[:] = td.ps
-        self.u[:] = td.u
-        self.theta_mass[:] = td.theta_mass
-        self.flux_edge[:] = td.flux_edge
+    def stage(self, k: int) -> None:
+        st, base = self.state, self.base
+        if k == 1:
+            np.copyto(base.ps, st.ps)
+            np.copyto(base.u, st.u)
+            np.copyto(base.theta, st.theta)
+            base.time = st.time
+            self.tds.clear()
+        weights, frac = SSP_RK3[k - 1]
+        self.tds.append(self.core.compute_tendencies(st))
+        rk_update(st, base, self.tds, weights, frac * self.core.config.dt)
+
+    def sponge(self, dt: float) -> None:
+        self.core._apply_sponge(self.state, dt)
+
+
+def _round(op: str, workers: int, **args):
+    """The EXEC_ROUND span of one broadcast/reply barrier round."""
+    return get_tracer().span(
+        "executor.round", SpanKind.EXEC_ROUND, op=op, workers=workers, **args
+    )
 
 
 class SerialRankExecutor:
@@ -113,54 +133,48 @@ class SerialRankExecutor:
     workers = 1
 
     def __init__(self, cores: list, states: list):
-        self._cores = cores
-        self._states = states
+        self._ranks = [_Rank(c, s) for c, s in zip(cores, states)]
+        self.closed = False
 
-    def compute_tendencies(self, slot: int = 0) -> list[Tendencies]:
-        """Evaluate every rank.  ``slot`` only labels the EXEC_ROUND
-        span here (fresh arrays are returned), exactly as the forked
-        executor labels its own."""
-        with get_tracer().span(
-            "executor.round", SpanKind.EXEC_ROUND,
-            op="tend", slot=slot, workers=self.workers,
-        ):
-            return [
-                core.compute_tendencies(ms)
-                for core, ms in zip(self._cores, self._states)
-            ]
+    def stage(self, k: int) -> None:
+        """RK stage ``k`` (1-based) of every rank."""
+        with _round("stage", self.workers, stage=k):
+            for rank in self._ranks:
+                rank.stage(k)
 
     def sponge(self, dt: float) -> None:
-        with get_tracer().span(
-            "executor.round", SpanKind.EXEC_ROUND,
-            op="sponge", slot=None, workers=self.workers,
-        ):
-            for core, ms in zip(self._cores, self._states):
-                core._apply_sponge(ms, dt)
+        with _round("sponge", self.workers):
+            for rank in self._ranks:
+                rank.sponge(dt)
+
+    @property
+    def healthy(self) -> bool:
+        return not self.closed
 
     def close(self) -> None:  # symmetric API; nothing to reap
-        pass
+        self.closed = True
 
 
-def _worker_loop(conn, ranks, cores, states, slots) -> None:
-    """Body of one forked worker: serve tendency/sponge commands.
+def _worker_loop(conn, cores: list, states: list, rank_ids) -> None:
+    """Body of one forked worker: serve stage/sponge commands.
 
-    Everything is inherited through the fork — the rank ``states`` alias
+    Everything is inherited through the fork — the rank states alias
     the shared arena, so no field data crosses the pipe; only tiny
-    command tuples do.
+    command tuples do.  The worker builds its ranks' :class:`_Rank`
+    objects, so each step base and tendency list is private to it.
     """
     try:
+        ranks = [_Rank(cores[r], states[r]) for r in rank_ids]
         while True:
             msg = conn.recv()
             op = msg[0]
-            if op == "tend":
-                slot = msg[1]
-                for r in ranks:
-                    slots[slot][r].store(cores[r].compute_tendencies(states[r]))
+            if op == "stage":
+                for rank in ranks:
+                    rank.stage(msg[1])
                 conn.send(("ok", None))
             elif op == "sponge":
-                dt = msg[1]
-                for r in ranks:
-                    cores[r]._apply_sponge(states[r], dt)
+                for rank in ranks:
+                    rank.sponge(msg[1])
                 conn.send(("ok", None))
             elif op == "stop":
                 conn.send(("ok", None))
@@ -205,9 +219,9 @@ class ProcessRankExecutor:
 
     Must be constructed *after* the driver has scattered state into the
     shared arena (workers snapshot the process image at fork time).
-    Ranks are dealt round-robin across ``workers`` processes; each
-    tendency call broadcasts one command and waits for all workers — a
-    barrier matching the serial loop's completion semantics.
+    Ranks are dealt round-robin across ``workers`` processes; each stage
+    broadcasts one command and waits for all workers — a barrier
+    matching the serial loop's completion semantics.
 
     Lifecycle: worker reaping is owned by a :func:`weakref.finalize`
     finalizer, which Python guarantees to run at most once — so
@@ -216,27 +230,24 @@ class ProcessRankExecutor:
     (finalizers run atexit) even if nobody called :meth:`close`.
     """
 
-    #: One output slot per SSP-RK3 stage (the last stage combines all
-    #: three tendencies).
-    N_SLOTS = len(SSP_RK3)
-
-    def __init__(self, cores: list, states: list, slots: list, workers: int):
+    def __init__(self, cores: list, states: list, workers: int):
         import multiprocessing as mp
 
         if os.name != "posix":  # pragma: no cover - Linux container only
             raise RuntimeError("ProcessRankExecutor requires fork (POSIX)")
         self.workers = workers
-        self._slots = slots
+        self._states = states
+        self._dt = [core.config.dt for core in cores]
+        self._failed = False
         nranks = len(cores)
         ctx = mp.get_context("fork")
         self._conns = []
         self._procs = []
         for w in range(workers):
-            ranks = list(range(w, nranks, workers))
             parent, child = ctx.Pipe()
             proc = ctx.Process(
                 target=_worker_loop,
-                args=(child, ranks, cores, states, slots),
+                args=(child, cores, states, range(w, nranks, workers)),
                 daemon=True,
             )
             proc.start()
@@ -272,29 +283,37 @@ class ProcessRankExecutor:
             if status != "ok":
                 errors.append(detail)
         if errors:
+            self._failed = True
             raise RuntimeError(f"rank worker failed: {'; '.join(errors)}")
 
-    def compute_tendencies(self, slot: int = 0) -> list[_TendencySlot]:
-        """Evaluate every rank into output slot ``slot`` (the driver
-        passes the RK stage's: stage ``k`` writes slot ``k - 1``) and
-        return that slot's per-rank views."""
-        with get_tracer().span(
-            "executor.round", SpanKind.EXEC_ROUND,
-            op="tend", slot=slot, workers=self.workers,
-        ):
-            self._broadcast(("tend", slot))
-        return self._slots[slot]
+    def stage(self, k: int) -> None:
+        """RK stage ``k`` (1-based) of every rank, on the workers."""
+        with _round("stage", self.workers, stage=k):
+            self._broadcast(("stage", k))
+        # rk_update advances the clocks of the workers' copies of the
+        # rank states, which never come back: advance the driver's the
+        # same way (the step's base time + the stage's dt).
+        if k == 1:
+            self._t0 = [st.time for st in self._states]
+        frac = SSP_RK3[k - 1][1]
+        for st, t0, dt in zip(self._states, self._t0, self._dt):
+            st.time = t0 + frac * dt
 
     def sponge(self, dt: float) -> None:
-        with get_tracer().span(
-            "executor.round", SpanKind.EXEC_ROUND,
-            op="sponge", slot=None, workers=self.workers,
-        ):
+        with _round("sponge", self.workers):
             self._broadcast(("sponge", dt))
 
     @property
     def closed(self) -> bool:
         return not self._finalizer.alive
+
+    @property
+    def healthy(self) -> bool:
+        """Open, no round has failed and every worker is alive."""
+        return (
+            not self.closed and not self._failed
+            and all(p.is_alive() for p in self._procs)
+        )
 
     def close(self) -> None:
         """Reap the workers.  Idempotent: later calls are no-ops."""

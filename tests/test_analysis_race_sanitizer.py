@@ -6,6 +6,7 @@ import os
 import pytest
 
 from repro.analysis.corpus import KNOWN_RACY_PLANS
+from repro.analysis.parallel_plan import OpKind
 from repro.analysis.races import analyze_parallel_plan, build_step_plan
 from repro.analysis.sanitizer import (
     RaceReplay,
@@ -102,6 +103,12 @@ needs_fork = pytest.mark.skipif(
 )
 
 
+def _first_stage_rounds(ops) -> list:
+    """Indices of the opening barriers of every RK stage-1 round."""
+    return [i for i, op in enumerate(ops) if op.kind is OpKind.BARRIER
+            and op.stage == 1 and op.name.endswith(".begin")]
+
+
 class TestRealRunSanitize:
     @pytest.fixture(scope="class")
     def mesh(self):
@@ -138,10 +145,9 @@ class TestRealRunSanitize:
         with self._driver(mesh, vc, workers=2, sponge=2) as d:
             report = sanitize_run(d, steps=2)
         assert report.clean, report.to_dict()["events"]
-        # The observed plan really covers the run: 2 steps x (save +
-        # 3 stages + sponge), with the arena layout attached.
-        saves = [op for op in report.plan.ops if op.name.startswith("save")]
-        assert len(saves) == 2
+        # The observed plan really covers the run: 2 steps x (3 stages
+        # + sponge), with the arena layout attached.
+        assert len(_first_stage_rounds(report.plan.ops)) == 2
         assert report.plan.arena
         assert report.plan.halo_recv
 
@@ -165,9 +171,11 @@ class TestRealRunSanitize:
                 sorted((at[a], at[b]) for a, b in edges if b in at),
             )
 
-        starts = [i for i, op in enumerate(observed.ops)
-                  if op.name.startswith("save")]
-        assert len(starts) == 2
+        # A step opens with its first exchange, just before its first
+        # stage round.
+        lead = _first_stage_rounds(declared.ops)[0]
+        starts = [i - lead for i in _first_stage_rounds(observed.ops)]
+        assert len(starts) == 2 and starts[0] == 0
         want = shape(declared.ops, declared.edges)
         for lo, hi in zip(starts, starts[1:] + [len(observed.ops)]):
             assert shape(observed.ops[lo:hi], observed.edges) == want

@@ -278,14 +278,15 @@ class TestRealStepPlan:
         finally:
             d.close()
         names = [op.name for op in plan.ops]
-        assert names[0] == "save"
-        # One exchange + round + apply per stage.
+        # One exchange, then one stage round, per stage; no driver-side op.
+        assert names[0].startswith("e1.pack.")
         for s in (1, 2, 3):
-            assert f"tend.s{s}.begin" in names
-            assert f"tend.s{s}.rank0" in names
-            assert f"apply.s{s}" in names
-        assert any(n.startswith("e1.pack.") for n in names)
+            exchange = [i for i, n in enumerate(names) if n.startswith(f"e{s}.")]
+            assert exchange and names[max(exchange) + 1] == f"stage.s{s}.begin"
+            assert f"stage.s{s}.rank0" in names
         assert any(n.startswith("e1.unpack.") for n in names)
+        assert {op.kind for op in plan.ops if op.lane == DRIVER} == {
+            OpKind.PACK, OpKind.UNPACK, OpKind.BARRIER}
         # workers>1: the arena layout is attached, recv sets recorded.
         assert plan.arena
         assert plan.halo_recv
@@ -296,8 +297,8 @@ class TestRealStepPlan:
             assert plan.op(b).kind is OpKind.UNPACK
 
     def test_dropped_barrier_is_caught(self, mesh, vc):
-        """Mutation coverage: delete the tend round's closing barrier
-        from the real plan and the analyzer must object."""
+        """Mutation coverage: delete the first stage round's closing
+        barrier from the real plan and the analyzer must object."""
         d = self._driver(mesh, vc)
         try:
             plan = build_step_plan(d)
@@ -305,7 +306,7 @@ class TestRealStepPlan:
             d.close()
         mutated = ParallelPlan(
             name="mutated",
-            ops=[op for op in plan.ops if op.name != "tend.s1.end"],
+            ops=[op for op in plan.ops if op.name != "stage.s1.end"],
             edges=plan.edges,
             arena=plan.arena,
             halo_recv=plan.halo_recv,

@@ -18,7 +18,7 @@ import pytest
 
 from repro.dycore import solver
 from repro.dycore.solver import DycoreConfig, DynamicalCore
-from repro.dycore.state import baroclinic_wave_state
+from repro.dycore.state import baroclinic_wave_state, solid_body_rotation_state
 from repro.dycore.stencil import BACKENDS
 from repro.dycore.vertical import VerticalCoordinate
 from repro.grid.mesh import build_mesh
@@ -123,7 +123,7 @@ class TestExecutorLifecycle:
         ex = d._executor
         d.close()
         with pytest.raises(RuntimeError, match="closed"):
-            ex.compute_tendencies()
+            ex.stage(1)
 
     def test_finalizer_reaps_workers_on_gc(self, mesh, vc):
         """Dropping the last reference must reap the fork set exactly
@@ -143,19 +143,55 @@ class TestExecutorLifecycle:
         assert all(not p.is_alive() for p in procs)
         d.close()
 
-    def test_rescatter_replaces_workers(self, mesh, vc):
-        """scatter() on a live parallel driver reaps the old fork set
-        (which snapshotted the previous arena) and forks a fresh one."""
-        d = DistributedDycore(
-            mesh, vc, DycoreConfig(dt=600.0), nparts=4, workers=2
-        )
-        state = baroclinic_wave_state(mesh, vc)
-        d.scatter(state)
-        old = list(d._executor._procs)
-        d.step()
-        d.scatter(state)
-        assert all(not p.is_alive() for p in old)
-        d.step()
+    def test_rescatter_keeps_workers_and_bits(self, mesh, vc):
+        """scatter() on a live parallel driver copies the state into the
+        existing rank arrays: same workers, and after 3 steps the fields
+        and rank clocks of a freshly built driver."""
+        cfg = DycoreConfig(dt=600.0, sponge_levels=2)
+        start = baroclinic_wave_state(mesh, vc)
+        want = contracts.ranked_run(mesh, vc, cfg, start, workers=2)
+        with contracts.ranked(
+            mesh, vc, cfg, solid_body_rotation_state(mesh, vc), workers=2
+        ) as d:
+            pids = [p.pid for p in d._executor._procs]
+            d.step()
+            d.scatter(start)
+            d.run(3)
+            assert [p.pid for p in d._executor._procs] == pids
+            contracts.agree("ranks", contracts.gathered(d), want)
+            assert {st.time for st in d._states} == {start.time + 3 * cfg.dt}
+
+    def test_rescatter_after_killed_worker_rebuilds(self, mesh, vc):
+        """A dead worker makes the next scatter() reap the fork set and
+        fork a fresh one, which steps to the same bits."""
+        cfg = DycoreConfig(dt=600.0)
+        start = baroclinic_wave_state(mesh, vc)
+        want = contracts.ranked_run(mesh, vc, cfg, start, workers=1)
+        with contracts.ranked(mesh, vc, cfg, start, workers=2) as d:
+            d.step()
+            old = d._executor
+            old._procs[0].kill()
+            old._procs[0].join(10)
+            d.scatter(start)
+            assert old.closed and not any(p.is_alive() for p in old._procs)
+            assert d._executor is not old and d._executor.healthy
+            d.run(3)
+            contracts.agree("ranks", contracts.gathered(d), want)
+        assert not any(p.is_alive() for p in d._executor._procs)
+        assert d._arena is None
+
+
+class TestScatterChecksState:
+    """A state that does not fit the driver's mesh or levels is refused
+    by name; it used to scatter (G4 onto G3) or die in a matmul."""
+
+    @pytest.mark.parametrize("level,nlev,field", [(4, 5, "ps"), (3, 6, "u")])
+    def test_mismatched_state_rejected(self, mesh, vc, level, nlev, field):
+        other = build_mesh(level)
+        state = baroclinic_wave_state(other, VerticalCoordinate.uniform(nlev))
+        d = DistributedDycore(mesh, vc, DycoreConfig(dt=600.0), nparts=4)
+        with pytest.raises(ValueError, match=rf"state\.{field} has shape"):
+            d.scatter(state)
         d.close()
 
 
@@ -299,5 +335,5 @@ class TestShmArena:
         )
         d.scatter(baroclinic_wave_state(mesh, vc))
         with pytest.raises(RuntimeError, match="rank worker failed.*IndexError"):
-            d._executor._broadcast(("tend", 99))  # out-of-range slot index
+            d._executor._broadcast(("stage", 99))  # no RK stage 99
         d.close()
