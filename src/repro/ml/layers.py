@@ -14,6 +14,11 @@ training pass (every layer's cache attribute is ``None`` afterwards), so
 repeated inference holds no references to past batches and its memory
 footprint stays flat.  ``backward`` after an inference-mode forward
 raises.
+
+``Conv1D.forward``'s im2col is the training path (and the layer-by-layer
+oracle).  The tendency CNN's inference runs the whole chain as shifted
+GEMMs over channels-last padded buffers, with no im2col matrix
+(``repro.ml.tendency_net.shifted_forward``).
 """
 
 from __future__ import annotations
@@ -75,11 +80,13 @@ class Dense(Layer):
 class Conv1D(Layer):
     """1-D convolution, 'same' zero padding, stride 1.
 
-    Input ``(batch, c_in, L)``, kernel ``(c_out, c_in, k)``.  Implemented
-    as im2col + one GEMM: the ``k`` taps of every output level are laid
-    side by side as one row of a ``(batch * L, k * c_in)`` matrix, so the
-    whole layer is a single BLAS call in either dtype; the backward pass
-    is the two transposed GEMMs and a ``k``-term col2im.
+    Input ``(batch, c_in, L)``, kernel ``(c_out, c_in, k)``.  The
+    training path is im2col + one GEMM: the ``k`` taps of every output
+    level are laid side by side as one row of a ``(batch * L, k * c_in)``
+    matrix, so the whole layer is a single BLAS call in either dtype; the
+    backward pass is the two transposed GEMMs and a ``k``-term col2im.
+    Inference through ``TendencyCNN.predict`` builds no im2col matrix: it
+    runs ``k`` shifted GEMMs per layer (``tendency_net.shifted_forward``).
     """
 
     def __init__(self, c_in: int, c_out: int, k: int = 3, rng: np.random.Generator | None = None):

@@ -72,6 +72,17 @@ class ResUnit(Layer):
         return dy + self.inner.backward(dy)
 
 
+def leaf_layers(net: Layer):
+    """Yield the layers of a chain in order, through nested containers."""
+    if isinstance(net, Sequential):
+        for sub in net.layers:
+            yield from leaf_layers(sub)
+    elif isinstance(net, ResUnit):
+        yield from leaf_layers(net.inner)
+    else:
+        yield net
+
+
 def cast_network(net: Layer, dtype) -> Layer:
     """Deep-copy ``net`` with every parameter cast to ``dtype``.
 
@@ -84,26 +95,14 @@ def cast_network(net: Layer, dtype) -> Layer:
     ``net_f32`` row of the test suite's contract table.
     """
     dtype = np.dtype(dtype)
-
-    def _cast(layer: Layer) -> None:
-        if isinstance(layer, Sequential):
-            for sub in layer.layers:
-                _cast(sub)
-        elif isinstance(layer, ResUnit):
-            _cast(layer.inner)
-        else:
-            for attr in ("W", "b"):
-                if hasattr(layer, attr):
-                    setattr(layer, attr, getattr(layer, attr).astype(dtype))
-            for attr in ("dW", "db"):
-                if hasattr(layer, attr):
-                    setattr(
-                        layer, attr,
-                        np.zeros_like(getattr(layer, attr), dtype=dtype),
-                    )
-
     clone = copy.deepcopy(net)
-    _cast(clone)
+    for layer in leaf_layers(clone):
+        for attr in ("W", "b"):
+            if hasattr(layer, attr):
+                setattr(layer, attr, getattr(layer, attr).astype(dtype))
+        for attr in ("dW", "db"):
+            if hasattr(layer, attr):
+                setattr(layer, attr, np.zeros_like(getattr(layer, attr), dtype=dtype))
     return clone
 
 

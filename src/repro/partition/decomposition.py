@@ -138,6 +138,7 @@ def decomposition_stats(subdomains: list[Subdomain]) -> dict:
         "min_owned": int(owned.min()),
         "mean_owned": float(owned.mean()),
         "imbalance": float(owned.max() / owned.mean()),
+        "min_over_mean": float(owned.min() / owned.mean()),
         "mean_halo": float(halo.mean()),
         "max_halo": int(halo.max()),
         "mean_neighbors": float(nbrs.mean()),

@@ -31,11 +31,17 @@ def edge_cut(graph: CSRGraph, part: np.ndarray) -> float:
     return float(graph.ewgt[cut].sum()) / 2.0
 
 
-def partition_balance(graph: CSRGraph, part: np.ndarray, nparts: int) -> float:
-    """Max part weight over ideal part weight (1.0 = perfectly balanced)."""
+def partition_balance(graph: CSRGraph, part: np.ndarray, nparts: int) -> tuple[float, float]:
+    """(min, max) part weight over ideal part weight (1.0 = perfectly balanced)."""
     weights = np.bincount(part, weights=graph.vwgt, minlength=nparts)
     ideal = graph.vwgt.sum() / nparts
-    return float(weights.max() / ideal)
+    return float(weights.min() / ideal), float(weights.max() / ideal)
+
+
+def _bounds(graph: CSRGraph, nparts: int, max_imbalance: float) -> tuple[float, float]:
+    """Allowed (lightest, heaviest) part weight: ideal times 2 - r and r."""
+    ideal = graph.vwgt.sum() / nparts
+    return (2.0 - max_imbalance) * ideal, max_imbalance * ideal
 
 
 # --------------------------------------------------------------------------
@@ -190,10 +196,10 @@ def _refine(
     max_imbalance: float,
     passes: int = 4,
 ) -> np.ndarray:
-    """Greedy positive-gain boundary moves with a balance constraint."""
+    """Greedy positive-gain boundary moves that keep every part in bounds."""
     part = part.copy()
     weights = np.bincount(part, weights=graph.vwgt, minlength=nparts)
-    limit = max_imbalance * graph.vwgt.sum() / nparts
+    lower, limit = _bounds(graph, nparts, max_imbalance)
     xadj, adjncy, ewgt, vwgt = graph.xadj, graph.adjncy, graph.ewgt, graph.vwgt
     for _ in range(passes):
         moved = 0
@@ -213,8 +219,8 @@ def _refine(
                 continue
             if weights[q] + vwgt[v] > limit:
                 continue
-            # Keep source part from emptying.
-            if weights[p] - vwgt[v] <= 0:
+            # Keep the source part at or above the lower bound, and non-empty.
+            if weights[p] - vwgt[v] < lower or weights[p] - vwgt[v] <= 0:
                 continue
             part[v] = q
             weights[p] -= vwgt[v]
@@ -228,38 +234,71 @@ def _refine(
 def _rebalance(
     graph: CSRGraph, part: np.ndarray, nparts: int, max_imbalance: float
 ) -> np.ndarray:
-    """Move lowest-loss boundary vertices out of overweight parts."""
+    """Move lowest-loss boundary vertices out of overweight parts, then
+    into underweight ones, one vertex at a time."""
     part = part.copy()
     weights = np.bincount(part, weights=graph.vwgt, minlength=nparts)
-    limit = max_imbalance * graph.vwgt.sum() / nparts
-    xadj, adjncy, ewgt, vwgt = graph.xadj, graph.adjncy, graph.ewgt, graph.vwgt
+    lower, limit = _bounds(graph, nparts, max_imbalance)
+    vwgt = graph.vwgt
+    src = np.repeat(np.arange(graph.n), np.diff(graph.xadj))
     for _ in range(graph.n):
         over = np.where(weights > limit)[0]
-        if over.size == 0:
+        under = np.where(weights < lower)[0]
+        if over.size:
+            p = int(over[np.argmax(weights[over])])
+            v, q = _cheapest_exit(graph, part, weights, p, limit)
+        elif under.size:
+            q = int(under[np.argmin(weights[under])])
+            v = _cheapest_entry(graph, part, weights, q, lower, limit, src)
+            p = int(part[v])
+        else:
             break
-        p = int(over[np.argmax(weights[over])])
-        members = np.where(part == p)[0]
-        best_v, best_q, best_loss = -1, -1, np.inf
-        for v in members:
-            nbrs = adjncy[xadj[v]: xadj[v + 1]]
-            ws = ewgt[xadj[v]: xadj[v + 1]]
-            conn = np.bincount(part[nbrs], weights=ws, minlength=nparts)
-            internal = conn[p]
-            conn[p] = -np.inf
-            for q in np.argsort(conn)[::-1][:3]:
-                q = int(q)
-                if q == p or weights[q] + vwgt[v] > limit:
-                    continue
-                loss = internal - conn[q]
-                if loss < best_loss:
-                    best_v, best_q, best_loss = int(v), q, loss
-                break
-        if best_v == -1:
+        if v == -1:
             break
-        part[best_v] = best_q
-        weights[p] -= vwgt[best_v]
-        weights[best_q] += vwgt[best_v]
+        part[v] = q
+        weights[p] -= vwgt[v]
+        weights[q] += vwgt[v]
     return part
+
+
+def _cheapest_exit(graph, part, weights, p, limit):
+    """The member of overweight part ``p`` whose move to a neighbouring
+    part within ``limit`` adds the least cut: ``(vertex, part)``, or
+    ``(-1, -1)``."""
+    xadj, adjncy, ewgt, vwgt = graph.xadj, graph.adjncy, graph.ewgt, graph.vwgt
+    best_v, best_q, best_loss = -1, -1, np.inf
+    for v in np.where(part == p)[0]:
+        nbrs = adjncy[xadj[v]: xadj[v + 1]]
+        ws = ewgt[xadj[v]: xadj[v + 1]]
+        conn = np.bincount(part[nbrs], weights=ws, minlength=weights.size)
+        internal = conn[p]
+        conn[p] = -np.inf
+        for q in np.argsort(conn)[::-1][:3]:
+            q = int(q)
+            if q == p or weights[q] + vwgt[v] > limit:
+                continue
+            loss = internal - conn[q]
+            if loss < best_loss:
+                best_v, best_q, best_loss = int(v), q, loss
+            break
+    return best_v, best_q
+
+
+def _cheapest_entry(graph, part, weights, q, lower, limit, src):
+    """The neighbour of underweight part ``q`` whose move into ``q``
+    adds the least cut while its own part stays at or above ``lower``
+    and ``q`` within ``limit``, or -1."""
+    adjncy, ewgt, vwgt = graph.adjncy, graph.ewgt, graph.vwgt
+    cross = (part[adjncy] == q) & (part[src] != q)
+    cands = np.unique(src[cross])
+    ok = (weights[part[cands]] - vwgt[cands] >= lower) & (weights[q] + vwgt[cands] <= limit)
+    if not ok.any():
+        return -1
+    same = part[src] == part[adjncy]
+    internal = np.bincount(src[same], weights=ewgt[same], minlength=graph.n)
+    to_q = np.bincount(src[cross], weights=ewgt[cross], minlength=graph.n)
+    loss = np.where(ok, internal[cands] - to_q[cands], np.inf)
+    return int(cands[np.argmin(loss)])
 
 
 # --------------------------------------------------------------------------
@@ -283,7 +322,8 @@ def partition_graph(
     seed : int
         RNG seed for matching and seeding — partitions are reproducible.
     max_imbalance : float
-        Allowed ratio of max part weight to ideal weight.
+        Allowed ratio of max part weight to ideal weight; the lightest
+        part may weigh no less than ``2 - max_imbalance`` of ideal.
     coarsen_to : int, optional
         Stop coarsening when the graph has at most this many vertices
         (default ``max(20 * nparts, 200)``).

@@ -168,6 +168,77 @@ class TestInferenceFastPath:
         assert tn2._infer_net is None
 
 
+class TestShiftedInference:
+    """``predict``'s shifted-GEMM path against the layer-by-layer
+    ``Conv1D.forward(train=False)`` chain it replaces for inference."""
+
+    @pytest.mark.parametrize("batch", [1, 7])
+    @pytest.mark.parametrize("nlev", [1, 2, 10])
+    @pytest.mark.parametrize("width", [8, 128])
+    @pytest.mark.parametrize("n_resunits", [0, 1, 5])
+    def test_matches_layer_chain(self, batch, nlev, width, n_resunits):
+        from repro.ml.network import cast_network
+        from repro.ml.tendency_net import shifted_forward
+
+        rng = np.random.default_rng(batch + 10 * nlev + width + n_resunits)
+        net = TendencyCNN(nlev=nlev, width=width, n_resunits=n_resunits, seed=nlev)
+        for p in net.net.params().values():      # nonzero biases reach the pads
+            if p.ndim == 1:
+                p[:] = rng.normal(size=p.shape)
+        x = rng.normal(size=(batch, 5, nlev))
+        for dtype, bound in ((np.float64, 1e-12), (np.float32, contracts.NET_F32)):
+            chain = cast_network(net.net, dtype)
+            want = chain.forward(x.astype(dtype), train=False)
+            got = shifted_forward(chain, x, dtype)
+            assert got.dtype == dtype and got.shape == (batch, 2, nlev)
+            err = np.abs(got.astype(np.float64) - want).max()
+            assert err <= bound * np.abs(want).max(), (dtype, err)
+
+    def test_one_tap_head_alone(self, rng):
+        from repro.ml.layers import Conv1D
+        from repro.ml.network import Sequential
+        from repro.ml.tendency_net import shifted_forward
+
+        net = Sequential(Conv1D(5, 2, 1, rng))
+        net.layers[0].b[:] = [0.5, -1.0]
+        x = rng.normal(size=(3, 5, 4))
+        np.testing.assert_allclose(
+            shifted_forward(net, x, np.float64), net.forward(x, train=False),
+            rtol=0, atol=1e-12)
+
+    def test_unsupported_layer_and_dtype_rejected(self, rng):
+        from repro.ml.layers import Conv1D, Dense
+        from repro.ml.network import Sequential
+        from repro.ml.tendency_net import shifted_forward
+
+        x = rng.normal(size=(2, 3, 4))
+        with pytest.raises(TypeError):
+            shifted_forward(Sequential(Conv1D(3, 4, 3, rng), Dense(4, 2)), x, np.float64)
+        with pytest.raises(TypeError):
+            shifted_forward(Sequential(Conv1D(3, 4, 3, rng)), x, np.float16)
+
+    @pytest.mark.parametrize("dtype", [None, np.float32])
+    def test_predict_float64_and_keeps_no_call_state(self, rng, dtype):
+        net = TendencyCNN(nlev=6, width=8, n_resunits=2)
+        x = rng.normal(size=(9, 5, 6))
+        net.fit_normalizers(x, rng.normal(size=(9, 2, 6)))
+        net.compile_inference(dtype)
+
+        def state():
+            from repro.ml.network import leaf_layers
+
+            objs = [net, net.in_norm, net.out_norm]
+            for target in (net.net, net._infer_net):
+                if target is not None:
+                    objs += list(leaf_layers(target))
+            return [(id(o), sorted((k, id(v)) for k, v in vars(o).items())) for o in objs]
+
+        before = state()
+        out = net.predict(x)
+        assert out.dtype == np.float64
+        assert state() == before
+
+
 class TestCoarseGrainer:
     def test_constant_field_exact(self, mesh2, mesh3):
         cg = CoarseGrainer(mesh3, mesh2)
