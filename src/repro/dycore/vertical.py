@@ -154,7 +154,11 @@ class HybridVerticalCoordinate(VerticalCoordinate):
 #: Largest ``rows * V.size`` one GEMM of :func:`apply_column` covers.  A
 #: GEMM this small runs on one BLAS thread (OpenBLAS splits above 2**18
 #: multiply-adds); a threaded one gains nothing on ~10-wide columns and,
-#: on a busy host, waits milliseconds for its second thread.
+#: on a busy host, waits milliseconds for its second thread.  These are
+#: the only GEMMs on NumPy's OpenBLAS in the hot path, and they must stay
+#: single-threaded: NumPy and SciPy bundle separate OpenBLAS pools, and
+#: the ML nets' inference runs on SciPy's (``repro.ml.inference``), so
+#: woken NumPy workers would spin on the cores that pool needs.
 _GEMM_BLOCK = 2**18
 
 

@@ -8,6 +8,8 @@ Everything is built from scratch on NumPy:
 * :mod:`repro.ml.optimizer` — Adam and SGD;
 * :mod:`repro.ml.training` — MSE training loop with the paper's
   train/test protocol (3 random test steps per day, 7:1 split);
+* :mod:`repro.ml.inference` — the one inference engine both networks
+  run, every Conv1D or Dense layer as GEMMs on SciPy's BLAS;
 * :mod:`repro.ml.tendency_net` — the ML physical tendency module: an
   11-conv-layer 1-D CNN with 5 ResUnits (~0.5 M parameters) mapping
   (U, V, T, Q, P) profiles to Q1/Q2 profiles;

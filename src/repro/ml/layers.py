@@ -15,10 +15,9 @@ repeated inference holds no references to past batches and its memory
 footprint stays flat.  ``backward`` after an inference-mode forward
 raises.
 
-``Conv1D.forward``'s im2col is the training path (and the layer-by-layer
-oracle).  The tendency CNN's inference runs the whole chain as shifted
-GEMMs over channels-last padded buffers, with no im2col matrix
-(``repro.ml.tendency_net.shifted_forward``).
+``forward`` is the training path and the layer-by-layer oracle.  Both
+physics nets infer through ``repro.ml.inference.shifted_forward``
+instead: the whole chain as GEMMs on SciPy's BLAS, no im2col matrix.
 """
 
 from __future__ import annotations

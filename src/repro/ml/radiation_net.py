@@ -16,17 +16,18 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.ml.inference import InferenceNet
 from repro.ml.layers import Dense, ReLU
-from repro.ml.network import ResUnit, Sequential, cast_network
-from repro.ml.training import Normalizer
+from repro.ml.network import ResUnit, Sequential
 
 OUTPUTS = ("gsw", "glw")
 
 
-class RadiationMLP:
+class RadiationMLP(InferenceNet):
     """7-layer residual MLP: column state + (tskin, coszr) -> (gsw, glw)."""
 
     def __init__(self, nlev: int, width: int = 128, seed: int = 0):
+        super().__init__()
         rng = np.random.default_rng(seed)
         # Inputs: T and Q profiles plus tskin and coszr scalars.
         n_in = 2 * nlev + 2
@@ -40,27 +41,6 @@ class RadiationMLP:
             Dense(width, len(OUTPUTS), rng),
         )
         self.dense_layers = 7
-        self.in_norm = Normalizer()
-        self.out_norm = Normalizer()
-        self._infer_net = None
-        self._infer_dtype: np.dtype | None = None
-
-    def n_params(self) -> int:
-        return self.net.n_params()
-
-    def compile_inference(self, dtype=np.float32) -> None:
-        """Install a reduced-precision inference path (``ns``-style).
-
-        Same contract as :meth:`TendencyCNN.compile_inference`: one-time
-        weight cast into an inference clone, per-call input cast, output
-        upcast at the normalizer boundary.  ``dtype=None`` removes it.
-        """
-        if dtype is None:
-            self._infer_net = None
-            self._infer_dtype = None
-            return
-        self._infer_dtype = np.dtype(dtype)
-        self._infer_net = cast_network(self.net, self._infer_dtype)
 
     @staticmethod
     def pack_inputs(
@@ -75,21 +55,9 @@ class RadiationMLP:
     def pack_targets(gsw: np.ndarray, glw: np.ndarray) -> np.ndarray:
         return np.stack([gsw, glw], axis=1)
 
-    def fit_normalizers(self, x: np.ndarray, y: np.ndarray) -> None:
-        self.in_norm.fit(x, axis=(0,))
-        self.out_norm.fit(y, axis=(0,))
-
     def predict(self, x: np.ndarray) -> np.ndarray:
-        if self.in_norm.mean is None:
-            raise RuntimeError("normalizers not fitted; call fit_normalizers")
-        z = self.in_norm.transform(x)
-        if self._infer_net is not None:
-            out = self._infer_net.forward(z.astype(self._infer_dtype), train=False)
-        else:
-            out = self.net.forward(z, train=False)
-        phys = self.out_norm.inverse(out)
         # Radiative fluxes are non-negative by construction.
-        return np.maximum(phys, 0.0)
+        return np.maximum(super().predict(x), 0.0)
 
     def predict_gsw_glw(
         self, t, q, tskin, coszr

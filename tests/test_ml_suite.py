@@ -169,16 +169,16 @@ class TestInferenceFastPath:
 
 
 class TestShiftedInference:
-    """``predict``'s shifted-GEMM path against the layer-by-layer
-    ``Conv1D.forward(train=False)`` chain it replaces for inference."""
+    """Both nets' shifted-GEMM inference path against the layer-by-layer
+    ``Sequential.forward(train=False)`` chain it replaces for inference."""
 
     @pytest.mark.parametrize("batch", [1, 7])
     @pytest.mark.parametrize("nlev", [1, 2, 10])
     @pytest.mark.parametrize("width", [8, 128])
     @pytest.mark.parametrize("n_resunits", [0, 1, 5])
     def test_matches_layer_chain(self, batch, nlev, width, n_resunits):
+        from repro.ml.inference import shifted_forward
         from repro.ml.network import cast_network
-        from repro.ml.tendency_net import shifted_forward
 
         rng = np.random.default_rng(batch + 10 * nlev + width + n_resunits)
         net = TendencyCNN(nlev=nlev, width=width, n_resunits=n_resunits, seed=nlev)
@@ -195,9 +195,9 @@ class TestShiftedInference:
             assert err <= bound * np.abs(want).max(), (dtype, err)
 
     def test_one_tap_head_alone(self, rng):
+        from repro.ml.inference import shifted_forward
         from repro.ml.layers import Conv1D
         from repro.ml.network import Sequential
-        from repro.ml.tendency_net import shifted_forward
 
         net = Sequential(Conv1D(5, 2, 1, rng))
         net.layers[0].b[:] = [0.5, -1.0]
@@ -207,9 +207,9 @@ class TestShiftedInference:
             rtol=0, atol=1e-12)
 
     def test_unsupported_layer_and_dtype_rejected(self, rng):
+        from repro.ml.inference import shifted_forward
         from repro.ml.layers import Conv1D, Dense
         from repro.ml.network import Sequential
-        from repro.ml.tendency_net import shifted_forward
 
         x = rng.normal(size=(2, 3, 4))
         with pytest.raises(TypeError):
@@ -224,19 +224,68 @@ class TestShiftedInference:
         net.fit_normalizers(x, rng.normal(size=(9, 2, 6)))
         net.compile_inference(dtype)
 
-        def state():
-            from repro.ml.network import leaf_layers
-
-            objs = [net, net.in_norm, net.out_norm]
-            for target in (net.net, net._infer_net):
-                if target is not None:
-                    objs += list(leaf_layers(target))
-            return [(id(o), sorted((k, id(v)) for k, v in vars(o).items())) for o in objs]
-
-        before = state()
+        before = _net_state(net)
         out = net.predict(x)
         assert out.dtype == np.float64
-        assert state() == before
+        assert _net_state(net) == before
+
+    @pytest.mark.net_f32
+    @pytest.mark.parametrize("batch", [1, 7, 642])
+    @pytest.mark.parametrize("width", [8, 128])
+    def test_dense_chain_matches_layer_chain(self, batch, width):
+        from repro.ml.inference import shifted_forward
+        from repro.ml.network import cast_network
+
+        rng = np.random.default_rng(batch + width)
+        net = RadiationMLP(nlev=10, width=width, seed=width)    # two ResUnits
+        for p in net.net.params().values():
+            if p.ndim == 1:
+                p[:] = rng.normal(size=p.shape)
+        x = rng.normal(size=(batch, 22))
+        for dtype, bound in ((np.float64, 1e-12), (np.float32, contracts.NET_F32)):
+            chain = cast_network(net.net, dtype)
+            want = chain.forward(x.astype(dtype), train=False)
+            got = shifted_forward(chain, x, dtype)
+            assert got.dtype == dtype and got.shape == (batch, 2)
+            err = np.abs(got.astype(np.float64) - want).max()
+            assert err <= bound * np.abs(want).max(), (dtype, err)
+
+    @pytest.mark.net_f32
+    def test_dense_chain_rejects_conv_and_float16(self, rng):
+        from repro.ml.inference import shifted_forward
+        from repro.ml.layers import Conv1D, Dense, ReLU
+        from repro.ml.network import Sequential
+
+        x = rng.normal(size=(2, 4))
+        with pytest.raises(TypeError):
+            shifted_forward(Sequential(Dense(4, 3, rng), ReLU(), Conv1D(3, 2, 1, rng)),
+                            x, np.float64)
+        with pytest.raises(TypeError):
+            shifted_forward(Sequential(Dense(4, 2, rng)), x, np.float16)
+
+    @pytest.mark.net_f32
+    @pytest.mark.parametrize("dtype", [None, np.float32])
+    def test_mlp_predict_float64_nonnegative_and_keeps_no_call_state(self, rng, dtype):
+        net = RadiationMLP(nlev=6, width=8)
+        x = rng.normal(size=(9, 14))
+        net.fit_normalizers(x, rng.normal(size=(9, 2)))
+        net.compile_inference(dtype)
+        before = _net_state(net)
+        out = net.predict(x)
+        assert out.dtype == np.float64 and (out >= 0.0).all()
+        assert _net_state(net) == before
+
+
+def _net_state(net):
+    """Identity of every object a net's prediction could touch, and of
+    each of their attributes."""
+    from repro.ml.network import leaf_layers
+
+    objs = [net, net.in_norm, net.out_norm]
+    for target in (net.net, net._infer_net):
+        if target is not None:
+            objs += list(leaf_layers(target))
+    return [(id(o), sorted((k, id(v)) for k, v in vars(o).items())) for o in objs]
 
 
 class TestCoarseGrainer:
@@ -443,6 +492,32 @@ class TestCoupledMLSuite:
         tend = suite.compute_from_coupler(st, fields)
         cap = suite.config.tendency_cap_k_per_day / 86400.0
         assert np.abs(tend.dtheta * fields.exner_mid).max() <= cap + 1e-12
+
+    @pytest.mark.net_f32
+    @pytest.mark.parametrize("mixed", [False, True], ids=["DP", "MIX"])
+    def test_suite_infers_without_layer_forward(self, mesh2, vc, monkeypatch, mixed):
+        """Both nets infer through the shifted-GEMM engine on SciPy's
+        BLAS: a suite call never reaches a layer's ``forward`` (which
+        would run NumPy's BLAS next to SciPy's)."""
+        from repro.ml.layers import Conv1D, Dense
+        from repro.ml.network import Sequential
+        from repro.ml.suite import MLPhysicsSuite
+        from repro.model.coupler import CouplingInterface
+        from repro.physics.surface import SurfaceModel, idealized_sst
+        from repro.precision.policy import PrecisionPolicy
+
+        sfc = SurfaceModel(land_mask=np.zeros(mesh2.nc), sst=idealized_sst(mesh2.cell_lat))
+        suite = MLPhysicsSuite.seeded(mesh2, vc, sfc, precision=PrecisionPolicy(mixed=mixed))
+        st = tropical_profile_state(mesh2, vc)
+        fields = CouplingInterface(mesh2).extract(st, sfc.skin_temperature(), np.zeros(mesh2.nc))
+
+        def refuse(layer, x, train=True):
+            raise AssertionError(f"{type(layer).__name__}.forward on the inference path")
+
+        for cls in (Dense, Conv1D, Sequential):
+            monkeypatch.setattr(cls, "forward", refuse)
+        tend = suite.compute_from_coupler(st, fields)
+        assert np.isfinite(tend.dtheta).all() and (tend.gsw >= 0.0).all()
 
     def test_paper_size_net_coupled_mix_ml(self, mesh3):
         """The bench model (G3L10, MIX-ML, the 495,106-parameter CNN in
