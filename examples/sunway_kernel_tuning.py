@@ -6,13 +6,13 @@
   on the cycle-level cache simulator (Fig. 6);
 * regenerate the Fig. 9 kernel speedup table.
 
-Run:  python examples/sunway_kernel_tuning.py    (~30 s)
+Run:  python examples/sunway_kernel_tuning.py    (~1 s)
 """
 
 import numpy as np
 
-from repro.dycore import operators as ops
 from repro.dycore.kernels import MAJOR_KERNELS, sample_fields
+from repro.dycore.stencil import compiled_kernels
 from repro.grid import build_mesh
 from repro.model.config import TABLE2_GRIDS
 from repro.sunway.allocator import PoolAllocator
@@ -26,7 +26,7 @@ def demo_swgomp() -> None:
     print("-" * 64)
     mesh = build_mesh(3)
     fields = sample_fields(mesh, nlev=8)
-    ke = ops.kinetic_energy(mesh, fields["u"])
+    ke = compiled_kernels(mesh).kinetic_energy(fields["u"])
     out = np.zeros((mesh.ne, 8))
     c1, c2 = mesh.edge_cells[:, 0], mesh.edge_cells[:, 1]
 

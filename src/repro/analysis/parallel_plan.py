@@ -164,17 +164,6 @@ class ParallelPlan:
             r: _as_index_tuple(idx) for r, idx in self.halo_recv.items()
         }
 
-    def op(self, name: str) -> PlanOp:
-        for op in self.ops:
-            if op.name == name:
-                return op
-        raise KeyError(name)
-
-    @property
-    def lanes(self) -> list:
-        """Sorted lane ids appearing in the plan."""
-        return sorted({op.lane for op in self.ops})
-
     def aliased_resources(self) -> list:
         """Pairs of distinct resources whose arena byte extents overlap."""
         items = sorted(self.arena.items())
@@ -246,6 +235,3 @@ class HappensBefore:
     def ordered(self, a: str, b: str) -> bool:
         """Are the two ops ordered either way?"""
         return self.before(a, b) or self.before(b, a)
-
-    def concurrent(self, a: str, b: str) -> bool:
-        return not self.ordered(a, b)

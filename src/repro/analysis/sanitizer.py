@@ -182,10 +182,6 @@ class LoopObservation:
         ])
         return loop_conflicts(view).get((self.loop, self.loop), {})
 
-    def race_indices(self, name: str) -> set:
-        """Elements of ``name`` two chunks touch, at least one writing."""
-        return self.races().get(name, set())
-
 
 @dataclass(frozen=True)
 class RaceEvent:

@@ -16,8 +16,8 @@ without writing any Python:
 * ``chaos``     — fault-injected integration under a named plan:
   survival, recovery accounting, drift vs the fault-free twin;
 * ``serve``     — forecast-as-a-service load run: concurrent requests
-  through the scheduler/pool/cache, with throughput, p50/p99 latency,
-  cache and batching accounting (optionally poisoning some requests to
+  through the scheduler/pool/cache, with throughput, p50/p99 latency
+  and cache accounting (optionally poisoning some requests to
   demonstrate per-request fault isolation);
 * ``ensemble``  — run N perturbed members of a registered scenario
   and print spread and probability products.

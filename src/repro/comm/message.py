@@ -1,7 +1,7 @@
 """Simulated ranked message passing.
 
 All ranks live in one Python process; the :class:`Communicator` provides
-buffer-based point-to-point and collective operations in the style of
+buffer-based point-to-point operations in the style of
 mpi4py's uppercase (buffer) API, plus accounting of message counts and
 bytes.  The accounting feeds the network model in
 :mod:`repro.comm.topology` and lets tests assert on the aggregation
@@ -29,8 +29,6 @@ class CommStats:
 
     messages: int = 0
     bytes_sent: int = 0
-    collectives: int = 0
-    collective_bytes: int = 0
     per_pair: dict = field(default_factory=dict)  # (src, dst) -> bytes
 
     def record(self, src: int, dst: int, nbytes: int) -> None:
@@ -43,19 +41,9 @@ class CommStats:
             metrics.inc("comm.messages")
             metrics.inc("comm.bytes", nbytes)
 
-    def record_collective(self, nbytes: int = 0) -> None:
-        self.collectives += 1
-        self.collective_bytes += nbytes
-        metrics = get_metrics()
-        if metrics.enabled:
-            metrics.inc("comm.collectives")
-            metrics.inc("comm.collective_bytes", nbytes)
-
     def reset(self) -> None:
         self.messages = 0
         self.bytes_sent = 0
-        self.collectives = 0
-        self.collective_bytes = 0
         self.per_pair.clear()
 
 
@@ -161,43 +149,3 @@ class Communicator:
         """Number of posted-but-unreceived messages (0 after a clean step)."""
         return len(self._mailbox)
 
-    # -- collectives ------------------------------------------------------
-    @staticmethod
-    def _contribution_bytes(values: list) -> int:
-        """On-the-wire bytes of one contribution per rank (scalars count
-        as their NumPy representation, i.e. 8 bytes for a float)."""
-        return sum(np.asarray(v).nbytes for v in values)
-
-    def allreduce_sum(self, values: list[np.ndarray | float]) -> np.ndarray | float:
-        """Sum contribution of every rank; all ranks get the result."""
-        if len(values) != self._size:
-            raise ValueError("one contribution per rank required")
-        self.stats.record_collective(self._contribution_bytes(values))
-        total = values[0]
-        for v in values[1:]:
-            total = total + v
-        return total
-
-    def allreduce_max(self, values: list[float]) -> float:
-        if len(values) != self._size:
-            raise ValueError("one contribution per rank required")
-        self.stats.record_collective(self._contribution_bytes(values))
-        return max(values)
-
-    def gather(self, values: list[np.ndarray], root: int = 0) -> list[np.ndarray]:
-        """Gather per-rank buffers at the root (returned as a list).
-
-        Accounted like the other collectives (bytes of every non-root
-        contribution into ``collective_bytes``) rather than as fake
-        point-to-point messages, so the network model sees one
-        consistent collective-traffic counter.
-        """
-        self._check_rank(root)
-        if len(values) != self._size:
-            raise ValueError("one contribution per rank required")
-        self.stats.record_collective(
-            self._contribution_bytes(
-                [v for r, v in enumerate(values) if r != root]
-            )
-        )
-        return [np.array(v, copy=True) for v in values]

@@ -9,8 +9,8 @@ From the paper (section 4.1):
     supernodes are connected through a 16:3 (256:48) oversubscribed
     multilayer fat tree network."
 
-The model is alpha-beta with three regimes (same node / same supernode /
-cross supernode) plus an oversubscription contention factor applied to
+The model is alpha-beta with two regimes (same supernode / cross
+supernode) plus an oversubscription contention factor applied to
 cross-supernode traffic when many processes communicate simultaneously.
 It drives the weak/strong scaling reproduction (Figs. 10-11).
 """
@@ -26,36 +26,20 @@ import numpy as np
 class FatTreeTopology:
     """Alpha-beta fat-tree model with supernode locality.
 
-    Parameters are per-link; times are seconds for a message of ``nbytes``.
+    Parameters are per-link; times are seconds.
     """
 
     nodes_per_supernode: int = 256
     processes_per_node: int = 6          # one process per CG on SW26010P
     oversubscription: float = 256.0 / 48.0   # 16:3
-    latency_intra_node: float = 1.0e-6
     latency_intra_super: float = 3.0e-6
     latency_inter_super: float = 6.0e-6
-    bandwidth_intra_node: float = 32.0e9     # B/s, shared-memory copies
     bandwidth_intra_super: float = 16.0e9    # B/s, one switch hop
     bandwidth_inter_super: float = 14.0e9    # B/s per link before contention
 
     @property
     def processes_per_supernode(self) -> int:
         return self.nodes_per_supernode * self.processes_per_node
-
-    def node_of(self, rank: int) -> int:
-        return rank // self.processes_per_node
-
-    def supernode_of(self, rank: int) -> int:
-        return self.node_of(rank) // self.nodes_per_supernode
-
-    def p2p_time(self, src: int, dst: int, nbytes: int) -> float:
-        """Uncontended point-to-point time for one message."""
-        if self.node_of(src) == self.node_of(dst):
-            return self.latency_intra_node + nbytes / self.bandwidth_intra_node
-        if self.supernode_of(src) == self.supernode_of(dst):
-            return self.latency_intra_super + nbytes / self.bandwidth_intra_super
-        return self.latency_inter_super + nbytes / self.bandwidth_inter_super
 
     def contention_factor(self, nprocs: int, cross_fraction: float) -> float:
         """Effective slowdown of cross-supernode bandwidth.
@@ -113,13 +97,6 @@ class FatTreeTopology:
             + cross_bytes * factor / self.bandwidth_inter_super
         )
         return t_lat + t_bw
-
-    def allreduce_time(self, nprocs: int, nbytes: float = 8.0) -> float:
-        """Tree allreduce: log2(P) latency-bound stages."""
-        if nprocs <= 1:
-            return 0.0
-        stages = float(np.ceil(np.log2(nprocs)))
-        return stages * (self.latency_inter_super + nbytes / self.bandwidth_inter_super)
 
 
 #: The topology of the next-generation Sunway system as described in 4.1.

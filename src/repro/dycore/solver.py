@@ -234,6 +234,16 @@ class DynamicalCore:
         # thread while a two-lane step is in progress, else the caller.
         self._lane = _ONE_LANE
 
+    def snapshot(self) -> tuple:
+        """Bit-exact copy of the core's mutable state outside the model
+        state: its step count and tracer-window flux accumulator."""
+        return self._steps, self.flux_acc.snapshot()
+
+    def restore(self, snap: tuple) -> None:
+        """Restore a :meth:`snapshot` (bit-exact)."""
+        self._steps = snap[0]
+        self.flux_acc.restore(snap[1])
+
     @property
     def lanes(self) -> int:
         """1 or 2: how many lanes :meth:`step` runs on (:func:`step_lanes`)."""

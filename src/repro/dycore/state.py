@@ -56,11 +56,6 @@ class ModelState:
         """Global integral of surface dry pressure * area / g [kg]."""
         return float(((self.ps - self.vcoord.ptop) * self.mesh.cell_area).sum() / GRAVITY)
 
-    def tracer_mass(self, name: str) -> float:
-        """Global mass of a tracer [kg]."""
-        q = self.tracers[name]
-        return float((q * self.dpi() * self.mesh.cell_area[:, None]).sum() / GRAVITY)
-
     def copy(self) -> "ModelState":
         return ModelState(
             mesh=self.mesh,

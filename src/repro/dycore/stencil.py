@@ -40,9 +40,9 @@ backend)`` returns the plan, ``None`` meaning the default.  A
 ``DynamicalCore`` compiles the plan its ``DycoreConfig.stencil_backend``
 names, keeps it as ``core.kernels`` and hands that object to everything
 it calls; nothing is selected through the mesh or any other shared
-state, so cores of different backends can share one mesh.  The
-``ops.*(mesh, …, backend=)`` wrappers of :mod:`repro.dycore.operators`
-are the same lookup per call, for tests, probes and diagnostics.
+state, so cores of different backends can share one mesh.  Callers
+outside a core hold the plan the same way
+(``compiled_kernels(mesh, backend).curl(u)``).
 
 Backend contract: fused agrees with ``reference`` per kernel and dtype
 under the ``operator`` row of the test suite's contract table — bitwise
@@ -106,9 +106,9 @@ class StencilSpec:
 _E4 = ("cell_edges", "vertex_edges", "edge_cells", "edge_vertices")
 _W6 = ("div_w", "curl_w", "cell_area", "vertex_area", "de", "le")
 
-#: The compiled stencil registry: every public operator in
-#: :mod:`repro.dycore.operators`.  Fields in declaration order; the last
-#: two are ``ref_passes, fused_passes``.
+#: The compiled stencil registry: every horizontal operator a plan
+#: offers.  Fields in declaration order; the last two are
+#: ``ref_passes, fused_passes``.
 STENCILS: dict[str, StencilSpec] = {
     s.name: s
     for s in (

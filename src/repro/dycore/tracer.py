@@ -149,3 +149,11 @@ class MassFluxAccumulator:
     def reset(self) -> None:
         self._sum.fill(0.0)
         self._steps = 0
+
+    def snapshot(self) -> tuple:
+        """Bit-exact copy of the window so far (:meth:`restore`)."""
+        return self._sum.copy(), self._steps
+
+    def restore(self, snap: tuple) -> None:
+        self._sum[:] = snap[0]
+        self._steps = snap[1]

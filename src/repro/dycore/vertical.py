@@ -257,10 +257,5 @@ def geopotential_interfaces(
     return phi
 
 
-def temperature_from_theta(theta: np.ndarray, p_mid: np.ndarray) -> np.ndarray:
-    """T = theta * (p/p0)^kappa."""
-    return theta * exner(p_mid)
-
-
 def theta_from_temperature(temp: np.ndarray, p_mid: np.ndarray) -> np.ndarray:
     return temp / exner(p_mid)

@@ -10,9 +10,9 @@ The mesh is the Voronoi dual of an icosahedral geodesic triangulation:
 * **vertices** — triangle circumcentres; relative vorticity lives here.
 
 All connectivity is stored as padded integer arrays (pad value ``-1``) so
-that every operator in :mod:`repro.dycore.operators` is a fully vectorised
-gather/scatter — the NumPy analogue of the paper's indirect-addressing
-scheme (section 3.1.3).
+that every stencil a :func:`~repro.dycore.stencil.compiled_kernels` plan
+compiles is a fully vectorised gather/scatter — the NumPy analogue of the
+paper's indirect-addressing scheme (section 3.1.3).
 """
 
 from __future__ import annotations

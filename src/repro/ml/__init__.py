@@ -5,7 +5,7 @@ Everything is built from scratch on NumPy:
 * :mod:`repro.ml.layers` / :mod:`repro.ml.network` — a small neural
   network framework (Dense, Conv1D, ReLU, residual units) with manual,
   gradient-checked backprop;
-* :mod:`repro.ml.optimizer` — Adam and SGD;
+* :mod:`repro.ml.optimizer` — Adam;
 * :mod:`repro.ml.training` — MSE training loop with the paper's
   train/test protocol (3 random test steps per day, 7:1 split);
 * :mod:`repro.ml.inference` — the one inference engine both networks
@@ -27,7 +27,7 @@ Everything is built from scratch on NumPy:
 from repro.ml.ensemble import TendencyEnsemble
 from repro.ml.layers import Conv1D, Dense, ReLU
 from repro.ml.network import ResUnit, Sequential
-from repro.ml.optimizer import SGD, Adam
+from repro.ml.optimizer import Adam
 from repro.ml.radiation_net import RadiationMLP
 from repro.ml.suite import MLPhysicsSuite
 from repro.ml.tendency_net import TendencyCNN
@@ -40,7 +40,6 @@ __all__ = [
     "Conv1D",
     "ReLU",
     "Adam",
-    "SGD",
     "TendencyCNN",
     "RadiationMLP",
     "MLPhysicsSuite",

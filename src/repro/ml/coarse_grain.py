@@ -17,9 +17,9 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from repro.constants import CP_DRY, LATENT_HEAT_VAP
-from repro.dycore import operators as ops
 from repro.dycore.solver import DynamicalCore
 from repro.dycore.state import ModelState
+from repro.dycore.stencil import compiled_kernels
 from repro.dycore.vertical import exner
 from repro.grid.mesh import Mesh
 
@@ -69,7 +69,7 @@ class CoarseGrainer:
         coarse cells, then project coarse two-cell means onto coarse edge
         normals — the same interpolation the coarse dycore implies.
         """
-        vec = ops.reconstruct_cell_vectors(self.fine, u_fine)    # (ncf, 3, nlev)
+        vec = compiled_kernels(self.fine).reconstruct_cell_vectors(u_fine)  # (ncf, 3, nlev)
         vec_c = self.restrict(vec)                                # (ncc, 3, nlev)
         c1 = self.coarse.edge_cells[:, 0]
         c2 = self.coarse.edge_cells[:, 1]

@@ -104,41 +104,3 @@ def cast_network(net: Layer, dtype) -> Layer:
             if hasattr(layer, attr):
                 setattr(layer, attr, np.zeros_like(getattr(layer, attr), dtype=dtype))
     return clone
-
-
-def gradient_check(
-    net: Layer,
-    x: np.ndarray,
-    eps: float = 1e-6,
-    n_samples: int = 10,
-    rng: np.random.Generator | None = None,
-) -> float:
-    """Max relative error between analytic and finite-difference grads.
-
-    Uses loss = 0.5 * sum(y^2) so dL/dy = y.  Samples a few parameter
-    entries per tensor (exhaustive checks are O(params) forward passes).
-    """
-    rng = rng or np.random.default_rng(0)
-    y = net.forward(x, train=True)
-    net.backward(y.copy())
-    worst = 0.0
-    for name, p in net.params().items():
-        g = net.grads()[name]
-        flat_p = p.reshape(-1)
-        flat_g = g.reshape(-1)
-        idxs = rng.choice(flat_p.size, size=min(n_samples, flat_p.size), replace=False)
-        for i in idxs:
-            orig = flat_p[i]
-            flat_p[i] = orig + eps
-            lp = 0.5 * float((net.forward(x, train=False) ** 2).sum())
-            flat_p[i] = orig - eps
-            lm = 0.5 * float((net.forward(x, train=False) ** 2).sum())
-            flat_p[i] = orig
-            fd = (lp - lm) / (2 * eps)
-            # Below this scale the central difference is pure round-off
-            # (e.g. a dead-ReLU unit: analytic 0 vs fd noise ~1e-7).
-            if max(abs(fd), abs(flat_g[i])) < 1e-5:
-                continue
-            denom = max(abs(fd), abs(flat_g[i]))
-            worst = max(worst, abs(fd - flat_g[i]) / denom)
-    return worst

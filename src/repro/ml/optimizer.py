@@ -1,4 +1,4 @@
-"""Optimisers: SGD with momentum, and Adam."""
+"""Optimisers: Adam over the framework's parameter/gradient dicts."""
 
 from __future__ import annotations
 
@@ -18,22 +18,6 @@ class Optimizer:
     def zero_grad(self) -> None:
         for g in self.net.grads().values():
             g.fill(0.0)
-
-
-class SGD(Optimizer):
-    def __init__(self, net: Layer, lr: float = 1e-3, momentum: float = 0.9):
-        super().__init__(net, lr)
-        self.momentum = momentum
-        self._vel = {k: np.zeros_like(v) for k, v in net.params().items()}
-
-    def step(self) -> None:
-        params = self.net.params()
-        grads = self.net.grads()
-        for k in params:
-            v = self._vel[k]
-            v *= self.momentum
-            v -= self.lr * grads[k]
-            params[k] += v
 
 
 class Adam(Optimizer):

@@ -51,10 +51,6 @@ class RadiationMLP(InferenceNet):
             [t, q, tskin[:, None], coszr[:, None]], axis=1
         )
 
-    @staticmethod
-    def pack_targets(gsw: np.ndarray, glw: np.ndarray) -> np.ndarray:
-        return np.stack([gsw, glw], axis=1)
-
     def predict(self, x: np.ndarray) -> np.ndarray:
         # Radiative fluxes are non-negative by construction.
         return np.maximum(super().predict(x), 0.0)

@@ -54,10 +54,6 @@ class TendencyCNN(InferenceNet):
         """Stack (ncol, nlev) profile fields into (ncol, 5, nlev)."""
         return np.stack([u, v, t, q, p], axis=1)
 
-    @staticmethod
-    def pack_targets(q1: np.ndarray, q2: np.ndarray) -> np.ndarray:
-        return np.stack([q1, q2], axis=1)
-
     # -- inference ------------------------------------------------------------
     def predict_q1q2(
         self, u, v, t, q, p

@@ -129,18 +129,16 @@ class GristModel:
         """Bit-exact copy of every mutable side store outside the state.
 
         The payload pairs with a :meth:`ModelState.copy` to make a full
-        checkpoint: the dycore's step counter and tracer-window flux
-        accumulator, the run history lengths, and each owner's own
-        snapshot — the surface slab's and every physics suite's.
+        checkpoint: the run's step counter and history lengths, and each
+        owner's own snapshot — the dycore's (step count and tracer-window
+        flux accumulator), the surface slab's and every physics suite's.
         Leaving any of these out desynchronises a restored run from a
         straight-through one (found the hard way by the rollback bitwise
         tests).
         """
         return {
             "dyn_steps": self._dyn_steps,
-            "dycore_steps": self.dycore._steps,
-            "flux_sum": self.dycore.flux_acc._sum.copy(),
-            "flux_steps": self.dycore.flux_acc._steps,
+            "dycore": self.dycore.snapshot(),
             "surface": self.surface.snapshot(),
             "run_history": len(self.history.times),
             "physics": [s.snapshot() for s in self._physics_suites()],
@@ -149,9 +147,7 @@ class GristModel:
     def restore_mutable(self, payload: dict) -> None:
         """Restore a :meth:`snapshot_mutable` payload (bit-exact)."""
         self._dyn_steps = payload["dyn_steps"]
-        self.dycore._steps = payload["dycore_steps"]
-        self.dycore.flux_acc._sum[:] = payload["flux_sum"]
-        self.dycore.flux_acc._steps = payload["flux_steps"]
+        self.dycore.restore(payload["dycore"])
         self.surface.restore(payload["surface"])
         h = self.history
         n = payload["run_history"]

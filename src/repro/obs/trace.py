@@ -241,9 +241,6 @@ class Tracer:
     def add_listener(self, listener) -> None:
         self.listeners.append(listener)
 
-    def remove_listener(self, listener) -> None:
-        self.listeners.remove(listener)
-
     # -- queries ---------------------------------------------------------
     def __len__(self) -> int:
         return len(self.events)

@@ -29,7 +29,6 @@ from repro.parallel.localmesh import LocalMesh, build_local_meshes
 from repro.partition.decomposition import decompose
 from repro.partition.graph import mesh_cell_graph
 from repro.partition.metis import partition_graph
-from repro.resilience.recovery import RetryPolicy
 
 
 class DistributedDycore:
@@ -48,7 +47,6 @@ class DistributedDycore:
         config: DycoreConfig,
         nparts: int,
         seed: int = 0,
-        retry: RetryPolicy | None = None,
         workers: int = 1,
     ):
         if workers < 1:
@@ -66,9 +64,6 @@ class DistributedDycore:
         #: reference), >1 = that many forked workers over shared-memory
         #: field buffers.  Results are bitwise identical either way.
         self.workers = min(workers, nparts)
-        #: Retransmission policy handed to the halo exchanger (only
-        #: consulted when a fault injector is active).
-        self.retry = retry or RetryPolicy()
         part = partition_graph(mesh_cell_graph(mesh), nparts, seed=seed)
         subs = decompose(mesh, nparts, part=part)
         self.locals: list[LocalMesh] = build_local_meshes(mesh, subs, part)
@@ -127,7 +122,7 @@ class DistributedDycore:
         ]
         if self.workers > 1:
             self._to_shared()
-        ex = EdgeCellExchanger(self.locals, self.comm, retry=self.retry)
+        ex = EdgeCellExchanger(self.locals, self.comm)
         ex.register_cell("ps", [s.ps for s in self._states])
         ex.register_cell("theta", [s.theta for s in self._states])
         ex.register_edge("u", [s.u for s in self._states])

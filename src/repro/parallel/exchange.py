@@ -98,12 +98,7 @@ class ExchangePlan:
 class EdgeCellExchanger:
     """One aggregated halo exchange across all ranks' local meshes."""
 
-    def __init__(
-        self,
-        locals_: list[LocalMesh],
-        comm: Communicator | None = None,
-        retry: RetryPolicy | None = None,
-    ):
+    def __init__(self, locals_: list[LocalMesh], comm: Communicator | None = None):
         self.locals = locals_
         self.comm = comm or Communicator(len(locals_))
         if self.comm.size != len(locals_):
@@ -114,7 +109,7 @@ class EdgeCellExchanger:
         #: Retransmission policy when a fault injector is active: lost
         #: or CRC-failed payloads are re-sent from the (persistent,
         #: still-packed) plan buffer up to ``retry.max_attempts`` times.
-        self.retry = retry or RetryPolicy()
+        self.retry = RetryPolicy()
         #: CRC32 of every pair's last-packed wire buffer, kept only
         #: while an injector is active (the integrity side channel an
         #: MPI implementation carries in its envelope).
@@ -168,18 +163,6 @@ class EdgeCellExchanger:
                     f"{arr.dtype}/{arr.shape[1:]} differs from rank 0's "
                     f"{ref.dtype}/{ref.shape[1:]}"
                 )
-
-    def replace(self, name: str, per_rank: list[np.ndarray]) -> None:
-        kind, old = self._registry[name]
-        self._check(per_rank, kind)
-        # Same dtype and trailing shape leave the compiled layout valid;
-        # anything else forces a recompile.
-        if (
-            per_rank[0].dtype != old[0].dtype
-            or per_rank[0].shape[1:] != old[0].shape[1:]
-        ):
-            self._plans = None
-        self._registry[name] = (kind, per_rank)
 
     def _neighbors(self, lm: LocalMesh) -> list[int]:
         return sorted(

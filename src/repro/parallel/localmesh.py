@@ -31,9 +31,9 @@ class LocalMesh:
     """A rank's local mesh view plus global<->local maps.
 
     ``mesh`` is a real :class:`Mesh` instance restricted to the local
-    entities, so all of :mod:`repro.dycore.operators` runs on it
-    unchanged.  ``cells``/``edges``/``vertices`` map local -> global ids;
-    owned entities lead the local numbering.
+    entities, so a :func:`~repro.dycore.stencil.compiled_kernels` plan
+    compiles and runs on it unchanged.  ``cells``/``edges``/``vertices``
+    map local -> global ids; owned entities lead the local numbering.
     """
 
     rank: int

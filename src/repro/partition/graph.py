@@ -27,14 +27,6 @@ class CSRGraph:
     def n(self) -> int:
         return self.xadj.size - 1
 
-    @property
-    def num_edges(self) -> int:
-        """Number of undirected edges."""
-        return self.adjncy.size // 2
-
-    def degree(self, v: int) -> int:
-        return int(self.xadj[v + 1] - self.xadj[v])
-
     def neighbors(self, v: int) -> np.ndarray:
         return self.adjncy[self.xadj[v]: self.xadj[v + 1]]
 

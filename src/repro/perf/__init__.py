@@ -20,13 +20,12 @@ the paper's (491 SDPD G11S / 181 SDPD G12 at 524,288 CGs); the *shapes*
 (who wins, where efficiency knees fall) emerge from the model.
 """
 
-from repro.perf.metrics import sdpd_from_step_time, sypd_from_sdpd
+from repro.perf.metrics import sdpd_from_step_time
 from repro.perf.model import PerformanceModel, PerfParams, StepCost
 from repro.perf.scaling import strong_scaling_experiment, weak_scaling_experiment
 
 __all__ = [
     "sdpd_from_step_time",
-    "sypd_from_sdpd",
     "PerformanceModel",
     "PerfParams",
     "StepCost",

@@ -1,4 +1,4 @@
-"""Simulation-speed metrics: SDPD and SYPD.
+"""Simulation-speed metrics: SDPD.
 
     "For most performance results, we describe the speed of simulation
     using SDPD (simulated-days-per-day)."  (section 4.3)
@@ -7,8 +7,6 @@
 from __future__ import annotations
 
 from repro.constants import SECONDS_PER_DAY
-
-DAYS_PER_YEAR = 365.0
 
 
 def sdpd_from_step_time(step_seconds: float, dt_dyn: float) -> float:
@@ -23,11 +21,6 @@ def sdpd_from_step_time(step_seconds: float, dt_dyn: float) -> float:
     steps_per_sim_day = SECONDS_PER_DAY / dt_dyn
     wall_per_sim_day = steps_per_sim_day * step_seconds
     return SECONDS_PER_DAY / wall_per_sim_day
-
-
-def sypd_from_sdpd(sdpd: float) -> float:
-    """Simulated years per day."""
-    return sdpd / DAYS_PER_YEAR
 
 
 def sdpd_from_trace(tracer, dt_dyn: float) -> float:
@@ -45,7 +38,3 @@ def sdpd_from_trace(tracer, dt_dyn: float) -> float:
         raise ValueError("trace contains no dyn_step spans")
     mean_wall = sum(s.wall_seconds for s in steps) / len(steps)
     return sdpd_from_step_time(mean_wall, dt_dyn)
-
-
-def sdpd_from_sypd(sypd: float) -> float:
-    return sypd * DAYS_PER_YEAR

@@ -97,13 +97,6 @@ class PrecisionPolicy:
             if s is TermSensitivity.INSENSITIVE
         ]
 
-    def memory_fraction_fp32(self) -> float:
-        """Fraction of classified terms demoted — feeds the kernel model."""
-        if not self.mixed or not self.sensitivity:
-            return 0.0
-        n32 = len(self.demoted_terms())
-        return n32 / len(self.sensitivity)
-
 
 def is_sensitive(term: str, sensitivity: dict | None = None) -> bool:
     """Whether ``term`` must stay double precision.

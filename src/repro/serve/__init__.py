@@ -8,7 +8,8 @@ concurrently from one process by a :class:`ForecastScheduler` that
   requests through a bounded :class:`ModelPool` (tainted instances are
   recycled, never reused);
 * runs each request's ML physics through its pooled model's own nets,
-  exactly as a batch run does (one GEMM per layer over all columns);
+  exactly as a batch run does (:func:`repro.ml.inference.shifted_forward`:
+  k shifted GEMMs per layer over all columns);
 * answers repeat ``(seed, config)`` requests from a content-addressed
   :class:`ResultCache`;
 * isolates failures per request: an injected fault (PR 4's resilience

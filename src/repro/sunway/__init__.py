@@ -15,7 +15,7 @@ optimisations act on:
   LDM/main-memory boundary, plain memcpy otherwise (section 3.3.2);
 * :mod:`repro.sunway.swgomp` — the SWGOMP job server: MPE spawns
   team-head CPEs, team heads spawn team members (Fig. 5), with
-  parallel-for/workshare scheduling;
+  static/dynamic parallel-for scheduling;
 * :mod:`repro.sunway.kernel` — a roofline kernel-timing model with
   cache-hit feedback, used by Fig. 9 and the scaling model;
 * :mod:`repro.sunway.execution` — the registered dycore kernels run as

@@ -75,13 +75,6 @@ class CoreGroup:
     def peak_flops_dp(self) -> float:
         return self.mpe.flops_dp + self.n_cpes * self.cpe.flops_dp
 
-    def cpe_bandwidth_share(self, active_cpes: int) -> float:
-        """Per-CPE sustained main-memory bandwidth when ``active_cpes``
-        stream concurrently (bounded by DMA peak and the DDR4 share)."""
-        if active_cpes < 1:
-            raise ValueError("active_cpes must be >= 1")
-        return min(self.cpe.dma_peak, self.memory_bandwidth / active_cpes)
-
 
 @dataclass(frozen=True)
 class SW26010P:
@@ -101,9 +94,9 @@ class SW26010P:
 
 #: Machine constants of the full system (section 4.1).
 SYSTEM_NODES = 107_520
-CORES_PER_NODE = 390
+CORES_PER_NODE = SW26010P().cores  # 390
 SYSTEM_CORES = SYSTEM_NODES * CORES_PER_NODE  # 41,932,800
 #: Largest power-of-two CG count used in the paper's scaling runs.
 MAX_SCALING_CGS = 524_288
-CORES_PER_CG = 65
+CORES_PER_CG = CoreGroup().cores  # 65
 MAX_SCALING_CORES = MAX_SCALING_CGS * CORES_PER_CG  # 34,078,720 ("34M cores")

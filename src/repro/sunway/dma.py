@@ -101,15 +101,3 @@ def omnicopy(
         metrics.inc(f"{rec.engine}.transfers")
         metrics.inc(f"{rec.engine}.bytes", nbytes)
     return rec
-
-
-def ldm_capacity_arrays(
-    n_arrays: int, elem_bytes: int, chunk: int, cpe: CPESpec | None = None
-) -> bool:
-    """Can ``n_arrays`` chunks of ``chunk`` elements be staged into LDM?
-
-    Used by kernels that copy variables onto the CPE stack "until the
-    cache thrashing is eliminated" (section 3.3.4).
-    """
-    cpe = cpe or CPESpec()
-    return n_arrays * chunk * elem_bytes <= cpe.ldm_bytes // 2

@@ -47,11 +47,6 @@ class StepExecution:
     def launch_seconds(self) -> float:
         return sum(r.launch_seconds for r in self.runs)
 
-    def breakdown(self) -> dict:
-        return {
-            r.name: r.simulated_seconds for r in self.runs
-        }
-
 
 class SWGOMPExecutor:
     """Run the registered kernel set over the simulated CPE array."""

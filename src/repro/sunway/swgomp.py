@@ -136,10 +136,6 @@ class JobServer:
             return 1.0
         return float(busy.mean() / busy.max())
 
-    def elapsed(self) -> float:
-        """Simulated wall time of everything run so far (slowest CPE)."""
-        return max(c.busy_seconds for c in self.cpes)
-
 
 @dataclass
 class TargetRegion:
@@ -275,16 +271,3 @@ class TargetRegion:
         for lane, cpe in enumerate(all_cpes):
             self.server.cpes[cpe].busy_seconds += times[lane]
         return region_time
-
-    def workshare(
-        self,
-        assign: Callable[[slice], None],
-        n: int,
-        cost_per_elem: float = 0.0,
-        name: str = "workshare",
-    ) -> float:
-        """``!$omp target parallel workshare`` — array ops over CPEs."""
-        return self.parallel_for(
-            lambda s, e: assign(slice(s, e)), n, cost_per_elem=cost_per_elem,
-            name=name,
-        )

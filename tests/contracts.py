@@ -39,6 +39,7 @@ import numpy as np
 import pytest
 
 from repro.dycore.state import ModelState
+from repro.dycore.stencil import compiled_kernels
 from repro.grid.mesh import build_mesh
 from repro.precision.analysis import ACCURACY_THRESHOLD, relative_l2
 
@@ -337,10 +338,12 @@ def operator_fields(m, seed, nlev, dtype=np.float64):
 
 
 def call_operator(name, m, fields, backend):
-    from repro.dycore import operators as ops
-
+    plan = compiled_kernels(m, backend)
     args = [fields[k] if isinstance(k, str) else k for k in OPERATORS[name][0]]
-    return getattr(ops, name)(m, *args, backend=backend)
+    if name == "momentum_diffusion":    # the coefficients compile into it
+        u, nu, nu_div = args
+        return plan.momentum_diffusion(u, plan.diffusion_operator(nu, nu_div))
+    return getattr(plan, name)(*args)
 
 
 def _operator(case):
@@ -772,21 +775,19 @@ def _executor_vs_analytic(case):
 # -- invariants ------------------------------------------------------------------
 
 def _mimetic(case):
-    from repro.dycore import operators as ops
-
-    m, backend = mesh(3), case["backend"]
-    kind = case["identity"]
+    m, kind = mesh(3), case["identity"]
+    plan = compiled_kernels(m, case["backend"])
     if kind == "div_sum":
         flux = np.random.default_rng(31).normal(size=(m.ne, 4))
-        total = (ops.divergence(m, flux, backend=backend) * m.cell_area[:, None]).sum(axis=0)
+        total = (plan.divergence(flux) * m.cell_area[:, None]).sum(axis=0)
         return {kind: total / m.cell_area.mean()}, {kind: np.zeros(4)}
     if kind == "curl_grad":
-        g = ops.gradient(m, np.random.default_rng(32).normal(size=m.nc), backend=backend)
-        zeta = ops.curl(m, g, backend=backend)
+        g = plan.gradient(np.random.default_rng(32).normal(size=m.nc))
+        zeta = plan.curl(g)
         return {kind: zeta / (np.abs(g).max() / m.de.mean())}, {kind: np.zeros(m.nv)}
-    return ({"gradient": ops.gradient(m, np.full(m.nc, 7.5), backend=backend),
-             "vertex_to_cell": ops.vertex_to_cell(m, np.full(m.nv, 2.0), backend=backend),
-             "cell_to_edge": ops.cell_to_edge(m, np.full(m.nc, 3.0), backend=backend)},
+    return ({"gradient": plan.gradient(np.full(m.nc, 7.5)),
+             "vertex_to_cell": plan.vertex_to_cell(np.full(m.nv, 2.0)),
+             "cell_to_edge": plan.cell_to_edge(np.full(m.nc, 3.0))},
             {"gradient": np.zeros(m.ne), "vertex_to_cell": np.full(m.nc, 2.0),
              "cell_to_edge": np.full(m.ne, 3.0)})
 
@@ -794,12 +795,10 @@ def _mimetic(case):
 def _annihilation(case):
     """``gradient`` and ``laplacian_cell`` of a constant are exact zeros —
     difference before scale — not zeros to round-off."""
-    from repro.dycore import operators as ops
-
     m, nlev = mesh(3), case["nlev"]
+    plan = compiled_kernels(m, case["backend"])
     const = np.full((m.nc,) + ((nlev,) if nlev else ()), 300.1, dtype=case["dtype"])
-    got = {n: getattr(ops, n)(m, const, backend=case["backend"])
-           for n in ("gradient", "laplacian_cell")}
+    got = {n: getattr(plan, n)(const) for n in ("gradient", "laplacian_cell")}
     return got, {n: np.zeros_like(v) for n, v in got.items()}
 
 

@@ -4,7 +4,7 @@ resolution at roughly the advertised (second) order."""
 import numpy as np
 import pytest
 
-from repro.dycore import operators as ops
+from repro.dycore.stencil import compiled_kernels
 from repro.grid.mesh import build_mesh
 
 
@@ -34,7 +34,7 @@ class TestGradientConvergence:
         errors = []
         for mesh in meshes:
             psi = _smooth_cell_field(mesh)
-            g = ops.gradient(mesh, psi)
+            g = compiled_kernels(mesh).gradient(psi)
             exact = _gradient_exact(mesh)
             errors.append(np.abs(g - exact).max() / np.abs(exact).max())
         # Halving the spacing should cut the error by ~4 (allow >= 2.5).
@@ -50,7 +50,7 @@ class TestDivergenceConvergence:
             axis = np.array([0.3, -0.5, 0.8])
             vel = np.cross(axis, mesh.edge_xyz)
             un = np.einsum("ej,ej->e", vel, mesh.edge_normal)
-            div = ops.divergence(mesh, un)
+            div = compiled_kernels(mesh).divergence(un)
             scale = np.abs(un).max() / mesh.de.mean()
             errors.append(np.abs(div).max() / scale)
         assert errors[1] < errors[0]
@@ -64,7 +64,7 @@ class TestVorticityConvergence:
             omega = 1e-4
             vel = np.cross([0.0, 0.0, omega], mesh.edge_xyz) * mesh.radius
             un = np.einsum("ej,ej->e", vel, mesh.edge_normal)
-            zeta = ops.curl(mesh, un)
+            zeta = compiled_kernels(mesh).curl(un)
             exact = 2.0 * omega * np.sin(mesh.vertex_lat)
             errors.append(np.abs(zeta - exact).max() / (2 * omega))
         assert errors[1] < errors[0] / 1.8
@@ -81,7 +81,7 @@ class TestReconstructionConvergence:
             vt_exact = np.einsum(
                 "ej,ej->e", vel, mesh.edge_tangent
             )
-            vt = ops.tangential_velocity(mesh, un)
+            vt = compiled_kernels(mesh).tangential_velocity(un)
             errors.append(np.abs(vt - vt_exact).max() / np.abs(vel).max())
         assert errors[1] < errors[0]
         assert errors[2] < errors[1]

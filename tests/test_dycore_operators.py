@@ -5,8 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.dycore import operators as ops
-from repro.dycore.stencil import mesh_cache
+from repro.dycore.stencil import compiled_kernels, mesh_cache
 from repro.grid.mesh import build_mesh
 
 
@@ -25,12 +24,12 @@ class TestDivergence:
         """Area-weighted divergence integrates to zero (FV telescoping)."""
         rng = np.random.default_rng(0)
         flux = rng.normal(size=(mesh.ne, 4))
-        div = ops.divergence(mesh, flux)
+        div = compiled_kernels(mesh).divergence(flux)
         total = (div * mesh.cell_area[:, None]).sum(axis=0)
         np.testing.assert_allclose(total, 0.0, atol=1e-6 * mesh.cell_area.mean())
 
     def test_zero_flux(self, mesh):
-        div = ops.divergence(mesh, np.zeros(mesh.ne))
+        div = compiled_kernels(mesh).divergence(np.zeros(mesh.ne))
         np.testing.assert_array_equal(div, 0.0)
 
     def test_solid_body_flow_nearly_divergence_free(self, mesh):
@@ -38,7 +37,7 @@ class TestDivergence:
         axis = np.array([0.0, 0.0, 1.0])
         vel = np.cross(axis, mesh.edge_xyz)
         un = np.einsum("ej,ej->e", vel, mesh.edge_normal)
-        div = ops.divergence(mesh, un)
+        div = compiled_kernels(mesh).divergence(un)
         scale = np.abs(un).max() / mesh.de.mean()
         assert np.abs(div).max() < 5e-3 * scale
 
@@ -48,14 +47,14 @@ class TestDivergence:
         mesh = build_mesh(2)
         rng = np.random.default_rng(seed)
         flux = rng.normal(size=mesh.ne) * rng.lognormal(size=mesh.ne)
-        div = ops.divergence(mesh, flux)
+        div = compiled_kernels(mesh).divergence(flux)
         total = (div * mesh.cell_area).sum()
         assert abs(total) < 1e-5 * np.abs(div * mesh.cell_area).sum() + 1e-12
 
 
 class TestGradient:
     def test_constant_field_zero_gradient(self, mesh):
-        g = ops.gradient(mesh, np.full(mesh.nc, 7.5))
+        g = compiled_kernels(mesh).gradient(np.full(mesh.nc, 7.5))
         np.testing.assert_allclose(g, 0.0, atol=1e-18)
 
     def test_antisymmetric_in_cells(self, mesh):
@@ -63,13 +62,13 @@ class TestGradient:
         rng = np.random.default_rng(1)
         psi = rng.normal(size=mesh.nc)
         np.testing.assert_allclose(
-            ops.gradient(mesh, psi), -ops.gradient(mesh, -psi)
+            compiled_kernels(mesh).gradient(psi), -compiled_kernels(mesh).gradient(-psi)
         )
 
     def test_linear_field_accuracy(self, mesh):
         """gradient of z-coordinate ~ cos(lat) in the north direction."""
         psi = mesh.cell_xyz[:, 2] * mesh.radius
-        g = ops.gradient(mesh, psi)
+        g = compiled_kernels(mesh).gradient(psi)
         north = np.cross(mesh.edge_xyz, np.cross([0, 0, 1.0], mesh.edge_xyz))
         north /= np.maximum(np.linalg.norm(north, axis=1, keepdims=True), 1e-12)
         expected = np.cos(mesh.edge_lat) * np.einsum(
@@ -87,8 +86,8 @@ class TestGradient:
         rng = np.random.default_rng(2)
         F = rng.normal(size=mesh.ne)
         psi = rng.normal(size=mesh.nc)
-        lhs = (ops.divergence(mesh, F) * psi * mesh.cell_area).sum()
-        rhs = -(F * ops.gradient(mesh, psi) * mesh.le * mesh.de).sum()
+        lhs = (compiled_kernels(mesh).divergence(F) * psi * mesh.cell_area).sum()
+        rhs = -(F * compiled_kernels(mesh).gradient(psi) * mesh.le * mesh.de).sum()
         assert lhs == pytest.approx(rhs, rel=1e-10)
 
 
@@ -97,11 +96,11 @@ class TestCurl:
         """The discrete circulation of a gradient field vanishes exactly."""
         rng = np.random.default_rng(3)
         psi = rng.normal(size=mesh.nc)
-        g = ops.gradient(mesh, psi)
+        g = compiled_kernels(mesh).gradient(psi)
         # The circulation uses the normal component along dual edges; the
         # gradient is exactly the dual-edge derivative, so the loop sum
         # telescopes to zero.
-        zeta = ops.curl(mesh, g)
+        zeta = compiled_kernels(mesh).curl(g)
         scale = np.abs(g).max() / mesh.de.mean()
         np.testing.assert_allclose(zeta, 0.0, atol=1e-10 * scale)
 
@@ -111,7 +110,7 @@ class TestCurl:
         axis = np.array([0.0, 0.0, omega])
         vel = np.cross(axis, mesh.edge_xyz) * mesh.radius
         un = np.einsum("ej,ej->e", vel, mesh.edge_normal)
-        zeta = ops.curl(mesh, un)
+        zeta = compiled_kernels(mesh).curl(un)
         expected = 2.0 * omega * np.sin(mesh.vertex_lat)
         err = np.abs(zeta - expected).max() / (2 * omega)
         assert err < 0.05
@@ -120,29 +119,29 @@ class TestCurl:
         """Area-weighted vorticity sums to zero on the closed sphere."""
         rng = np.random.default_rng(4)
         un = rng.normal(size=mesh.ne)
-        zeta = ops.curl(mesh, un)
+        zeta = compiled_kernels(mesh).curl(un)
         total = (zeta * mesh.vertex_area).sum()
         assert abs(total) < 1e-6 * np.abs(zeta * mesh.vertex_area).sum() + 1e-12
 
 
 class TestAverages:
     def test_cell_to_edge_of_constant(self, mesh):
-        e = ops.cell_to_edge(mesh, np.full(mesh.nc, 3.0))
+        e = compiled_kernels(mesh).cell_to_edge(np.full(mesh.nc, 3.0))
         np.testing.assert_allclose(e, 3.0)
 
     def test_upwind_picks_correct_side(self, mesh):
         psi = np.arange(mesh.nc, dtype=float)
-        up_pos = ops.cell_to_edge_upwind(mesh, psi, np.ones(mesh.ne))
-        up_neg = ops.cell_to_edge_upwind(mesh, psi, -np.ones(mesh.ne))
+        up_pos = compiled_kernels(mesh).cell_to_edge_upwind(psi, np.ones(mesh.ne))
+        up_neg = compiled_kernels(mesh).cell_to_edge_upwind(psi, -np.ones(mesh.ne))
         np.testing.assert_array_equal(up_pos, psi[mesh.edge_cells[:, 0]])
         np.testing.assert_array_equal(up_neg, psi[mesh.edge_cells[:, 1]])
 
     def test_vertex_to_cell_constant(self, mesh):
-        c = ops.vertex_to_cell(mesh, np.full(mesh.nv, 2.0))
+        c = compiled_kernels(mesh).vertex_to_cell(np.full(mesh.nv, 2.0))
         np.testing.assert_allclose(c, 2.0)
 
     def test_vertex_to_edge_constant(self, mesh):
-        e = ops.vertex_to_edge(mesh, np.full(mesh.nv, -1.5))
+        e = compiled_kernels(mesh).vertex_to_edge(np.full(mesh.nv, -1.5))
         np.testing.assert_allclose(e, -1.5)
 
 
@@ -150,13 +149,13 @@ class TestKineticEnergyAndTangential:
     def test_ke_nonnegative(self, mesh):
         rng = np.random.default_rng(5)
         u = rng.normal(size=(mesh.ne, 3))
-        ke = ops.kinetic_energy(mesh, u)
+        ke = compiled_kernels(mesh).kinetic_energy(u)
         assert np.all(ke >= 0.0)
 
     def test_ke_of_uniform_flow(self, mesh):
         U0 = np.array([5.0, 0.0, 0.0])
         un = mesh.edge_normal @ U0
-        ke = ops.kinetic_energy(mesh, un)
+        ke = compiled_kernels(mesh).kinetic_energy(un)
         # |U_tangent|^2/2 at each cell: U0 minus radial part.
         tang = U0 - (mesh.cell_xyz @ U0)[:, None] * mesh.cell_xyz
         expected = 0.5 * np.einsum("ni,ni->n", tang, tang)
@@ -170,28 +169,28 @@ class TestKineticEnergyAndTangential:
         vel = np.cross(axis, mesh.edge_xyz)
         un = np.einsum("ej,ej->e", vel, mesh.edge_normal)
         vt_exact = np.einsum("ej,ej->e", vel, mesh.edge_tangent)
-        vt = ops.tangential_velocity(mesh, un)
+        vt = compiled_kernels(mesh).tangential_velocity(un)
         err = np.abs(vt - vt_exact).max() / np.abs(vel).max()
         assert err < 0.06
 
     def test_multilevel_shapes(self, mesh):
         rng = np.random.default_rng(6)
         u = rng.normal(size=(mesh.ne, 5))
-        assert ops.kinetic_energy(mesh, u).shape == (mesh.nc, 5)
-        assert ops.tangential_velocity(mesh, u).shape == (mesh.ne, 5)
-        assert ops.reconstruct_cell_vectors(mesh, u).shape == (mesh.nc, 3, 5)
+        assert compiled_kernels(mesh).kinetic_energy(u).shape == (mesh.nc, 5)
+        assert compiled_kernels(mesh).tangential_velocity(u).shape == (mesh.ne, 5)
+        assert compiled_kernels(mesh).reconstruct_cell_vectors(u).shape == (mesh.nc, 3, 5)
 
 
 class TestLaplacians:
     def test_laplacian_cell_constant_zero(self, mesh):
-        lap = ops.laplacian_cell(mesh, np.full(mesh.nc, 4.0))
+        lap = compiled_kernels(mesh).laplacian_cell(np.full(mesh.nc, 4.0))
         np.testing.assert_allclose(lap, 0.0, atol=1e-18)
 
     def test_laplacian_cell_damps_extrema(self, mesh):
         """At a strict local max the Laplacian is negative."""
         psi = np.zeros(mesh.nc)
         psi[100] = 1.0
-        lap = ops.laplacian_cell(mesh, psi)
+        lap = compiled_kernels(mesh).laplacian_cell(psi)
         assert lap[100] < 0
         nbrs = mesh.cell_neighbors[100]
         assert np.all(lap[nbrs[nbrs >= 0]] > 0)
@@ -199,7 +198,7 @@ class TestLaplacians:
     def test_laplacian_edge_of_uniform_flow_small(self, mesh):
         U0 = np.array([3.0, -1.0, 2.0])
         un = mesh.edge_normal @ U0
-        lap = ops.laplacian_edge(mesh, un)
+        lap = compiled_kernels(mesh).laplacian_edge(un)
         # A uniform (rigid) flow has small diffusion relative to u/de^2.
         scale = np.abs(un).max() / mesh.de.mean() ** 2
         assert np.abs(lap).max() < 0.1 * scale
@@ -212,8 +211,8 @@ class TestOperatorCache:
         mesh = build_mesh(2)
         c1 = mesh_cache(mesh)
         rng = np.random.default_rng(0)
-        ops.divergence(mesh, rng.normal(size=mesh.ne))
-        ops.curl(mesh, rng.normal(size=mesh.ne))
+        compiled_kernels(mesh).divergence(rng.normal(size=mesh.ne))
+        compiled_kernels(mesh).curl(rng.normal(size=mesh.ne))
         assert mesh_cache(mesh) is c1
 
     def test_cached_weights_match_definitions(self, mesh):
@@ -240,7 +239,7 @@ class TestOperatorCache:
     def test_vertex_to_cell_dtype_preserved(self, mesh):
         rng = np.random.default_rng(1)
         v32 = rng.normal(size=(mesh.nv, 3)).astype(np.float32)
-        out = ops.vertex_to_cell(mesh, v32)
+        out = compiled_kernels(mesh).vertex_to_cell(v32)
         assert out.dtype == np.float32
-        out64 = ops.vertex_to_cell(mesh, v32.astype(np.float64))
+        out64 = compiled_kernels(mesh).vertex_to_cell(v32.astype(np.float64))
         np.testing.assert_allclose(out, out64, rtol=1e-5, atol=1e-6)

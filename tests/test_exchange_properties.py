@@ -131,25 +131,28 @@ def test_plan_reuse_never_recompiles_nor_reallocates(mesh_g1, seed):
     assert ex.plan_compilations == 1
     assert {k: id(p.send_buffer) for k, p in ex.plans.items()} == buffer_ids
 
-    # Same-layout replacement keeps the compiled plans valid...
+    # New values written in place keep the compiled plans valid...
     name, (kind, per_rank) = next(iter(arrays.items()))
-    ex.replace(name, [a.copy() for a in per_rank])
+    for a in per_rank:
+        a[...] = rng.normal(size=a.shape).astype(a.dtype)
     ex.exchange()
     assert ex.plan_compilations == 1
-    # ...while a dtype change forces exactly one recompile.
+    # ...while re-registering with another dtype forces exactly one
+    # recompile.
     if per_rank[0].dtype != np.float64:
-        ex.replace(name, [a.astype(np.float64) for a in per_rank])
+        register = ex.register_cell if kind == "cell" else ex.register_edge
+        register(name, [a.astype(np.float64) for a in per_rank])
         ex.exchange()
         assert ex.plan_compilations == 2
 
 
 @pytest.mark.parametrize("seed", range(2))
 def test_replace_keeps_race_annotations_and_verdicts_stable(mesh_g1, seed):
-    """Race-annotation property: ``replace()`` with a same-layout array
-    must recompile nothing, leave ``access_annotations()`` (the index
-    sets the RD analyzer reasons over) byte-identical, and therefore
-    keep the RD002/RD003 verdicts of a plan built from them unchanged
-    mid-run."""
+    """Race-annotation property: replacing a field's values mid-run
+    (in place, as the driver's re-scatter does) must recompile nothing,
+    leave ``access_annotations()`` (the index sets the RD analyzer
+    reasons over) byte-identical, and therefore keep the RD002/RD003
+    verdicts of a plan built from them unchanged."""
     from repro.analysis.parallel_plan import (
         DRIVER,
         Access,
@@ -214,11 +217,12 @@ def test_replace_keeps_race_annotations_and_verdicts_stable(mesh_g1, seed):
     assert {"RD002", "RD003"} <= rules
     assert all(v == "CONFIRMED" for _, v in before)
 
-    # Mid-run same-layout replacement: nothing recompiles, the
+    # Mid-run in-place replacement: nothing recompiles, the
     # annotations and the verdicts are bitwise stable.
     compilations = ex.plan_compilations
     name, (kind, per_rank) = next(iter(arrays.items()))
-    ex.replace(name, [a.copy() for a in per_rank])
+    for a in per_rank:
+        a[...] = rng.normal(size=a.shape).astype(a.dtype)
     ex.exchange()
     assert ex.plan_compilations == compilations
     assert snapshot(ex) == before_ann

@@ -51,11 +51,11 @@ class TestTropicalCycloneState:
 
     def test_cyclonic_circulation(self, mesh, vc):
         """NH vortex: positive relative vorticity at the core."""
-        from repro.dycore.operators import curl
+        from repro.dycore.stencil import compiled_kernels
         from repro.experiments.doksuri import STORM_LAT, STORM_LON
 
         st = tropical_cyclone_state(mesh, vc)
-        zeta = curl(mesh, st.u[:, -1])
+        zeta = compiled_kernels(mesh).curl(st.u[:, -1])
         d = np.arccos(
             np.clip(
                 np.sin(mesh.vertex_lat) * np.sin(STORM_LAT)

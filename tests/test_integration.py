@@ -5,8 +5,8 @@ end-to-end mixed-precision acceptance run."""
 import numpy as np
 import pytest
 
-from repro.dycore import operators as ops
 from repro.dycore.kernels import MAJOR_KERNELS, sample_fields
+from repro.dycore.stencil import compiled_kernels
 from repro.dycore.vertical import VerticalCoordinate
 from repro.grid.mesh import build_mesh
 from repro.parallel.exchange import EdgeCellExchanger
@@ -30,7 +30,7 @@ class TestDistributedDivergence:
     def test_matches_serial(self, mesh):
         rng = np.random.default_rng(0)
         flux_global = rng.normal(size=mesh.ne)
-        serial = ops.divergence(mesh, flux_global)
+        serial = compiled_kernels(mesh).divergence(flux_global)
 
         nparts = 4
         subs = decompose(mesh, nparts, seed=0)
@@ -54,7 +54,7 @@ class TestDistributedDivergence:
         serial on the owned cells."""
         rng = np.random.default_rng(1)
         psi_global = rng.normal(size=mesh.nc)
-        serial = ops.laplacian_cell(mesh, psi_global)
+        serial = compiled_kernels(mesh).laplacian_cell(psi_global)
 
         part = partition_graph(mesh_cell_graph(mesh), 4, seed=0)
         locals_ = build_local_meshes(mesh, decompose(mesh, 4, part=part), part)
@@ -68,7 +68,7 @@ class TestDistributedDivergence:
         result = np.full(mesh.nc, np.nan)
         for lm, arr in zip(locals_, per):
             owned = slice(0, lm.n_owned_cells)
-            result[lm.cells[owned]] = ops.laplacian_cell(lm.mesh, arr)[owned]
+            result[lm.cells[owned]] = compiled_kernels(lm.mesh).laplacian_cell(arr)[owned]
         np.testing.assert_allclose(result, serial, rtol=1e-10)
 
 
@@ -84,7 +84,7 @@ class TestSWGOMPRunsDycoreKernels:
 
         # Chunk over edges: each CPE computes a slice of the edge range.
         # (KE at cells is precomputed, like GRIST's separate kernels.)
-        ke = ops.kinetic_energy(mesh, fields["u"])
+        ke = compiled_kernels(mesh).kinetic_energy(fields["u"])
         out = np.zeros((mesh.ne, 3))
         c1 = mesh.edge_cells[:, 0]
         c2 = mesh.edge_cells[:, 1]

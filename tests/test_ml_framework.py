@@ -8,11 +8,67 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.ml.layers import Conv1D, Dense, ReLU
-from repro.ml.network import ResUnit, Sequential, gradient_check
-from repro.ml.optimizer import SGD, Adam
+from repro.ml.layers import Conv1D, Dense, Layer, ReLU
+from repro.ml.network import ResUnit, Sequential
+from repro.ml.optimizer import Adam, Optimizer
 from repro.ml.training import Normalizer, Trainer, train_test_split_by_day
 from tests import contracts
+
+
+def gradient_check(
+    net: Layer,
+    x: np.ndarray,
+    eps: float = 1e-6,
+    n_samples: int = 10,
+    rng: np.random.Generator | None = None,
+) -> float:
+    """Max relative error between analytic and finite-difference grads.
+
+    Uses loss = 0.5 * sum(y^2) so dL/dy = y.  Samples a few parameter
+    entries per tensor (exhaustive checks are O(params) forward passes).
+    """
+    rng = rng or np.random.default_rng(0)
+    y = net.forward(x, train=True)
+    net.backward(y.copy())
+    worst = 0.0
+    for name, p in net.params().items():
+        g = net.grads()[name]
+        flat_p = p.reshape(-1)
+        flat_g = g.reshape(-1)
+        idxs = rng.choice(flat_p.size, size=min(n_samples, flat_p.size), replace=False)
+        for i in idxs:
+            orig = flat_p[i]
+            flat_p[i] = orig + eps
+            lp = 0.5 * float((net.forward(x, train=False) ** 2).sum())
+            flat_p[i] = orig - eps
+            lm = 0.5 * float((net.forward(x, train=False) ** 2).sum())
+            flat_p[i] = orig
+            fd = (lp - lm) / (2 * eps)
+            # Below this scale the central difference is pure round-off
+            # (e.g. a dead-ReLU unit: analytic 0 vs fd noise ~1e-7).
+            if max(abs(fd), abs(flat_g[i])) < 1e-5:
+                continue
+            denom = max(abs(fd), abs(flat_g[i]))
+            worst = max(worst, abs(fd - flat_g[i]) / denom)
+    return worst
+
+
+class SGD(Optimizer):
+    """Momentum SGD: a second optimiser over the same backprop."""
+
+    def __init__(self, net: Layer, lr: float = 1e-3, momentum: float = 0.9):
+        super().__init__(net, lr)
+        self.momentum = momentum
+        self._vel = {k: np.zeros_like(v) for k, v in net.params().items()}
+
+    def step(self) -> None:
+        params = self.net.params()
+        grads = self.net.grads()
+        for k in params:
+            v = self._vel[k]
+            v *= self.momentum
+            v -= self.lr * grads[k]
+            params[k] += v
 
 
 class TestDense:

@@ -132,11 +132,9 @@ class TestSubstrateFeeds:
         with collecting() as r:
             comm.send(0, 1, np.zeros(4))
             comm.recv(0, 1)
-            comm.allreduce_max([1.0, 2.0])
         snap = r.snapshot()
         assert snap["counters"]["comm.messages"] == 1.0
         assert snap["counters"]["comm.bytes"] == 32.0
-        assert snap["counters"]["comm.collectives"] == 1.0
 
     def test_ldcache_feed(self):
         import numpy as np

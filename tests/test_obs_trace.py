@@ -144,23 +144,6 @@ class TestListeners:
             pass
         assert lis.seen == "a"
 
-    def test_remove_listener(self):
-        class L:
-            n = 0
-
-            def on_span_open(self, sp):
-                type(self).n += 1
-
-        lis = L()
-        t = Tracer()
-        t.add_listener(lis)
-        with t.span("a", SpanKind.CHUNK):
-            pass
-        t.remove_listener(lis)
-        with t.span("b", SpanKind.CHUNK):
-            pass
-        assert L.n == 1
-
 
 class TestAggregate:
     def test_aggregate_sums_by_kind_and_name(self):

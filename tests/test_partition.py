@@ -34,14 +34,13 @@ class TestCSRGraph:
         g = from_edge_list(4, edges)
         g.validate()
         assert g.n == 4
-        assert g.num_edges == 4
-        assert g.degree(2) == 3
+        assert g.adjncy.size == 2 * 4     # both directions stored
         assert set(g.neighbors(2).tolist()) == {0, 1, 3}
 
     def test_mesh_graph_valid(self, graph, mesh):
         graph.validate()
         assert graph.n == mesh.nc
-        assert graph.num_edges == mesh.ne
+        assert graph.adjncy.size == 2 * mesh.ne
 
     def test_mesh_graph_degrees(self, graph, mesh):
         degs = np.diff(graph.xadj)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from repro.model.config import TABLE2_GRIDS, TABLE3_SCHEMES
-from repro.perf.metrics import sdpd_from_step_time, sdpd_from_sypd, sypd_from_sdpd
+from repro.perf.metrics import sdpd_from_step_time
 from repro.perf.model import PerformanceModel, PerfParams
 from repro.perf.scaling import (
     STRONG_SCALING_PROCS,
@@ -36,10 +36,6 @@ class TestMetrics:
         # one dynamics step of 4 s taking 4 s of wall time = 1 SDPD.
         assert sdpd_from_step_time(4.0, 4.0) == pytest.approx(1.0)
         assert sdpd_from_step_time(0.4, 4.0) == pytest.approx(10.0)
-
-    def test_sypd_roundtrip(self):
-        assert sypd_from_sdpd(365.0) == pytest.approx(1.0)
-        assert sdpd_from_sypd(0.5) == pytest.approx(182.5)
 
     def test_invalid_step_time(self):
         with pytest.raises(ValueError):

@@ -57,11 +57,6 @@ class TestPolicy:
         z = p.cast("pressure_gradient", x)
         assert z is x                      # no copy when dtype matches
 
-    def test_memory_fraction(self):
-        assert PrecisionPolicy(mixed=False).memory_fraction_fp32() == 0.0
-        f = PrecisionPolicy(mixed=True).memory_fraction_fp32()
-        assert 0.5 < f < 1.0               # most terms are insensitive
-
 
 class TestRelativeL2:
     def test_identical_is_zero(self):

@@ -21,7 +21,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.dycore import operators as ops
 from repro.dycore import stencil as stc
 from repro.dycore import tendencies as tend
 from repro.grid.mesh import PAD, build_mesh
@@ -96,42 +95,44 @@ class TestReferenceMatchesPreRefactorGoldens:
     @pytest.mark.parametrize("nlev", [0, 5])
     def test_gather_reduce_operators(self, mesh3, nlev):
         f = operator_fields(mesh3, 11, nlev)
+        ref = stc.compiled_kernels(mesh3, "reference")
         np.testing.assert_array_equal(
-            ops.divergence(mesh3, f["edge"], backend="reference"),
+            ref.divergence(f["edge"]),
             _legacy_divergence(mesh3, f["edge"]),
         )
         np.testing.assert_array_equal(
-            ops.curl(mesh3, f["edge"], backend="reference"),
+            ref.curl(f["edge"]),
             _legacy_curl(mesh3, f["edge"]),
         )
         np.testing.assert_array_equal(
-            ops.vertex_to_cell(mesh3, f["vertex"], backend="reference"),
+            ref.vertex_to_cell(f["vertex"]),
             _legacy_vertex_to_cell(mesh3, f["vertex"]),
         )
         np.testing.assert_array_equal(
-            ops.reconstruct_cell_vectors(mesh3, f["edge"], backend="reference"),
+            ref.reconstruct_cell_vectors(f["edge"]),
             _legacy_reconstruct(mesh3, f["edge"]),
         )
 
     @pytest.mark.parametrize("nlev", [0, 5])
     def test_point_operators(self, mesh3, nlev):
         f = operator_fields(mesh3, 12, nlev)
+        ref = stc.compiled_kernels(mesh3, "reference")
         c = stc.mesh_cache(mesh3)
         de = mesh3.de.reshape((-1,) + (1,) * (f["cell"].ndim - 1))
         np.testing.assert_array_equal(
-            ops.gradient(mesh3, f["cell"], backend="reference"),
+            ref.gradient(f["cell"]),
             (f["cell"][c.edge_c2] - f["cell"][c.edge_c1]) / de,
         )
         np.testing.assert_array_equal(
-            ops.cell_to_edge(mesh3, f["cell"], backend="reference"),
+            ref.cell_to_edge(f["cell"]),
             0.5 * (f["cell"][c.edge_c1] + f["cell"][c.edge_c2]),
         )
         np.testing.assert_array_equal(
-            ops.cell_to_edge_upwind(mesh3, f["cell"], f["edge"], backend="reference"),
+            ref.cell_to_edge_upwind(f["cell"], f["edge"]),
             np.where(f["edge"] >= 0.0, f["cell"][c.edge_c1], f["cell"][c.edge_c2]),
         )
         np.testing.assert_array_equal(
-            ops.vertex_to_edge(mesh3, f["vertex"], backend="reference"),
+            ref.vertex_to_edge(f["vertex"]),
             0.5 * (f["vertex"][c.edge_v1] + f["vertex"][c.edge_v2]),
         )
 
@@ -153,8 +154,9 @@ class TestBackendEquivalence:
         """The plan holds no scratch to alias: consecutive calls return
         distinct arrays (the solver keeps stage tendencies)."""
         f = operator_fields(mesh3, 23, 6)
-        a = ops.divergence(mesh3, f["edge"], backend="fused")
-        b = ops.divergence(mesh3, 2.0 * f["edge"], backend="fused")
+        plan = stc.compiled_kernels(mesh3, "fused")
+        a = plan.divergence(f["edge"])
+        b = plan.divergence(2.0 * f["edge"])
         assert a is not b
         assert not np.shares_memory(a, b)
         np.testing.assert_allclose(2.0 * a, b, rtol=1e-12)
@@ -164,8 +166,8 @@ class TestBackendEquivalence:
         float32 ``cell_to_edge`` delegates nowhere, yet still equals the
         reference bitwise: the same operations in the same order."""
         f32 = operator_fields(mesh3, 24, 5, np.float32)["cell"]
-        ref = ops.cell_to_edge(mesh3, f32, backend="reference")
-        fused = ops.cell_to_edge(mesh3, f32, backend="fused")
+        ref = stc.compiled_kernels(mesh3, "reference").cell_to_edge(f32)
+        fused = stc.compiled_kernels(mesh3, "fused").cell_to_edge(f32)
         assert fused.dtype == np.float32
         np.testing.assert_array_equal(ref, fused)
 
@@ -199,7 +201,7 @@ class TestBackendEquivalence:
     def test_optional_accelerators_degrade_silently(self, mesh3):
         """The fused backend needs nothing beyond NumPy."""
         f = operator_fields(mesh3, 25, 4)
-        out = ops.laplacian_edge(mesh3, f["edge"], backend="fused")
+        out = stc.compiled_kernels(mesh3, "fused").laplacian_edge(f["edge"])
         assert np.isfinite(out).all()
 
 
@@ -318,7 +320,7 @@ class TestOperatorCacheThreadSafety:
 
     def test_plan_reused_across_calls(self, mesh3):
         p1 = stc.compiled_kernels(mesh3, "fused")
-        ops.divergence(mesh3, np.zeros(mesh3.ne), backend="fused")
+        p1.divergence(np.zeros(mesh3.ne))
         assert stc.compiled_kernels(mesh3, "fused") is p1
 
 
@@ -379,14 +381,14 @@ class TestPrimalFluxHalfConstant:
 class TestBackendSelection:
     def test_unknown_backend_rejected(self, mesh3):
         with pytest.raises(ValueError, match="unknown stencil backend"):
-            ops.divergence(mesh3, np.zeros(mesh3.ne), backend="magic")
+            stc.compiled_kernels(mesh3, "magic")
 
     def test_none_is_the_default_backend(self):
         assert stc.DEFAULT_BACKEND == "fused"
         mesh = build_mesh(1)
-        ops.curl(mesh, np.zeros(mesh.ne))
+        plan = stc.compiled_kernels(mesh)
         assert sorted(mesh._stencil_plans) == ["fused"]
-        assert stc.compiled_kernels(mesh) is mesh._stencil_plans["fused"]
+        assert plan is mesh._stencil_plans["fused"]
 
     @pytest.mark.parametrize("order", [BACKENDS, BACKENDS[::-1]],
                              ids=lambda order: f"{order[0]}-first")

@@ -12,7 +12,7 @@ from repro.sunway.arch import (
     CoreGroup,
     SW26010P,
 )
-from repro.sunway.dma import MemorySpace, ldm_capacity_arrays, omnicopy
+from repro.sunway.dma import MemorySpace, omnicopy
 from repro.sunway.kernel import Engine, KernelSpec, KernelTimer, Precision
 from repro.sunway.swgomp import JobServer, TargetRegion
 
@@ -31,11 +31,6 @@ class TestArchSpec:
         cg = CoreGroup()
         assert cg.main_memory_bytes == 16 * 1024**3
         assert cg.memory_bandwidth == 51.2e9
-
-    def test_bandwidth_share(self):
-        cg = CoreGroup()
-        assert cg.cpe_bandwidth_share(64) == pytest.approx(51.2e9 / 64)
-        assert cg.cpe_bandwidth_share(1) == cg.cpe.dma_peak
 
     def test_sp_equals_dp_peak(self):
         """Paper: no SP FLOPs advantage except division/elementals."""
@@ -67,10 +62,6 @@ class TestOmnicopy:
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
             omnicopy(np.zeros(3), np.zeros(4))
-
-    def test_capacity_helper(self):
-        assert ldm_capacity_arrays(4, 8, 1000)
-        assert not ldm_capacity_arrays(20, 8, 10000)
 
 
 class TestJobServer:
@@ -134,12 +125,14 @@ class TestJobServer:
         assert t_dyn < t_static
 
     def test_workshare(self):
+        """``!$omp target parallel workshare``: an array op split over
+        the CPEs as parallel-for chunks."""
         srv = JobServer()
         srv.init_from_mpe()
         region = TargetRegion(srv)
         arr = np.ones(500)
 
-        region.workshare(lambda sl: arr.__setitem__(sl, 0.0), arr.size)
+        region.parallel_for(lambda s, e: arr.__setitem__(slice(s, e), 0.0), arr.size)
         np.testing.assert_array_equal(arr, 0.0)
 
     def test_empty_range(self):
