@@ -42,7 +42,7 @@ def main() -> None:
     losses = ens.fit(x, y, epochs=10, lr=3e-3)
     print(f"\nensemble of {ens.n_members} tendency nets "
           f"({ens.n_params():,} params total), member losses "
-          + ", ".join(f"{l:.2f}" for l in losses))
+          + ", ".join(f"{loss:.2f}" for loss in losses))
     _, spread_in = ens.predict_with_spread(x[:100])
     _, spread_out = ens.predict_with_spread(rng.normal(size=(100, 5, 8)) * 8.0)
     print(f"member spread: in-distribution {spread_in.mean():.3f}, "

@@ -1,9 +1,10 @@
 """Climate-style run with history output and global budget monitoring.
 
 Runs the coupled model on a warm aquaplanet-plus-continents setup for two
-simulated days, writing history files (npz), a restart file, and tracking the conservation budgets the
-hierarchy of tests watches (dry mass exact; energy drift bounded by the
-explicit diffusion).
+simulated days, writing history files (npz) and a restart file into a
+temporary directory (removed when the run ends), and tracking the
+conservation budgets the hierarchy of tests watches (dry mass exact;
+energy drift bounded by the explicit diffusion).
 
 Run:  python examples/aquaplanet_climate.py     (~30 s)
 """
@@ -18,12 +19,17 @@ from repro.dycore.state import tropical_profile_state
 from repro.dycore.vertical import VerticalCoordinate
 from repro.experiments.climate import zonal_mean_precip
 from repro.grid import build_mesh
-from repro.model import GristModel, TABLE3_SCHEMES, scaled_grid_config
+from repro.model import TABLE3_SCHEMES, GristModel, scaled_grid_config
 from repro.model.io import HistoryWriter, save_state
 from repro.physics.surface import SurfaceModel, idealized_land_mask, idealized_sst
 
 
 def main() -> None:
+    with tempfile.TemporaryDirectory(prefix="repro_climate_") as out_dir:
+        run(out_dir)
+
+
+def run(out_dir: str) -> None:
     mesh = build_mesh(3)
     vcoord = VerticalCoordinate.stretched(8)
     grid_cfg = scaled_grid_config(3, 8)
@@ -37,7 +43,6 @@ def main() -> None:
     rng = np.random.default_rng(0)
     state.theta = state.theta + 0.3 * rng.normal(size=state.theta.shape)
 
-    out_dir = tempfile.mkdtemp(prefix="repro_climate_")
     writer = HistoryWriter(out_dir)
     monitor = BudgetMonitor()
     monitor.record(state)
@@ -74,7 +79,7 @@ def main() -> None:
     for lat, v in zip(lats, prof):
         bar = "#" * int(v * 86400.0 * 20)
         print(f"  {np.rad2deg(lat):6.1f}N  {v * 86400.0:5.2f} {bar}")
-    print(f"\nhistory: {paths[0]}\nrestart: {restart}")
+    print(f"\nhistory: {paths[0]}\nrestart: {restart}\n(both removed when the run ends)")
 
 
 if __name__ == "__main__":

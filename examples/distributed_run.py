@@ -12,7 +12,7 @@ from repro.dycore.state import baroclinic_wave_state
 from repro.dycore.vertical import VerticalCoordinate
 from repro.grid import build_mesh
 from repro.parallel import DistributedDycore
-from repro.partition.decomposition import decomposition_stats, decompose
+from repro.partition.decomposition import decompose, decomposition_stats
 
 
 def main() -> None:

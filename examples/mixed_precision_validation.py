@@ -5,8 +5,6 @@ L2 deviation of surface pressure and relative vorticity.
 Run:  python examples/mixed_precision_validation.py   (~20 s)
 """
 
-import numpy as np
-
 from repro.dycore.solver import DycoreConfig, DynamicalCore
 from repro.dycore.state import baroclinic_wave_state, solid_body_rotation_state
 from repro.dycore.vertical import VerticalCoordinate

@@ -17,6 +17,7 @@ from repro.experiments.climate import short_integration_comparison
 from repro.experiments.workflow import train_ml_suite
 from repro.grid import build_mesh
 from repro.ml.data import TABLE1_PERIODS
+from repro.ml.tendency_net import TendencyCNN
 
 
 def main() -> None:
@@ -56,7 +57,7 @@ def main() -> None:
 
     print("\nPaper-sized configuration (for reference): "
           "TendencyCNN(nlev=30) has "
-          f"{__import__('repro.ml.tendency_net', fromlist=['TendencyCNN']).TendencyCNN(30).n_params():,} "
+          f"{TendencyCNN(30).n_params():,} "
           "parameters — 'close to half a million' (section 3.2.3).")
 
 

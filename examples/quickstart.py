@@ -16,7 +16,7 @@ import numpy as np
 from repro.dycore.state import tropical_profile_state
 from repro.dycore.vertical import VerticalCoordinate
 from repro.grid import build_mesh
-from repro.model import GristModel, TABLE3_SCHEMES, scaled_grid_config
+from repro.model import TABLE3_SCHEMES, GristModel, scaled_grid_config
 
 
 def main() -> None:

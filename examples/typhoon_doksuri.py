@@ -32,7 +32,7 @@ def main() -> None:
     print("\nresolution comparison (this is the Fig. 7 logic):")
     res = resolution_comparison(low_level=3, high_level=4, ref_level=5,
                                 nlev=8, hours=6.0)
-    print(f"  spatial correlation vs reference:")
+    print("  spatial correlation vs reference:")
     print(f"    low-res  (G11 analogue): r = {res['corr_low']:.3f}")
     print(f"    high-res (G12 analogue): r = {res['corr_high']:.3f}")
     print(f"  rain-box mean (mm/day): low {res['box_mean_low']:.2f} / "

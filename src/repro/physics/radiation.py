@@ -33,6 +33,13 @@ class RadiationResult:
     flops_estimate: float = 0.0
 
 
+def _level_major(a: np.ndarray) -> np.ndarray:
+    """``a`` transposed into a new contiguous array.  The sweeps take
+    (nc, nlev) fields as level-major (nlev, nc), each level one
+    contiguous row, and the heating back to (nc, nlev)."""
+    return np.ascontiguousarray(a.T)
+
+
 @dataclass
 class RadiationScheme:
     """Two-stream pseudo-band radiative transfer.
@@ -78,42 +85,44 @@ class RadiationScheme:
     ) -> RadiationResult:
         nc, nlev = temp.shape
         # Column water paths per layer [kg/m^2].
-        wpath = qv * dpi / GRAVITY
-        cpath = qc * dpi / GRAVITY
-        mpath = dpi / GRAVITY
+        wpath = _level_major(qv * dpi / GRAVITY)
+        cpath = _level_major(qc * dpi / GRAVITY)
+        mpath = _level_major(dpi / GRAVITY)
 
         # ---- Shortwave: band-looped Beer-Lambert with surface reflection.
         mu = np.clip(coszen, 0.0, 1.0)
-        sw_abs = np.zeros((nc, nlev))
+        sw_abs = np.zeros((nlev, nc))
         gsw = np.zeros(nc)
         toa = SOLAR_CONSTANT * mu
+        top = np.ones((1, nc))
+        trans_sw = []
         for b in range(self.n_sw_bands):
             tau = self.k_sw_vapor[b] * wpath + self.k_cloud_sw * cpath
             # slant path; avoid division by zero at night
-            slant = tau / np.maximum(mu, 0.05)[:, None]
+            slant = tau / np.maximum(mu, 0.05)
             trans = np.exp(-slant)
-            cum_down = np.cumprod(trans, axis=1)
+            trans_sw.append(trans)       # the reflected pass reuses it
+            cum_down = np.cumprod(trans, axis=0)
             f_in = toa * self.sw_band_weights[b]
-            down_int = np.concatenate([np.ones((nc, 1)), cum_down], axis=1) * f_in[:, None]
-            absorbed = down_int[:, :-1] - down_int[:, 1:]
+            down_int = np.concatenate([top, cum_down]) * f_in
+            absorbed = down_int[:-1] - down_int[1:]
             sw_abs += absorbed
-            gsw += down_int[:, -1]
+            gsw += down_int[-1]
         # One reflected pass (absorbed on the way up, remainder escapes).
-        for b in range(self.n_sw_bands):
-            tau = self.k_sw_vapor[b] * wpath + self.k_cloud_sw * cpath
-            slant = tau / np.maximum(mu, 0.05)[:, None]
-            trans = np.exp(-slant)
+        for b, trans in enumerate(trans_sw):
             f_up = albedo * gsw * self.sw_band_weights[b]
-            cum_up = np.cumprod(trans[:, ::-1], axis=1)
-            up_int = np.concatenate([np.ones((nc, 1)), cum_up], axis=1) * f_up[:, None]
-            sw_abs += (up_int[:, :-1] - up_int[:, 1:])[:, ::-1]
+            cum_up = np.cumprod(trans[::-1], axis=0)
+            up_int = np.concatenate([top, cum_up]) * f_up
+            sw_abs += (up_int[:-1] - up_int[1:])[::-1]
 
         # ---- Longwave: band-looped emissivity sweeps.
-        lw_net = np.zeros((nc, nlev + 1))   # net upward flux at interfaces
+        lw_net = np.zeros((nlev + 1, nc))   # net upward flux at interfaces
         glw = np.zeros(nc)
         olr = np.zeros(nc)
-        planck_layer = STEFAN_BOLTZMANN * temp**4
+        planck_layer = _level_major(STEFAN_BOLTZMANN * temp**4)
         planck_sfc = STEFAN_BOLTZMANN * tskin**4
+        down = np.empty((nlev + 1, nc))
+        up = np.empty((nlev + 1, nc))
         for b in range(self.n_lw_bands):
             tau = (
                 self.k_lw_vapor[b] * wpath
@@ -123,23 +132,25 @@ class RadiationScheme:
             # Diffusivity-factor transmission per layer.
             trans = np.exp(-1.66 * tau)
             emis = 1.0 - trans
+            source = emis * planck_layer
             wb = self.lw_band_weights[b]
             # Downward sweep (top interface flux = 0).
-            down = np.zeros((nc, nlev + 1))
+            down[0] = 0.0
             for k in range(nlev):
-                down[:, k + 1] = down[:, k] * trans[:, k] + emis[:, k] * planck_layer[:, k]
+                np.multiply(down[k], trans[k], out=down[k + 1])
+                down[k + 1] += source[k]
             # Upward sweep (surface emits).
-            up = np.zeros((nc, nlev + 1))
-            up[:, nlev] = planck_sfc
+            up[nlev] = planck_sfc
             for k in range(nlev - 1, -1, -1):
-                up[:, k] = up[:, k + 1] * trans[:, k] + emis[:, k] * planck_layer[:, k]
-            glw += wb * down[:, -1]
-            olr += wb * up[:, 0]
+                np.multiply(up[k + 1], trans[k], out=up[k])
+                up[k] += source[k]
+            glw += wb * down[-1]
+            olr += wb * up[0]
             lw_net += wb * (up - down)
 
         # Heating: SW absorption minus LW net-flux divergence.
-        lw_heat = -(lw_net[:, :-1] - lw_net[:, 1:])   # W/m^2 per layer
-        heating = (sw_abs + lw_heat) * GRAVITY / (CP_DRY * dpi)
+        lw_heat = -(lw_net[:-1] - lw_net[1:])   # W/m^2 per layer
+        heating = _level_major(sw_abs + lw_heat) * GRAVITY / (CP_DRY * dpi)
         nbands = self.n_sw_bands + self.n_lw_bands
         flops = float(nc * nlev * nbands * 40)
         return RadiationResult(

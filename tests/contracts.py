@@ -26,12 +26,14 @@ bound outside the table, for comparisons that are no row's paths.
 
 from __future__ import annotations
 
+import collections
 import contextlib
 import dataclasses
 import functools
 import itertools
 import os
 import tempfile
+import threading
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -393,32 +395,143 @@ def _stage(case):
 
 TRACER_RATIO = 2
 
+#: The fields each lane of a two-lane step updates (``time`` is the
+#: state's clock, which the ps/theta update advances).
+LANE_FIELDS = {"momentum": ("u",), "mass": ("ps", "theta", "phi", "w", "time")}
+
+
+def _lane_bodies():
+    """``(owner, attribute, lane)`` of every stage body that takes a state."""
+    from repro.dycore import solver
+
+    core = solver.DynamicalCore
+    return (
+        [(core, name, "momentum") for name in ("_u_terms", "_u_vertical_advection", "_sponge_u")]
+        + [(solver, "rk_update_u", "momentum"), (solver, "rk_update_mass", "mass")]
+        + [(core, name, "mass")
+           for name in ("_mass_column", "_mass_flux", "_pgf", "_theta_tendency", "_vertical_solve",
+                        "_sponge_theta")]
+    )
+
+
+class _LaneView:
+    """A state as one lane's body sees it under :func:`lane_ownership`:
+    the ``owned`` fields as they are, every other array a read-only view
+    (noting, in ``read``, which field it was).  Rebinding a field that is
+    not owned fails by name."""
+
+    def __init__(self, state, lane, owned, read):
+        vars(self).update(_state=state, _lane=lane, _owned=owned, _read=read)
+
+    def __getattr__(self, name):
+        value = getattr(self._state, name)
+        if isinstance(value, np.ndarray) and name not in self._owned:
+            self._read.append(name)
+            value = value.view()
+            value.flags.writeable = False
+        return value
+
+    def __setattr__(self, name, value):
+        if name not in self._owned:
+            raise AssertionError(f"the {self._lane} lane wrote {name}")
+        setattr(self._state, name, value)
+
+
+def _owning(fn, lane):
+    """``fn`` run with its first state owning ``lane``'s fields and any
+    other state (the step's base) wholly read-only.  A write into a
+    read-only view fails naming the field the body last read, the one it
+    was writing."""
+
+    @functools.wraps(fn)
+    def body(*args, **kwargs):
+        read, owned, viewed = [], LANE_FIELDS[lane], []
+        for a in args:
+            if isinstance(a, ModelState):
+                a = _LaneView(a, lane, owned, read)
+                owned = ()
+            viewed.append(a)
+        try:
+            return fn(*viewed, **kwargs)
+        except ValueError as exc:
+            if "read-only" not in str(exc):
+                raise
+            raise AssertionError(f"the {lane} lane wrote {read[-1] if read else '?'}") from exc
+
+    return body
+
 
 @contextlib.contextmanager
-def _read_only_stage():
-    """Every ``compute_tendencies`` call sees its state's prognostic
-    arrays read-only, so a helper-lane term that wrote its input raises
-    instead of racing the other lane."""
-    from repro.dycore.solver import DynamicalCore
-
-    inner = DynamicalCore.compute_tendencies
-
-    def guarded(self, state):
-        arrays = [a for a in (state.ps, state.u, state.theta, state.phi) if a is not None]
-        flags = [a.flags.writeable for a in arrays]
-        for a in arrays:
-            a.flags.writeable = False
-        try:
-            return inner(self, state)
-        finally:
-            for a, w in zip(arrays, flags):
-                a.flags.writeable = w
-
-    DynamicalCore.compute_tendencies = guarded
+def _patched(wrappers):
+    """Each ``(owner, name) -> wrap`` applied to the attribute, undone on exit."""
+    saved = [(owner, name, vars(owner)[name]) for owner, name in wrappers]
+    for (owner, name), wrap in wrappers.items():
+        setattr(owner, name, wrap(vars(owner)[name]))
     try:
         yield
     finally:
-        DynamicalCore.compute_tendencies = inner
+        for owner, name, inner in saved:
+            setattr(owner, name, inner)
+
+
+def lane_ownership():
+    """Every stage body runs with the fields its lane does not update
+    read-only, so a body that wrote the other lane's field raises, on one
+    lane or two, instead of racing the other lane."""
+    return _patched({(owner, name): functools.partial(_owning, lane=lane)
+                     for owner, name, lane in _lane_bodies()})
+
+
+#: The two-lane schedules the ``lanes`` row holds besides the free one.
+#: ``momentum-held``: each stage's momentum lane starts only once the mass
+#: lane has updated ps and theta.  ``mass-held``: after each hand-off the
+#: mass lane waits until the momentum lane has used it (the vertical
+#: advection after the column, the u update after the PGF).
+HELD = {
+    "momentum-held": {"_u_terms": "rk_update_mass"},
+    "mass-held": {"_pgf": "_u_vertical_advection", "_theta_tendency": "rk_update_u"},
+}
+
+
+@contextlib.contextmanager
+def _held(schedule):
+    """The ``schedule`` of :data:`HELD` on a two-lane step: the ``n``-th
+    call of each held body waits until its release body has returned
+    ``n`` times."""
+    if schedule == "free":
+        yield
+        return
+    gates = HELD[schedule]
+    owner = {name: o for o, name, _ in _lane_bodies()}
+    started, returned = collections.Counter(), collections.Counter()
+    cond = threading.Condition()
+
+    def hold(fn, release):
+        @functools.wraps(fn)
+        def held(*args, **kwargs):
+            with cond:
+                started[fn.__name__] += 1
+                n = started[fn.__name__]
+                released = cond.wait_for(lambda: returned[release] >= n, timeout=60)
+            assert released, f"{schedule}: {fn.__name__} call {n} never released"
+            return fn(*args, **kwargs)
+        return held
+
+    def count(fn):
+        @functools.wraps(fn)
+        def counted(*args, **kwargs):
+            out = fn(*args, **kwargs)
+            with cond:
+                returned[fn.__name__] += 1
+                cond.notify_all()
+            return out
+        return counted
+
+    wrappers = {(owner[name], name): functools.partial(hold, release=release)
+                for name, release in gates.items()}
+    wrappers.update({(owner[name], name): count for name in gates.values()})
+    with _patched(wrappers):
+        yield
 
 
 def lane_core(level, backend="fused", precision="DP", mode="hydrostatic"):
@@ -429,9 +542,10 @@ def lane_core(level, backend="fused", precision="DP", mode="hydrostatic"):
                  tracer_ratio=TRACER_RATIO)
 
 
-def lane_run(core, lanes):
-    """``tracer_ratio + 1`` steps from the same state on ``lanes`` lanes;
-    the final state and the spans the run emitted."""
+def lane_run(core, lanes, schedule="free"):
+    """``tracer_ratio + 1`` steps from the same state on ``lanes`` lanes
+    (two-lane runs under ``schedule``); the final state and the spans the
+    run emitted."""
     from repro.dycore import solver
     from repro.dycore.state import tropical_profile_state
     from repro.obs import Tracer, tracing
@@ -448,7 +562,7 @@ def lane_run(core, lanes):
         state.theta = state.theta + rng.normal(size=state.theta.shape)
         for name, q in state.tracers.items():
             state.tracers[name] = q + 1e-4 * rng.random(q.shape)
-        with tracing(Tracer()) as tr:
+        with tracing(Tracer()) as tr, _held(schedule):
             state = _steps(core, state, TRACER_RATIO + 1)
         return state, tr
     finally:
@@ -459,15 +573,16 @@ def _lanes(case):
     from repro.obs import SpanKind
 
     core = lane_core(case["level"], case["backend"], case["precision"], case["mode"])
-    with _read_only_stage():
+    with lane_ownership():
         one, tr1 = lane_run(core, 1)
-        two, tr2 = lane_run(core, 2)
+        two, tr2 = lane_run(core, 2, case["schedule"])
     # The one-lane run draws no lane spans; the two-lane run one cpe=1
-    # span per stage and per tracer step.
+    # span per stage, per step end and per tracer step.
     assert all(s.cpe is None for s in tr1.events)
     lane = [s.name for s in tr2.events if s.cpe == 1]
     assert {s.kind for s in tr2.events if s.cpe == 1} == {SpanKind.LANE}
     assert lane.count("dycore.rk_stage.lane") == 3 * (TRACER_RATIO + 1)
+    assert lane.count("dycore.step_end.lane") == TRACER_RATIO + 1
     assert lane.count("dycore.tracer_step.lane") == 1
     assert sorted(s.seq for s in tr2.events) == list(range(len(tr2.events)))
     return two, one
@@ -846,7 +961,14 @@ _ROWS = (
         run=_stage),
     Row("lanes", ("two lanes", "one lane"), BITWISE,
         axes=dict(level=(3, 4), backend=BACKENDS, precision=("DP", "MIX"),
-                  mode=("hydrostatic", "nonhydrostatic")),
+                  mode=("hydrostatic", "nonhydrostatic"), schedule=("free",) + tuple(HELD)),
+        sample=tuple(dict(level=lv, backend=b, precision=p, mode=m, schedule="free")
+                     for lv in (3, 4) for b in BACKENDS for p in ("DP", "MIX")
+                     for m in ("hydrostatic", "nonhydrostatic"))
+        + (dict(level=3, backend="fused", precision="DP", mode="hydrostatic",
+                schedule="momentum-held"),
+           dict(level=3, backend="fused", precision="MIX", mode="nonhydrostatic",
+                schedule="mass-held")),
         run=_lanes),
     Row("ranks", ("4 ranks (owned entities)", "serial core"), BITWISE,
         axes=dict(backend=BACKENDS, precision=("DP", "MIX"), workers=(1, 2), sponge=(0, 2),

@@ -269,7 +269,9 @@ class TestConfigValidation:
 class TestRkSchedule:
     """What the one schedule computes: on ``u' = lambda * u`` with every
     other tendency zero, one step multiplies ``u`` by SSP-RK3's stability
-    polynomial ``1 + z + z^2/2 + z^3/6``, ``z = lambda * dt``."""
+    polynomial ``1 + z + z^2/2 + z^3/6``, ``z = lambda * dt``.  A one-lane
+    step takes each stage's tendencies from ``compute_tendencies`` (these
+    meshes step on one lane; the ``lanes`` row holds two lanes to one)."""
 
     @pytest.mark.parametrize("z", [-0.1, -1.0, -2.0, -2.5])
     def test_linear_tendency_gives_rk3_polynomial(self, mesh, vc, z):
@@ -287,6 +289,7 @@ class TestRkSchedule:
             )
 
         core.compute_tendencies = linear
+        assert core.lanes == 1
         st = solid_body_rotation_state(mesh, vc)
         out = core.step(st)
         expect = st.u * (1.0 + z + z**2 / 2 + z**3 / 6)

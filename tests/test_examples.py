@@ -31,3 +31,5 @@ def test_example_runs(name, tmp_path):
     )
     assert run.returncode == 0, run.stderr[-4000:]
     assert run.stdout.strip()
+    # what an example writes under TMPDIR it removes again
+    assert not list(tmp_path.glob("repro_climate_*"))

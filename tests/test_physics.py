@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.constants import CP_DRY, GRAVITY, LATENT_HEAT_VAP, SOLAR_CONSTANT
+from repro.constants import CP_DRY, GRAVITY, LATENT_HEAT_VAP, SOLAR_CONSTANT, STEFAN_BOLTZMANN
 from repro.dycore.state import tropical_profile_state
 from repro.dycore.vertical import VerticalCoordinate, exner
 from repro.grid.mesh import build_mesh
@@ -22,6 +22,7 @@ from repro.physics.surface import (
     saturation_mixing_ratio,
     saturation_vapor_pressure,
 )
+from tests.contracts import bitwise
 
 
 @pytest.fixture(scope="module")
@@ -39,6 +40,65 @@ def _columns(mesh, vc, t0=300.0):
     p = st.p_mid()
     ex = exner(p)
     return st, st.dpi(), p, ex, st.theta * ex
+
+
+def _column_major_radiation(scheme, temp, qv, qc, dpi, tskin, coszen, albedo):
+    """``RadiationScheme.compute`` as it was before its level-major sweeps,
+    verbatim (the oracle): strided ``[:, k]`` columns, ``exp`` taken again
+    for the reflected pass."""
+    nc, nlev = temp.shape
+    wpath = qv * dpi / GRAVITY
+    cpath = qc * dpi / GRAVITY
+    mpath = dpi / GRAVITY
+    mu = np.clip(coszen, 0.0, 1.0)
+    sw_abs = np.zeros((nc, nlev))
+    gsw = np.zeros(nc)
+    toa = SOLAR_CONSTANT * mu
+    for b in range(scheme.n_sw_bands):
+        tau = scheme.k_sw_vapor[b] * wpath + scheme.k_cloud_sw * cpath
+        slant = tau / np.maximum(mu, 0.05)[:, None]
+        trans = np.exp(-slant)
+        cum_down = np.cumprod(trans, axis=1)
+        f_in = toa * scheme.sw_band_weights[b]
+        down_int = np.concatenate([np.ones((nc, 1)), cum_down], axis=1) * f_in[:, None]
+        absorbed = down_int[:, :-1] - down_int[:, 1:]
+        sw_abs += absorbed
+        gsw += down_int[:, -1]
+    for b in range(scheme.n_sw_bands):
+        tau = scheme.k_sw_vapor[b] * wpath + scheme.k_cloud_sw * cpath
+        slant = tau / np.maximum(mu, 0.05)[:, None]
+        trans = np.exp(-slant)
+        f_up = albedo * gsw * scheme.sw_band_weights[b]
+        cum_up = np.cumprod(trans[:, ::-1], axis=1)
+        up_int = np.concatenate([np.ones((nc, 1)), cum_up], axis=1) * f_up[:, None]
+        sw_abs += (up_int[:, :-1] - up_int[:, 1:])[:, ::-1]
+    lw_net = np.zeros((nc, nlev + 1))
+    glw = np.zeros(nc)
+    olr = np.zeros(nc)
+    planck_layer = STEFAN_BOLTZMANN * temp**4
+    planck_sfc = STEFAN_BOLTZMANN * tskin**4
+    for b in range(scheme.n_lw_bands):
+        tau = (
+            scheme.k_lw_vapor[b] * wpath
+            + scheme.k_cloud_lw * cpath
+            + scheme.k_lw_background * mpath
+        )
+        trans = np.exp(-1.66 * tau)
+        emis = 1.0 - trans
+        wb = scheme.lw_band_weights[b]
+        down = np.zeros((nc, nlev + 1))
+        for k in range(nlev):
+            down[:, k + 1] = down[:, k] * trans[:, k] + emis[:, k] * planck_layer[:, k]
+        up = np.zeros((nc, nlev + 1))
+        up[:, nlev] = planck_sfc
+        for k in range(nlev - 1, -1, -1):
+            up[:, k] = up[:, k + 1] * trans[:, k] + emis[:, k] * planck_layer[:, k]
+        glw += wb * down[:, -1]
+        olr += wb * up[:, 0]
+        lw_net += wb * (up - down)
+    lw_heat = -(lw_net[:, :-1] - lw_net[:, 1:])
+    heating = (sw_abs + lw_heat) * GRAVITY / (CP_DRY * dpi)
+    return {"heating_rate": heating, "gsw": gsw, "glw": glw, "olr": olr}
 
 
 class TestSaturation:
@@ -106,6 +166,24 @@ class TestRadiation:
                           np.full(mesh.nc, 300.0), np.zeros(mesh.nc),
                           np.full(mesh.nc, 0.1))
         assert wet.glw.mean() > dry.glw.mean()
+
+    def test_level_major_sweeps_match_the_column_major_body(self):
+        """Bitwise, on a G3 tropical state with cloud, day and night
+        columns (``coszen = 0``), varied skin temperature and albedo."""
+        mesh, vc = build_mesh(3), VerticalCoordinate.stretched(8)
+        st, dpi, p, ex, temp = _columns(mesh, vc)
+        rng = np.random.default_rng(4)
+        qc = st.tracers["qc"] + 3e-4 * rng.random(temp.shape) * (rng.random(temp.shape) < 0.3)
+        tskin = 300.0 + 5.0 * rng.normal(size=mesh.nc)
+        albedo = rng.uniform(0.05, 0.4, size=mesh.nc)
+        coszen = cosine_solar_zenith(mesh.cell_lat, mesh.cell_lon, 20000.0)
+        assert (coszen == 0.0).any() and (coszen > 0.5).any()
+        scheme = RadiationScheme()
+        args = (temp, st.tracers["qv"], qc, dpi, tskin, coszen, albedo)
+        res = scheme.compute(*args)
+        bitwise({k: getattr(res, k) for k in ("heating_rate", "gsw", "glw", "olr")},
+                _column_major_radiation(scheme, *args))
+        assert res.heating_rate.flags.c_contiguous
 
     def test_coszen_geometry(self):
         lat = np.array([0.0, np.pi / 2, -np.pi / 2])
